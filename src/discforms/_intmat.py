@@ -1,10 +1,12 @@
-"""Exact integer/rational matrix helpers: Smith form, lattice bases, signatures.
+"""Exact integer arithmetic shared by the package.
 
-All matrices are lists of lists. Functions never mutate their arguments.
+Owns Gram-matrix validation (even_gram), the Smith form, lattice bases,
+signatures and primality (is_prime). All matrices are lists of lists (or
+tuples of tuples). Functions never mutate their arguments.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 from .errors import PreconditionError
 
@@ -26,8 +28,36 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_copy(a):
-    return [list(row) for row in a]
+def even_gram(gram):
+    """The Gram matrix of a non-degenerate even lattice, as a tuple of int rows.
+
+    Entries may be anything Fraction accepts (ints, Fractions, decimal strings)
+    but must have integral values; the matrix must be square, symmetric, with
+    even diagonal and nonzero determinant.
+    """
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise PreconditionError("gram matrix must be square")
+    out = tuple(tuple(_integer_entry(x) for x in row) for row in gram)
+    for i in range(n):
+        if out[i][i] % 2:
+            raise PreconditionError("gram matrix must have even diagonal")
+        for j in range(n):
+            if out[i][j] != out[j][i]:
+                raise PreconditionError("gram matrix must be symmetric")
+    if determinant(out) == 0:
+        raise PreconditionError("gram matrix is singular")
+    return out
+
+
+def _integer_entry(x):
+    try:
+        v = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        v = None
+    if v is None or v.denominator != 1:
+        raise PreconditionError("gram matrix entries must be integers, not %s" % (x,))
+    return int(v)
 
 
 def determinant(a):
@@ -225,12 +255,6 @@ def signature_pair(gram):
     return pos, neg
 
 
-def lcm(a, b):
-    return abs(a * b) // gcd(a, b) if a and b else 0
-
-
-def lcm_list(xs):
-    out = 1
-    for x in xs:
-        out = lcm(out, x)
-    return out
+def is_prime(n):
+    """Primality by trial division up to the square root."""
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))

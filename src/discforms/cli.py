@@ -9,20 +9,33 @@ import sys
 from fractions import Fraction
 
 from . import dims, fqm, lattice, lifts, qseries, specfun, weil
+from ._intmat import even_gram
 from .errors import ConsistencyError, PreconditionError
+
+
+def _read_text(path):
+    """Contents of an input file; a file that cannot be read is a precondition failure."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise PreconditionError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+    except UnicodeDecodeError:
+        raise PreconditionError("%s is not UTF-8 text" % path) from None
 
 
 def read_gram(path):
     """Gram file: first line the rank, then rank whitespace-separated rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    tokens = _read_text(path).split()
     if not tokens:
         raise PreconditionError("empty gram file")
+    if not tokens[0].isdecimal():
+        raise PreconditionError("gram file must start with its rank, not %s" % tokens[0])
     r = int(tokens[0])
-    vals = [int(t) for t in tokens[1:]]
+    vals = tokens[1:]
     if len(vals) != r * r:
         raise PreconditionError("gram file does not contain %d x %d entries" % (r, r))
-    return [vals[i * r:(i + 1) * r] for i in range(r)]
+    return even_gram([vals[i * r:(i + 1) * r] for i in range(r)])
 
 
 def _cmd_fqm_info(args):
@@ -47,8 +60,7 @@ def _cmd_weil_check(args):
 
 def _cmd_vvmf_check(args):
     module = fqm.fqm_from_gram(read_gram(args.gram))
-    with open(args.series, "r", encoding="utf-8") as fh:
-        series = qseries.read_series(fh.read(), module)
+    series = qseries.read_series(_read_text(args.series), module)
     print("weight: %s" % series.weight)
     print("truncation: %s" % series.truncation)
     print("nonzero coefficients: %d" % len(series.coefficients))
@@ -100,15 +112,18 @@ def _cmd_lattice_split(args):
 def _parse_eta(text):
     scalar = 1
     exps = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            d, r = part.split(":")
-            exps[int(d)] = exps.get(int(d), 0) + int(r)
-        else:
-            scalar = int(part)
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if ":" in part:
+                d, r = part.split(":")
+                exps[int(d)] = exps.get(int(d), 0) + int(r)
+            else:
+                scalar = int(part)
+    except ValueError:
+        raise PreconditionError("malformed eta quotient %r" % text) from None
     return scalar, exps
 
 

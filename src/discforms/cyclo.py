@@ -8,9 +8,9 @@ extraction, which keeps long generator-matrix products cheap.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 import cmath
 
-from ._intmat import lcm
 from .errors import ConsistencyError, PreconditionError
 
 
@@ -225,10 +225,6 @@ class CyclotomicNumber:
 
     __hash__ = None
 
-    def is_rational(self):
-        r = self.reduce()
-        return all(e == 0 for e in r.coeffs)
-
     def rational_value(self):
         r = self.reduce()
         if any(e != 0 for e in r.coeffs):
@@ -265,9 +261,7 @@ def gauss_sum(module, c=1):
     for x in module.elements():
         q = (c * module.q_value(x)) % 1
         counts[q] = counts.get(q, 0) + 1
-    mod = 1
-    for q in counts:
-        mod = lcm(mod, q.denominator)
+    mod = lcm(*(q.denominator for q in counts))
     out = {}
     for q, n in counts.items():
         e = q.numerator * (mod // q.denominator)
@@ -282,7 +276,7 @@ def sqrt_card(module):
     positive real square root of the cardinality whenever the form is
     non-degenerate; the square is checked exactly.
     """
-    s = e_frac(Fraction(-module.signature(), 8)) * gauss_sum(module, 1)
+    s = e_frac(Fraction(-module.signature(), 8)) * module.gauss_sum_one()
     if (s * s).rational_value() != module.order():
         raise ConsistencyError("square-root realization failed the magnitude check")
     return s

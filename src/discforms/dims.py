@@ -38,21 +38,9 @@ class DimensionReport:
 
 
 def _orbit_data(module):
-    d = 0
-    alpha_t = Fraction(0)
-    iso = 0
-    seen = set()
-    for x in module.elements():
-        if x.coords in seen:
-            continue
-        seen.add(x.coords)
-        seen.add((-x).coords)
-        d += 1
-        q = x.q()
-        alpha_t += q
-        if q == 0:
-            iso += 1
-    return d, alpha_t, iso
+    """(d, alpha_T, isotropic orbit count) over the {x, -x} orbits."""
+    qs = [x.q() for x in fqm.orbit_representatives(module)]
+    return len(qs), sum(qs, Fraction(0)), qs.count(0)
 
 
 def _integer(value, what):
@@ -69,9 +57,7 @@ def dim_M(module, k):
     k = Fraction(k)
     if k <= 2:
         raise PreconditionError("the trace formula is implemented for weights k > 2 only")
-    two_k = 2 * k
-    if two_k.denominator != 1 or (int(two_k) - module.signature()) % 4:
-        raise PreconditionError("weight fails the parity condition 2k = sig mod 4")
+    fqm.check_weight_parity(module, k)
 
     d, alpha_t, iso = _orbit_data(module)
     order = module.order()

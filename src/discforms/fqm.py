@@ -9,11 +9,11 @@ force enumeration and are guarded by BRUTE_FORCE_BOUND.
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import cyclo
-from ._intmat import (identity, image_basis, invert_rational, lcm, mat_mul,
-                      mat_vec, smith_normal_form)
+from ._intmat import (even_gram, identity, image_basis, invert_rational, is_prime,
+                      mat_mul, mat_vec, smith_normal_form, transpose)
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
@@ -58,10 +58,7 @@ class FqmElement:
         return not any(self.coords)
 
     def order(self):
-        out = 1
-        for c, d in zip(self.coords, self.module.orders):
-            out = lcm(out, d // gcd(d, c))
-        return out
+        return lcm(*(d // gcd(d, c) for c, d in zip(self.coords, self.module.orders)))
 
     def q(self):
         return self.module.q_value(self)
@@ -83,7 +80,7 @@ class FqmElement:
 class FiniteQuadraticModule:
     """Finite abelian group with a non-degenerate quadratic form into Q/Z."""
 
-    def __init__(self, orders, q_values, bilinear, check=True):
+    def __init__(self, orders, q_values, bilinear):
         orders = tuple(int(d) for d in orders)
         if any(d < 1 for d in orders):
             raise PreconditionError("generator orders must be positive")
@@ -97,8 +94,7 @@ class FiniteQuadraticModule:
         self._elements = None
         self._signature = None
         self._gauss1 = None
-        if check:
-            self._validate()
+        self._validate()
 
     # -- construction checks -------------------------------------------------
 
@@ -138,13 +134,8 @@ class FiniteQuadraticModule:
         return reduce(lambda a, b: a * b, self.orders, 1)
 
     def level(self):
-        n = 1
-        for q in self.q_values:
-            n = lcm(n, q.denominator)
-        for row in self.bilinear:
-            for b in row:
-                n = lcm(n, b.denominator)
-        return n
+        return lcm(*(q.denominator for q in self.q_values),
+                   *(b.denominator for row in self.bilinear for b in row))
 
     def elementary_divisors(self):
         """Invariant factors d_1 | d_2 | ... of the underlying group."""
@@ -368,18 +359,9 @@ def fqm_from_gram_with_maps(gram):
     in the dual lattice to module coordinates; gen_vectors are dual-lattice
     representatives of the module generators.
     """
+    gram = even_gram(gram)
     n = len(gram)
-    for i in range(n):
-        if len(gram[i]) != n:
-            raise PreconditionError("gram matrix must be square")
-        if gram[i][i] % 2:
-            raise PreconditionError("gram matrix must have even diagonal")
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise PreconditionError("gram matrix must be symmetric")
     d, u, v = smith_normal_form(gram)
-    if any(x == 0 for x in d):
-        raise PreconditionError("gram matrix is singular")
     kept = [i for i in range(n) if d[i] > 1]
     gens = []
     for i in kept:
@@ -446,7 +428,7 @@ def milgram_signature(a):
     The sum over the module of e(Q(x)) must have squared magnitude equal to the
     order; the phase, an exact eighth root of unity, is the signature.
     """
-    g = a.gauss_sum_one() if isinstance(a, FiniteQuadraticModule) else cyclo.gauss_sum(a, 1)
+    g = a.gauss_sum_one()
     if (g * g.conjugate()).rational_value() != a.order():
         raise ConsistencyError("Gauss sum magnitude check failed: degenerate module?")
     for s in range(8):
@@ -455,6 +437,30 @@ def milgram_signature(a):
             if x.to_complex().real > 0:
                 return s
     raise ConsistencyError("no admissible signature phase found")
+
+
+def check_weight_parity(a, k):
+    """Require 2k = sig (mod 4) for the weight k.
+
+    Under this condition the central element acts on the symmetrized
+    subspace spanned by e_x + e_{-x} by a scalar.
+    """
+    two_k = 2 * Fraction(k)
+    if two_k.denominator != 1 or (int(two_k) - a.signature()) % 4:
+        raise PreconditionError("weight fails the parity condition 2k = sig mod 4")
+
+
+def orbit_representatives(a):
+    """Lexicographically first representatives of the {x, -x} orbits."""
+    reps = []
+    seen = set()
+    for x in a.elements():
+        if x.coords in seen:
+            continue
+        reps.append(x)
+        seen.add(x.coords)
+        seen.add((-x).coords)
+    return reps
 
 
 # -- subgroup-lattice operations ----------------------------------------------------
@@ -527,9 +533,9 @@ def subquotient(a, h):
     perp = orthogonal_complement(a, h)
     diag = [[a.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
     cols1 = [list(g.coords) for g in perp.generators] + [list(row) for row in zip(*diag)]
-    m1 = transpose_cols(image_basis([list(col) for col in zip(*cols1)]))
+    m1 = transpose(image_basis([list(col) for col in zip(*cols1)]))
     cols2 = [list(g.coords) for g in h.generators] + [list(row) for row in zip(*diag)]
-    m2 = transpose_cols(image_basis([list(col) for col in zip(*cols2)]))
+    m2 = transpose(image_basis([list(col) for col in zip(*cols2)]))
     m1_inv = invert_rational(m1)
     t = mat_mul(m1_inv, m2)
     t_int = [[int(x) for x in row] for row in t]
@@ -569,11 +575,6 @@ def subquotient(a, h):
         if proj(sect(x)) != x:
             raise ConsistencyError("section is not a right inverse of the projection")
     return b, proj, sect
-
-
-def transpose_cols(cols):
-    """Column list -> matrix with those columns."""
-    return [list(row) for row in zip(*cols)]
 
 
 # -- the cyclic filtration ------------------------------------------------------------
@@ -652,7 +653,7 @@ class MatrixModelSplit:
     """
 
     def __init__(self, p, definite_block=None):
-        if p < 2 or any(p % k == 0 for k in range(2, p)):
+        if not is_prime(p):
             raise PreconditionError("level must be prime")
         self.p = p
         self.definite_block = definite_block if definite_block is not None else trivial_module()

@@ -10,7 +10,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from . import fqm
-from ._intmat import (determinant, image_basis, invert_rational, kernel_basis,
+from ._intmat import (determinant, even_gram, image_basis, invert_rational, kernel_basis,
                       mat_mul, mat_vec, signature_pair, smith_normal_form, transpose)
 from .errors import ConsistencyError, PreconditionError, SearchExhausted
 
@@ -19,21 +19,9 @@ class EvenLattice:
     """Non-degenerate even lattice given by its Gram matrix."""
 
     def __init__(self, gram):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
-        n = len(gram)
-        for i in range(n):
-            if len(gram[i]) != n:
-                raise PreconditionError("gram matrix must be square")
-            if gram[i][i] % 2:
-                raise PreconditionError("gram matrix must have even diagonal")
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise PreconditionError("gram matrix must be symmetric")
-        self.gram = gram
-        self.rank = n
-        self.det = determinant(gram)
-        if self.det == 0:
-            raise PreconditionError("gram matrix is singular")
+        self.gram = even_gram(gram)
+        self.rank = len(self.gram)
+        self.det = determinant(self.gram)
         self._inv = None
         self._disc = None
 
@@ -82,11 +70,6 @@ class EvenLattice:
         return "EvenLattice(rank=%d, det=%d)" % (self.rank, self.det)
 
 
-def disc_module(lat):
-    """The discriminant form with the dual-vector projection."""
-    return lat.disc()
-
-
 class LatticeMap:
     """Linear map on the ambient space, with exactness flags."""
 
@@ -120,9 +103,6 @@ class LatticeMap:
         return all(self.matrix[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))
 
-    def dump(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self.matrix)
-
 
 def eichler(lat, u, v):
     """The unipotent map a -> a - (a,u)v + (a,v)u - Q(v)(a,u)u.
@@ -154,17 +134,30 @@ def find_isotropic_with_ideal(lat, n, search_bound):
     for x in product(rng, repeat=lat.rank):
         if not any(x):
             continue
-        if gcd(*[abs(c) for c in x], 0) != 1:
+        if gcd(*x) != 1:
             continue
         if lat.q_value(x) != 0:
             continue
-        pair = lat.pairings(x)
-        ideal = 0
-        for p in pair:
-            ideal = gcd(ideal, int(p))
-        if ideal == n:
+        if gcd(*[int(p) for p in lat.pairings(x)]) == n:
             return list(x)
     raise SearchExhausted("no primitive isotropic vector with ideal %dZ within the box" % n)
+
+
+def _ext_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g, by the extended Euclidean algorithm.
+
+    g carries the sign the floor-division remainders leave it with; callers
+    apply their own sign rule.
+    """
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qq = old_r // r
+        old_r, r = r, old_r - qq * r
+        old_s, s = s, old_s - qq * s
+        old_t, t = t, old_t - qq * t
+    return old_r, old_s, old_t
 
 
 def _solve_unit_pairing(ell):
@@ -173,18 +166,9 @@ def _solve_unit_pairing(ell):
     g = ell[0]
     cur = [1] + [0] * (n - 1)
     for i in range(1, n):
-        a, b = g, ell[i]
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            qq = old_r // r
-            old_r, r = r, old_r - qq * r
-            old_s, s = s, old_s - qq * s
-            old_t, t = t, old_t - qq * t
-        g = old_r
-        cur = [old_s * c for c in cur]
-        cur[i] += old_t
+        g, s, t = _ext_gcd(g, ell[i])
+        cur = [s * c for c in cur]
+        cur[i] += t
     if abs(g) != 1:
         raise PreconditionError("vector is not primitive")
     if g == -1:
@@ -201,14 +185,12 @@ def split_UN(lat, ell):
     """
     n_level = lat.level()
     ell = [int(x) for x in ell]
-    if gcd(*[abs(c) for c in ell] + [0]) != 1:
+    if gcd(*ell) != 1:
         raise PreconditionError("ell must be primitive")
     if lat.q_value(ell) != 0:
         raise PreconditionError("ell must be isotropic")
     pair = [int(p) for p in lat.pairings(ell)]
-    ideal = 0
-    for p in pair:
-        ideal = gcd(ideal, p)
+    ideal = gcd(*pair)
     if ideal != n_level:
         raise PreconditionError("pairing ideal (%d) must equal the level (%d)"
                                 % (ideal, n_level))
@@ -257,15 +239,13 @@ def sublattice_K0(lat, ell):
     ambient coordinates; the index equals level / (pairing ideal of ell).
     """
     ell = [int(x) for x in ell]
-    if gcd(*[abs(c) for c in ell] + [0]) != 1:
+    if gcd(*ell) != 1:
         raise PreconditionError("ell must be primitive")
     if lat.q_value(ell) != 0:
         raise PreconditionError("ell must be isotropic")
     n_level = lat.level()
     c = [int(p) for p in lat.pairings(ell)]
-    n_ell = 0
-    for x in c:
-        n_ell = gcd(n_ell, x)
+    n_ell = gcd(*c)
     if n_level % n_ell:
         raise ConsistencyError("pairing ideal does not divide the level")
     t = n_level // n_ell
@@ -296,20 +276,12 @@ def _solve_scaled_pairing(c, g):
             out = [0] * n
             out[i] = 1 if c[i] > 0 else -1
             continue
-        a, b = cur_g, c[i]
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            qq = old_r // r
-            old_r, r = r, old_r - qq * r
-            old_s, s = s, old_s - qq * s
-            old_t, t = t, old_t - qq * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        out = [old_s * v for v in out]
-        out[i] += old_t
-        cur_g = old_r
+        g_i, s, t = _ext_gcd(cur_g, c[i])
+        if g_i < 0:
+            g_i, s, t = -g_i, -s, -t
+        out = [s * v for v in out]
+        out[i] += t
+        cur_g = g_i
     if cur_g != g:
         raise ConsistencyError("gcd chain did not reach the pairing ideal")
     return out
@@ -461,10 +433,7 @@ def represent_norm_split(d_gram, p, m, lam0):
     if lat.q_value(lam) != m:
         raise ConsistencyError("constructed vector has the wrong norm")
     pair = [int(x) for x in lat.pairings(lam)]
-    g_all = 0
-    for x in pair:
-        g_all = gcd(g_all, x)
-    if g_all != 1:
+    if gcd(*pair) != 1:
         raise ConsistencyError("constructed vector is not primitive in the dual")
     if all(x % p == 0 for x in pair):
         raise ConsistencyError("constructed vector is divisible by p in the dual")

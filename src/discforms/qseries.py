@@ -9,6 +9,7 @@ preconditions, so the combinatorics can be exercised on synthetic data.
 from fractions import Fraction
 
 from . import fqm
+from ._intmat import is_prime
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
 
@@ -109,11 +110,7 @@ class VectorValuedQSeries:
         for c, m in keys:
             a = self.coefficients.get((c, m), 0)
             b = other.coefficients.get((c, m), 0)
-            if isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber):
-                if not (CyclotomicNumber.from_rational(a) if not isinstance(a, CyclotomicNumber) else a) \
-                        == (b if isinstance(b, CyclotomicNumber) else CyclotomicNumber.from_rational(b)):
-                    return False
-            elif a != b:
+            if a != b:
                 return False
         return True
 
@@ -235,7 +232,7 @@ def decompose_prime_union(f, subgroups):
     """
     a = f.module
     orders = [h.order for h in subgroups]
-    if len(set(orders)) != len(orders) or any(not _is_prime(p) for p in orders):
+    if len(set(orders)) != len(orders) or any(not is_prime(p) for p in orders):
         raise PreconditionError("subgroup orders must be distinct primes")
     perps = [fqm.orthogonal_complement(a, h) for h in subgroups]
     union = set()
@@ -262,10 +259,6 @@ def decompose_prime_union(f, subgroups):
         term = up_arrow(down_arrow(f, hs), a, hs) * Fraction(1, hs.order)
         terms.append((idx, sign, term))
     return terms
-
-
-def _is_prime(n):
-    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
 def _omega(n):
@@ -415,16 +408,19 @@ def read_series(text, module):
 
 
 def _parse_value(text):
-    text = text.strip()
-    if "z" not in text:
-        return Fraction(text)
-    total = CyclotomicNumber.zero()
-    for part in text.split("+"):
-        part = part.strip()
-        if "*" in part:
-            coeff, power = part.split("*")
-            modulus, exponent = power.strip().lstrip("z").split("^")
-            total = total + CyclotomicNumber(int(modulus), {int(exponent): Fraction(coeff)})
-        else:
-            total = total + Fraction(part)
-    return total
+    try:
+        text = text.strip()
+        if "z" not in text:
+            return Fraction(text)
+        total = CyclotomicNumber.zero()
+        for part in text.split("+"):
+            part = part.strip()
+            if "*" in part:
+                coeff, power = part.split("*")
+                modulus, exponent = power.strip().lstrip("z").split("^")
+                total = total + CyclotomicNumber(int(modulus), {int(exponent): Fraction(coeff)})
+            else:
+                total = total + Fraction(part)
+        return total
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError("malformed coefficient %r" % text) from None

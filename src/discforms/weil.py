@@ -7,9 +7,9 @@ equality tests memoize reduced zero-tests per distinct entry pair.
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import cyclo, fqm
-from ._intmat import lcm
 from .cyclo import CyclotomicNumber, e_frac
 from .errors import ConsistencyError, PreconditionError
 
@@ -62,8 +62,13 @@ class MetaplecticElement:
     def __pow__(self, n):
         out = MetaplecticElement(((1, 0), (0, 1)))
         base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out @ base
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = out @ base
+            n >>= 1
+            if n:
+                base = base @ base
         return out
 
     def __eq__(self, other):
@@ -143,14 +148,6 @@ class WeilMatrix:
     def scaled(self, c):
         return WeilMatrix(self.module, self.scale * c, self.mat, self.mod)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise PreconditionError("negative matrix powers are not supported")
-        out = identity_matrix(self.module)
-        for _ in range(n):
-            out = out @ self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix) or other.module != self.module:
             return NotImplemented
@@ -175,11 +172,6 @@ class WeilMatrix:
     def to_complex(self):
         s = self.scale.to_complex()
         return [[s * x.to_complex() for x in row] for row in self.mat]
-
-    def dump(self):
-        """Diagnostic text grid of exact entries."""
-        return "\n".join("\t".join(repr(self.entry(i, j)) for j in range(self.size))
-                         for i in range(self.size))
 
 
 def _index(module):
@@ -298,19 +290,6 @@ def rho_of(module, g):
 # -- the symmetrized subspace --------------------------------------------------
 
 
-def orbit_representatives(module):
-    """Lexicographically first representatives of the {x, -x} orbits."""
-    reps = []
-    seen = set()
-    for x in module.elements():
-        if x.coords in seen:
-            continue
-        reps.append(x)
-        seen.add(x.coords)
-        seen.add((-x).coords)
-    return reps
-
-
 def plus_subspace(module, k):
     """Basis data and restricted generator matrices on the symmetrized subspace.
 
@@ -320,17 +299,10 @@ def plus_subspace(module, k):
     weights are the squared norms of the basis vectors e_x + e_{-x} (1 when
     2x = 0), and the matrices are WeilMatrix-style pairs (scale, rows).
     """
-    k = Fraction(k)
-    two_k = 2 * k
-    if two_k.denominator != 1 or (int(two_k) - module.signature()) % 4:
-        raise PreconditionError("weight fails the parity condition 2k = sig mod 4")
-    reps = orbit_representatives(module)
+    fqm.check_weight_parity(module, k)
+    reps = fqm.orbit_representatives(module)
     weights = [1 if (x + x).is_zero() else 2 for x in reps]
     idx = _index(module)
-    rep_pos = {}
-    for i, x in enumerate(reps):
-        rep_pos[x.coords] = i
-        rep_pos[(-x).coords] = i
 
     def restrict(full):
         rows = []
@@ -395,7 +367,6 @@ def relation_report(module, direct_cube_bound=40):
 
 
 def _coprime_unit(module):
-    from math import gcd
     pair = fqm._find_hyperbolic_pair(module)
     n = module.orders[pair[0]]
     for r in range(2, n):

@@ -54,7 +54,7 @@ def _weil_suite_modules():
     mods.append(seven_halves)                       # |A| = 128, level 4
     mods.append(h(12))                              # |A| = 144, level 12
     mods.append(h(13))                              # |A| = 169, level 13
-    mods.append(s(s(h(2), h(2)), s(h(2), c(3, F(1, 3)))))  # |A| = 192, level 12
+    mods.append(s(s(h(2), h(2)), s(h(2), c(3, F(1, 3)))))  # |A| = 192, level 6
     mods.append(s(h(7), h(2)))                      # |A| = 196, level 14
     return mods
 

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from discforms import cli, fqm, qseries
 
 
@@ -99,6 +101,26 @@ def test_precondition_exit_code(tmp_path, capsys):
     code = cli.main(["dims", "report", "--gram", str(g2), "--weight", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["non_integer_entry", "missing_file", "bad_coefficient"])
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    g = tmp_path / "u3.txt"
+    write_gram(g, [[0, 3], [3, 0]])
+    s = tmp_path / "series.txt"
+    s.write_text("module: 3,3\nweight: 3/1\ntruncation: 2/1\nmu=(1,1) m=1/3 coeff=zz\n",
+                 encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n2 1.5\n1.5 2\n", encoding="utf-8")
+    argv = {"non_integer_entry": ["fqm", "info", "--gram", str(bad)],
+            "missing_file": ["fqm", "info", "--gram", str(tmp_path / "missing.txt")],
+            "bad_coefficient": ["vvmf", "check", "--gram", str(g), "--series", str(s)]}[case]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("precondition failure: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_jobs_flag_gives_identical_bytes(capsys):

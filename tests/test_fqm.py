@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from discforms import cyclo, fqm
-from discforms._intmat import signature_pair
+from discforms._intmat import is_prime, signature_pair
 from discforms.errors import PreconditionError
 from helpers import random_even_gram, random_module
 
@@ -313,6 +313,11 @@ class TestNormalForm:
             fqm.MatrixModelSplit(6)
         with pytest.raises(PreconditionError):
             fqm.MatrixModelSplit(3, fqm.cyclic_module(2, F(1, 4)))
+
+
+def test_is_prime_matches_brute_force():
+    for n in range(-3, 501):
+        assert is_prime(n) == (n >= 2 and all(n % k for k in range(2, n))), n
 
 
 def test_element_arithmetic():

@@ -266,6 +266,29 @@ def test_lattice_map_q_flag_exact():
     assert not bad.preserves_q
 
 
+def test_fqm_and_lattice_reject_bad_grams_alike():
+    bad = ([[F(5, 2)]], [[2, F(1, 2)], [F(1, 2), 2]], [[2, 1], [1, 2], [0, 0]],
+           [[2, 0], []], [[1]], [[2, 1], [0, 2]], [[2, 2], [2, 2]])
+    for gram in bad:
+        with pytest.raises(PreconditionError) as from_fqm:
+            fqm.fqm_from_gram(gram)
+        with pytest.raises(PreconditionError) as from_lattice:
+            lattice.EvenLattice(gram)
+        assert str(from_fqm.value) == str(from_lattice.value), gram
+    with pytest.raises(PreconditionError, match="integers"):
+        lattice.EvenLattice([[F(5, 2)]])
+
+
+def test_gcd_chain_solutions_are_stable():
+    # The unit and scaled pairing solvers pick different valid solutions, and
+    # the choice shows in `discforms lattice split` output.
+    lat = lattice.EvenLattice([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 6, 3], [0, 0, 3, 0]])
+    assert lattice.split_UN(lat, [-2, -1, -1, 2])[0] == [0, 0, 1, -1]
+    lat = lattice.EvenLattice([[16, 4, 24], [4, 0, 8], [24, 8, 36]])
+    _k0, basis, _t = lattice.sublattice_K0(lat, [2, 1, -2])
+    assert basis == [[0, -2, 1], [-2, 3, 0], [2, -4, 0]]
+
+
 def test_disc_of_direct_sum_matches_sum_of_discs():
     g1, g2 = [[2]], un(3)
     a = lattice.EvenLattice(block(g1, g2)).disc()[0]

@@ -18,6 +18,13 @@ def test_metaplectic_group_relations():
     assert zz.matrix == ((1, 0), (0, 1)) and zz.bit == 1
     assert (zz @ zz).bit == 0
     assert (s @ s.inverse()).matrix == ((1, 0), (0, 1))
+    # powers agree with repeated products, branch bit included
+    for g in (t, s, st, weil.MetaplecticElement(((2, 1), (1, 1)), bit=1)):
+        for sign, base in ((1, g), (-1, g.inverse())):
+            rep = weil.MetaplecticElement(((1, 0), (0, 1)))
+            for n in range(14):
+                assert g ** (sign * n) == rep, (g, sign * n)
+                rep = rep @ base
 
 
 def test_rho_T():
