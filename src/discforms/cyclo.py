@@ -80,6 +80,17 @@ class CyclotomicNumber:
             r = int(r)
         return CyclotomicNumber(mod, {0: r} if r else {})
 
+    @classmethod
+    def _normalized(cls, mod, coeffs):
+        """Wrap coeffs that are already normal: exponents in [0, mod), no zero values.
+
+        Skips the renormalization of __init__; the caller vouches for the form.
+        """
+        out = object.__new__(cls)
+        out.mod = mod
+        out.coeffs = coeffs
+        return out
+
     @staticmethod
     def zero():
         return CyclotomicNumber(1, {})

@@ -7,7 +7,7 @@ within a bound is reported as SearchExhausted, never as nonexistence.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import fqm
 from ._intmat import (determinant, even_gram, image_basis, invert_rational, kernel_basis,
@@ -64,7 +64,13 @@ class EvenLattice:
                 for i in range(self.rank)]
 
     def level(self):
-        return self.disc()[0].level()
+        """Level of L'/L: the least N > 0 with N * G^-1 integral of even diagonal.
+
+        Read from the inverse Gram matrix, without building the discriminant group.
+        """
+        inv = self.gram_inverse()
+        return lcm(*(inv[i][j].denominator for i in range(self.rank) for j in range(i)),
+                   *((inv[i][i] / 2).denominator for i in range(self.rank)))
 
     def __repr__(self):
         return "EvenLattice(rank=%d, det=%d)" % (self.rank, self.det)

@@ -391,20 +391,32 @@ def read_series(text, module):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 3:
         raise PreconditionError("series file is too short")
-    divisors = lines[0].split(":", 1)[1].strip()
+    divisors, weight, truncation = (_header_value(ln) for ln in lines[:3])
     expect = ",".join(str(d) for d in module.orders)
     if divisors != expect:
         raise PreconditionError("module divisors %s do not match file header %s"
                                 % (expect, divisors))
-    weight = Fraction(lines[1].split(":", 1)[1].strip())
-    truncation = Fraction(lines[2].split(":", 1)[1].strip())
-    out = VectorValuedQSeries(module, weight, truncation)
+    try:
+        out = VectorValuedQSeries(module, Fraction(weight), Fraction(truncation))
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError("malformed weight or truncation in header %r"
+                                % "; ".join(lines[1:3])) from None
     for ln in lines[3:]:
-        fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
-        coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
-        m = Fraction(fields["m"])
-        out.set(module.element(coords), m, _parse_value(fields["coeff"]))
+        try:
+            fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
+            coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
+            m = Fraction(fields["m"])
+            coeff = fields["coeff"]
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise PreconditionError("malformed series record %r" % ln) from None
+        out.set(module.element(coords), m, _parse_value(coeff))
     return out
+
+
+def _header_value(line):
+    if ":" not in line:
+        raise PreconditionError("malformed header line %r" % line)
+    return line.split(":", 1)[1].strip()
 
 
 def _parse_value(text):

@@ -1,13 +1,20 @@
 """The Weil representation of the metaplectic group on the group algebra C[A].
 
 Matrices carry a factored scalar (the Gauss-sum normalization of the S matrix)
-so that entries of generator words stay single roots of unity or short sums;
-equality tests memoize reduced zero-tests per distinct entry pair.
+so that entries of generator words stay single roots of unity or short sums.
+The generators are built from integer exponents at the common modulus
+lcm(8, level). Products run one of two kernels, chosen from the factors (see
+WeilMatrix): the phase kernel when every entry of both factors is a single
+root of unity, which counts exponent sums, and the support kernel otherwise,
+which skips zero entries so that diagonal and monomial factors cost O(n^2).
+Equality tests memoize reduced zero-tests per distinct entry pair.
 """
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul
 
 from . import cyclo, fqm
 from .cyclo import CyclotomicNumber, e_frac
@@ -92,15 +99,27 @@ def gen_Z():
 
 
 class WeilMatrix:
-    """Square matrix over Q(zeta), stored as scale * entries.
+    """Square matrix over Q(zeta_mod), stored as scale * entries.
 
-    Rows and columns are indexed by module.elements() in their fixed order.
+    Rows and columns are indexed by module.elements() in their fixed order;
+    .mat is a dense list of rows of CyclotomicNumbers, all at the modulus
+    .mod (lcm(8, level) unless given). A product of two matrices is taken at
+    the lcm of their moduli by one of two kernels, chosen from the factors:
+
+    - the phase kernel, when every entry of both factors is a single root of
+      unity with coefficient 1 (S, S^dagger, T^k S, S Z, S P, ...). Each factor
+      becomes an integer exponent matrix, and entry (i, j) of the product is
+      the histogram of the sums ea[i][t] + eb[t][j] mod `mod`, counted in C;
+    - the support kernel for every other pair. Entry (i, j) sums only over the
+      t in the supports of row i of the left factor and of column j of the
+      right one, iterating the shorter of the two, so a diagonal or monomial
+      factor (T, Z, automorphisms) makes the product O(n^2) instead of O(n^3).
     """
 
     def __init__(self, module, scale, mat, mod=None):
         self.module = module
         if mod is None:
-            mod = lcm(8, module.level())
+            mod = _modulus(module)
         self.mod = mod
         self.scale = scale if isinstance(scale, CyclotomicNumber) else \
             CyclotomicNumber.from_rational(scale)
@@ -121,23 +140,12 @@ class WeilMatrix:
         mod = lcm(self.mod, other.mod)
         a = self if self.mod == mod else WeilMatrix(self.module, self.scale, self.mat, mod)
         b = other if other.mod == mod else WeilMatrix(other.module, other.scale, other.mat, mod)
-        n = self.size
-        out = []
-        for i in range(n):
-            nz = [(t, a.mat[i][t].coeffs) for t in range(n) if a.mat[i][t].coeffs]
-            row = []
-            for j in range(n):
-                acc = {}
-                for t, x in nz:
-                    y = b.mat[t][j].coeffs
-                    if not y:
-                        continue
-                    for e1, c1 in x.items():
-                        for e2, c2 in y.items():
-                            e = (e1 + e2) % mod
-                            acc[e] = acc.get(e, 0) + c1 * c2
-                row.append(CyclotomicNumber(mod, acc))
-            out.append(row)
+        ea = _exponents(a.mat)
+        eb = None if ea is None else _exponents(b.mat)
+        if eb is None:
+            out = _support_product(a.mat, b.mat, mod)
+        else:
+            out = _phase_product(ea, eb, mod)
         return WeilMatrix(self.module, a.scale * b.scale, out, mod)
 
     def conj_transpose(self):
@@ -174,48 +182,126 @@ class WeilMatrix:
         return [[s * x.to_complex() for x in row] for row in self.mat]
 
 
+def _modulus(module):
+    """The common modulus lcm(8, level) of the module's Weil matrices."""
+    return lcm(8, module.level())
+
+
+def _exponents(mat):
+    """Exponent rows of mat if every entry is one root of unity with coefficient 1.
+
+    Returns None as soon as an entry is zero, has several terms or another
+    coefficient.
+    """
+    out = []
+    for row in mat:
+        exps = []
+        for x in row:
+            if len(x.coeffs) != 1:
+                return None
+            (e, c), = x.coeffs.items()
+            if c != 1:
+                return None
+            exps.append(e)
+        out.append(exps)
+    return out
+
+
+def _phase_product(ea, eb, mod):
+    """Product of two root-of-unity matrices given by their exponent rows.
+
+    Entry (i, j) is the histogram of ea[i][t] + eb[t][j] over t; the sums lie
+    in [0, 2*mod - 1) and the lookup table folds them below mod.
+    """
+    fold = list(range(mod)) * 2
+    wrap = fold.__getitem__
+    normal = CyclotomicNumber._normalized
+    cols = list(zip(*eb))
+    return [[normal(mod, dict(Counter(map(wrap, map(add, r, c))))) for c in cols]
+            for r in ea]
+
+
+def _support_product(a, b, mod):
+    """Product of dense entry rows, each entry summed over shared supports only."""
+    rows = [{t: x.coeffs for t, x in enumerate(row) if x.coeffs} for row in a]
+    cols = [{} for _ in b]
+    for t, row in enumerate(b):
+        for j, y in enumerate(row):
+            if y.coeffs:
+                cols[j][t] = y.coeffs
+    zero = CyclotomicNumber(mod, {})
+    out = []
+    for r in rows:
+        row = []
+        for c in cols:
+            short, other = (r, c) if len(r) <= len(c) else (c, r)
+            acc = {}
+            for t, x in short.items():
+                y = other.get(t)
+                if y is None:
+                    continue
+                for e1, c1 in x.items():
+                    for e2, c2 in y.items():
+                        e = e1 + e2
+                        if e >= mod:
+                            e -= mod
+                        acc[e] = acc.get(e, 0) + c1 * c2
+            row.append(CyclotomicNumber(mod, acc) if acc else zero)
+        out.append(row)
+    return out
+
+
 def _index(module):
     return {x.coords: i for i, x in enumerate(module.elements())}
 
 
 def identity_matrix(module):
-    n = module.order()
-    one = CyclotomicNumber.one()
-    zero = CyclotomicNumber.zero()
-    return WeilMatrix(module, one,
-                      [[one if i == j else zero for j in range(n)] for i in range(n)])
+    return permutation_matrix(module, module.elements())
 
 
 def permutation_matrix(module, images):
     """Matrix sending basis vector e_x to e_{images[x]}."""
     idx = _index(module)
     n = module.order()
-    one = CyclotomicNumber.one()
-    zero = CyclotomicNumber.zero()
+    mod = _modulus(module)
+    zero = CyclotomicNumber._normalized(mod, {})
+    one = CyclotomicNumber._normalized(mod, {0: 1})
     mat = [[zero] * n for _ in range(n)]
-    for j, x in enumerate(module.elements()):
+    for j in range(n):
         mat[idx[images[j].coords]][j] = one
-    return WeilMatrix(module, one, mat)
+    return WeilMatrix(module, CyclotomicNumber.one(), mat, mod)
 
 
 def rho_T(module, power=1):
     """Diagonal action by e(Q(x)) (or its integer powers)."""
     n = module.order()
-    zero = CyclotomicNumber.zero()
-    mat = [[zero] * n for _ in range(n)]
+    mod = _modulus(module)
+    normal = CyclotomicNumber._normalized
+    mat = [[normal(mod, {})] * n for _ in range(n)]
     for j, x in enumerate(module.elements()):
-        mat[j][j] = e_frac(power * x.q())
-    return WeilMatrix(module, CyclotomicNumber.one(), mat)
+        # mod is a multiple of the level, so mod * Q(x) is an integer
+        mat[j][j] = normal(mod, {int(power * mod * x.q()) % mod: 1})
+    return WeilMatrix(module, CyclotomicNumber.one(), mat, mod)
 
 
 def rho_S(module):
-    """The Fourier-transform generator: entries e(-(x,y)) scaled by the Gauss phase."""
-    n = module.order()
-    elts = module.elements()
+    """The Fourier-transform generator: entries e(-(x,y)) scaled by the Gauss phase.
+
+    The exponent of entry (x, y) is -mod * (x, y) mod `mod`, read from the
+    integer matrix mod * bilinear; mod is a multiple of every denominator of
+    the pairing, so this is exact.
+    """
+    mod = _modulus(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    mat = [[e_frac(-elts[i].bil(elts[j])) for j in range(n)] for i in range(n)]
-    return WeilMatrix(module, scale, mat)
+    gram = [[int(mod * b) for b in row] for row in module.bilinear]
+    coords = [x.coords for x in module.elements()]
+    normal = CyclotomicNumber._normalized
+    mat = []
+    for x in coords:
+        w = [sum(map(mul, row, x)) for row in gram]
+        mat.append([normal(mod, {-sum(map(mul, w, y)) % mod: 1}) for y in coords])
+    return WeilMatrix(module, scale, mat, mod)
 
 
 def rho_Z(module):

@@ -1,9 +1,12 @@
-"""Shared generators for randomized exact tests. Everything is seeded."""
+"""Shared generators and reference oracles for randomized exact tests. Everything is seeded."""
 
 from fractions import Fraction
+from math import lcm
 
 from discforms import fqm
+from discforms.cyclo import CyclotomicNumber
 from discforms.qseries import VectorValuedQSeries
+from discforms.weil import WeilMatrix
 
 
 def random_even_gram(rng, max_rank=6, max_det=1000, entry=3):
@@ -86,3 +89,32 @@ def newpart_series(module, e_ref, weight, truncation, rng, density=0.7):
                 f.set(mu, m, Fraction(rng.randint(-9, 9)))
             m += 1
     return f
+
+
+def dense_matmul_reference(a, b):
+    """a @ b for WeilMatrix factors by the plain dense triple loop over exponent pairs.
+
+    The slow exact product that the structured kernels of WeilMatrix.__matmul__
+    are checked against.
+    """
+    mod = lcm(a.mod, b.mod)
+    a = WeilMatrix(a.module, a.scale, a.mat, mod)
+    b = WeilMatrix(b.module, b.scale, b.mat, mod)
+    n = a.size
+    out = []
+    for i in range(n):
+        nz = [(t, a.mat[i][t].coeffs) for t in range(n) if a.mat[i][t].coeffs]
+        row = []
+        for j in range(n):
+            acc = {}
+            for t, x in nz:
+                y = b.mat[t][j].coeffs
+                if not y:
+                    continue
+                for e1, c1 in x.items():
+                    for e2, c2 in y.items():
+                        e = (e1 + e2) % mod
+                        acc[e] = acc.get(e, 0) + c1 * c2
+            row.append(CyclotomicNumber(mod, acc))
+        out.append(row)
+    return WeilMatrix(a.module, a.scale * b.scale, out, mod)

@@ -103,18 +103,33 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("case", ["non_integer_entry", "missing_file", "bad_coefficient"])
+SERIES_HEADER = "module: 3,3\nweight: 3/1\ntruncation: 2/1\n"
+MALFORMED_SERIES = {
+    "bad_coefficient": SERIES_HEADER + "mu=(1,1) m=1/3 coeff=zz\n",
+    "record_without_coeff": SERIES_HEADER + "mu=(1,1) m=1/3\n",
+    "header_without_colon": "module 3,3\nweight: 3/1\ntruncation: 2/1\nmu=(1,1) m=1/3 coeff=1\n",
+    "non_integer_mu": SERIES_HEADER + "mu=(1,x) m=1/3 coeff=1\n",
+    "token_without_equals": SERIES_HEADER + "mu=(1,1) m1/3 coeff=1\n",
+    "non_numeric_weight": "module: 3,3\nweight: x\ntruncation: 2/1\nmu=(1,1) m=1/3 coeff=1\n",
+}
+
+
+@pytest.mark.parametrize("case", ["non_integer_entry", "missing_file", "bad_coefficient",
+                                  "record_without_coeff", "header_without_colon",
+                                  "non_integer_mu", "token_without_equals",
+                                  "non_numeric_weight"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     g = tmp_path / "u3.txt"
     write_gram(g, [[0, 3], [3, 0]])
-    s = tmp_path / "series.txt"
-    s.write_text("module: 3,3\nweight: 3/1\ntruncation: 2/1\nmu=(1,1) m=1/3 coeff=zz\n",
-                 encoding="utf-8")
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n2 1.5\n1.5 2\n", encoding="utf-8")
-    argv = {"non_integer_entry": ["fqm", "info", "--gram", str(bad)],
-            "missing_file": ["fqm", "info", "--gram", str(tmp_path / "missing.txt")],
-            "bad_coefficient": ["vvmf", "check", "--gram", str(g), "--series", str(s)]}[case]
+    if case in MALFORMED_SERIES:
+        s = tmp_path / "series.txt"
+        s.write_text(MALFORMED_SERIES[case], encoding="utf-8")
+        argv = ["vvmf", "check", "--gram", str(g), "--series", str(s)]
+    else:
+        argv = {"non_integer_entry": ["fqm", "info", "--gram", str(bad)],
+                "missing_file": ["fqm", "info", "--gram", str(tmp_path / "missing.txt")]}[case]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2

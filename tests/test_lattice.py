@@ -296,3 +296,33 @@ def test_disc_of_direct_sum_matches_sum_of_discs():
                        lattice.EvenLattice(g2).disc()[0])
     assert a.elementary_divisors() == b.elementary_divisors()
     assert sorted(x.q() for x in a.elements()) == sorted(x.q() for x in b.elements())
+
+
+# The Gram matrices of the tests above.
+LEVEL_GRAMS = (
+    [[2]], [[4]], [[2, 1], [1, 2]], un(3), un(6), block([[4]], un(5), un(1)),
+    block([[2]], un(3)), block([[4]], un(8)), block([[2]], un(7)), block([[2]], un(1)),
+    block([[2]], un(3), un(1)), block([[2]], [[2]]), block([[2, 1], [1, 2]], un(6)),
+    block([[6]], un(5)), [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 6, 3], [0, 0, 3, 0]],
+    [[16, 4, 24], [4, 0, 8], [24, 8, 36]],
+)
+
+
+def test_level_from_inverse_gram_matches_discriminant_module():
+    rng = random.Random(2024)
+    grams = list(LEVEL_GRAMS) + [random_even_gram(rng, max_rank=5, max_det=400)
+                                 for _ in range(30)]
+    for g in grams:
+        assert lattice.EvenLattice(g).level() == fqm.fqm_from_gram(g).level(), g
+
+
+def test_sublattice_k0_never_materializes_elements(monkeypatch):
+    # the sublattice has a discriminant group of order |det| * 111^2
+    def refuse(self):
+        raise AssertionError("elements() materialized")
+
+    monkeypatch.setattr(fqm.FiniteQuadraticModule, "elements", refuse)
+    lat = lattice.EvenLattice([[2, 1, -2, -2], [1, -4, 2, -3], [-2, 2, -4, 3],
+                               [-2, -3, 3, -2]])
+    k0, _basis, t = lattice.sublattice_K0(lat, (-1, -1, 0, 0))
+    assert t == 111 and k0.level() == lat.level() == 111

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -84,6 +85,58 @@ def test_rho_of_odd_signature_scalar_on_congruence():
     for mat in (((1, 4), (0, 1)), ((1, 0), (4, 1)), ((5, 4), (16, 13))):
         m = weil.rho_of(a, weil.MetaplecticElement(mat))
         assert m == ident or m == neg
+
+
+def _gamma0_matrices(level):
+    """Matrices (a b; c d) of determinant one with level | c and d not 1 mod level.
+
+    Every fifth candidate is kept, which keeps the test short.
+    """
+    out = []
+    for c in (level, -level, 2 * level):
+        for d in range(-level - 1, 2 * level):
+            if d % level in (0, 1) or gcd(c, d) != 1:
+                continue
+            a = pow(d, -1, abs(c))
+            out.append(((a, (a * d - 1) // c), (c, d)))
+    return out[::5]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fqm.hyperbolic_module(5),
+    lambda: fqm.cyclic_module(7, F(1, 7)),
+    # odd signature, level 20
+    lambda: fqm.direct_sum(fqm.fqm_from_gram([[2]]), fqm.cyclic_module(5, F(1, 5))),
+], ids=["H(5)", "Z7", "A1+Z5"])
+def test_rho_of_monomial_on_gamma0(make):
+    # rho_of writes M as a word in S and T. On Gamma0(level) the result must be
+    # monomial, and the code follows the convention
+    #     rho(M) e_gamma = chi(M) * e(b*d*Q(gamma)) * e_{d*gamma},
+    # so the nonzero entry of column e_gamma sits at row e_{d*gamma}. (The dual,
+    # complex-conjugate representation has e(-b*d*Q(gamma)); a convention with
+    # e_{a*gamma} would fail here, since a*gamma != d*gamma for some gamma.)
+    a = make()
+    level = a.level()
+    elts = a.elements()
+    idx = {x.coords: i for i, x in enumerate(elts)}
+    n = len(elts)
+    mats = _gamma0_matrices(level)
+    assert len(mats) >= 3
+    distinguished = False
+    for m in mats:
+        (ma, mb), (_mc, md) = m
+        distinguished |= any(ma * x != md * x for x in elts)
+        for bit in (0, 1):
+            r = weil.rho_of(a, weil.MetaplecticElement(m, bit))
+            support = [[i for i in range(n) if not r.mat[i][j].is_zero()] for j in range(n)]
+            assert all(len(rows) == 1 for rows in support), (m, bit)
+            assert sorted(rows[0] for rows in support) == list(range(n)), (m, bit)
+            chi = r.entry(0, 0)
+            for j, x in enumerate(elts):
+                assert support[j] == [idx[(md * x).coords]], (m, bit, x)
+                assert (r.entry(idx[(md * x).coords], j)
+                        - chi * e_frac(mb * md * x.q())).is_zero(), (m, bit, x)
+    assert distinguished
 
 
 def test_rho_of_rejects_non_unimodular():

@@ -1,0 +1,219 @@
+"""The structured products of WeilMatrix against the dense reference loop.
+
+Every product is compared entrywise with dense_matmul_reference: the modulus,
+the coefficient map of every entry, and the scale.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from discforms import cyclo, fqm, weil
+from discforms.cyclo import CyclotomicNumber, e_frac
+from discforms.errors import PreconditionError
+from helpers import dense_matmul_reference
+
+# The modules of test_weil.py.
+TEST_WEIL_MODULES = (
+    ("trivial", lambda: fqm.trivial_module()),
+    ("Z2(1/4)", lambda: fqm.cyclic_module(2, F(1, 4))),
+    ("Z3(1/3)", lambda: fqm.cyclic_module(3, F(1, 3))),
+    ("Z4(3/8)", lambda: fqm.cyclic_module(4, F(3, 8))),
+    ("gram[[2]]", lambda: fqm.fqm_from_gram([[2]])),
+    ("gram[[4]]", lambda: fqm.fqm_from_gram([[4]])),
+    ("gram A2", lambda: fqm.fqm_from_gram([[2, 1], [1, 2]])),
+    ("H(3)", lambda: fqm.hyperbolic_module(3)),
+    ("H(4)", lambda: fqm.hyperbolic_module(4)),
+    ("H(5)", lambda: fqm.hyperbolic_module(5)),
+    ("H(7)", lambda: fqm.hyperbolic_module(7)),
+)
+
+# The distinct module profiles of the weil_relations benchmark up to order 48:
+# ("c", n) is Z/n with Q(g) = a/2n (a = 1 for even n, 2 for odd n), ("h", n)
+# the hyperbolic plane (Z/n)^2.
+BENCH_PROFILES = (
+    (("c", 2),), (("c", 3),), (("c", 4),), (("h", 2),), (("c", 5),), (("c", 7),),
+    (("c", 8),), (("c", 9),), (("c", 11),), (("h", 2), ("c", 3)), (("c", 13),),
+    (("h", 4),), (("h", 2), ("c", 4)), (("h", 2), ("h", 2)), (("h", 3), ("c", 2)),
+    (("h", 2), ("c", 5)), (("h", 2), ("c", 2), ("c", 3)), (("h", 5),), (("h", 3), ("c", 3)),
+    (("h", 2), ("c", 7)), (("h", 4), ("c", 2)), (("h", 6),), (("h", 2), ("h", 3)),
+    (("h", 3), ("c", 4)), (("h", 2), ("c", 2), ("c", 5)), (("h", 3), ("c", 5)),
+    (("h", 4), ("c", 3)),
+)
+
+
+def profile_module(profile):
+    out = fqm.trivial_module()
+    for kind, n in profile:
+        block = (fqm.hyperbolic_module(n) if kind == "h"
+                 else fqm.cyclic_module(n, F(1 if n % 2 == 0 else 2, 2 * n)))
+        out = fqm.direct_sum(out, block)
+    return out
+
+
+def generator_matrices(a):
+    """S, S^dagger, T, T^-1, Z and the negation and phi_r automorphism matrices."""
+    s = weil.rho_S(a)
+    mats = {"S": s, "S_dag": s.conj_transpose(), "T": weil.rho_T(a),
+            "T_inv": weil.rho_T(a, -1), "Z": weil.rho_Z(a),
+            "neg": weil.aut_matrix(a, fqm.negation_automorphism(a))}
+    try:
+        mats["phi_r"] = weil.aut_matrix(a, fqm.phi_r(a, weil._coprime_unit(a)))
+    except PreconditionError:
+        pass
+    return mats
+
+
+def snapshot(m):
+    return (m.mod, m.scale.mod, m.scale.coeffs,
+            [[(x.mod, x.coeffs) for x in row] for row in m.mat])
+
+
+def assert_same_product(x, y, label):
+    assert snapshot(x @ y) == snapshot(dense_matmul_reference(x, y)), label
+
+
+def check_all_pairs(a):
+    mats = generator_matrices(a)
+    for p, x in mats.items():
+        for q, y in mats.items():
+            assert_same_product(x, y, (a.orders, p, q))
+
+
+@pytest.mark.parametrize("name,make", TEST_WEIL_MODULES, ids=[m[0] for m in TEST_WEIL_MODULES])
+def test_generator_pairs_on_test_modules(name, make):
+    check_all_pairs(make())
+
+
+@pytest.mark.parametrize("profile", BENCH_PROFILES,
+                         ids=["".join("%s%d" % b for b in p) for p in BENCH_PROFILES])
+def test_generator_pairs_on_benchmark_profiles(profile):
+    a = profile_module(profile)
+    assert a.order() <= 48
+    check_all_pairs(a)
+
+
+def test_products_of_products():
+    # T^k S, S Z and S P are root-of-unity matrices that are not generators
+    a = profile_module((("h", 2), ("c", 3)))
+    mats = generator_matrices(a)
+    ts = dense_matmul_reference(mats["T"], mats["S"])
+    sz = dense_matmul_reference(mats["S"], mats["Z"])
+    sp = dense_matmul_reference(mats["S"], mats["neg"])
+    for x in (ts, sz, sp):
+        for y in (ts, sz, sp, mats["S_dag"], mats["T_inv"]):
+            assert_same_product(x, y, "composite")
+            assert_same_product(y, x, "composite")
+
+
+def test_kernel_choice(monkeypatch):
+    a = fqm.hyperbolic_module(3)
+    m = generator_matrices(a)
+
+    def refuse(*args):
+        raise AssertionError("wrong kernel")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(weil, "_support_product", refuse)
+        for x, y in (("S", "S"), ("S", "S_dag"), ("S_dag", "S")):
+            assert_same_product(m[x], m[y], (x, y))
+    with monkeypatch.context() as mp:
+        mp.setattr(weil, "_phase_product", refuse)
+        for x, y in (("T", "S"), ("S", "Z"), ("neg", "S_dag"), ("Z", "Z"), ("T", "T_inv")):
+            assert_same_product(m[x], m[y], (x, y))
+
+
+def _random_entry(rng, mod):
+    kind = rng.random()
+    if kind < 0.3:
+        return CyclotomicNumber(mod, {})
+    if kind < 0.55:
+        return CyclotomicNumber(mod, {rng.randrange(mod): rng.choice([1, F(1)])})
+    coeffs = {rng.randrange(2 * mod): F(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(rng.randint(1, 4))}
+    return CyclotomicNumber(mod, coeffs)
+
+
+def _random_matrix(rng, a, mod, phase=False):
+    """Random entries at divisors of mod; with phase, single roots of unity.
+
+    Half of the phase matrices get one single-term entry whose coefficient is
+    not 1, which the phase kernel must not take.
+    """
+    n = a.order()
+    divisors = [d for d in range(1, mod + 1) if mod % d == 0]
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            m = rng.choice(divisors)
+            row.append(CyclotomicNumber(m, {rng.randrange(m): 1}) if phase
+                       else _random_entry(rng, m))
+        rows.append(row)
+    if phase and rng.random() < 0.5:
+        rows[rng.randrange(n)][rng.randrange(n)] = CyclotomicNumber(
+            mod, {rng.randrange(mod): rng.choice([-1, 2, F(1, 2)])})
+    scale = CyclotomicNumber(rng.choice(divisors),
+                             {rng.randrange(mod): F(rng.randint(1, 6), rng.randint(1, 6))})
+    return weil.WeilMatrix(a, scale, rows, mod)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_matrices_mixed_moduli(seed):
+    rng = random.Random(900 + seed)
+    for a in (fqm.hyperbolic_module(2), fqm.cyclic_module(5, F(1, 5)),
+              fqm.hyperbolic_module(3)):
+        for _ in range(6):
+            m1, m2 = rng.choice([8, 12, 24, 40]), rng.choice([8, 12, 24, 40])
+            ph1, ph2 = rng.random() < 0.5, rng.random() < 0.5
+            x = _random_matrix(rng, a, m1, ph1)
+            y = _random_matrix(rng, a, m2, ph2)
+            assert_same_product(x, y, (seed, a.orders, m1, m2, ph1, ph2))
+            assert_same_product(y, x, (seed, a.orders, m2, m1, ph2, ph1))
+
+
+def test_sparse_random_matrices():
+    # mostly-zero factors, with cancelling multi-term entries
+    rng = random.Random(31)
+    a = fqm.hyperbolic_module(3)
+    for _ in range(8):
+        x = _random_matrix(rng, a, 24)
+        y = _random_matrix(rng, a, 24)
+        for m in (x, y):
+            for row in m.mat:
+                for j in range(len(row)):
+                    if rng.random() < 0.7:
+                        row[j] = CyclotomicNumber(24, {})
+        y.mat[0][0] = CyclotomicNumber(24, {0: 1, 12: 1})  # 1 + (-1) = 0 unreduced
+        assert_same_product(x, y, "sparse")
+        assert_same_product(y, x, "sparse")
+
+
+ALL_MODULES = [make() for _name, make in TEST_WEIL_MODULES] + \
+    [profile_module(p) for p in BENCH_PROFILES]
+
+
+def test_integer_rho_S_matches_fraction_reference():
+    for a in ALL_MODULES:
+        s = weil.rho_S(a)
+        elts = a.elements()
+        want_scale = e_frac(F(-a.signature(), 8)) * cyclo.sqrt_card(a) * F(1, a.order())
+        assert (s.scale.mod, s.scale.coeffs) == (want_scale.mod, want_scale.coeffs)
+        for i, x in enumerate(elts):
+            for j, y in enumerate(elts):
+                want = e_frac(-x.bil(y))._promoted(s.mod)
+                assert (s.mat[i][j].mod, s.mat[i][j].coeffs) == (want.mod, want.coeffs), \
+                    (a.orders, x, y)
+
+
+def test_integer_rho_T_matches_fraction_reference():
+    for a in ALL_MODULES:
+        for k in (1, -1, 3):
+            t = weil.rho_T(a, k)
+            zero = CyclotomicNumber(t.mod, {})
+            for i, x in enumerate(a.elements()):
+                for j, v in enumerate(t.mat[i]):
+                    want = e_frac(k * x.q())._promoted(t.mod) if i == j else zero
+                    assert (v.mod, v.coeffs) == (want.mod, want.coeffs), (a.orders, k, x)
+
