@@ -69,20 +69,9 @@ def _cmd_vvmf_check(args):
     return 0
 
 
-def _table_row(n):
-    return n, dims.picard_rank(n)
-
-
 def _cmd_dims_table1(args):
-    ns = list(range(1, args.nmax + 1))
-    if args.jobs > 1:
-        from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
-            rows = pool.map(_table_row, ns)
-    else:
-        rows = [_table_row(n) for n in ns]
-    for n, rank in rows:
-        print("%d\t%d" % (n, rank))
+    for n in range(1, args.nmax + 1):
+        print("%d\t%d" % (n, dims.picard_rank(n)))
     return 0
 
 
@@ -193,7 +182,6 @@ def build_parser():
     dims_sub = p_dims.add_subparsers(dest="cmd", required=True)
     p = dims_sub.add_parser("table1", help="Picard rank table rows")
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_dims_table1)
     p = dims_sub.add_parser("report", help="dimension report for a gram file and weight")
     p.add_argument("--gram", required=True)

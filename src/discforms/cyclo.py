@@ -8,7 +8,7 @@ extraction, which keeps long generator-matrix products cheap.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 import cmath
 
 from .errors import ConsistencyError, PreconditionError
@@ -267,17 +267,19 @@ def e_frac(q):
 
 
 def gauss_sum(module, c=1):
-    """Sum of e(c*Q(x)) over all x in the module, exactly."""
-    counts = {}
-    for x in module.elements():
-        q = (c * module.q_value(x)) % 1
-        counts[q] = counts.get(q, 0) + 1
-    mod = lcm(*(q.denominator for q in counts))
+    """Sum of e(c*Q(x)) over all x in the module, exactly.
+
+    Read from the Q-value histogram: G(c) = sum_k counts[k] * e(c*k/N), with
+    integer coefficients, at the least modulus N/gcd(N, c*k) over the values
+    that occur.
+    """
+    n, counts = module.q_histogram()
+    exps = [(c * k % n, m) for k, m in enumerate(counts) if m]
+    g = gcd(n, *(e for e, _m in exps))
     out = {}
-    for q, n in counts.items():
-        e = q.numerator * (mod // q.denominator)
-        out[e] = out.get(e, 0) + n
-    return CyclotomicNumber(mod, out)
+    for e, m in exps:
+        out[e // g] = out.get(e // g, 0) + m
+    return CyclotomicNumber(n // g, out)
 
 
 def sqrt_card(module):

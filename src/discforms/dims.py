@@ -4,9 +4,16 @@ For weight k > 2 with 2k = sig (mod 4) the dimension of the holomorphic space
 is   d + d*k/12 - alpha(U) - alpha(V^{-1}) - alpha(T|W)
 where d is the number of {x, -x} orbits, U = e(k/4-turn) S|W is an involution,
 V = e(k/6-turn) (ST)|W has order three, and alpha sums the eigenvalue
-exponents in [0, 1). All traces are O(|A|) Gauss sums evaluated exactly; no
-matrix is materialized. The cusp subspace drops one dimension per isotropic
+exponents in [0, 1). The cusp subspace drops one dimension per isotropic
 orbit.
+
+Everything is read from the cached integer Q-value histograms of A and of its
+2-torsion A[2] (fqm.q_histogram, fqm.two_torsion_q_histogram): d, alpha(T) and
+the isotropic orbit count directly, and the traces of U and V through the
+Gauss sums G(c) for c in {1, -1, 2, -2, 3}, each a sum over the N = level
+histogram bins. A trace times 2|A| has integer coefficients, so the exact
+rational extraction runs on integers and the division comes after it. No
+element and no matrix is materialized.
 """
 
 from dataclasses import dataclass
@@ -38,14 +45,19 @@ class DimensionReport:
 
 
 def _orbit_data(module):
-    """(d, alpha_T, isotropic orbit count) over the {x, -x} orbits."""
-    qs = [x.q() for x in fqm.orbit_representatives(module)]
-    return len(qs), sum(qs, Fraction(0)), qs.count(0)
+    """(d, alpha_T, isotropic orbit count) over the {x, -x} orbits.
+
+    An orbit has two elements unless it lies in A[2], so each orbit sum is half
+    the sum over A plus the sum over A[2]; Q values are k/N.
+    """
+    n, h = module.q_histogram()
+    h2 = fqm.two_torsion_q_histogram(module)[1]
+    d = (module.order() + sum(h2)) // 2
+    alpha_t = Fraction(sum(k * (a + b) for k, (a, b) in enumerate(zip(h, h2))), 2 * n)
+    return d, alpha_t, (h[0] + h2[0]) // 2
 
 
 def _integer(value, what):
-    if isinstance(value, cyclo.CyclotomicNumber):
-        value = value.rational_value()
     value = Fraction(value)
     if value.denominator != 1:
         raise ConsistencyError("%s is not an integer: %s" % (what, value))
@@ -61,20 +73,18 @@ def dim_M(module, k):
 
     d, alpha_t, iso = _orbit_data(module)
     order = module.order()
-    c8 = e_frac(Fraction(-module.signature(), 8))
-    inv_sqrt = cyclo.sqrt_card(module) * Fraction(1, order)
+    # 2|A| times a trace on the symmetrized subspace has integer coefficients;
+    # divide only after the rational value is extracted
+    scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module)
 
-    def half_trace(c_plain, c_flipped):
-        # trace of rho(g) restricted to the symmetrized subspace, as
-        # (tr rho(g) + tr rho(g)P)/2 with P the negation permutation
-        t1 = c8 * cyclo.gauss_sum(module, c_plain) * inv_sqrt
-        t2 = c8 * cyclo.gauss_sum(module, c_flipped) * inv_sqrt
-        return (t1 + t2) * Fraction(1, 2)
+    def trace_times_2a(c_plain, c_flipped):
+        # 2|A| * (tr rho(g) + tr rho(g)P)/2 with P the negation permutation,
+        # where tr rho(g) = e(-sig/8) G(c) / sqrt|A|
+        return scale * (cyclo.gauss_sum(module, c_plain) + cyclo.gauss_sum(module, c_flipped))
 
     # S: diagonal entries e(-(x,x)) = e(-2Q); with negation e(+2Q)
-    tr_s = half_trace(-2, 2)
-    tr_u = e_frac(k / 4) * tr_s
-    t_int = _integer(tr_u, "trace of the normalized S matrix")
+    tr_u = e_frac(k / 4) * trace_times_2a(-2, 2)
+    t_int = _integer(tr_u.rational_value() / (2 * order), "trace of the normalized S matrix")
     m_plus = _integer(Fraction(d + t_int, 2), "multiplicity of +1 for S")
     m_minus = _integer(Fraction(d - t_int, 2), "multiplicity of -1 for S")
     if m_plus < 0 or m_minus < 0:
@@ -82,14 +92,13 @@ def dim_M(module, k):
     alpha_s = Fraction(m_minus, 2)
 
     # ST: diagonal entries e(Q - 2Q) = e(-Q); with negation e(3Q)
-    tr_st = half_trace(-1, 3)
-    tr_v = e_frac(k / 6) * tr_st
+    tr_v = e_frac(k / 6) * trace_times_2a(-1, 3)
     tr_v2 = tr_v.conjugate()
-    w = e_frac(Fraction(1, 3))
     mult = []
     for j in range(3):
-        val = (Fraction(d) + w ** (-j) * tr_v + w ** (-2 * j) * tr_v2) * Fraction(1, 3)
-        mj = _integer(val, "multiplicity %d for ST" % j)
+        val = (2 * order * d + e_frac(Fraction(-j, 3)) * tr_v
+               + e_frac(Fraction(-2 * j, 3)) * tr_v2)
+        mj = _integer(val.rational_value() / (6 * order), "multiplicity %d for ST" % j)
         if mj < 0:
             raise ConsistencyError("negative eigenvalue multiplicity for ST")
         mult.append(mj)

@@ -2,8 +2,10 @@
 
 A module is presented by generator orders, the form values Q(g_i), and the
 bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
-[0, 1). Elements are coordinate tuples. Subgroup-lattice operations use brute
-force enumeration and are guarded by BRUTE_FORCE_BOUND.
+[0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
+N = level(), from which Q values and the Q-value histogram are computed.
+Elements are coordinate tuples. Subgroup-lattice operations use brute force
+enumeration and are guarded by BRUTE_FORCE_BOUND.
 """
 
 from fractions import Fraction
@@ -91,7 +93,14 @@ class FiniteQuadraticModule:
         self.bilinear = bilinear
         self._key = (orders, q_values, bilinear)
         self._hash = hash(self._key)
+        # the integer form: N = level, N*Q(g_i) and N*(g_i, g_j)
+        n = lcm(*(q.denominator for q in q_values),
+                *(b.denominator for row in bilinear for b in row))
+        self._level = n
+        self._nq = tuple(int(n * q) for q in q_values)
+        self._nb = tuple(tuple(int(n * b) for b in row) for row in bilinear)
         self._elements = None
+        self._histogram = None
         self._signature = None
         self._gauss1 = None
         self._validate()
@@ -134,8 +143,7 @@ class FiniteQuadraticModule:
         return reduce(lambda a, b: a * b, self.orders, 1)
 
     def level(self):
-        return lcm(*(q.denominator for q in self.q_values),
-                   *(b.denominator for row in self.bilinear for b in row))
+        return self._level
 
     def elementary_divisors(self):
         """Invariant factors d_1 | d_2 | ... of the underlying group."""
@@ -170,15 +178,55 @@ class FiniteQuadraticModule:
         return self._elements
 
     def q_value(self, x):
-        q = Fraction(0)
+        """Q(x) in [0, 1), read from the integer form N*Q with N = level()."""
+        n, nq, nb = self._level, self._nq, self._nb
         c = x.coords
+        v = 0
         for i, ci in enumerate(c):
             if ci:
-                q += ci * ci * self.q_values[i]
-                for j in range(i + 1, self.rank):
+                v += ci * ci * nq[i]
+                row = nb[i]
+                for j in range(i + 1, len(c)):
                     if c[j]:
-                        q += ci * c[j] * self.bilinear[i][j]
-        return q % 1
+                        v += ci * c[j] * row[j]
+        return Fraction(v % n, n)
+
+    def q_histogram(self):
+        """(N, counts) with N = level() and counts[k] = #{x : Q(x) = k/N} (cached).
+
+        One pass over the coordinates in integer arithmetic; no element is built.
+        """
+        if self._histogram is None:
+            self._histogram = (self._level,
+                               self._count_q_values([range(d) for d in self.orders]))
+        return self._histogram
+
+    def _count_q_values(self, choices):
+        """counts[k] = #{x : Q(x) = k/N} over the x with x_i in choices[i].
+
+        A prefix recursion: fixing x_0..x_{i-1} leaves N*Q of the prefix and
+        its pairings N*(prefix, g_j) with the later generators, so the last
+        coordinate costs one multiply-add per value.
+        """
+        n, nq, nb = self._level, self._nq, self._nb
+        r = len(choices)
+        if r == 0:
+            return (1,)
+        counts = [0] * n
+
+        def walk(i, v, pair):
+            q, p = nq[i], pair[i]
+            if i == r - 1:
+                for c in choices[i]:
+                    counts[(v + c * (c * q + p)) % n] += 1
+                return
+            row = nb[i]
+            for c in choices[i]:
+                walk(i + 1, (v + c * (c * q + p)) % n,
+                     [(pair[j] + c * row[j]) % n for j in range(r)])
+
+        walk(0, 0, [0] * r)
+        return tuple(counts)
 
     def bilinear_value(self, x, y):
         b = Fraction(0)
@@ -448,6 +496,15 @@ def check_weight_parity(a, k):
     two_k = 2 * Fraction(k)
     if two_k.denominator != 1 or (int(two_k) - a.signature()) % 4:
         raise PreconditionError("weight fails the parity condition 2k = sig mod 4")
+
+
+def two_torsion_q_histogram(a):
+    """(N, counts) as in q_histogram, over the 2-torsion A[2] = {x : 2x = 0}.
+
+    A[2] has the coordinates x_i in {0, d_i/2}, with d_i/2 only for even d_i.
+    """
+    return a.level(), a._count_q_values([(0, d // 2) if d % 2 == 0 else (0,)
+                                         for d in a.orders])
 
 
 def orbit_representatives(a):

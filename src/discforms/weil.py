@@ -160,11 +160,16 @@ class WeilMatrix:
         if not isinstance(other, WeilMatrix) or other.module != self.module:
             return NotImplemented
         n = self.size
+        # entries with the same coefficient map at equal scales are equal
+        # without a zero test; the rest are memoized by content
+        same_scale = self.scale == other.scale
         memo = {}
         for i in range(n):
             for j in range(n):
                 a = self.mat[i][j]
                 b = other.mat[i][j]
+                if same_scale and (a is b or (a.mod == b.mod and a.coeffs == b.coeffs)):
+                    continue
                 key = (a.mod, frozenset(a.coeffs.items()), b.mod, frozenset(b.coeffs.items()))
                 ok = memo.get(key)
                 if ok is None:

@@ -4,9 +4,28 @@ from fractions import Fraction
 from math import lcm
 
 from discforms import fqm
-from discforms.cyclo import CyclotomicNumber
+from discforms.cyclo import CyclotomicNumber, e_frac
+from discforms.errors import ConsistencyError
 from discforms.qseries import VectorValuedQSeries
 from discforms.weil import WeilMatrix
+
+
+def un(n):
+    """Gram matrix of the hyperbolic plane rescaled by n."""
+    return [[0, n], [n, 0]]
+
+
+def block(*mats):
+    """Block-diagonal matrix with the given square blocks."""
+    n = sum(len(m) for m in mats)
+    out = [[0] * n for _ in range(n)]
+    o = 0
+    for m in mats:
+        for i in range(len(m)):
+            for j in range(len(m)):
+                out[o + i][o + j] = m[i][j]
+        o += len(m)
+    return out
 
 
 def random_even_gram(rng, max_rank=6, max_det=1000, entry=3):
@@ -118,3 +137,84 @@ def dense_matmul_reference(a, b):
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
     return WeilMatrix(a.module, a.scale * b.scale, out, mod)
+
+
+def q_value_reference(module, x):
+    """Q(x) summed in Fractions from the presentation's q_values and bilinear."""
+    q = Fraction(0)
+    c = x.coords
+    for i, ci in enumerate(c):
+        q += ci * ci * module.q_values[i]
+        for j in range(i + 1, len(c)):
+            q += ci * c[j] * module.bilinear[i][j]
+    return q % 1
+
+
+def gauss_sum_reference(module, c):
+    """Sum of e(c*Q(x)) over module.elements(), at the lcm of the value denominators.
+
+    The element loop that cyclo.gauss_sum's histogram route is checked against.
+    """
+    counts = {}
+    for x in module.elements():
+        q = (c * module.q_value(x)) % 1
+        counts[q] = counts.get(q, 0) + 1
+    mod = lcm(*(q.denominator for q in counts))
+    out = {}
+    for q, n in counts.items():
+        e = q.numerator * (mod // q.denominator)
+        out[e] = out.get(e, 0) + n
+    return CyclotomicNumber(mod, out)
+
+
+def orbit_data_reference(module):
+    """(d, alpha_T, isotropic orbit count) from the {x, -x} orbit representatives."""
+    qs = [x.q() for x in fqm.orbit_representatives(module)]
+    return len(qs), sum(qs, Fraction(0)), qs.count(0)
+
+
+def _integer_reference(value, what):
+    if isinstance(value, CyclotomicNumber):
+        value = value.rational_value()
+    value = Fraction(value)
+    if value.denominator != 1:
+        raise ConsistencyError("%s is not an integer: %s" % (what, value))
+    return int(value)
+
+
+def dim_M_reference(module, k, gauss=gauss_sum_reference):
+    """The fields of dims.dim_M(module, k), as a dict, by the element loops.
+
+    The Gauss sums come from gauss(module, c), so that a caller can share
+    them between checks; the orbit data from orbit_data_reference. Each trace
+    is divided by the order before its rational value is extracted, so the
+    reductions run on Fraction coefficients.
+    """
+    k = Fraction(k)
+    fqm.check_weight_parity(module, k)
+    d, alpha_t, iso = orbit_data_reference(module)
+    order = module.order()
+    c8 = e_frac(Fraction(-module.signature(), 8))
+    inv_sqrt = c8 * gauss(module, 1) * Fraction(1, order)
+
+    def half_trace(c_plain, c_flipped):
+        t1 = c8 * gauss(module, c_plain) * inv_sqrt
+        t2 = c8 * gauss(module, c_flipped) * inv_sqrt
+        return (t1 + t2) * Fraction(1, 2)
+
+    tr_u = e_frac(k / 4) * half_trace(-2, 2)
+    t_int = _integer_reference(tr_u, "trace of the normalized S matrix")
+    m_plus = _integer_reference(Fraction(d + t_int, 2), "multiplicity of +1 for S")
+    m_minus = _integer_reference(Fraction(d - t_int, 2), "multiplicity of -1 for S")
+    tr_v = e_frac(k / 6) * half_trace(-1, 3)
+    tr_v2 = tr_v.conjugate()
+    w = e_frac(Fraction(1, 3))
+    mult = []
+    for j in range(3):
+        val = (Fraction(d) + w ** (-j) * tr_v + w ** (-2 * j) * tr_v2) * Fraction(1, 3)
+        mult.append(_integer_reference(val, "multiplicity %d for ST" % j))
+    m0, m1, m2 = mult
+    total = d + Fraction(d) * k / 12 - Fraction(m_minus, 2) - Fraction(2 * m1 + m2, 3) - alpha_t
+    dim_m = _integer_reference(total, "dimension of the holomorphic space")
+    return dict(d=d, alpha_T=alpha_t, mult_S=(m_plus, m_minus), mult_ST=(m0, m1, m2),
+                dim_M=dim_m, dim_S=dim_m - iso, iso_orbit_count=iso)

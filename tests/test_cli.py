@@ -136,9 +136,3 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("precondition failure: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-
-def test_jobs_flag_gives_identical_bytes(capsys):
-    _c, seq = run(capsys, ["dims", "table1", "--nmax", "4"])
-    _c, par = run(capsys, ["dims", "table1", "--nmax", "4", "--jobs", "2"])
-    assert seq == par

@@ -7,23 +7,7 @@ import pytest
 from discforms import cyclo, fqm
 from discforms._intmat import is_prime, signature_pair
 from discforms.errors import PreconditionError
-from helpers import random_even_gram, random_module
-
-
-def un(n):
-    return [[0, n], [n, 0]]
-
-
-def block(*mats):
-    n = sum(len(m) for m in mats)
-    out = [[0] * n for _ in range(n)]
-    o = 0
-    for m in mats:
-        for i in range(len(m)):
-            for j in range(len(m)):
-                out[o + i][o + j] = m[i][j]
-        o += len(m)
-    return out
+from helpers import block, random_even_gram, random_module, un
 
 
 class TestFromGram:

@@ -1,0 +1,180 @@
+"""The Q-value histogram route of fqm, cyclo.gauss_sum and dims against element loops.
+
+The oracles in helpers.py walk module.elements(): gauss_sum_reference sums
+e(c*Q(x)), orbit_data_reference reads the {x, -x} orbit representatives and
+dim_M_reference takes its traces in Fraction coefficients.
+"""
+
+import random
+from collections import Counter
+from dataclasses import asdict
+from fractions import Fraction as F
+from functools import lru_cache
+from math import lcm
+
+import pytest
+
+from discforms import cyclo, dims, fqm
+from helpers import (block, dim_M_reference, gauss_sum_reference, orbit_data_reference,
+                     q_value_reference, random_even_gram, random_module, un)
+
+C_VALUES = (1, -1, 2, -2, 3)
+
+
+def _named_modules():
+    """The modules built in test_fqm.py and test_dims.py, plus seeded random ones."""
+    a1 = fqm.cyclic_module(2, F(1, 4))
+    out = {
+        "trivial": fqm.trivial_module(),
+        "A1": fqm.fqm_from_gram([[2]]),
+        "A2": fqm.fqm_from_gram([[2, 1], [1, 2]]),
+        "cyclic2": a1,
+        "cyclic2_neg": fqm.negate(a1),
+        "A1+A1": fqm.direct_sum(a1, a1),
+        "A1+A1'": fqm.direct_sum(a1, fqm.cyclic_module(2, F(3, 4))),
+        "A1+H3": fqm.direct_sum(a1, fqm.hyperbolic_module(3)),
+        "A1+H9": fqm.direct_sum(a1, fqm.hyperbolic_module(9)),
+        "H5+<4>": fqm.direct_sum(fqm.hyperbolic_module(5), fqm.fqm_from_gram([[4]])),
+        "H3+H3": fqm.direct_sum(fqm.hyperbolic_module(3), fqm.hyperbolic_module(3)),
+        "H5+H5": fqm.direct_sum(fqm.hyperbolic_module(5), fqm.hyperbolic_module(5)),
+        "matrix_model_3": fqm.matrix_model_module(3),
+    }
+    for n in (2, 3, 4, 5, 7, 12):
+        out["H%d" % n] = fqm.hyperbolic_module(n)
+    for n in (3, 5, 7):
+        out["<4>+U(%d)+U" % n] = fqm.fqm_from_gram(block([[4]], un(n), un(1)))
+    out["<2>+U(7)+U"] = fqm.fqm_from_gram(block([[2]], un(7), un(1)))
+    rng = random.Random(1234)
+    for i in range(8):
+        out["random_module_%d" % i] = random_module(rng, max_order=40)
+    rng = random.Random(31)
+    for i in range(8):
+        out["random_gram_%d" % i] = fqm.fqm_from_gram(
+            random_even_gram(rng, max_rank=4, max_det=300))
+    return out
+
+
+NAMED = _named_modules()
+TABLE_NS = tuple(range(1, 41))
+
+
+@lru_cache(maxsize=None)
+def _reference_gauss(module, c):
+    return gauss_sum_reference(module, c)
+
+
+def _same_cyclotomic(x, y):
+    return x.mod == y.mod and x.coeffs == y.coeffs
+
+
+def _check_against_oracles(module):
+    for c in C_VALUES:
+        fast, slow = cyclo.gauss_sum(module, c), _reference_gauss(module, c)
+        assert _same_cyclotomic(fast, slow), (module, c, fast, slow)
+    assert dims._orbit_data(module) == orbit_data_reference(module)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_gauss_sums_and_orbit_data_on_named_modules(name):
+    _check_against_oracles(NAMED[name])
+
+
+def test_gauss_sums_and_orbit_data_on_table_rows():
+    for n in TABLE_NS:
+        _check_against_oracles(dims.table_row_module(n))
+
+
+def _weights(module):
+    """Weights k > 2 with 2k = sig (mod 4): the least two, and one twelve higher."""
+    k = F(module.signature() % 4, 2)
+    while k <= 2:
+        k += 2
+    return (k, k + 2, k + 12)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_dimension_reports_on_named_modules(name):
+    a = NAMED[name]
+    for k in _weights(a):
+        assert asdict(dims.dim_M(a, k)) == dim_M_reference(a, k, _reference_gauss), k
+
+
+def test_dimension_reports_on_table_rows():
+    # the reference's Fraction-coefficient reductions cost up to 0.8 s a row
+    # beyond n = 30 (moduli up to 840), so the full report is compared on the
+    # rows of perfbench/golden.json; its inputs are compared up to n = 40 above
+    for n in range(1, 31):
+        a = dims.table_row_module(n)
+        assert asdict(dims.dim_M(a, F(5, 2))) == dim_M_reference(a, F(5, 2), _reference_gauss), n
+
+
+def test_dimension_reports_on_kohnen_weights():
+    a = NAMED["A1"]
+    for k in (F(5, 2), F(9, 2), F(13, 2), F(17, 2), F(21, 2), F(25, 2)):
+        assert asdict(dims.dim_M(a, k)) == dim_M_reference(a, k, _reference_gauss), k
+    t = NAMED["trivial"]
+    assert asdict(dims.dim_M(t, 12)) == dim_M_reference(t, 12, _reference_gauss)
+
+
+def _element_histogram(module):
+    n = module.level()
+    counts = Counter(q_value_reference(module, x) * n for x in module.elements())
+    return tuple(counts.get(k, 0) for k in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_histogram_counts_the_elements(name):
+    a = NAMED[name]
+    n, counts = a.q_histogram()
+    assert n == a.level() and len(counts) == n
+    assert sum(counts) == a.order()
+    assert counts == _element_histogram(a)
+    assert all(a.q_value(x) == q_value_reference(a, x) for x in a.elements())
+    n2, counts2 = fqm.two_torsion_q_histogram(a)
+    two_torsion = [x for x in a.elements() if (x + x).is_zero()]
+    assert n2 == n and sum(counts2) == len(two_torsion)
+    assert counts2 == tuple(sum(1 for x in two_torsion if x.q() * n == k) for k in range(n))
+
+
+def _convolve(ha, hb):
+    """Histogram of Q_a + Q_b at the lcm level, from the two histograms."""
+    na, ca = ha
+    nb, cb = hb
+    n = lcm(na, nb)
+    out = [0] * n
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb):
+                if y:
+                    out[(i * (n // na) + j * (n // nb)) % n] += x * y
+    return n, tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_histogram_of_direct_sum_is_convolution(seed):
+    rng = random.Random(7000 + seed)
+    for _ in range(6):
+        a, b = random_module(rng, max_order=30), random_module(rng, max_order=30)
+        s = fqm.direct_sum(a, b)
+        assert s.q_histogram() == _convolve(a.q_histogram(), b.q_histogram())
+        assert sum(s.q_histogram()[1]) == s.order()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_histogram_of_negation_mirrors(seed):
+    rng = random.Random(8000 + seed)
+    for _ in range(6):
+        a = fqm.direct_sum(random_module(rng, max_order=30), random_module(rng, max_order=30))
+        n, counts = a.q_histogram()
+        assert fqm.negate(a).q_histogram() == (n, tuple(counts[-k % n] for k in range(n)))
+
+
+def test_dims_never_materializes_elements(monkeypatch):
+    expected = dims.picard_rank(12)
+
+    def refuse(self):
+        raise AssertionError("elements() called for %r" % (self,))
+
+    monkeypatch.setattr(fqm.FiniteQuadraticModule, "elements", refuse)
+    assert dims.picard_rank(12) == expected == 7
+    assert dims.dim_M(fqm.fqm_from_gram(block([[4]], un(5), un(1))), F(5, 2)).dim_S >= 0

@@ -217,3 +217,30 @@ def test_integer_rho_T_matches_fraction_reference():
                     want = e_frac(k * x.q())._promoted(t.mod) if i == j else zero
                     assert (v.mod, v.coeffs) == (want.mod, want.coeffs), (a.orders, k, x)
 
+
+def test_eq_detects_one_entry_and_scale_differences():
+    a = fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))
+    s = weil.rho_S(a)
+    mod, n = s.mod, s.size
+    # the same matrix as s with fresh entry objects and a separately built scale
+    copy = weil.WeilMatrix(a, s.scale * 1, [[CyclotomicNumber(mod, dict(x.coeffs)) for x in row]
+                                            for row in s.mat], mod)
+    assert s == s and s == copy and copy == s
+    # equal values in other representations: 1 + z2 = 0, so adding it changes nothing
+    vanishing = CyclotomicNumber(mod, {0: 1, mod // 2: 1})
+    mat = [list(row) for row in s.mat]
+    mat[1][2] = mat[1][2] + vanishing
+    assert s == weil.WeilMatrix(a, s.scale, mat, mod)
+    doubled = [[x * 2 for x in row] for row in s.mat]
+    assert s == weil.WeilMatrix(a, s.scale * F(1, 2), doubled, mod)
+    # one entry differs
+    for i, j in ((0, 0), (n - 1, n - 1), (2, 5)):
+        mat = [list(row) for row in s.mat]
+        mat[i][j] = mat[i][j] * e_frac(F(1, 3))
+        other = weil.WeilMatrix(a, s.scale, mat, mod)
+        assert not s == other and not other == s, (i, j)
+    # only the scale differs, by a root of unity or by a rational factor
+    for c in (e_frac(F(1, 8)), -1, F(3, 2)):
+        assert not s == s.scaled(c) and not s.scaled(c) == s, c
+    ident = weil.identity_matrix(a)
+    assert ident.is_identity() and not ident.scaled(-1).is_identity()
