@@ -1,8 +1,9 @@
 """Exact integer arithmetic shared by the package.
 
-Owns Gram-matrix validation (even_gram), the Smith form, lattice bases,
-signatures and primality (is_prime). All matrices are lists of lists (or
-tuples of tuples). Functions never mutate their arguments.
+Owns Gram-matrix validation (even_gram), the parsing of rational input text
+(parse_rational), the Smith form, lattice bases, signatures and primality
+(is_prime). All matrices are lists of lists (or tuples of tuples). Functions
+never mutate their arguments.
 """
 
 from fractions import Fraction
@@ -50,9 +51,23 @@ def even_gram(gram):
     return out
 
 
+# Fraction("1e999999999") builds 10**999999999; parse_rational refuses a decimal
+# exponent above this before any integer is built (it matches the default limit
+# on the digits of int(str)).
+DECIMAL_EXPONENT_BOUND = 4300
+
+
+def parse_rational(x):
+    """Fraction(x), with ValueError for text whose decimal exponent exceeds the bound."""
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        if abs(int(x.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
+            raise ValueError("decimal exponent of %r exceeds %d" % (x, DECIMAL_EXPONENT_BOUND))
+    return Fraction(x)
+
+
 def _integer_entry(x):
     try:
-        v = Fraction(x)
+        v = parse_rational(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         v = None
     if v is None or v.denominator != 1:

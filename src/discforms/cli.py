@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from . import dims, fqm, lattice, lifts, qseries, specfun, weil
-from ._intmat import even_gram
+from ._intmat import even_gram, parse_rational
 from .errors import ConsistencyError, PreconditionError
 
 
@@ -36,6 +36,14 @@ def read_gram(path):
     if len(vals) != r * r:
         raise PreconditionError("gram file does not contain %d x %d entries" % (r, r))
     return even_gram([vals[i * r:(i + 1) * r] for i in range(r)])
+
+
+def _fraction(text, what):
+    """A rational command-line value; a malformed one is a precondition failure."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError("malformed %s %r" % (what, text)) from None
 
 
 def _cmd_fqm_info(args):
@@ -77,7 +85,7 @@ def _cmd_dims_table1(args):
 
 def _cmd_dims_report(args):
     module = fqm.fqm_from_gram(read_gram(args.gram))
-    report = dims.dim_M(module, Fraction(args.weight))
+    report = dims.dim_M(module, _fraction(args.weight, "weight"))
     for line in report.lines():
         print(line)
     return 0
@@ -85,7 +93,10 @@ def _cmd_dims_report(args):
 
 def _cmd_lattice_split(args):
     lat = lattice.EvenLattice(read_gram(args.gram))
-    ell = [int(x) for x in args.ell.split(",")]
+    try:
+        ell = [int(x) for x in args.ell.split(",")]
+    except ValueError:
+        raise PreconditionError("malformed --ell %r" % args.ell) from None
     ell_tilde, k_lat, rows = lattice.split_UN(lat, ell)
     print("ell_tilde: " + ",".join(str(x) for x in ell_tilde))
     print("level: %d" % lat.level())
@@ -118,7 +129,8 @@ def _parse_eta(text):
 
 def _cmd_lifts_kernel(args):
     scalar, exps = _parse_eta(args.eta)
-    kappa = Fraction(args.kappa)
+    kappa = _fraction(args.kappa, "kappa")
+    truncation = _fraction(args.truncation, "truncation")
     bound = Fraction(args.qbound)
     series = lifts.eta_quotient(exps, args.p * bound) * scalar
     eps = None
@@ -131,8 +143,7 @@ def _cmd_lifts_kernel(args):
             continue
     if eps is None:
         raise PreconditionError("series is not a level involution eigenform")
-    vec, report = lifts.kernel_element(nf, args.n, kappa,
-                                       truncation=Fraction(args.truncation))
+    vec, report = lifts.kernel_element(nf, args.n, kappa, truncation=truncation)
     print("eps: %d" % eps)
     print("condition: %s" % ("PASS" if report["condition"] else "FAIL"))
     if not report["condition"]:

@@ -19,6 +19,12 @@ from ._intmat import (even_gram, identity, image_basis, invert_rational, is_prim
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
+# Construction refuses larger modules before any Gauss sum or histogram is
+# built: the magnitude check multiplies two cyclotomic numbers of up to `level`
+# terms each, and the Q-value histogram is one pass over all elements. The
+# Picard table rows up to n = 1000 have order 2*n^2 and level at most 4*n.
+LEVEL_BOUND = 5_000
+ORDER_BOUND = 4_000_000
 
 
 def _mod1(x):
@@ -103,6 +109,11 @@ class FiniteQuadraticModule:
         self._histogram = None
         self._signature = None
         self._gauss1 = None
+        if self.order() > ORDER_BOUND:
+            raise PreconditionError("module order %d exceeds the bound %d"
+                                    % (self.order(), ORDER_BOUND))
+        if n > LEVEL_BOUND:
+            raise PreconditionError("module level %d exceeds the bound %d" % (n, LEVEL_BOUND))
         self._validate()
 
     # -- construction checks -------------------------------------------------

@@ -166,6 +166,19 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
+def _primitive_isotropic(lat, ell):
+    """ell as a list of ints, checked to be a primitive isotropic vector of lat."""
+    ell = [int(x) for x in ell]
+    if len(ell) != lat.rank:
+        raise PreconditionError("ell has %d entries, the lattice has rank %d"
+                                % (len(ell), lat.rank))
+    if gcd(*ell) != 1:
+        raise PreconditionError("ell must be primitive")
+    if lat.q_value(ell) != 0:
+        raise PreconditionError("ell must be isotropic")
+    return ell
+
+
 def _solve_unit_pairing(ell):
     """Integer x with x . ell = 1, via the extended gcd chain."""
     n = len(ell)
@@ -190,11 +203,7 @@ def split_UN(lat, ell):
     diagonal with trailing block [[0, N], [N, 0]].
     """
     n_level = lat.level()
-    ell = [int(x) for x in ell]
-    if gcd(*ell) != 1:
-        raise PreconditionError("ell must be primitive")
-    if lat.q_value(ell) != 0:
-        raise PreconditionError("ell must be isotropic")
+    ell = _primitive_isotropic(lat, ell)
     pair = [int(p) for p in lat.pairings(ell)]
     ideal = gcd(*pair)
     if ideal != n_level:
@@ -244,11 +253,7 @@ def sublattice_K0(lat, ell):
     Returns (k0, basis, index): basis rows express the sublattice in the
     ambient coordinates; the index equals level / (pairing ideal of ell).
     """
-    ell = [int(x) for x in ell]
-    if gcd(*ell) != 1:
-        raise PreconditionError("ell must be primitive")
-    if lat.q_value(ell) != 0:
-        raise PreconditionError("ell must be isotropic")
+    ell = _primitive_isotropic(lat, ell)
     n_level = lat.level()
     c = [int(p) for p in lat.pairings(ell)]
     n_ell = gcd(*c)

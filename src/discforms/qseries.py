@@ -4,12 +4,15 @@ A series is a raw coefficient container Sum c(m, mu) q^m e_mu: modularity is
 never assumed. The transformation-derived properties the decompositions rely
 on (support and coset-translation invariance) are runtime-checked
 preconditions, so the combinatorics can be exercised on synthetic data.
+Everything the arrows and decompositions know about H^perp comes from the
+cached reduction: its fibers are the H-cosets sect(nu) + H, nu in H^perp/H.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from . import fqm
-from ._intmat import is_prime
+from ._intmat import is_prime, parse_rational
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
 
@@ -49,13 +52,6 @@ class VectorValuedQSeries:
             self.coefficients.pop(key, None)
         else:
             self.coefficients[key] = value
-
-    def add_to(self, mu, m, value):
-        key = (mu.coords, m)
-        if key in self.coefficients:
-            self.set(mu, m, self.coefficients[key] + value)
-        else:
-            self.set(mu, m, value)
 
     def get(self, mu, m):
         return self.coefficients.get((mu.coords, Fraction(m)), 0)
@@ -125,19 +121,26 @@ _REDUCTIONS = {}
 
 
 def reduction(module, h):
-    """Cached (B, proj, sect, fibers): fibers maps B-coords to the proj fiber in H^perp."""
+    """Cached (B, proj, sect, fibers) for B = H^perp/H.
+
+    fibers maps the coords of each nu in B to its H-coset sect(nu) + H, sorted
+    by coords; the union of the fibers is H^perp. fqm.subquotient rejects a
+    subgroup that is not isotropic.
+    """
     key = (module._key, h._coords)
     hit = _REDUCTIONS.get(key)
     if hit is not None:
         return hit
     b, proj, sect = fqm.subquotient(module, h)
-    perp = fqm.orthogonal_complement(module, h)
-    fibers = {}
-    for mu in perp.elements:
-        nu = proj(mu)
-        fibers.setdefault(nu.coords, []).append(mu)
+    fibers = {nu.coords: sorted((sect(nu) + x for x in h.elements), key=attrgetter("coords"))
+              for nu in b.elements()}
     _REDUCTIONS[key] = (b, proj, sect, fibers)
     return _REDUCTIONS[key]
+
+
+def _perp(module, h):
+    """The coords of H^perp, as the union of the reduction fibers."""
+    return {mu.coords for mus in reduction(module, h)[3].values() for mu in mus}
 
 
 def up_arrow(g, module, h):
@@ -153,17 +156,18 @@ def up_arrow(g, module, h):
 
 
 def down_arrow(f, h):
-    """Sum a series over the projection fibers: (f down)_nu = sum over mu -> nu."""
-    if not h.is_isotropic():
-        raise PreconditionError("subgroup is not isotropic")
-    b, proj, _sect, fibers = reduction(f.module, h)
+    """Sum a series over the fibers: (f down)_nu = sum over mu in sect(nu) + H."""
+    b, _proj, _sect, fibers = reduction(f.module, h)
+    owner = {mu.coords: nu for nu, mus in fibers.items() for mu in mus}
+    sums = {}
+    for (c, m), v in f.coefficients.items():
+        nu = owner.get(c)
+        if nu is not None:
+            key = (nu, m)
+            sums[key] = sums[key] + v if key in sums else v
     out = VectorValuedQSeries(b, f.weight, f.truncation)
-    for nu_coords, mus in fibers.items():
-        nu = b.element(nu_coords)
-        for mu in mus:
-            comp = f.component(mu)
-            for m, v in comp.items():
-                out.add_to(nu, m, v)
+    for (nu, m), v in sums.items():
+        out.set(b.element(nu), m, v)
     return out
 
 
@@ -207,11 +211,8 @@ def reconstruct_from_descent(f, h):
     (1/|H|) f down up and is asserted equal to f when both runtime
     preconditions (support and coset invariance) hold.
     """
-    if not h.is_isotropic():
-        raise PreconditionError("subgroup is not isotropic")
-    perp = fqm.orthogonal_complement(f.module, h)
     report = {
-        "supported_on_perp": is_supported_on(f, perp),
+        "supported_on_perp": set(f.support()) <= _perp(f.module, h),
         "translation_invariant": _translation_invariant_on(f, f.support(), h),
     }
     if not (report["supported_on_perp"] and report["translation_invariant"]):
@@ -234,16 +235,12 @@ def decompose_prime_union(f, subgroups):
     orders = [h.order for h in subgroups]
     if len(set(orders)) != len(orders) or any(not is_prime(p) for p in orders):
         raise PreconditionError("subgroup orders must be distinct primes")
-    perps = [fqm.orthogonal_complement(a, h) for h in subgroups]
-    union = set()
-    for p in perps:
-        union |= set(x.coords for x in p.elements)
-    if not all(c in union for c in f.support()):
+    perps = [_perp(a, h) for h in subgroups]
+    if not all(any(c in p for p in perps) for c in f.support()):
         raise PreconditionError("series is not supported on the union of complements")
     for i, h in enumerate(subgroups):
         only = [c for c in f.support()
-                if perps[i].contains(a.element(c))
-                and all(not perps[j].contains(a.element(c)) for j in range(len(subgroups)) if j != i)]
+                if c in perps[i] and not any(c in p for j, p in enumerate(perps) if j != i)]
         if not _translation_invariant_on(f, only, h):
             raise PreconditionError("coset-translation invariance fails for subgroup %d" % i)
     terms = []
@@ -253,8 +250,6 @@ def decompose_prime_union(f, subgroups):
         hs = subgroups[idx[0]]
         for i in idx[1:]:
             hs = hs + subgroups[i]
-        if not hs.is_isotropic():
-            raise PreconditionError("subgroup sum is not isotropic")
         sign = -1 if len(idx) % 2 == 0 else 1
         term = up_arrow(down_arrow(f, hs), a, hs) * Fraction(1, hs.order)
         terms.append((idx, sign, term))
@@ -282,20 +277,13 @@ def moebius_resum(f, e):
     n = e.order()
     out = VectorValuedQSeries(a, f.weight, f.truncation)
     for d in _divisors(n):
-        if d == 1 or not _squarefree(d):
+        if d == 1 or any(d % (p * p) == 0 for p in range(2, d)):
             continue
         mob = (-1) ** _omega(d)
         i_d = fqm.cyclic_subgroup_id(a, e, d)
         term = up_arrow(down_arrow(f, i_d), a, i_d) * Fraction(-mob, d)
         out = out + term
     return out
-
-
-def _squarefree(n):
-    for p in range(2, int(n ** 0.5) + 1):
-        if n % (p * p) == 0:
-            return False
-    return True
 
 
 def is_oldform(f, e):
@@ -334,17 +322,14 @@ def oldform_decompose(f, e, t):
             i_d = fqm.cyclic_subgroup_id(a, e, d)
             b, proj, _sect, fibers = reduction(a, i_d)
             e_b = proj(e)
+            new = [(b.element(c), mus[0]) for c, mus in fibers.items()
+                   if fqm.content(b, e_b, b.element(c)) == 1]
+            if not _translation_invariant_on(cur, [mu.coords for _nu, mu in new], i_d):
+                raise PreconditionError(
+                    "coset-translation invariance fails at depth %d" % level)
             h = VectorValuedQSeries(b, f.weight, f.truncation)
-            for nu_coords, mus in fibers.items():
-                nu = b.element(nu_coords)
-                if fqm.content(b, e_b, nu) != 1:
-                    continue
-                comp = cur.component(mus[0])
-                for other in mus[1:]:
-                    if cur.component(other) != comp:
-                        raise PreconditionError(
-                            "coset-translation invariance fails at depth %d" % level)
-                for m, v in comp.items():
+            for nu, mu in new:
+                for m, v in cur.component(mu).items():
                     h.set(nu, m, v)
             result[d] = h
             if not h.is_zero():
@@ -368,6 +353,11 @@ def resum_decomposition(parts, module, e):
 
 
 # -- file format -------------------------------------------------------------------
+
+# Coefficient roots of unity may have order up to the Weil-matrix modulus
+# lcm(8, level) of the largest admissible module; a zero test reduces modulo the
+# cyclotomic polynomial of that order, which is built densely.
+ROOT_ORDER_BOUND = 8 * fqm.LEVEL_BOUND
 
 
 def write_series(f):
@@ -397,7 +387,7 @@ def read_series(text, module):
         raise PreconditionError("module divisors %s do not match file header %s"
                                 % (expect, divisors))
     try:
-        out = VectorValuedQSeries(module, Fraction(weight), Fraction(truncation))
+        out = VectorValuedQSeries(module, parse_rational(weight), parse_rational(truncation))
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed weight or truncation in header %r"
                                 % "; ".join(lines[1:3])) from None
@@ -405,7 +395,7 @@ def read_series(text, module):
         try:
             fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
             coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
-            m = Fraction(fields["m"])
+            m = parse_rational(fields["m"])
             coeff = fields["coeff"]
         except (KeyError, ValueError, ZeroDivisionError):
             raise PreconditionError("malformed series record %r" % ln) from None
@@ -423,16 +413,19 @@ def _parse_value(text):
     try:
         text = text.strip()
         if "z" not in text:
-            return Fraction(text)
+            return parse_rational(text)
         total = CyclotomicNumber.zero()
         for part in text.split("+"):
             part = part.strip()
             if "*" in part:
                 coeff, power = part.split("*")
                 modulus, exponent = power.strip().lstrip("z").split("^")
-                total = total + CyclotomicNumber(int(modulus), {int(exponent): Fraction(coeff)})
+                modulus = int(modulus)
+                if not 1 <= modulus <= ROOT_ORDER_BOUND:
+                    raise ValueError("root of unity order out of range")
+                total = total + CyclotomicNumber(modulus, {int(exponent): parse_rational(coeff)})
             else:
-                total = total + Fraction(part)
+                total = total + parse_rational(part)
         return total
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed coefficient %r" % text) from None

@@ -23,14 +23,21 @@ class QuadratureResult:
     evaluations: int
 
 
+def _finite(*args):
+    """The arguments as floats; NaN or an infinity is a precondition failure."""
+    out = tuple(float(v) for v in args)
+    if not all(map(math.isfinite, out)):
+        raise PreconditionError("arguments must be finite, got %s" % ", ".join(map(repr, out)))
+    return out
+
+
 def inc_gamma_upper(s, x):
     """Upper incomplete gamma Gamma(s, x) for s > 0, x >= 0.
 
     Series for the lower function below the crossover, continued fraction
     above; relative accuracy near machine precision.
     """
-    s = float(s)
-    x = float(x)
+    s, x = _finite(s, x)
     if s <= 0 or x < 0:
         raise PreconditionError("requires s > 0 and x >= 0")
     if x == 0:
@@ -145,11 +152,11 @@ def _branch_high(t):
 
 def v_kappa(kappa, a, b, rel_tol=1e-10):
     """The special integral, split at y = 1, with an adaptive error estimate."""
-    kappa = float(kappa)
+    kappa, a, b = _finite(kappa, a, b)
     if kappa <= 1:
         raise PreconditionError("requires kappa > 1")
-    a2 = float(a) * float(a)
-    b2 = float(b) * float(b)
+    a2 = a * a
+    b2 = b * b
 
     def integrand(y):
         expo = -b2 * y - 1.0 / y

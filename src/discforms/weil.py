@@ -103,8 +103,9 @@ class WeilMatrix:
 
     Rows and columns are indexed by module.elements() in their fixed order;
     .mat is a dense list of rows of CyclotomicNumbers, all at the modulus
-    .mod (lcm(8, level) unless given). A product of two matrices is taken at
-    the lcm of their moduli by one of two kernels, chosen from the factors:
+    .mod = lcm(8, level); entries given at a divisor of it are promoted. A
+    product of two matrices is taken by one of two kernels, chosen from the
+    factors:
 
     - the phase kernel, when every entry of both factors is a single root of
       unity with coefficient 1 (S, S^dagger, T^k S, S Z, S P, ...). Each factor
@@ -116,11 +117,9 @@ class WeilMatrix:
       factor (T, Z, automorphisms) makes the product O(n^2) instead of O(n^3).
     """
 
-    def __init__(self, module, scale, mat, mod=None):
+    def __init__(self, module, scale, mat):
         self.module = module
-        if mod is None:
-            mod = _modulus(module)
-        self.mod = mod
+        self.mod = mod = _modulus(module)
         self.scale = scale if isinstance(scale, CyclotomicNumber) else \
             CyclotomicNumber.from_rational(scale)
         self.mat = [[x._promoted(mod) if x.mod != mod else x for x in row] for row in mat]
@@ -137,24 +136,21 @@ class WeilMatrix:
             return NotImplemented
         if other.module != self.module:
             raise PreconditionError("matrices act on different modules")
-        mod = lcm(self.mod, other.mod)
-        a = self if self.mod == mod else WeilMatrix(self.module, self.scale, self.mat, mod)
-        b = other if other.mod == mod else WeilMatrix(other.module, other.scale, other.mat, mod)
-        ea = _exponents(a.mat)
-        eb = None if ea is None else _exponents(b.mat)
+        ea = _exponents(self.mat)
+        eb = None if ea is None else _exponents(other.mat)
         if eb is None:
-            out = _support_product(a.mat, b.mat, mod)
+            out = _support_product(self.mat, other.mat, self.mod)
         else:
-            out = _phase_product(ea, eb, mod)
-        return WeilMatrix(self.module, a.scale * b.scale, out, mod)
+            out = _phase_product(ea, eb, self.mod)
+        return WeilMatrix(self.module, self.scale * other.scale, out)
 
     def conj_transpose(self):
         n = self.size
         mat = [[self.mat[j][i].conjugate() for j in range(n)] for i in range(n)]
-        return WeilMatrix(self.module, self.scale.conjugate(), mat, self.mod)
+        return WeilMatrix(self.module, self.scale.conjugate(), mat)
 
     def scaled(self, c):
-        return WeilMatrix(self.module, self.scale * c, self.mat, self.mod)
+        return WeilMatrix(self.module, self.scale * c, self.mat)
 
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix) or other.module != self.module:
@@ -274,7 +270,7 @@ def permutation_matrix(module, images):
     mat = [[zero] * n for _ in range(n)]
     for j in range(n):
         mat[idx[images[j].coords]][j] = one
-    return WeilMatrix(module, CyclotomicNumber.one(), mat, mod)
+    return WeilMatrix(module, CyclotomicNumber.one(), mat)
 
 
 def rho_T(module, power=1):
@@ -286,7 +282,7 @@ def rho_T(module, power=1):
     for j, x in enumerate(module.elements()):
         # mod is a multiple of the level, so mod * Q(x) is an integer
         mat[j][j] = normal(mod, {int(power * mod * x.q()) % mod: 1})
-    return WeilMatrix(module, CyclotomicNumber.one(), mat, mod)
+    return WeilMatrix(module, CyclotomicNumber.one(), mat)
 
 
 def rho_S(module):
@@ -306,7 +302,7 @@ def rho_S(module):
     for x in coords:
         w = [sum(map(mul, row, x)) for row in gram]
         mat.append([normal(mod, {-sum(map(mul, w, y)) % mod: 1}) for y in coords])
-    return WeilMatrix(module, scale, mat, mod)
+    return WeilMatrix(module, scale, mat)
 
 
 def rho_Z(module):
@@ -406,7 +402,7 @@ def plus_subspace(module, k):
                     v = v + full.mat[xi][idx[(-y).coords]]
                 row.append(v)
             rows.append(row)
-        return WeilMatrix(module, full.scale, rows, full.mod)
+        return WeilMatrix(module, full.scale, rows)
 
     t_mat = restrict(rho_T(module))
     s_mat = restrict(rho_S(module))
@@ -417,13 +413,17 @@ def plus_subspace(module, k):
 # -- relation suite -------------------------------------------------------------
 
 
-def relation_report(module, direct_cube_bound=40):
+# relation_report also runs the naive triple-product braid check up to this order
+DIRECT_CUBE_BOUND = 40
+
+
+def relation_report(module):
     """Exact verification of the defining relations; returns {name: bool}.
 
     The braid relation is checked via the reassociated identity
     T S T = S^{-1} Z T^{-1} S^{-1} (with S^{-1} the conjugate transpose,
-    justified by the unitarity check); small modules also run the naive
-    triple-product form.
+    justified by the unitarity check); modules of order up to
+    DIRECT_CUBE_BOUND also run the naive triple-product form.
     """
     s = rho_S(module)
     t = rho_T(module)
@@ -436,7 +436,7 @@ def relation_report(module, direct_cube_bound=40):
     lhs = t @ s @ t
     rhs = (s_dag @ z) @ (t_inv @ s_dag)
     out["braid_STSTST_equals_Z"] = lhs == rhs
-    if module.order() <= direct_cube_bound:
+    if module.order() <= DIRECT_CUBE_BOUND:
         st = s @ t
         out["braid_direct"] = (st @ st @ st) == z
     # Z acts by e(-sig/4) on e_{-x}

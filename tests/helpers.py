@@ -110,15 +110,39 @@ def newpart_series(module, e_ref, weight, truncation, rng, density=0.7):
     return f
 
 
+def profile_module(profile):
+    """Direct sum of the blocks of a benchmark profile.
+
+    ("c", n) is Z/n with Q(g) = a/2n (a = 1 for even n, 2 for odd n) and
+    ("h", n) the hyperbolic plane (Z/n)^2.
+    """
+    out = fqm.trivial_module()
+    for kind, n in profile:
+        block = (fqm.hyperbolic_module(n) if kind == "h"
+                 else fqm.cyclic_module(n, Fraction(1 if n % 2 == 0 else 2, 2 * n)))
+        out = fqm.direct_sum(out, block)
+    return out
+
+
+def fibers_reference(module, h):
+    """The fibers of qseries.reduction by projecting every element of H^perp.
+
+    The construction that the coset route of qseries.reduction is checked against.
+    """
+    _b, proj, _sect = fqm.subquotient(module, h)
+    fibers = {}
+    for mu in fqm.orthogonal_complement(module, h).elements:
+        fibers.setdefault(proj(mu).coords, []).append(mu)
+    return fibers
+
+
 def dense_matmul_reference(a, b):
     """a @ b for WeilMatrix factors by the plain dense triple loop over exponent pairs.
 
     The slow exact product that the structured kernels of WeilMatrix.__matmul__
-    are checked against.
+    are checked against; both factors are at the module's modulus.
     """
-    mod = lcm(a.mod, b.mod)
-    a = WeilMatrix(a.module, a.scale, a.mat, mod)
-    b = WeilMatrix(b.module, b.scale, b.mat, mod)
+    mod = a.mod
     n = a.size
     out = []
     for i in range(n):
@@ -136,7 +160,7 @@ def dense_matmul_reference(a, b):
                         acc[e] = acc.get(e, 0) + c1 * c2
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
-    return WeilMatrix(a.module, a.scale * b.scale, out, mod)
+    return WeilMatrix(a.module, a.scale * b.scale, out)
 
 
 def q_value_reference(module, x):

@@ -114,22 +114,48 @@ MALFORMED_SERIES = {
 }
 
 
+LIFT = ["lifts", "kernel", "--p", "11", "--eta", "1,1:2,11:2", "--qbound", "20"]
+SPECFUN = ["specfun", "vkappa", "--b", "1"]
+# (gram file, argv after it), or argv alone when no gram file is read
+MALFORMED_ARGS = {
+    "non_integer_entry": ("bad", ["fqm", "info"]),
+    "missing_file": ("missing", ["fqm", "info"]),
+    "non_numeric_report_weight": ("u3", ["dims", "report", "--weight", "abc"]),
+    "zero_denominator_weight": ("u3", ["dims", "report", "--weight", "1/0"]),
+    "non_numeric_kappa": (None, LIFT + ["--kappa", "abc", "--truncation", "1"]),
+    "non_numeric_truncation": (None, LIFT + ["--kappa", "2", "--truncation", "x"]),
+    "non_integer_ell": ("u3", ["lattice", "split", "--ell", "a,b"]),
+    "short_ell": ("u3", ["lattice", "split", "--ell", "1"]),
+    "nan_kappa": (None, SPECFUN + ["--kappa", "nan", "--a", "1"]),
+    "infinite_a": (None, SPECFUN + ["--kappa", "2", "--a", "inf"]),
+    "level_above_bound": ("big_level", ["fqm", "info"]),
+    "order_above_bound": ("big_order", ["fqm", "info"]),
+}
+
+
 @pytest.mark.parametrize("case", ["non_integer_entry", "missing_file", "bad_coefficient",
                                   "record_without_coeff", "header_without_colon",
                                   "non_integer_mu", "token_without_equals",
-                                  "non_numeric_weight"])
+                                  "non_numeric_weight", "non_numeric_report_weight",
+                                  "zero_denominator_weight", "non_numeric_kappa",
+                                  "non_numeric_truncation", "non_integer_ell", "short_ell",
+                                  "nan_kappa", "infinite_a", "level_above_bound",
+                                  "order_above_bound"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     g = tmp_path / "u3.txt"
     write_gram(g, [[0, 3], [3, 0]])
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n2 1.5\n1.5 2\n", encoding="utf-8")
+    write_gram(tmp_path / "big_level.txt", [[2000000]])
+    write_gram(tmp_path / "big_order.txt", [[2000000000]])
     if case in MALFORMED_SERIES:
         s = tmp_path / "series.txt"
         s.write_text(MALFORMED_SERIES[case], encoding="utf-8")
         argv = ["vvmf", "check", "--gram", str(g), "--series", str(s)]
     else:
-        argv = {"non_integer_entry": ["fqm", "info", "--gram", str(bad)],
-                "missing_file": ["fqm", "info", "--gram", str(tmp_path / "missing.txt")]}[case]
+        gram, argv = MALFORMED_ARGS[case]
+        if gram is not None:
+            argv = argv + ["--gram", str(tmp_path / (gram + ".txt"))]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -36,6 +36,20 @@ class TestFromGram:
             fqm.fqm_from_gram([[2, 2], [2, 2]])
 
 
+def test_construction_bounds():
+    # checked before the Gauss-sum magnitude check or any histogram is built
+    n = fqm.LEVEL_BOUND + 1  # odd, so Q = 1/n has level n
+    with pytest.raises(PreconditionError, match="level %d exceeds the bound %d" % (n, n - 1)):
+        fqm.cyclic_module(n, F(1, n))
+    with pytest.raises(PreconditionError, match="level 4000000 exceeds"):
+        fqm.fqm_from_gram([[2000000]])
+    with pytest.raises(PreconditionError, match="order 2000000000 exceeds the bound %d"
+                       % fqm.ORDER_BOUND):
+        fqm.fqm_from_gram([[2000000000]])
+    # order 2*10^6 and level 4000, the largest Picard table row of interest
+    assert fqm.ORDER_BOUND >= 2 * 1000 ** 2 and fqm.LEVEL_BOUND >= 4 * 1000
+
+
 def test_direct_sum_identity_and_signature():
     a = fqm.hyperbolic_module(4)
     assert fqm.direct_sum(a, fqm.trivial_module()) == a

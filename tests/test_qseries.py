@@ -6,7 +6,16 @@ import pytest
 from discforms import fqm, qseries as qs
 from discforms.cyclo import e_frac
 from discforms.errors import PreconditionError
-from helpers import newpart_series, random_isotropic_subgroup, random_module, random_series
+from helpers import (block, fibers_reference, newpart_series, profile_module,
+                     random_isotropic_subgroup, random_module, random_series, un)
+
+# The module profiles of the newform_roundtrip benchmark (NEWFORM_SLOTS).
+NEWFORM_PROFILES = (
+    (("h", 2), ("c", 3)), (("h", 2), ("c", 4)), (("h", 2), ("h", 2)),
+    (("h", 3), ("c", 2)), (("h", 2), ("c", 5)), (("h", 2), ("c", 2), ("c", 3)),
+    (("h", 3), ("c", 3)), (("h", 4), ("c", 2)), (("h", 2), ("h", 3)),
+    (("h", 4), ("c", 3)),
+)
 
 
 def u_with_line(n):
@@ -47,6 +56,90 @@ def test_up_support_and_down_up():
         perp = fqm.orthogonal_complement(a, h)
         assert qs.is_supported_on(up, perp)
         assert qs.down_arrow(up, h) == g * h.order
+
+
+def _fiber_cases():
+    """(module, subgroups): the modules of test_fqm.py and this file, the
+    NEWFORM_PROFILES and random modules, each with its trivial subgroup and
+    every isotropic subgroup of order d with d^2 dividing |A| (the cyclic ones
+    along (0,1) for H(30))."""
+    rng = random.Random(3)
+    mods = [fqm.hyperbolic_module(n) for n in (2, 3, 4, 5, 6, 7, 9, 12)]
+    mods += [fqm.trivial_module(), fqm.cyclic_module(2, F(1, 4)), fqm.fqm_from_gram([[2]]),
+             fqm.fqm_from_gram(block([[4]], un(3), un(1))), fqm.matrix_model_module(3),
+             fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(9)),
+             fqm.direct_sum(fqm.hyperbolic_module(5), fqm.fqm_from_gram([[4]]))]
+    mods += [profile_module(p) for p in NEWFORM_PROFILES]
+    mods += [random_module(rng, max_order=60) for _ in range(8)]
+    for a in mods:
+        subs = [fqm.Subgroup(a, [a.zero()])]
+        for d in range(2, a.order() + 1):
+            if a.order() % (d * d) == 0:
+                subs += fqm.isotropic_subgroups(a, d)
+        yield a, subs
+    a, e = u_with_line(30)
+    yield a, [fqm.cyclic_subgroup_id(a, e, d) for d in (1, 2, 3, 5, 6, 10, 15, 30)]
+
+
+def test_reduction_fibers_are_the_cosets_of_the_reference():
+    count = 0
+    for a, subs in _fiber_cases():
+        for h in subs:
+            assert qs.reduction(a, h)[3] == fibers_reference(a, h), (a.orders, h)
+            count += 1
+    assert count > 100
+
+
+def test_cached_reduction_needs_no_orthogonal_complement(monkeypatch):
+    rng = random.Random(5)
+    a, e = u_with_line(6)
+    subs = {d: fqm.cyclic_subgroup_id(a, e, d) for d in (2, 3, 6)}
+    f = None
+    for d, h in subs.items():
+        b, proj, _sect, _fib = qs.reduction(a, h)
+        g = newpart_series(b, proj(e), F(3), F(2), rng) if d != 6 \
+            else random_series(b, F(3), F(2), rng)
+        piece = qs.up_arrow(g, a, h)
+        f = piece if f is None else f + piece
+
+    def refuse(*args):
+        raise AssertionError("orthogonal_complement called")
+
+    monkeypatch.setattr(fqm, "orthogonal_complement", refuse)
+    h = subs[3]
+    up = qs.up_arrow(qs.down_arrow(f, h), a, h)
+    assert qs.reconstruct_from_descent(up, h)[1]["reconstructed"]
+    terms = qs.decompose_prime_union(up, [subs[2], subs[3]])
+    assert sum((t * sign for _i, sign, t in terms[1:]), terms[0][2]) == up
+    assert qs.resum_decomposition(qs.oldform_decompose(f, e, 1), a, e) == f
+    # a trivial subgroup needs neither the cache nor the complement
+    monkeypatch.setattr(qs, "_REDUCTIONS", {})
+    c = fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))
+    b, _proj, _sect, fibers = qs.reduction(c, fqm.Subgroup(c, [c.zero()]))
+    assert b == c and fibers == {x.coords: [x] for x in c.elements()}
+
+
+def test_non_isotropic_subgroup_rejected_on_newform_path():
+    a = fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))
+    h = fqm.Subgroup.from_generators(a, [a.element((1, 0, 0))])
+    f = random_series(a, F(3), F(2), random.Random(6))
+    for call in (lambda: qs.up_arrow(f, a, h), lambda: qs.down_arrow(f, h),
+                 lambda: qs.reconstruct_from_descent(f, h),
+                 lambda: qs.decompose_prime_union(f, [h])):
+        with pytest.raises(PreconditionError, match="not isotropic"):
+            call()
+
+
+def test_down_arrow_checks_every_sum_it_sets():
+    # two coefficients of one fiber, stored past the truncation, that cancel
+    a, e = u_with_line(4)
+    h = fqm.cyclic_subgroup_id(a, e, 2)
+    mu, nu = qs.reduction(a, h)[3][(1, 0)]
+    f = qs.VectorValuedQSeries(a, F(3), F(2))
+    f.coefficients[mu.coords, F(3)] = F(1)
+    f.coefficients[nu.coords, F(3)] = F(-1)
+    with pytest.raises(PreconditionError, match="truncation"):
+        qs.down_arrow(f, h)
 
 
 def test_adjointness_per_level():
@@ -115,11 +208,10 @@ class TestDescentReconstruction:
         a, e = u_with_line(6)
         h = fqm.cyclic_subgroup_id(a, e, 3)
         f = qs.VectorValuedQSeries(a, F(3), F(2))
-        mu = a.element((1, 1))  # pairs non-trivially with (0,1)-line? content check below
+        mu = a.element((1, 1))  # (mu, (0,2)) = 1/3, so mu is off H^perp
         f.set(mu, mu.q(), 3)
         rec, report = qs.reconstruct_from_descent(f, h)
-        if not report["supported_on_perp"]:
-            assert rec is None
+        assert rec is None and not report["supported_on_perp"]
 
     def test_random_supported_invariant_input(self):
         # build support + invariance by averaging translates of a random series
@@ -185,7 +277,7 @@ class TestPrimeUnionDecomposition:
         mu = a.element((1, 1))
         assert fqm.content(a, e, mu) == 1
         f.set(mu, mu.q(), 1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not supported"):
             qs.decompose_prime_union(f, [h])
 
 
@@ -280,6 +372,25 @@ class TestOldforms:
             piece = qs.up_arrow(random_series(b, F(3), F(2), rng), a, i_d)
             f = piece if f is None else f + piece
         with pytest.raises(PreconditionError):
+            qs.oldform_decompose(f, e, 1)
+
+    def test_invariance_checked_on_every_fiber(self):
+        # a valid depth-1 input, broken on one element of the last new fiber
+        rng = random.Random(64)
+        a, e = u_with_line(12)
+        f = None
+        for d in (2, 3, 4, 6, 12):
+            i_d = fqm.cyclic_subgroup_id(a, e, d)
+            b, proj, _sect, _fib = qs.reduction(a, i_d)
+            g = newpart_series(b, proj(e), F(3), F(2), rng) if d != 12 \
+                else random_series(b, F(3), F(2), rng)
+            piece = qs.up_arrow(g, a, i_d)
+            f = piece if f is None else f + piece
+        b, proj, _sect, fibers = qs.reduction(a, fqm.cyclic_subgroup_id(a, e, 2))
+        last = [mus for c, mus in fibers.items() if fqm.content(b, proj(e), b.element(c)) == 1][-1]
+        mu = last[1]
+        f.set(mu, mu.q(), f.get(mu, mu.q()) + 1)
+        with pytest.raises(PreconditionError, match="invariance fails at depth 1"):
             qs.oldform_decompose(f, e, 1)
 
 

@@ -75,3 +75,13 @@ class TestVkappa:
     def test_domain_guard(self):
         with pytest.raises(PreconditionError):
             sf.v_kappa(1.0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_rejected(bad):
+    for args in ((bad, 1.0, 1.0), (2.0, bad, 1.0), (2.0, 1.0, bad)):
+        with pytest.raises(PreconditionError, match="finite"):
+            sf.v_kappa(*args)
+    for args in ((bad, 1.0), (1.5, bad)):
+        with pytest.raises(PreconditionError, match="finite"):
+            sf.inc_gamma_upper(*args)

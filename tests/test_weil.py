@@ -173,7 +173,7 @@ def test_duality_with_negated_module():
         s = weil.rho_S(a)
         s_neg = weil.rho_S(fqm.negate(a))
         conj = weil.WeilMatrix(a, s.scale.conjugate(),
-                               [[x.conjugate() for x in row] for row in s.mat], s.mod)
+                               [[x.conjugate() for x in row] for row in s.mat])
         # entries of the negated module's S matrix equal the conjugates
         n = s.size
         for i in range(n):

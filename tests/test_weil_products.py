@@ -12,7 +12,7 @@ import pytest
 from discforms import cyclo, fqm, weil
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import PreconditionError
-from helpers import dense_matmul_reference
+from helpers import dense_matmul_reference, profile_module
 
 # The modules of test_weil.py.
 TEST_WEIL_MODULES = (
@@ -29,9 +29,8 @@ TEST_WEIL_MODULES = (
     ("H(7)", lambda: fqm.hyperbolic_module(7)),
 )
 
-# The distinct module profiles of the weil_relations benchmark up to order 48:
-# ("c", n) is Z/n with Q(g) = a/2n (a = 1 for even n, 2 for odd n), ("h", n)
-# the hyperbolic plane (Z/n)^2.
+# The distinct module profiles of the weil_relations benchmark up to order 48
+# (see helpers.profile_module).
 BENCH_PROFILES = (
     (("c", 2),), (("c", 3),), (("c", 4),), (("h", 2),), (("c", 5),), (("c", 7),),
     (("c", 8),), (("c", 9),), (("c", 11),), (("h", 2), ("c", 3)), (("c", 13),),
@@ -41,15 +40,6 @@ BENCH_PROFILES = (
     (("h", 3), ("c", 4)), (("h", 2), ("c", 2), ("c", 5)), (("h", 3), ("c", 5)),
     (("h", 4), ("c", 3)),
 )
-
-
-def profile_module(profile):
-    out = fqm.trivial_module()
-    for kind, n in profile:
-        block = (fqm.hyperbolic_module(n) if kind == "h"
-                 else fqm.cyclic_module(n, F(1 if n % 2 == 0 else 2, 2 * n)))
-        out = fqm.direct_sum(out, block)
-    return out
 
 
 def generator_matrices(a):
@@ -135,13 +125,14 @@ def _random_entry(rng, mod):
     return CyclotomicNumber(mod, coeffs)
 
 
-def _random_matrix(rng, a, mod, phase=False):
-    """Random entries at divisors of mod; with phase, single roots of unity.
+def _random_matrix(rng, a, phase=False):
+    """Random entries at divisors of the module's modulus; with phase, single roots of unity.
 
     Half of the phase matrices get one single-term entry whose coefficient is
     not 1, which the phase kernel must not take.
     """
     n = a.order()
+    mod = weil._modulus(a)
     divisors = [d for d in range(1, mod + 1) if mod % d == 0]
     rows = []
     for _ in range(n):
@@ -156,21 +147,22 @@ def _random_matrix(rng, a, mod, phase=False):
             mod, {rng.randrange(mod): rng.choice([-1, 2, F(1, 2)])})
     scale = CyclotomicNumber(rng.choice(divisors),
                              {rng.randrange(mod): F(rng.randint(1, 6), rng.randint(1, 6))})
-    return weil.WeilMatrix(a, scale, rows, mod)
+    return weil.WeilMatrix(a, scale, rows)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_random_matrices_mixed_moduli(seed):
+    # entries at mixed divisors of the module's modulus lcm(8, level)
     rng = random.Random(900 + seed)
     for a in (fqm.hyperbolic_module(2), fqm.cyclic_module(5, F(1, 5)),
               fqm.hyperbolic_module(3)):
         for _ in range(6):
-            m1, m2 = rng.choice([8, 12, 24, 40]), rng.choice([8, 12, 24, 40])
             ph1, ph2 = rng.random() < 0.5, rng.random() < 0.5
-            x = _random_matrix(rng, a, m1, ph1)
-            y = _random_matrix(rng, a, m2, ph2)
-            assert_same_product(x, y, (seed, a.orders, m1, m2, ph1, ph2))
-            assert_same_product(y, x, (seed, a.orders, m2, m1, ph2, ph1))
+            x = _random_matrix(rng, a, ph1)
+            y = _random_matrix(rng, a, ph2)
+            assert x.mod == y.mod == weil._modulus(a)
+            assert_same_product(x, y, (seed, a.orders, ph1, ph2))
+            assert_same_product(y, x, (seed, a.orders, ph2, ph1))
 
 
 def test_sparse_random_matrices():
@@ -178,8 +170,8 @@ def test_sparse_random_matrices():
     rng = random.Random(31)
     a = fqm.hyperbolic_module(3)
     for _ in range(8):
-        x = _random_matrix(rng, a, 24)
-        y = _random_matrix(rng, a, 24)
+        x = _random_matrix(rng, a)
+        y = _random_matrix(rng, a)
         for m in (x, y):
             for row in m.mat:
                 for j in range(len(row)):
@@ -224,20 +216,20 @@ def test_eq_detects_one_entry_and_scale_differences():
     mod, n = s.mod, s.size
     # the same matrix as s with fresh entry objects and a separately built scale
     copy = weil.WeilMatrix(a, s.scale * 1, [[CyclotomicNumber(mod, dict(x.coeffs)) for x in row]
-                                            for row in s.mat], mod)
+                                            for row in s.mat])
     assert s == s and s == copy and copy == s
     # equal values in other representations: 1 + z2 = 0, so adding it changes nothing
     vanishing = CyclotomicNumber(mod, {0: 1, mod // 2: 1})
     mat = [list(row) for row in s.mat]
     mat[1][2] = mat[1][2] + vanishing
-    assert s == weil.WeilMatrix(a, s.scale, mat, mod)
+    assert s == weil.WeilMatrix(a, s.scale, mat)
     doubled = [[x * 2 for x in row] for row in s.mat]
-    assert s == weil.WeilMatrix(a, s.scale * F(1, 2), doubled, mod)
+    assert s == weil.WeilMatrix(a, s.scale * F(1, 2), doubled)
     # one entry differs
     for i, j in ((0, 0), (n - 1, n - 1), (2, 5)):
         mat = [list(row) for row in s.mat]
         mat[i][j] = mat[i][j] * e_frac(F(1, 3))
-        other = weil.WeilMatrix(a, s.scale, mat, mod)
+        other = weil.WeilMatrix(a, s.scale, mat)
         assert not s == other and not other == s, (i, j)
     # only the scale differs, by a root of unity or by a rational factor
     for c in (e_frac(F(1, 8)), -1, F(3, 2)):
