@@ -1,9 +1,9 @@
 """Exact integer arithmetic shared by the package.
 
 Owns Gram-matrix validation (even_gram), the parsing of rational input text
-(parse_rational), the Smith form, lattice bases, signatures and primality
-(is_prime). All matrices are lists of lists (or tuples of tuples). Functions
-never mutate their arguments.
+(parse_rational), the extended gcd (ext_gcd), the Smith and Hermite forms,
+lattice bases, signatures and primality (is_prime). All matrices are lists of
+lists (or tuples of tuples). Functions never mutate their arguments.
 """
 
 from fractions import Fraction
@@ -202,6 +202,48 @@ def smith_normal_form(a):
             scale_row(i, -1)
     d = [m[i][i] for i in range(min(rows, cols))]
     return d, u, v
+
+
+def ext_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g = +-gcd(a, b), by the extended Euclidean algorithm.
+
+    The sign of g is the one the floor-division remainders leave; callers fix it.
+    """
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qq = old_r // r
+        old_r, r = r, old_r - qq * r
+        old_s, s = s, old_s - qq * s
+        old_t, t = t, old_t - qq * t
+    return old_r, old_s, old_t
+
+
+def hermite_rows(rows, moduli):
+    """Row Hermite normal form of the lattice spanned by rows and diag(moduli).
+
+    The unique upper triangular basis with pivots p_i > 0 (dividing moduli[i])
+    and 0 <= h[k][i] < p_i above them. Working rows are kept reduced mod moduli.
+    """
+    r = len(moduli)
+    work = [[x % d for x, d in zip(row, moduli)] for row in rows]
+    out = []
+    for i in range(r):
+        piv = [0] * r
+        piv[i] = moduli[i]
+        for w in work:
+            if w[i]:
+                g, s, t = ext_gcd(piv[i], w[i])
+                a, b = piv[i] // g, w[i] // g
+                piv, w[:] = ([s * x + t * y for x, y in zip(piv, w)],
+                             [(a * y - b * x) % d for x, y, d in zip(piv, w, moduli)])
+        out.append([x % d if j > i else x for j, (x, d) in enumerate(zip(piv, moduli))])
+    for j in range(r):
+        for k in range(j):
+            q = out[k][j] // out[j][j]
+            out[k] = [x - q * y for x, y in zip(out[k], out[j])]
+    return tuple(tuple(row) for row in out)
 
 
 def image_basis(a):

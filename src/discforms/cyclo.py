@@ -11,19 +11,31 @@ from functools import lru_cache
 from math import gcd, lcm
 import cmath
 
+from ._intmat import is_prime
 from .errors import ConsistencyError, PreconditionError
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
-    """Coefficient tuple (low to high) of the m-th cyclotomic polynomial."""
+    """Coefficient tuple (low to high) of the m-th cyclotomic polynomial.
+
+    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is built from
+    Phi_1 = x - 1 one prime p at a time by Phi_{np}(x) = Phi_n(x^p) / Phi_n(x).
+    """
     if m < 1:
         raise PreconditionError("modulus must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    poly, rad = [-1, 1], 1
+    for p in range(2, m + 1):
+        if m % p == 0 and is_prime(p):
+            poly, rad = _poly_div_exact(_spread(poly, p), poly), rad * p
+    return tuple(_spread(poly, m // rad))
+
+
+def _spread(poly, k):
+    """Coefficients of poly(x^k)."""
+    out = [0] * (k * (len(poly) - 1) + 1)
+    out[::k] = poly
+    return out
 
 
 def _poly_div_exact(num, den):
@@ -44,13 +56,14 @@ def _poly_div_exact(num, den):
 def _poly_rem(coeffs, phi):
     """Remainder of a dense coefficient list modulo the monic polynomial phi."""
     deg = len(phi) - 1
+    terms = [(j - deg, p) for j, p in enumerate(phi[:deg]) if p]
     rem = list(coeffs)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
             rem[i] = 0
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
+            for j, p in terms:
+                rem[i + j] -= c * p
     return rem[:deg]
 
 

@@ -4,18 +4,20 @@ A module is presented by generator orders, the form values Q(g_i), and the
 bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
 [0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
 N = level(), from which Q values and the Q-value histogram are computed.
-Elements are coordinate tuples. Subgroup-lattice operations use brute force
-enumeration and are guarded by BRUTE_FORCE_BOUND.
+Elements are coordinate tuples. A subgroup is the Hermite normal form of its
+integer lattice, so complements and subquotients are integer linear algebra;
+only isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND.
 """
 
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import cyclo
-from ._intmat import (even_gram, identity, image_basis, invert_rational, is_prime,
-                      mat_mul, mat_vec, smith_normal_form, transpose)
+from ._intmat import (even_gram, hermite_rows, identity, invert_rational, is_prime,
+                      kernel_basis, mat_mul, mat_vec, smith_normal_form, transpose)
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
@@ -239,6 +241,11 @@ class FiniteQuadraticModule:
         walk(0, 0, [0] * r)
         return tuple(counts)
 
+    def _pairing_row(self, c):
+        """(N*(x, g_j) mod N)_j for the coordinates c of x, with N = level()."""
+        n = self._level
+        return [sum(ci * row[j] for ci, row in zip(c, self._nb)) % n for j in range(len(c))]
+
     def bilinear_value(self, x, y):
         b = Fraction(0)
         for i, ci in enumerate(x.coords):
@@ -271,68 +278,77 @@ class FiniteQuadraticModule:
 
 
 class Subgroup:
-    """Subgroup of a finite quadratic module, with its full element list."""
+    """Subgroup H of a module, stored as the Hermite normal form of its lattice.
 
-    def __init__(self, module, elements, generators=None):
+    hnf holds the rows of the unique Hermite form of L_H = {x in Z^r : x mod
+    orders in H}, which contains diag(orders). The rows with pivot p_i < d_i =
+    orders[i] are the generators g_i, and H is the set of sums c_i*g_i with
+    0 <= c_i < d_i/p_i; the element tuple is built on request.
+    """
+
+    def __init__(self, module, elements):
+        elts = tuple(module.element(c) for c in sorted(set(x.coords for x in elements)))
+        self._span(module, [x.coords for x in elts])
+        if self.order != len(elts):
+            raise PreconditionError("element set is not closed under addition")
+        self._elements = elts
+
+    def _span(self, module, rows):
         self.module = module
-        elts = sorted(set(x.coords for x in elements))
-        self.elements = tuple(module.element(c) for c in elts)
-        self._coords = frozenset(elts)
-        if generators is None:
-            generators = _greedy_generators(module, self.elements)
-            if len(_closure(module, generators)) != len(self.elements):
-                raise PreconditionError("element set is not closed under addition")
-        self.generators = tuple(generators)
-        self.order = len(self.elements)
+        self.hnf = hermite_rows(rows, module.orders)
+        self._steps = [(row, d // row[i])
+                       for i, (row, d) in enumerate(zip(self.hnf, module.orders)) if row[i] < d]
+        self.generators = tuple(module.element(row) for row, _n in self._steps)
+        self.order = prod(n for _row, n in self._steps)
+        self._elements = None
+
+    @staticmethod
+    def _spanned(module, rows):
+        """The subgroup generated by the given coordinate rows."""
+        h = Subgroup.__new__(Subgroup)
+        h._span(module, rows)
+        return h
 
     @staticmethod
     def from_generators(module, generators):
-        return Subgroup(module, _closure(module, generators), generators=tuple(generators))
+        return Subgroup._spanned(module, [g.coords for g in generators])
+
+    @property
+    def elements(self):
+        """All elements, in lexicographic coordinate order (cached)."""
+        if self._elements is None:
+            orders = self.module.orders
+            coords = [(0,) * len(orders)]
+            for row, n in self._steps:
+                coords = [tuple((a + c * b) % d for a, b, d in zip(x, row, orders))
+                          for x in coords for c in range(n)]
+            self._elements = tuple(FqmElement(self.module, c) for c in sorted(coords))
+        return self._elements
 
     def contains(self, x):
-        return x.coords in self._coords
+        """x is in H exactly when adding it leaves the Hermite form unchanged."""
+        return hermite_rows(self.hnf + (x.coords,), self.module.orders) == self.hnf
 
     def is_isotropic(self):
-        return all(x.q() == 0 for x in self.elements)
+        """Q vanishes on the generators and they pair to 0 with each other."""
+        gens = self.generators
+        return all(g.q() == 0 and all(g.bil(h) == 0 for h in gens[:i])
+                   for i, g in enumerate(gens))
 
     def __add__(self, other):
         if self.module != other.module:
             raise PreconditionError("subgroups of different modules")
-        return Subgroup.from_generators(self.module, self.generators + other.generators)
+        return Subgroup._spanned(self.module, self.hnf + other.hnf)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.module == other.module
-                and self._coords == other._coords)
+                and self.hnf == other.hnf)
 
     def __hash__(self):
-        return hash((self.module._key, self._coords))
+        return hash((self.module._key, self.hnf))
 
     def __repr__(self):
         return "Subgroup(order=%d, gens=%s)" % (self.order, list(self.generators))
-
-
-def _closure(module, generators):
-    out = {module.zero().coords}
-    for g in generators:
-        base = list(out)
-        n = g.order()
-        for c in base:
-            x = module.element(c)
-            for k in range(1, n):
-                out.add((x + k * g).coords)
-    return [module.element(c) for c in out]
-
-
-def _greedy_generators(module, elements):
-    gens = []
-    have = {module.zero().coords}
-    for x in elements:
-        if x.coords not in have:
-            gens.append(x)
-            have = set(y.coords for y in _closure(module, gens))
-            if len(have) == len(elements):
-                break
-    return gens
 
 
 class Automorphism:
@@ -354,7 +370,7 @@ class Automorphism:
             for j in range(r):
                 if imgs[i].bil(imgs[j]) != gens[i].bil(gens[j]):
                     raise PreconditionError("map does not preserve the pairing")
-        if len(set(self(x).coords for x in module.elements())) != module.order():
+        if Subgroup._spanned(module, [x.coords for x in imgs]).order != module.order():
             raise PreconditionError("map is not bijective")
 
     def __call__(self, x):
@@ -422,28 +438,13 @@ def fqm_from_gram_with_maps(gram):
     n = len(gram)
     d, u, v = smith_normal_form(gram)
     kept = [i for i in range(n) if d[i] > 1]
-    gens = []
-    for i in kept:
-        gens.append([Fraction(v[r][i], d[i]) for r in range(n)])
-
-    def q_of(vec):
-        tot = Fraction(0)
-        gv = [sum(gram[r][s] * vec[s] for s in range(n)) for r in range(n)]
-        for r in range(n):
-            tot += vec[r] * gv[r]
-        return (tot / 2) % 1
-
-    def b_of(v1, v2):
-        tot = Fraction(0)
-        for r in range(n):
-            for s in range(n):
-                tot += v1[r] * gram[r][s] * v2[s]
-        return tot % 1
-
-    orders = tuple(d[i] for i in kept)
-    q_values = tuple(q_of(g) for g in gens)
-    bil = tuple(tuple(b_of(gens[i], gens[j]) for j in range(len(kept))) for i in range(len(kept)))
-    module = FiniteQuadraticModule(orders, q_values, bil)
+    # generator i is column i of v over d[i], so its pairings are read from v^T G v
+    gens = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in kept]
+    w = mat_mul(mat_mul(transpose(v), gram), v)
+    module = FiniteQuadraticModule(tuple(d[i] for i in kept),
+                                   tuple(Fraction(w[i][i], 2 * d[i] ** 2) for i in kept),
+                                   tuple(tuple(Fraction(w[i][j], d[i] * d[j]) for j in kept)
+                                         for i in kept))
 
     def to_coords(vec):
         gv = [sum(gram[r][s] * Fraction(vec[s]) for s in range(n)) for r in range(n)]
@@ -534,55 +535,52 @@ def orbit_representatives(a):
 # -- subgroup-lattice operations ----------------------------------------------------
 
 
-def _guard(a):
-    if a.order() > BRUTE_FORCE_BOUND:
-        raise PreconditionError(
-            "brute-force subgroup operation limited to modules of order <= %d" % BRUTE_FORCE_BOUND)
-
-
 def isotropic_subgroups(a, order):
     """All totally isotropic subgroups of the given order, in a fixed order.
 
-    Enumeration is brute force with closure pruning; results are sorted
-    lexicographically by their element lists.
+    A frontier walk from the trivial subgroup over the elements of A, guarded
+    by BRUTE_FORCE_BOUND: H grows by each x with Q(x) = 0 that pairs to 0 with
+    H's generators, which for isotropic H is exactly when H + <x> is
+    isotropic. Results are sorted lexicographically by their element lists.
     """
-    _guard(a)
+    if a.order() > BRUTE_FORCE_BOUND:
+        raise PreconditionError("isotropic subgroup enumeration limited to modules of order <= %d"
+                                % BRUTE_FORCE_BOUND)
     if a.order() % order:
         raise PreconditionError("order must divide the module order")
-    iso_elts = [x for x in a.elements() if x.q() == 0]
-    seen = set()
+    n = a.level()
+    iso = [(x, a._pairing_row(x.coords)) for x in a.elements() if x.q() == 0]
+    frontier = [Subgroup._spanned(a, [])]
+    seen = set(frontier)
     found = []
-    frontier = [Subgroup(a, [a.zero()])]
-    seen.add(frontier[0]._coords)
     while frontier:
         nxt = []
         for h in frontier:
             if h.order == order:
                 found.append(h)
                 continue
-            if order % h.order:
-                continue
-            for x in iso_elts:
-                if h.contains(x):
+            for x, row in iso:
+                if any(sum(map(mul, row, g.coords)) % n for g in h.generators):
                     continue
-                k = Subgroup.from_generators(a, h.generators + (x,))
-                if k.order > order or order % k.order or k._coords in seen:
+                k = Subgroup._spanned(a, h.hnf + (x.coords,))
+                if k.order > order or order % k.order or k in seen:
                     continue
-                if all(y.q() == 0 for y in k.elements):
-                    seen.add(k._coords)
-                    nxt.append(k)
+                seen.add(k)
+                nxt.append(k)
         frontier = nxt
     found.sort(key=lambda h: tuple(x.coords for x in h.elements))
     return found
 
 
 def orthogonal_complement(a, g):
-    """Subgroup of all x pairing integrally with every element of g."""
-    _guard(a)
-    gens = g.generators if g.generators else ()
-    keep = [x for x in a.elements()
-            if all(x.bil(h) == 0 for h in gens)]
-    return Subgroup(a, keep)
+    """Subgroup of all x pairing integrally with every element of g.
+
+    Its lattice is {x : M*x = 0 mod N} with M[k][j] = N*(h_k, g_j) over the
+    Hermite rows h_k of g: the integer kernel of [M | -N*I], cut to x.
+    """
+    n, r = a.level(), a.rank
+    m = [a._pairing_row(h) + [-n * (i == k) for k in range(r)] for i, h in enumerate(g.hnf)]
+    return Subgroup._spanned(a, [v[:r] for v in kernel_basis(m)])
 
 
 def subquotient(a, h):
@@ -590,48 +588,36 @@ def subquotient(a, h):
 
     Returns (b, proj, sect): proj maps elements of H^perp onto b, sect picks
     coset representatives, and proj(sect(x)) == x for all x in b. For the
-    trivial subgroup the module itself is returned with identity maps.
+    trivial subgroup the module itself is returned with identity maps. With
+    H = T*P for the Hermite rows P of H^perp and u*T*v = diag(d), the rows of
+    v^-1*P are a basis of L_{H^perp} in which L_H has the basis d_i*(row i).
     """
     if not h.is_isotropic():
         raise PreconditionError("subgroup is not isotropic")
     if h.order == 1:
         return a, (lambda x: x), (lambda x: x)
-    _guard(a)
     r = a.rank
     perp = orthogonal_complement(a, h)
-    diag = [[a.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    cols1 = [list(g.coords) for g in perp.generators] + [list(row) for row in zip(*diag)]
-    m1 = transpose(image_basis([list(col) for col in zip(*cols1)]))
-    cols2 = [list(g.coords) for g in h.generators] + [list(row) for row in zip(*diag)]
-    m2 = transpose(image_basis([list(col) for col in zip(*cols2)]))
-    m1_inv = invert_rational(m1)
-    t = mat_mul(m1_inv, m2)
+    p_inv = invert_rational(perp.hnf)
+    t = mat_mul(h.hnf, p_inv)
     t_int = [[int(x) for x in row] for row in t]
-    if any(t[i][j] != t_int[i][j] for i in range(r) for j in range(r)):
+    if t != t_int:
         raise ConsistencyError("subgroup lattice is not contained in complement lattice")
-    d, u, _v = smith_normal_form(t_int)
-    u_inv = [[int(x) for x in row] for row in invert_rational(u)]
+    d, _u, v = smith_normal_form(t_int)
+    basis = mat_mul([[int(x) for x in row] for row in invert_rational(v)], perp.hnf)
+    coords_of = mat_mul(p_inv, v)
     kept = [i for i in range(r) if d[i] > 1]
-    sections = []
-    for i in kept:
-        vec = [sum(m1[rr][ss] * u_inv[ss][i] for ss in range(r)) for rr in range(r)]
-        sections.append(a.element(tuple(vec)))
-    orders = tuple(d[i] for i in kept)
-    q_values = tuple(x.q() for x in sections)
-    bil = tuple(tuple(sections[i].bil(sections[j]) for j in range(len(kept)))
-                for i in range(len(kept)))
-    b = FiniteQuadraticModule(orders, q_values, bil)
+    sections = [a.element(basis[i]) for i in kept]
+    b = FiniteQuadraticModule([d[i] for i in kept], [x.q() for x in sections],
+                              [[x.bil(y) for y in sections] for x in sections])
     if b.order() * h.order ** 2 != a.order():
         raise ConsistencyError("subquotient order bookkeeping failed")
 
     def proj(x):
-        if not perp.contains(x):
+        c = [sum(xi * row[i] for xi, row in zip(x.coords, coords_of)) for i in range(r)]
+        if any(ci.denominator != 1 for ci in c):
             raise PreconditionError("element is not in the orthogonal complement")
-        y = mat_vec(m1_inv, list(x.coords))
-        if any(v.denominator != 1 for v in y):
-            raise ConsistencyError("projection lift failed")
-        w = mat_vec(u, [int(v) for v in y])
-        return b.element(tuple(w[i] % d[i] for i in kept))
+        return b.element(tuple(int(c[i]) % d[i] for i in kept))
 
     def sect(x):
         out = a.zero()
@@ -639,7 +625,7 @@ def subquotient(a, h):
             out = out + c * s
         return out
 
-    for i, x in enumerate(b.generators()):
+    for x in b.generators():
         if proj(sect(x)) != x:
             raise ConsistencyError("section is not a right inverse of the projection")
     return b, proj, sect

@@ -10,8 +10,9 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from . import fqm
-from ._intmat import (determinant, even_gram, image_basis, invert_rational, kernel_basis,
-                      mat_mul, mat_vec, signature_pair, smith_normal_form, transpose)
+from ._intmat import (determinant, even_gram, ext_gcd, image_basis, invert_rational,
+                      kernel_basis, mat_mul, mat_vec, signature_pair, smith_normal_form,
+                      transpose)
 from .errors import ConsistencyError, PreconditionError, SearchExhausted
 
 
@@ -149,23 +150,6 @@ def find_isotropic_with_ideal(lat, n, search_bound):
     raise SearchExhausted("no primitive isotropic vector with ideal %dZ within the box" % n)
 
 
-def _ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, by the extended Euclidean algorithm.
-
-    g carries the sign the floor-division remainders leave it with; callers
-    apply their own sign rule.
-    """
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t
-
-
 def _primitive_isotropic(lat, ell):
     """ell as a list of ints, checked to be a primitive isotropic vector of lat."""
     ell = [int(x) for x in ell]
@@ -185,7 +169,7 @@ def _solve_unit_pairing(ell):
     g = ell[0]
     cur = [1] + [0] * (n - 1)
     for i in range(1, n):
-        g, s, t = _ext_gcd(g, ell[i])
+        g, s, t = ext_gcd(g, ell[i])
         cur = [s * c for c in cur]
         cur[i] += t
     if abs(g) != 1:
@@ -287,7 +271,7 @@ def _solve_scaled_pairing(c, g):
             out = [0] * n
             out[i] = 1 if c[i] > 0 else -1
             continue
-        g_i, s, t = _ext_gcd(cur_g, c[i])
+        g_i, s, t = ext_gcd(cur_g, c[i])
         if g_i < 0:
             g_i, s, t = -g_i, -s, -t
         out = [s * v for v in out]

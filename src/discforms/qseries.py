@@ -127,7 +127,7 @@ def reduction(module, h):
     by coords; the union of the fibers is H^perp. fqm.subquotient rejects a
     subgroup that is not isotropic.
     """
-    key = (module._key, h._coords)
+    key = (module._key, h.hnf)
     hit = _REDUCTIONS.get(key)
     if hit is not None:
         return hit

@@ -31,6 +31,14 @@ def _finite(*args):
     return out
 
 
+def _gamma(s):
+    """math.gamma(s); an overflow (s above about 171.6) is a precondition failure."""
+    try:
+        return math.gamma(s)
+    except OverflowError:
+        raise PreconditionError("Gamma(%r) is not a finite float" % s) from None
+
+
 def inc_gamma_upper(s, x):
     """Upper incomplete gamma Gamma(s, x) for s > 0, x >= 0.
 
@@ -40,8 +48,9 @@ def inc_gamma_upper(s, x):
     s, x = _finite(s, x)
     if s <= 0 or x < 0:
         raise PreconditionError("requires s > 0 and x >= 0")
+    gamma_s = _gamma(s)
     if x == 0:
-        return math.gamma(s)
+        return gamma_s
     if x < s + 1:
         # lower series: gamma(s,x) = x^s e^-x sum x^n / (s (s+1) ... (s+n))
         term = 1.0 / s
@@ -54,7 +63,7 @@ def inc_gamma_upper(s, x):
             if abs(term) < abs(total) * 1e-17 or n > 10_000:
                 break
         lower = total * math.exp(-x + s * math.log(x))
-        return math.gamma(s) - lower
+        return gamma_s - lower
     # modified Lentz continued fraction for the upper function
     tiny = 1e-300
     b = x + 1.0 - s
@@ -155,6 +164,7 @@ def v_kappa(kappa, a, b, rel_tol=1e-10):
     kappa, a, b = _finite(kappa, a, b)
     if kappa <= 1:
         raise PreconditionError("requires kappa > 1")
+    gamma = _gamma(kappa - 1.0)
     a2 = a * a
     b2 = b * b
 
@@ -162,13 +172,15 @@ def v_kappa(kappa, a, b, rel_tol=1e-10):
         expo = -b2 * y - 1.0 / y
         if expo < -700:
             return 0.0
-        g = inc_gamma_upper(kappa - 1.0, a2 * y) if a2 * y > 0 else math.gamma(kappa - 1.0)
+        g = inc_gamma_upper(kappa - 1.0, a2 * y) if a2 * y > 0 else gamma
         return g * math.exp(expo) * y ** -1.5
 
     v1, e1, n1 = _de_integrate(integrand, _branch_low, rel_tol / 2)
     v2, e2, n2 = _de_integrate(integrand, _branch_high, rel_tol / 2)
     value = v1 + v2
     err = e1 + e2
+    if not math.isfinite(value):
+        raise PreconditionError("V_kappa(%r, %r, %r) is not a finite float" % (kappa, a, b))
     if err > rel_tol * max(abs(value), 1e-300) * 4:
         raise ToleranceNotMet("quadrature error %.3e exceeds the target" % err)
     return QuadratureResult(value=value, error_estimate=err, evaluations=n1 + n2)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import lcm
 
 from discforms import fqm
+from discforms._intmat import (image_basis, invert_rational, mat_mul, mat_vec,
+                               smith_normal_form, transpose)
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import ConsistencyError
 from discforms.qseries import VectorValuedQSeries
@@ -163,6 +165,22 @@ def dense_matmul_reference(a, b):
     return WeilMatrix(a.module, a.scale * b.scale, out)
 
 
+def cyclotomic_polynomial_reference(m):
+    """Phi_m as a coefficient list, by dividing x^m - 1 by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = cyclotomic_polynomial_reference(d)
+            out = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                out[i] = c = poly[i + len(den) - 1]
+                for j, dj in enumerate(den):
+                    poly[i + j] -= c * dj
+            assert not any(poly)
+            poly = out
+    return poly
+
+
 def q_value_reference(module, x):
     """Q(x) summed in Fractions from the presentation's q_values and bilinear."""
     q = Fraction(0)
@@ -242,3 +260,118 @@ def dim_M_reference(module, k, gauss=gauss_sum_reference):
     dim_m = _integer_reference(total, "dimension of the holomorphic space")
     return dict(d=d, alpha_T=alpha_t, mult_S=(m_plus, m_minus), mult_ST=(m0, m1, m2),
                 dim_M=dim_m, dim_S=dim_m - iso, iso_orbit_count=iso)
+
+
+# -- the element-set subgroup code, kept as the oracle for the Hermite-form route --
+
+
+def closure_reference(module, generators):
+    """Coords of the subgroup generated by the given elements, by repeated addition."""
+    out = {module.zero().coords}
+    for g in generators:
+        for c in list(out):
+            x = module.element(c)
+            for k in range(1, g.order()):
+                out.add((x + k * g).coords)
+    return out
+
+
+def greedy_generators_reference(module, elements):
+    """Generators picked in element order, each one not in the span of the earlier ones."""
+    gens = []
+    have = {module.zero().coords}
+    for x in elements:
+        if x.coords not in have:
+            gens.append(x)
+            have = closure_reference(module, gens)
+            if len(have) == len(elements):
+                break
+    return gens
+
+
+def orthogonal_complement_reference(module, h_coords):
+    """Sorted coords of the x pairing to 0 with every element of H, by scanning A."""
+    gens = greedy_generators_reference(module, [module.element(c) for c in sorted(h_coords)])
+    return sorted(x.coords for x in module.elements() if all(x.bil(g) == 0 for g in gens))
+
+
+def isotropic_subgroups_reference(module, order):
+    """Sorted element lists of the isotropic subgroups of the given order.
+
+    The frontier walk over element sets: every candidate H + <x> with Q(x) = 0
+    is closed by repeated addition and then scanned for isotropy in full.
+    """
+    iso = [x for x in module.elements() if x.q() == 0]
+    zero = frozenset({module.zero().coords})
+    frontier = [(zero, ())]
+    seen = {zero}
+    found = []
+    while frontier:
+        nxt = []
+        for elts, gens in frontier:
+            if len(elts) == order:
+                found.append(elts)
+                continue
+            if order % len(elts):
+                continue
+            for x in iso:
+                if x.coords in elts:
+                    continue
+                k = frozenset(closure_reference(module, gens + (x,)))
+                if len(k) > order or order % len(k) or k in seen:
+                    continue
+                if all(module.element(c).q() == 0 for c in k):
+                    seen.add(k)
+                    nxt.append((k, gens + (x,)))
+        frontier = nxt
+    return sorted(tuple(sorted(k)) for k in found)
+
+
+def subquotient_reference(module, h_coords):
+    """(b, proj) for H^perp/H from image bases of the greedy generators of H and H^perp.
+
+    H is given by its element coords and must be isotropic and nontrivial.
+    """
+    a, r = module, module.rank
+    h_gens = greedy_generators_reference(a, [a.element(c) for c in sorted(h_coords)])
+    perp = orthogonal_complement_reference(a, h_coords)
+    perp_gens = greedy_generators_reference(a, [a.element(c) for c in perp])
+    diag = [[a.orders[i] * (i == j) for j in range(r)] for i in range(r)]
+
+    def column_basis(gens):
+        cols = [list(g.coords) for g in gens] + diag
+        return transpose(image_basis([list(col) for col in zip(*cols)]))
+
+    m1, m2 = column_basis(perp_gens), column_basis(h_gens)
+    m1_inv = invert_rational(m1)
+    t = [[int(x) for x in row] for row in mat_mul(m1_inv, m2)]
+    d, u, _v = smith_normal_form(t)
+    u_inv = [[int(x) for x in row] for row in invert_rational(u)]
+    kept = [i for i in range(r) if d[i] > 1]
+    sections = [a.element([sum(m1[i][k] * u_inv[k][j] for k in range(r)) for i in range(r)])
+                for j in kept]
+    b = fqm.FiniteQuadraticModule(tuple(d[i] for i in kept), [x.q() for x in sections],
+                                  [[x.bil(y) for y in sections] for x in sections])
+
+    def proj(x):
+        w = mat_vec(u, [int(v) for v in mat_vec(m1_inv, list(x.coords))])
+        return b.element(tuple(w[i] % d[i] for i in kept))
+
+    return b, proj
+
+
+def fqm_from_gram_reference(gram):
+    """(module, gen_vectors) with Q and the pairings summed in Fractions over the generators."""
+    gram = [[int(x) for x in row] for row in gram]
+    n = len(gram)
+    d, _u, v = smith_normal_form(gram)
+    kept = [i for i in range(n) if d[i] > 1]
+    gens = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in kept]
+
+    def b_of(v1, v2):
+        return sum((v1[r] * gram[r][s] * v2[s] for r in range(n) for s in range(n)), Fraction(0))
+
+    module = fqm.FiniteQuadraticModule(
+        tuple(d[i] for i in kept), [b_of(g, g) / 2 for g in gens],
+        [[b_of(g, h) for h in gens] for g in gens])
+    return module, gens

@@ -77,6 +77,13 @@ def test_specfun_vkappa(capsys):
     assert out.startswith("value: 1.77245385090552")
 
 
+def test_specfun_vkappa_at_the_gamma_limit(capsys):
+    # Gamma(kappa - 1) = Gamma(171) is finite; Gamma(172) overflows a float
+    code, out = run(capsys, ["specfun", "vkappa", "--kappa", "172", "--a", "1", "--b", "1"])
+    assert code == 0
+    assert out == "value: 1.74087651829252e+306\nerror_estimate: 1.95e+295\nevaluations: 507\n"
+
+
 def test_vvmf_check(tmp_path, capsys):
     g = tmp_path / "u3.txt"
     write_gram(g, [[0, 3], [3, 0]])
@@ -128,6 +135,9 @@ MALFORMED_ARGS = {
     "short_ell": ("u3", ["lattice", "split", "--ell", "1"]),
     "nan_kappa": (None, SPECFUN + ["--kappa", "nan", "--a", "1"]),
     "infinite_a": (None, SPECFUN + ["--kappa", "2", "--a", "inf"]),
+    "gamma_overflow_kappa": (None, SPECFUN + ["--kappa", "173", "--a", "1"]),
+    "huge_kappa": (None, SPECFUN + ["--kappa", "1e300", "--a", "1"]),
+    "value_overflow_kappa": (None, SPECFUN + ["--kappa", "172.5", "--a", "1"]),
     "level_above_bound": ("big_level", ["fqm", "info"]),
     "order_above_bound": ("big_order", ["fqm", "info"]),
 }
@@ -139,7 +149,8 @@ MALFORMED_ARGS = {
                                   "non_numeric_weight", "non_numeric_report_weight",
                                   "zero_denominator_weight", "non_numeric_kappa",
                                   "non_numeric_truncation", "non_integer_ell", "short_ell",
-                                  "nan_kappa", "infinite_a", "level_above_bound",
+                                  "nan_kappa", "infinite_a", "gamma_overflow_kappa",
+                                  "huge_kappa", "value_overflow_kappa", "level_above_bound",
                                   "order_above_bound"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     g = tmp_path / "u3.txt"

@@ -5,7 +5,7 @@ import pytest
 
 from discforms import cyclo, fqm
 from discforms.cyclo import CyclotomicNumber, e_frac
-from helpers import random_module
+from helpers import cyclotomic_polynomial_reference, random_module
 
 
 def test_e_frac_basics():
@@ -48,6 +48,31 @@ def test_reduce_idempotence():
     r = x.reduce()
     rr = r.reduce()
     assert r.mod == rr.mod and r.coeffs == rr.coeffs
+
+
+def test_cyclotomic_polynomials_against_divisor_recursion():
+    ref = {}
+    for m in range(1, 201):
+        ref[m] = cyclotomic_polynomial_reference(m)
+        assert list(cyclo.cyclotomic_polynomial(m)) == ref[m], m
+    # so reduce() is unchanged: random numbers at every modulus up to 200
+    rng = random.Random(29)
+    for m in range(1, 201):
+        x = CyclotomicNumber(m, {rng.randrange(m): F(rng.randint(-5, 5), rng.randint(1, 4))
+                                 for _ in range(6)})
+        dense = [x.coeffs.get(e, 0) for e in range(m)]
+        assert x.reduce().coeffs == {e: c for e, c in enumerate(cyclo._poly_rem(dense, ref[m]))
+                                     if c}
+
+
+def test_zero_tests_at_large_orders():
+    assert len(cyclo.cyclotomic_polynomial(40000)) == 16001
+    assert not CyclotomicNumber(40000, {1: 1}).is_zero()
+    assert CyclotomicNumber(40000, {7: 1, 20007: 1}).is_zero()
+    assert CyclotomicNumber(40000, {e: 1 for e in range(3, 40000, 125)}).is_zero()
+    assert len(cyclo.cyclotomic_polynomial(30030)) == 5761
+    assert CyclotomicNumber(2310, {e: 1 for e in range(0, 2310, 165)}).is_zero()
+    assert not CyclotomicNumber(2310, {0: 1, 165: 1}).is_zero()
 
 
 def test_numeric_embedding_of_exact_identities():

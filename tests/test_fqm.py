@@ -7,7 +7,8 @@ import pytest
 from discforms import cyclo, fqm
 from discforms._intmat import is_prime, signature_pair
 from discforms.errors import PreconditionError
-from helpers import block, random_even_gram, random_module, un
+from helpers import block, fqm_from_gram_reference, random_even_gram, random_module, un
+from test_lattice import LEVEL_GRAMS
 
 
 class TestFromGram:
@@ -26,6 +27,16 @@ class TestFromGram:
             a = fqm.fqm_from_gram(block([[4]], un(n), un(1)))
             assert a.order() == 4 * n * n
             assert a.elementary_divisors() == (n, 4 * n)
+
+    def test_pairings_from_integer_matrices_match_fraction_sums(self):
+        rng = random.Random(31)
+        grams = list(LEVEL_GRAMS) + [random_even_gram(rng, max_rank=5, max_det=400)
+                                     for _ in range(40)]
+        for g in grams:
+            a, _to_coords, gens = fqm.fqm_from_gram_with_maps(g)
+            ref, ref_gens = fqm_from_gram_reference(g)
+            assert a.describe() == ref.describe() and a == ref, g
+            assert gens == ref_gens, g
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):

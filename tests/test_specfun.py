@@ -85,3 +85,14 @@ def test_non_finite_arguments_rejected(bad):
     for args in ((bad, 1.0), (1.5, bad)):
         with pytest.raises(PreconditionError, match="finite"):
             sf.inc_gamma_upper(*args)
+
+
+def test_gamma_overflow_rejected():
+    # Gamma(s) overflows a float above s = 171.62...
+    assert math.isfinite(sf.inc_gamma_upper(171.0, 200.0))
+    for args in ((172.0, 0.0), (172.0, 1.0), (172.0, 500.0), (1e300, 1.0)):
+        with pytest.raises(PreconditionError, match="finite"):
+            sf.inc_gamma_upper(*args)
+    for kappa in (173.0, 1e300, 172.5):
+        with pytest.raises(PreconditionError, match="finite"):
+            sf.v_kappa(kappa, 1.0, 1.0)
