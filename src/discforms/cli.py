@@ -57,13 +57,16 @@ def _cmd_fqm_info(args):
 
 def _cmd_weil_check(args):
     module = fqm.fqm_from_gram(read_gram(args.gram))
-    report = weil.relation_report(module)
-    bad = 0
+    witnesses = {}
+    report = weil.relation_report(module, witnesses)
     for name in sorted(report):
-        ok = report[name]
-        print("%s\t%s" % (name, "PASS" if ok else "FAIL"))
-        bad += 0 if ok else 1
-    return 0 if bad == 0 else 3
+        print("%s\t%s" % (name, "PASS" if report[name] else "FAIL"))
+        if not report[name]:
+            i, j, diff = witnesses[name]
+            elts = module.elements()
+            print("\tfirst difference at row %s, column %s: lhs - rhs = %r"
+                  % (elts[i], elts[j], diff))
+    return 0 if all(report.values()) else 3
 
 
 def _cmd_vvmf_check(args):

@@ -111,6 +111,8 @@ class FiniteQuadraticModule:
         self._histogram = None
         self._signature = None
         self._gauss1 = None
+        # the index tables of the Weil layer (weil._tables), built on first use
+        self._weil_tables = None
         if self.order() > ORDER_BOUND:
             raise PreconditionError("module order %d exceeds the bound %d"
                                     % (self.order(), ORDER_BOUND))

@@ -1,33 +1,79 @@
 """The Weil representation of the metaplectic group on the group algebra C[A].
 
-Matrices carry a factored scalar (the Gauss-sum normalization of the S matrix)
-so that entries of generator words stay single roots of unity or short sums.
-The generators are built from integer exponents at the common modulus
-lcm(8, level). Products run one of two kernels, chosen from the factors (see
-WeilMatrix): the phase kernel when every entry of both factors is a single
-root of unity, which counts exponent sums, and the support kernel otherwise,
-which skips zero entries so that diagonal and monomial factors cost O(n^2).
-Equality tests memoize reduced zero-tests per distinct entry pair.
+Rows and columns are indexed by the mixed-radix code sum x_i * stride_i of the
+coordinates, which is the position of x in module.elements(). The integer
+tables of a module (addition, negation and multiplication of codes, M*Q(x) and
+the pairing exponents M*(x, y) at the common modulus M = lcm(8, level); see
+_Tables) are built once and kept with the module, so that no FqmElement is
+built on the product path.
+
+A WeilMatrix is a factored scalar (the Gauss-sum normalization of S) times
+entries that carry a structure tag:
+
+- monomial: row x holds one root of unity e(ph(x)), in column src(x) (T^k, Z,
+  the identity and automorphism matrices);
+- character: entries e(alpha(x) + beta(y) + (Rx, Cy)) (S, S^dagger, T^k S,
+  S Z, ...);
+- table: entries e(alpha(x) + beta(y)) * K[Rx + Cy], where K holds n interned
+  cyclotomic numbers (S S^dagger, S^2, (S T)^3, ...);
+- dense: rows of CyclotomicNumbers.
+
+R and C are index maps: an integer k for x -> k*x, or a list of codes.
+Products, conjugate transposes and comparisons dispatch on the tags. A
+monomial factor re-indexes the other factor in O(n). Character times
+character is the table F[u] = sum_t e(gamma(t) + (u, t)), n histograms in
+O(n^2). Table times character, when the inner phase gamma is M*Q, is again a
+table, by Q(t) + (t, w) = Q(t + w) - Q(w). Every other pair runs the support
+kernel on the dense view .mat, which a tagged matrix builds on first read.
+Comparisons run one zero test per distinct (exponent difference, entry, entry)
+triple.
 """
 
 import cmath
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import cyclo, fqm
 from .cyclo import CyclotomicNumber, e_frac
 from .errors import ConsistencyError, PreconditionError
 
 
+def _quarter_turns(c, d):
+    """Arg(c*tau + d) on the upper half plane, in quarter turns.
+
+    1 for c > 0 (the argument lies in (0, pi)), -1 for c < 0 (in (-pi, 0));
+    for c = 0 the constant 0 when d > 0 and 2 when d < 0 (the principal
+    argument pi, so the principal root of d is i*sqrt|d|).
+    """
+    if c:
+        return 1 if c > 0 else -1
+    return 0 if d > 0 else 2
+
+
+def _branch_flip(cd1, cd2, cd3):
+    """The cocycle bit of a product M1 M2 = M3 from the bottom rows (c, d).
+
+    Principal roots satisfy sqrt(j(M1, M2 tau)) * sqrt(j(M2, tau)) =
+    (-1)^k sqrt(j(M3, tau)), where the arguments add up as arg1 + arg2 =
+    arg3 + 2*pi*k with k in {-1, 0, 1}, constant on the upper half plane.
+    Over the quarter-turn classes of the three arguments, |q1 + q2 - q3| is
+    at most 1 when k = 0 and at least 3 otherwise. This is Kubota's cocycle
+    (Gelbart, LNM 530) written as sign cases on c and d, for the branch with
+    sqrt(-1) = i.
+    """
+    v = _quarter_turns(*cd1) + _quarter_turns(*cd2) - _quarter_turns(*cd3)
+    return int(abs(v) >= 3)
+
+
 class MetaplecticElement:
     """Pair (M, phi) with M integral of determinant one and phi^2 = c*tau + d.
 
-    The branch is recorded by one bit: 0 when phi agrees with the principal
-    square root at tau = i, 1 otherwise. Products track the branch through the
-    cocycle numerically at tau = i; values stay away from zero, so the sign
-    decision is exact in effect.
+    The branch is recorded by one bit: 0 when phi is the principal square
+    root, 1 when it is its negative. Products and inverses track the bit
+    through the exact integer cocycle _branch_flip.
     """
 
     __slots__ = ("a", "b", "c", "d", "bit")
@@ -48,23 +94,14 @@ class MetaplecticElement:
     def __matmul__(self, other):
         if not isinstance(other, MetaplecticElement):
             return NotImplemented
-        i = 1j
-        tau2 = (other.a * i + other.b) / (other.c * i + other.d)
-        val = self.phi_at(tau2) * other.phi_at(i)
         m = ((self.a * other.a + self.b * other.c, self.a * other.b + self.b * other.d),
              (self.c * other.a + self.d * other.c, self.c * other.b + self.d * other.d))
-        principal = cmath.sqrt(m[1][0] * i + m[1][1])
-        bit = 0 if abs(val - principal) < abs(val + principal) else 1
-        return MetaplecticElement(m, bit)
+        flip = _branch_flip((self.c, self.d), (other.c, other.d), m[1])
+        return MetaplecticElement(m, self.bit ^ other.bit ^ flip)
 
     def inverse(self):
         m = ((self.d, -self.b), (-self.c, self.a))
-        for bit in (0, 1):
-            cand = MetaplecticElement(m, bit)
-            prod = self @ cand
-            if prod.matrix == ((1, 0), (0, 1)) and prod.bit == 0:
-                return cand
-        raise ConsistencyError("no inverse branch found")
+        return MetaplecticElement(m, self.bit ^ _branch_flip((self.c, self.d), m[1], (0, 1)))
 
     def __pow__(self, n):
         out = MetaplecticElement(((1, 0), (0, 1)))
@@ -98,23 +135,195 @@ def gen_Z():
     return MetaplecticElement(((-1, 0), (0, -1)))
 
 
+# -- index tables -----------------------------------------------------------------
+
+
+def _modulus(module):
+    """The common modulus lcm(8, level) of the module's Weil matrices."""
+    return lcm(8, module.level())
+
+
+def _tables(module):
+    """The module's _Tables, built on first use and kept with the module."""
+    tab = module._weil_tables
+    if tab is None:
+        tab = module._weil_tables = _Tables(module)
+    return tab
+
+
+class _Tables:
+    """Integer tables of a module on the mixed-radix codes of its elements.
+
+    Exponents are taken at M = lcm(8, level) and kept in [0, M): q[x] = M*Q(x)
+    and pair[x][y] = M*(x, y); add[x][y] is the code of x + y. Entries of
+    table matrices are interned by content: objs[k] is the k-th distinct
+    cyclotomic number, with objs[0] = 0 and objs[1] = 1.
+    """
+
+    def __init__(self, module):
+        orders = module.orders
+        r = len(orders)
+        self.n = n = module.order()
+        self.mod = m = _modulus(module)
+        self.exponent = lcm(1, *orders)
+        self.one = 1 % self.exponent
+        strides = [1] * r
+        for i in range(r - 2, -1, -1):
+            strides[i] = strides[i + 1] * orders[i + 1]
+        self._orders, self._strides = orders, strides
+        self._coords = coords = list(product(*(range(d) for d in orders)))
+        self.fold = list(range(m)) * 3
+        fold = self.fold.__getitem__
+        # code c (> 0) is x + e_i for the code p = c - stride_i, i its last nonzero digit
+        self._steps = steps = [None] * n
+        for c in range(1, n):
+            x = coords[c]
+            i = max(k for k in range(r) if x[k])
+            steps[c] = (i, c - strides[i])
+        shifts = [[c + s if x[i] < d - 1 else c - (d - 1) * s for c, x in enumerate(coords)]
+                  for i, (d, s) in enumerate(zip(orders, strides))]
+        gram = [[int(m * b) % m for b in row] for row in module.bilinear]
+        gen_pair = [[sum(map(mul, x, row)) % m for x in coords] for row in gram]
+        gen_q = [int(m * q) % m for q in module.q_values]
+        self.add = add_rows = [list(range(n))]
+        self.pair = pair = [[0] * n]
+        self.q = q = [0] * n
+        # Q(x + e_i) = Q(x) + Q(e_i) + (x, e_i)
+        for c in range(1, n):
+            i, p = steps[c]
+            add_rows.append(list(map(shifts[i].__getitem__, add_rows[p])))
+            pair.append(list(map(fold, map(add, pair[p], gen_pair[i]))))
+            q[c] = (q[p] + gen_q[i] + pair[p][strides[i]]) % m
+        self.zeros = [0] * n
+        self.ones = [1] * n
+        self._mul = {self.one: add_rows[0]}
+        normal = CyclotomicNumber._normalized
+        self.roots = [normal(m, {e: 1}) for e in range(m)]
+        self.objs = [normal(m, {}), self.roots[0]]
+        self._kids = {frozenset(): 0, frozenset({(0, 1)}): 1}
+        self._fourier = {}
+
+    # -- codes and index maps --------------------------------------------------
+
+    def code(self, coords):
+        return sum(map(mul, coords, self._strides))
+
+    def mul(self, k):
+        """The codes of k*x, in code order (cached)."""
+        k %= self.exponent
+        out = self._mul.get(k)
+        if out is None:
+            out = self._mul[k] = [self.code([k * v % d for v, d in zip(x, self._orders)])
+                                  for x in self._coords]
+        return out
+
+    def linear_map(self, images):
+        """The codes of sum x_i * images[i], from the codes of the generator images."""
+        out = [0] * self.n
+        add_rows = self.add
+        for c, (i, p) in enumerate(self._steps[1:], 1):
+            out[c] = add_rows[out[p]][images[i]]
+        return out
+
+    def as_list(self, f):
+        return self.mul(f) if isinstance(f, int) else f
+
+    def compose(self, f, g):
+        """The index map x -> f(g(x))."""
+        if isinstance(f, int):
+            f %= self.exponent
+            if isinstance(g, int):
+                return f * g % self.exponent
+            if f == self.one:
+                return g
+        elif isinstance(g, int) and g % self.exponent == self.one:
+            return f
+        return list(map(self.as_list(f).__getitem__, self.as_list(g)))
+
+    # -- exponent vectors --------------------------------------------------------
+
+    def pull(self, vec, f):
+        """The vector x -> vec[f(x)]."""
+        if isinstance(f, int) and f % self.exponent == self.one:
+            return vec
+        return list(map(vec.__getitem__, self.as_list(f)))
+
+    def vadd(self, a, b):
+        return list(map(self.fold.__getitem__, map(add, a, b)))
+
+    def vneg(self, a):
+        m, fold = self.mod, self.fold
+        return [fold[m - v] for v in a]
+
+    # -- interned entries ----------------------------------------------------------
+
+    def kid(self, coeffs):
+        """Index in objs of the entry with these normal coefficients (interned)."""
+        key = frozenset(coeffs.items())
+        k = self._kids.get(key)
+        if k is None:
+            k = self._kids[key] = len(self.objs)
+            self.objs.append(CyclotomicNumber._normalized(self.mod, coeffs))
+        return k
+
+    def fourier(self, gamma):
+        """K with K[u] = sum_t e(gamma(t) + (u, t)): one histogram per u (cached)."""
+        key = tuple(gamma)
+        out = self._fourier.get(key)
+        if out is None:
+            fold = self.fold.__getitem__
+            out = self._fourier[key] = [self.kid(dict(Counter(map(fold, map(add, gamma, row)))))
+                                        for row in self.pair]
+        return out
+
+    def convolve_q(self, k, mu):
+        """G with G[v] = sum_s K[v + mu*s] e(Q(s)), for K given by its entry indices k."""
+        m, objs, q = self.mod, self.objs, self.q
+        steps = self.mul(mu)
+        out = []
+        for row in self.add:
+            acc = {}
+            for (kid, qe), c in Counter(zip(map(k.__getitem__, map(row.__getitem__, steps)),
+                                            q)).items():
+                for e, co in objs[kid].coeffs.items():
+                    e += qe
+                    if e >= m:
+                        e -= m
+                    acc[e] = acc.get(e, 0) + co * c
+            out.append(self.kid({e: c for e, c in acc.items() if c}))
+        return out
+
+    def conjugate(self, k):
+        """The entry indices of the complex conjugates of the entries k."""
+        m, objs = self.mod, self.objs
+        conj = {x: self.kid({-e % m: c for e, c in objs[x].coeffs.items()}) for x in set(k)}
+        return list(map(conj.__getitem__, k))
+
+
+# -- matrices ---------------------------------------------------------------------
+
+
 class WeilMatrix:
-    """Square matrix over Q(zeta_mod), stored as scale * entries.
+    """Square matrix over Q(zeta_mod), stored as scale * entries with a structure tag.
 
-    Rows and columns are indexed by module.elements() in their fixed order;
-    .mat is a dense list of rows of CyclotomicNumbers, all at the modulus
-    .mod = lcm(8, level); entries given at a divisor of it are promoted. A
-    product of two matrices is taken by one of two kernels, chosen from the
-    factors:
+    Rows and columns are indexed by module.elements() in their fixed order,
+    all entries live at the modulus .mod = lcm(8, level), and .tag is one of
+    (see the module docstring for the entry formulas):
 
-    - the phase kernel, when every entry of both factors is a single root of
-      unity with coefficient 1 (S, S^dagger, T^k S, S Z, S P, ...). Each factor
-      becomes an integer exponent matrix, and entry (i, j) of the product is
-      the histogram of the sums ea[i][t] + eb[t][j] mod `mod`, counted in C;
-    - the support kernel for every other pair. Entry (i, j) sums only over the
-      t in the supports of row i of the left factor and of column j of the
-      right one, iterating the shorter of the two, so a diagonal or monomial
-      factor (T, Z, automorphisms) makes the product O(n^2) instead of O(n^3).
+    - "monomial": data (src, dst, ph); row x holds e(ph[x]) in column src(x),
+      and column y its entry in row dst(y);
+    - "character": data (alpha, beta, None, R, C), entries
+      e(alpha[x] + beta[y] + (Rx, Cy)), with C the identity whenever it is an
+      integer;
+    - "table": data (alpha, beta, K, R, C), entries
+      e(alpha[x] + beta[y]) * objs[K[Rx + Cy]];
+    - "dense": no data; the rows are .mat.
+
+    WeilMatrix(module, scale, rows) builds a dense matrix; entries given at a
+    divisor of .mod are promoted. For every tag .mat is the dense list of rows
+    of CyclotomicNumbers, built on first read for tagged matrices. Pairs of
+    factors without a structured product rule multiply by the support kernel
+    on .mat.
     """
 
     def __init__(self, module, scale, mat):
@@ -122,58 +331,163 @@ class WeilMatrix:
         self.mod = mod = _modulus(module)
         self.scale = scale if isinstance(scale, CyclotomicNumber) else \
             CyclotomicNumber.from_rational(scale)
-        self.mat = [[x._promoted(mod) if x.mod != mod else x for x in row] for row in mat]
+        self.tag = "dense"
+        self.data = None
+        self._mat = [[x._promoted(mod) if x.mod != mod else x for x in row] for row in mat]
+
+    @classmethod
+    def _tagged(cls, module, scale, tag, data):
+        out = cls.__new__(cls)
+        out.module = module
+        out.mod = _modulus(module)
+        out.scale = scale
+        out.tag = tag
+        out.data = data
+        out._mat = None
+        return out
+
+    @property
+    def mat(self):
+        if self._mat is None:
+            self._mat = self._dense()
+        return self._mat
 
     @property
     def size(self):
-        return len(self.mat)
+        return len(self._mat) if self.tag == "dense" else self.module.order()
 
     def entry(self, i, j):
         return self.scale * self.mat[i][j]
+
+    def _row(self, tab, i):
+        """Row i as (exponents, entry indices): entry j is e(exps[j]) * objs[kids[j]]."""
+        tag, data = self.tag, self.data
+        fold = tab.fold.__getitem__
+        if tag == "monomial":
+            src, _dst, ph = data
+            exps, kids = list(tab.zeros), [0] * tab.n
+            j = tab.as_list(src)[i]
+            exps[j], kids[j] = ph[i], 1
+            return exps, kids
+        if tag == "dense":
+            row = self._mat[i]
+            return [0] * len(row), [tab.kid(x._promoted(tab.mod).coeffs) for x in row]
+        alpha, beta, k, rmap, cmap = data
+        x = tab.as_list(rmap)[i]
+        if tag == "character":
+            prow = tab.pair[x]
+            if not isinstance(cmap, int):
+                prow = list(map(prow.__getitem__, cmap))
+            return list(map(fold, map(alpha[i].__add__, map(add, beta, prow)))), tab.ones
+        arow = tab.add[x]
+        kids = list(map(k.__getitem__, map(arow.__getitem__, tab.as_list(cmap))))
+        return list(map(fold, map(alpha[i].__add__, beta))), kids
+
+    def _dense(self):
+        tab = _tables(self.module)
+        m, roots, objs = tab.mod, tab.roots, tab.objs
+        shifted = {}
+
+        def entry(e, k):
+            if k == 1:
+                return roots[e]
+            x = shifted.get((e, k))
+            if x is None:
+                x = shifted[(e, k)] = CyclotomicNumber._normalized(
+                    m, {(f + e) % m: c for f, c in objs[k].coeffs.items()})
+            return x
+
+        return [list(map(entry, *self._row(tab, i))) for i in range(tab.n)]
 
     def __matmul__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
         if other.module != self.module:
             raise PreconditionError("matrices act on different modules")
-        ea = _exponents(self.mat)
-        eb = None if ea is None else _exponents(other.mat)
-        if eb is None:
-            out = _support_product(self.mat, other.mat, self.mod)
-        else:
-            out = _phase_product(ea, eb, self.mod)
-        return WeilMatrix(self.module, self.scale * other.scale, out)
+        scale = self.scale * other.scale
+        rule = _PRODUCTS.get((self.tag, other.tag))
+        out = rule(_tables(self.module), self.data, other.data) if rule else None
+        if out is None:
+            return WeilMatrix(self.module, scale, _support_product(self.mat, other.mat, self.mod))
+        return WeilMatrix._tagged(self.module, scale, *out)
 
     def conj_transpose(self):
-        n = self.size
-        mat = [[self.mat[j][i].conjugate() for j in range(n)] for i in range(n)]
-        return WeilMatrix(self.module, self.scale.conjugate(), mat)
+        scale = self.scale.conjugate()
+        if self.tag == "dense":
+            n = self.size
+            mat = [[self._mat[j][i].conjugate() for j in range(n)] for i in range(n)]
+            return WeilMatrix(self.module, scale, mat)
+        tab = _tables(self.module)
+        if self.tag == "monomial":
+            src, dst, ph = self.data
+            out = "monomial", (dst, src, tab.vneg(tab.pull(ph, dst)))
+        else:
+            alpha, beta, k, rmap, cmap = self.data
+            if self.tag == "character":
+                # -(Ry, Cx) = (-Cx, Ry)
+                out = _character(tab, tab.vneg(beta), tab.vneg(alpha), None,
+                                 tab.compose(-1, cmap), rmap)
+            else:
+                out = "table", (tab.vneg(beta), tab.vneg(alpha), tab.conjugate(k), cmap, rmap)
+        return WeilMatrix._tagged(self.module, scale, *out)
 
     def scaled(self, c):
-        return WeilMatrix(self.module, self.scale * c, self.mat)
+        if self.tag == "dense":
+            return WeilMatrix(self.module, self.scale * c, self._mat)
+        return WeilMatrix._tagged(self.module, self.scale * c, self.tag, self.data)
+
+    def first_difference(self, other):
+        """None when the matrices are equal, else the first differing entry.
+
+        The entry is (i, j, d) in row-major order, with d = self.entry(i, j) -
+        other.entry(i, j) reduced. Entries are compared without being built:
+        each row yields (exponent difference, entry index, entry index)
+        triples, and one zero test is run per distinct triple.
+        """
+        if not isinstance(other, WeilMatrix) or other.module != self.module:
+            raise PreconditionError("matrices act on different modules")
+        n = self.size
+        if other.size != n:
+            raise PreconditionError("matrices have different sizes")
+        tab = _tables(self.module)
+        m, roots, objs = tab.mod, tab.roots, tab.objs
+        # canonical scales: a product's scale is a long unreduced sum, its value often one term
+        sa, sb = self.scale.reduce(), other.scale.reduce()
+        same_scale = sa.mod == sb.mod and sa.coeffs == sb.coeffs
+        memo, left, right = {}, {}, {}
+        for i in range(n):
+            ea, ka = self._row(tab, i)
+            eb, kb = other._row(tab, i)
+            failed = set()
+            for key in set(zip(map(sub, eb, ea), ka, kb)):
+                ok = memo.get(key)
+                if ok is None:
+                    d, a, b = key
+                    if a == b and (a == 0 or (same_scale and d == 0)):
+                        ok = True
+                    else:
+                        # sa * A - sb * e(d) * B, with the two products taken once per entry
+                        x = left.get(a)
+                        if x is None:
+                            x = left[a] = sa * objs[a]
+                        y = right.get(b)
+                        if y is None:
+                            y = right[b] = sb * objs[b]
+                        ok = (x - _times_root(y, d, m)).is_zero()
+                    memo[key] = ok
+                if not ok:
+                    failed.add(key)
+            if failed:
+                for j, key in enumerate(zip(map(sub, eb, ea), ka, kb)):
+                    if key in failed:
+                        d = sa * roots[ea[j]] * objs[ka[j]] - sb * roots[eb[j]] * objs[kb[j]]
+                        return i, j, d.reduce()
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix) or other.module != self.module:
             return NotImplemented
-        n = self.size
-        # entries with the same coefficient map at equal scales are equal
-        # without a zero test; the rest are memoized by content
-        same_scale = self.scale == other.scale
-        memo = {}
-        for i in range(n):
-            for j in range(n):
-                a = self.mat[i][j]
-                b = other.mat[i][j]
-                if same_scale and (a is b or (a.mod == b.mod and a.coeffs == b.coeffs)):
-                    continue
-                key = (a.mod, frozenset(a.coeffs.items()), b.mod, frozenset(b.coeffs.items()))
-                ok = memo.get(key)
-                if ok is None:
-                    ok = (self.scale * a - other.scale * b).is_zero()
-                    memo[key] = ok
-                if not ok:
-                    return False
-        return True
+        return self.first_difference(other) is None
 
     def is_identity(self):
         return self == identity_matrix(self.module)
@@ -183,43 +497,77 @@ class WeilMatrix:
         return [[s * x.to_complex() for x in row] for row in self.mat]
 
 
-def _modulus(module):
-    """The common modulus lcm(8, level) of the module's Weil matrices."""
-    return lcm(8, module.level())
+def _times_root(x, d, m):
+    """x * e(d/m), for x at a multiple of the modulus m."""
+    n, f = x.mod, x.mod // m
+    return CyclotomicNumber._normalized(n, {(e + d * f) % n: c for e, c in x.coeffs.items()})
 
 
-def _exponents(mat):
-    """Exponent rows of mat if every entry is one root of unity with coefficient 1.
+# -- structured products --------------------------------------------------------------
 
-    Returns None as soon as an entry is zero, has several terms or another
-    coefficient.
+
+def _character(tab, alpha, beta, _k, rmap, cmap):
+    """A character tag; an integer column map k moves to the rows, (Rx, ky) = (kRx, y)."""
+    if isinstance(cmap, int):
+        rmap, cmap = tab.compose(cmap, rmap), tab.one
+    return "character", (alpha, beta, None, rmap, cmap)
+
+
+def _monomial_monomial(tab, a, b):
+    src1, dst1, ph1 = a
+    src2, dst2, ph2 = b
+    return "monomial", (tab.compose(src2, src1), tab.compose(dst1, dst2),
+                        tab.vadd(ph1, tab.pull(ph2, src1)))
+
+
+def _rows_reindexed(tab, a, b):
+    """Monomial a times character or table b: row x of b moved to src(x), times e(ph[x])."""
+    src, _dst, ph = a
+    alpha, beta, k, rmap, cmap = b
+    return tab.vadd(ph, tab.pull(alpha, src)), beta, k, tab.compose(rmap, src), cmap
+
+
+def _columns_reindexed(tab, a, b):
+    """Character or table a times monomial b: column y of a moved to dst(y)."""
+    alpha, beta, k, rmap, cmap = a
+    _src, dst, ph = b
+    return alpha, tab.pull(tab.vadd(beta, ph), dst), k, rmap, tab.compose(cmap, dst)
+
+
+def _character_character(tab, a, b):
+    """sum_t e(gamma(t) + (Rx, t) + (kt, Cy)) = F[Rx + kCy], gamma = beta_a + alpha_b."""
+    alpha1, beta1, _k1, r1, c1 = a
+    alpha2, beta2, _k2, r2, c2 = b
+    if not (isinstance(c1, int) and isinstance(r2, int)):
+        return None
+    f = tab.fourier(tab.vadd(beta1, alpha2))
+    return "table", (alpha1, beta2, f, r1, tab.compose(r2, c2))
+
+
+def _table_character(tab, a, b):
+    """Table times character when the inner phase is M*Q.
+
+    With w = kCy: sum_t K[Rx + mu t] e(Q(t) + (t, w)) = e(-Q(w)) G[Rx - mu w],
+    where G[v] = sum_s K[v + mu s] e(Q(s)), by Q(t) + (t, w) = Q(t + w) - Q(w).
     """
-    out = []
-    for row in mat:
-        exps = []
-        for x in row:
-            if len(x.coeffs) != 1:
-                return None
-            (e, c), = x.coeffs.items()
-            if c != 1:
-                return None
-            exps.append(e)
-        out.append(exps)
-    return out
+    alpha1, beta1, k, r1, mu = a
+    alpha2, beta2, _k2, r2, c2 = b
+    if not (isinstance(mu, int) and isinstance(r2, int)) or tab.vadd(beta1, alpha2) != tab.q:
+        return None
+    w = tab.compose(r2, c2)
+    beta = tab.vadd(beta2, tab.vneg(tab.pull(tab.q, w)))
+    return "table", (alpha1, beta, tab.convolve_q(k, mu), r1, tab.compose(-mu, w))
 
 
-def _phase_product(ea, eb, mod):
-    """Product of two root-of-unity matrices given by their exponent rows.
-
-    Entry (i, j) is the histogram of ea[i][t] + eb[t][j] over t; the sums lie
-    in [0, 2*mod - 1) and the lookup table folds them below mod.
-    """
-    fold = list(range(mod)) * 2
-    wrap = fold.__getitem__
-    normal = CyclotomicNumber._normalized
-    cols = list(zip(*eb))
-    return [[normal(mod, dict(Counter(map(wrap, map(add, r, c))))) for c in cols]
-            for r in ea]
+_PRODUCTS = {
+    ("monomial", "monomial"): _monomial_monomial,
+    ("monomial", "character"): lambda tab, a, b: _character(tab, *_rows_reindexed(tab, a, b)),
+    ("monomial", "table"): lambda tab, a, b: ("table", _rows_reindexed(tab, a, b)),
+    ("character", "monomial"): lambda tab, a, b: _character(tab, *_columns_reindexed(tab, a, b)),
+    ("table", "monomial"): lambda tab, a, b: ("table", _columns_reindexed(tab, a, b)),
+    ("character", "character"): _character_character,
+    ("table", "character"): _table_character,
+}
 
 
 def _support_product(a, b, mod):
@@ -252,63 +600,71 @@ def _support_product(a, b, mod):
     return out
 
 
+# -- generators -------------------------------------------------------------------
+
+
 def _index(module):
     return {x.coords: i for i, x in enumerate(module.elements())}
 
 
+def _permutation(module, dst):
+    """Matrix sending e_y to e_{dst[y]} for a list of codes dst."""
+    tab = _tables(module)
+    n = tab.n
+    src = [None] * n
+    for y, x in enumerate(dst):
+        src[x] = y
+    one = CyclotomicNumber.one()
+    if None in src:
+        # not a bijection: a 0/1 matrix with the images as supports
+        mat = [[tab.objs[0]] * n for _ in range(n)]
+        for y, x in enumerate(dst):
+            mat[x][y] = tab.roots[0]
+        return WeilMatrix(module, one, mat)
+    for k in (1, -1):
+        if dst == tab.mul(k):
+            src = dst = k % tab.exponent
+            break
+    return WeilMatrix._tagged(module, one, "monomial", (src, dst, tab.zeros))
+
+
 def identity_matrix(module):
-    return permutation_matrix(module, module.elements())
+    tab = _tables(module)
+    return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial",
+                              (tab.one, tab.one, tab.zeros))
 
 
 def permutation_matrix(module, images):
     """Matrix sending basis vector e_x to e_{images[x]}."""
-    idx = _index(module)
-    n = module.order()
-    mod = _modulus(module)
-    zero = CyclotomicNumber._normalized(mod, {})
-    one = CyclotomicNumber._normalized(mod, {0: 1})
-    mat = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        mat[idx[images[j].coords]][j] = one
-    return WeilMatrix(module, CyclotomicNumber.one(), mat)
+    tab = _tables(module)
+    return _permutation(module, [tab.code(y.coords) for y in images])
 
 
 def rho_T(module, power=1):
     """Diagonal action by e(Q(x)) (or its integer powers)."""
-    n = module.order()
-    mod = _modulus(module)
-    normal = CyclotomicNumber._normalized
-    mat = [[normal(mod, {})] * n for _ in range(n)]
-    for j, x in enumerate(module.elements()):
-        # mod is a multiple of the level, so mod * Q(x) is an integer
-        mat[j][j] = normal(mod, {int(power * mod * x.q()) % mod: 1})
-    return WeilMatrix(module, CyclotomicNumber.one(), mat)
+    tab = _tables(module)
+    ph = [power * v % tab.mod for v in tab.q]
+    return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial", (tab.one, tab.one, ph))
 
 
 def rho_S(module):
-    """The Fourier-transform generator: entries e(-(x,y)) scaled by the Gauss phase.
+    """The Fourier-transform generator: entries e(-(x, y)) scaled by the Gauss phase.
 
-    The exponent of entry (x, y) is -mod * (x, y) mod `mod`, read from the
-    integer matrix mod * bilinear; mod is a multiple of every denominator of
-    the pairing, so this is exact.
+    A character matrix with row map x -> -x, since -(x, y) = (-x, y).
     """
-    mod = _modulus(module)
+    tab = _tables(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    gram = [[int(mod * b) for b in row] for row in module.bilinear]
-    coords = [x.coords for x in module.elements()]
-    normal = CyclotomicNumber._normalized
-    mat = []
-    for x in coords:
-        w = [sum(map(mul, row, x)) for row in gram]
-        mat.append([normal(mod, {-sum(map(mul, w, y)) % mod: 1}) for y in coords])
-    return WeilMatrix(module, scale, mat)
+    s = _character(tab, tab.zeros, tab.zeros, None, -1, tab.one)
+    return WeilMatrix._tagged(module, scale, *s)
 
 
 def rho_Z(module):
     """Action of the central element: e(-sig/4) times the negation permutation."""
-    out = permutation_matrix(module, [-x for x in module.elements()])
-    return out.scaled(e_frac(Fraction(-module.signature(), 4)))
+    tab = _tables(module)
+    neg = -1 % tab.exponent
+    return WeilMatrix._tagged(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
+                              (neg, neg, tab.zeros))
 
 
 def rho_ST(module):
@@ -319,7 +675,9 @@ def aut_matrix(module, h):
     """Permutation matrix of a Q-preserving automorphism."""
     if not isinstance(h, fqm.Automorphism):
         raise PreconditionError("expected a checked automorphism")
-    return permutation_matrix(module, [h(x) for x in module.elements()])
+    tab = _tables(module)
+    return _permutation(module, tab.linear_map([tab.code(h(g).coords)
+                                                for g in module.generators()]))
 
 
 def _word_in_generators(matrix):
@@ -367,7 +725,9 @@ def rho_of(module, g):
             out = out @ rho_Z(module)
             acc = acc @ gen_Z()
     if acc.matrix != g.matrix:
-        raise ConsistencyError("word reduction did not reproduce the matrix")
+        raise ConsistencyError("word reduction did not reproduce the matrix %s on the module "
+                               "with orders %s and level %d"
+                               % (g.matrix, module.orders, module.level()))
     if acc.bit != g.bit:
         # the two lifts differ by the order-two central element Z^2
         out = out.scaled(e_frac(Fraction(-module.signature(), 2)))
@@ -417,41 +777,46 @@ def plus_subspace(module, k):
 DIRECT_CUBE_BOUND = 40
 
 
-def relation_report(module):
+def relation_report(module, witnesses=None):
     """Exact verification of the defining relations; returns {name: bool}.
 
     The braid relation is checked via the reassociated identity
     T S T = S^{-1} Z T^{-1} S^{-1} (with S^{-1} the conjugate transpose,
     justified by the unitarity check); modules of order up to
-    DIRECT_CUBE_BOUND also run the naive triple-product form.
+    DIRECT_CUBE_BOUND also run the naive triple-product form. When witnesses
+    is a dict, the first differing entry (i, j, lhs - rhs) of each failing
+    relation (see WeilMatrix.first_difference) is stored under its name.
     """
+    out = {}
+
+    def check(name, lhs, rhs):
+        out[name] = ok = lhs == rhs
+        if not ok and witnesses is not None:
+            witnesses[name] = lhs.first_difference(rhs)
+
     s = rho_S(module)
     t = rho_T(module)
     z = rho_Z(module)
-    out = {}
+    ident = identity_matrix(module)
     s_dag = s.conj_transpose()
-    out["unitary_S"] = (s @ s_dag).is_identity()
-    out["S2_equals_Z"] = (s @ s) == z
+    check("unitary_S", s @ s_dag, ident)
+    check("S2_equals_Z", s @ s, z)
     t_inv = rho_T(module, -1)
-    lhs = t @ s @ t
-    rhs = (s_dag @ z) @ (t_inv @ s_dag)
-    out["braid_STSTST_equals_Z"] = lhs == rhs
+    check("braid_STSTST_equals_Z", t @ s @ t, (s_dag @ z) @ (t_inv @ s_dag))
     if module.order() <= DIRECT_CUBE_BOUND:
         st = s @ t
-        out["braid_direct"] = (st @ st @ st) == z
+        check("braid_direct", st @ st @ st, z)
     # Z acts by e(-sig/4) on e_{-x}
-    zz = z @ z
-    out["Z_squared_scalar"] = zz == identity_matrix(module).scaled(
-        e_frac(Fraction(-module.signature(), 2)))
+    check("Z_squared_scalar", z @ z, ident.scaled(e_frac(Fraction(-module.signature(), 2))))
     neg = fqm.negation_automorphism(module)
     p = aut_matrix(module, neg)
-    out["negation_is_unit_times_Z"] = p == z.scaled(e_frac(Fraction(module.signature(), 4)))
-    out["aut_commutes_S"] = (p @ s) == (s @ p)
-    out["aut_commutes_T"] = (p @ t) == (t @ p)
+    check("negation_is_unit_times_Z", p, z.scaled(e_frac(Fraction(module.signature(), 4))))
+    check("aut_commutes_S", p @ s, s @ p)
+    check("aut_commutes_T", p @ t, t @ p)
     try:
         ph = fqm.phi_r(module, _coprime_unit(module))
         m = aut_matrix(module, ph)
-        out["phi_r_commutes_S"] = (m @ s) == (s @ m)
+        check("phi_r_commutes_S", m @ s, s @ m)
     except PreconditionError:
         pass
     return out

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from discforms import cli, fqm, qseries
+from discforms import cli, fqm, qseries, weil
 
 
 def write_gram(path, gram):
@@ -31,6 +31,23 @@ def test_weil_check_passes(tmp_path, capsys):
     code, out = run(capsys, ["weil", "check", "--gram", str(g)])
     assert code == 0
     assert all(line.endswith("PASS") for line in out.strip().splitlines())
+
+
+def test_weil_check_names_a_witness(tmp_path, capsys, monkeypatch):
+    # with T replaced by T^2 every relation that involves T fails
+    g = tmp_path / "u3.txt"
+    write_gram(g, [[0, 3], [3, 0]])
+    rho_t = weil.rho_T
+    monkeypatch.setattr(weil, "rho_T", lambda module, power=1: rho_t(module, 2 * power))
+    code, out = run(capsys, ["weil", "check", "--gram", str(g)])
+    assert code == 3
+    lines = out.splitlines()
+    fail = lines.index("braid_STSTST_equals_Z\tFAIL")
+    assert lines[fail + 1].startswith("\tfirst difference at row (")
+    assert ": lhs - rhs = " in lines[fail + 1]
+    assert sum(line.endswith("\tFAIL") for line in lines) == sum(
+        line.startswith("\tfirst difference") for line in lines) >= 1
+    assert "unitary_S\tPASS" in lines
 
 
 def test_dims_table1_matches_function(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import cmath
 import random
+import resource
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -26,6 +29,50 @@ def test_metaplectic_group_relations():
             for n in range(14):
                 assert g ** (sign * n) == rep, (g, sign * n)
                 rep = rep @ base
+
+
+def _numeric_product(x, y):
+    """x @ y with the branch bit decided by complex values at tau = i.
+
+    The numeric rule that the integer cocycle replaced: phi_x(y i) phi_y(i)
+    is compared with the principal root of c i + d for the product matrix.
+    """
+    (a, b), (c, d) = x.matrix
+    (e, f), (g, h) = y.matrix
+    m = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    val = x.phi_at((e * 1j + f) / (g * 1j + h)) * y.phi_at(1j)
+    principal = cmath.sqrt(m[1][0] * 1j + m[1][1])
+    return weil.MetaplecticElement(m, 0 if abs(val - principal) < abs(val + principal) else 1)
+
+
+def _numeric_inverse(x):
+    (a, b), (c, d) = x.matrix
+    for bit in (0, 1):
+        cand = weil.MetaplecticElement(((d, -b), (-c, a)), bit)
+        if _numeric_product(x, cand) == weil.MetaplecticElement(((1, 0), (0, 1))):
+            return cand
+    raise AssertionError("no inverse branch")
+
+
+def test_integer_cocycle_matches_numeric_rule():
+    # every word of length <= 6 in S, T, Z and their inverses, built letter by
+    # letter: products and inverses agree with the numeric rule at every node
+    gens = [weil.gen_S(), weil.gen_T(), weil.gen_Z()]
+    letters = gens + [g.inverse() for g in gens]
+    assert [g.inverse() for g in gens] == [_numeric_inverse(g) for g in gens]
+    level = [weil.MetaplecticElement(((1, 0), (0, 1)))]
+    seen = 0
+    for _length in range(6):
+        nxt = []
+        for w in level:
+            for x in letters:
+                got = w @ x
+                assert got == _numeric_product(w, x), (w, x)
+                assert got.inverse() == _numeric_inverse(got), got
+                nxt.append(got)
+        seen += len(nxt)
+        level = nxt
+    assert seen == sum(6 ** k for k in range(1, 7))
 
 
 def test_rho_T():
@@ -212,6 +259,18 @@ def test_plus_subspace_restricted_unitarity():
                     want = w[i] if i == j else 0
                     assert (tot - want).is_zero()
         checked += 1
+
+
+def test_relations_at_orders_484_and_961():
+    # H(11) + H(2) and H(31), beyond the order-200 suite of criterion 3
+    start = time.perf_counter()
+    for a in (fqm.direct_sum(fqm.hyperbolic_module(11), fqm.hyperbolic_module(2)),
+              fqm.hyperbolic_module(31)):
+        rep = weil.relation_report(a)
+        assert len(rep) == 8 and all(rep.values()), (a.orders, rep)
+    assert time.perf_counter() - start < 60
+    # peak resident size of the whole test process, in MiB on Linux
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 500 * 1024
 
 
 def test_z_squared_scalar():

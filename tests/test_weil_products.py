@@ -1,7 +1,7 @@
 """The structured products of WeilMatrix against the dense reference loop.
 
 Every product is compared entrywise with dense_matmul_reference: the modulus,
-the coefficient map of every entry, and the scale.
+the coefficient map of every entry of the dense view .mat, and the scale.
 """
 
 import random
@@ -98,20 +98,97 @@ def test_products_of_products():
 
 
 def test_kernel_choice(monkeypatch):
+    # structured pairs never reach the dense kernel; dense pairs always do
     a = fqm.hyperbolic_module(3)
     m = generator_matrices(a)
+    st = m["S"] @ m["T"]
+    structured = [(m[x], m[y]) for x in m for y in m
+                  if (m[x].tag, m[y].tag) != ("table", "table")]
+    structured += [(m["S"] @ m["S_dag"], m["Z"]), (m["T"] @ m["S"] @ m["T"], m["T_inv"]),
+                   (m["S_dag"] @ m["Z"], m["T_inv"] @ m["S_dag"]), (st @ st, st)]
 
     def refuse(*args):
-        raise AssertionError("wrong kernel")
+        raise AssertionError("dense kernel on a structured pair")
 
     with monkeypatch.context() as mp:
         mp.setattr(weil, "_support_product", refuse)
-        for x, y in (("S", "S"), ("S", "S_dag"), ("S_dag", "S")):
-            assert_same_product(m[x], m[y], (x, y))
+        for x, y in structured:
+            assert (x @ y).tag != "dense", (x.tag, y.tag)
+            assert_same_product(x, y, (x.tag, y.tag))
+    calls = []
+    kernel = weil._support_product
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    dense = [dense_matmul_reference(m["T"], m["S"]), dense_matmul_reference(m["S"], m["Z"])]
     with monkeypatch.context() as mp:
-        mp.setattr(weil, "_phase_product", refuse)
-        for x, y in (("T", "S"), ("S", "Z"), ("neg", "S_dag"), ("Z", "Z"), ("T", "T_inv")):
-            assert_same_product(m[x], m[y], (x, y))
+        mp.setattr(weil, "_support_product", spy)
+        for x in dense:
+            for y in dense:
+                assert_same_product(x, y, "dense")
+    assert len(calls) == 4
+
+
+def test_structure_tags():
+    for a in (fqm.hyperbolic_module(5), profile_module((("h", 2), ("c", 3))),
+              fqm.cyclic_module(4, F(3, 8))):
+        m = generator_matrices(a)
+        assert m["S"].tag == m["S_dag"].tag == "character"
+        assert {m[x].tag for x in ("T", "T_inv", "Z", "neg")} == {"monomial"}
+        assert weil.identity_matrix(a).tag == "monomial"
+        st = m["S"] @ m["T"]
+        cube = st @ st @ st
+        for prod, tag in ((m["S"] @ m["S_dag"], "table"),
+                          (m["T"] @ m["S"] @ m["T"], "character"),
+                          ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), "table"),
+                          (cube, "table")):
+            assert prod.tag == tag, (a.orders, tag)
+        assert cube == m["Z"] and m["S"] @ m["S"] == m["Z"]
+
+
+WORD_LETTERS = ("S", "S_dag", "T", "T_inv", "Z", "neg", "phi_r")
+
+
+@pytest.mark.parametrize("profile", [(("h", 3),), (("h", 2), ("c", 3)), (("c", 8),),
+                                     (("h", 4),), (("h", 5),)],
+                         ids=lambda p: "".join("%s%d" % b for b in p))
+def test_random_words_against_dense_reference(profile):
+    # seeded words of length <= 5 in the generators, folded left to right
+    a = profile_module(profile)
+    mats = generator_matrices(a)
+    letters = [x for x in WORD_LETTERS if x in mats]
+    rng = random.Random("words:%s" % (profile,))
+    for _ in range(12):
+        word = [rng.choice(letters) for _ in range(rng.randint(2, 5))]
+        got = want = mats[word[0]]
+        for x in word[1:]:
+            got = got @ mats[x]
+            want = dense_matmul_reference(want, mats[x])
+            assert snapshot(got) == snapshot(want), word
+
+
+def test_first_difference_on_tags():
+    a = fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))
+    m = generator_matrices(a)
+    st = m["S"] @ m["T"]
+    # equal values under different tags and representations
+    assert (m["S"] @ m["S"]).first_difference(m["Z"]) is None
+    assert (st @ st @ st) == m["Z"]
+    for x in (m["S"], m["T"], m["S"] @ m["S_dag"], st @ st):
+        dense = weil.WeilMatrix(a, x.scale, x.mat)
+        assert x == dense and dense == x and x.first_difference(dense) is None
+    # differences: a power of T, a scale, a table against a scaled monomial
+    for x, y in ((m["T"], weil.rho_T(a, 2)), (m["S"], m["S"].scaled(-1)),
+                 (m["S"] @ m["S"], m["Z"].scaled(e_frac(F(1, 3)))),
+                 (m["T"] @ m["S"] @ m["T"], m["S_dag"] @ m["T"])):
+        i, j, d = x.first_difference(y)
+        assert not x == y
+        assert (x.entry(i, j) - y.entry(i, j) - d).is_zero() and not d.is_zero()
+        n = x.size
+        assert all((x.entry(k // n, k % n) - y.entry(k // n, k % n)).is_zero()
+                   for k in range(i * n + j)), (i, j)
 
 
 def _random_entry(rng, mod):
