@@ -74,7 +74,7 @@ def _cmd_vvmf_check(args):
     series = qseries.read_series(_read_text(args.series), module)
     print("weight: %s" % series.weight)
     print("truncation: %s" % series.truncation)
-    print("nonzero coefficients: %d" % len(series.coefficients))
+    print("nonzero coefficients: %d" % series.nonzero_count())
     print("support classes: %d" % len(series.support()))
     print("support congruence: PASS")
     return 0

@@ -192,9 +192,9 @@ class FiniteQuadraticModule:
                                    for c in product(*(range(d) for d in self.orders)))
         return self._elements
 
-    def q_value(self, x):
-        """Q(x) in [0, 1), read from the integer form N*Q with N = level()."""
-        n, nq, nb = self._level, self._nq, self._nb
+    def nq_value(self, x):
+        """The integer N*Q(x) mod N, with N = level()."""
+        nq, nb = self._nq, self._nb
         c = x.coords
         v = 0
         for i, ci in enumerate(c):
@@ -204,7 +204,11 @@ class FiniteQuadraticModule:
                 for j in range(i + 1, len(c)):
                     if c[j]:
                         v += ci * c[j] * row[j]
-        return Fraction(v % n, n)
+        return v % self._level
+
+    def q_value(self, x):
+        """Q(x) in [0, 1), read from the integer form N*Q with N = level()."""
+        return Fraction(self.nq_value(x), self._level)
 
     def q_histogram(self):
         """(N, counts) with N = level() and counts[k] = #{x : Q(x) = k/N} (cached).

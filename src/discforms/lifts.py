@@ -182,30 +182,30 @@ def vector_lift_closed(a, a_tilde, module, k, p, n, truncation=None):
         truncation = min(a.truncation, a_tilde.truncation / p)
     truncation = Fraction(truncation)
     out = VectorValuedQSeries(module, k, truncation)
-    # coefficients depend on mu only through Q(mu) and mu = 0
+    level = out.level
+    # coefficients depend on mu only through Q(mu) and mu = 0, so the mu with
+    # one Q value share one component dict
     by_residue = {}
     for mu in module.elements():
-        r = mu.q()
-        if r not in by_residue:
-            coeffs = {}
-            m = r
-            while m <= truncation:
-                v = scale * a_tilde.get(p * m)
-                if v:
-                    coeffs[m] = v
-                m += 1
-            by_residue[r] = coeffs
         if mu.is_zero():
             continue
-        for m, v in by_residue[r].items():
-            out.coefficients[mu.coords, m] = v
-    zero = module.zero()
-    m = Fraction(0)
-    while m <= truncation:
-        v = a.get(m) + scale * a_tilde.get(p * m)
+        r = module.nq_value(mu)
+        if r not in by_residue:
+            comp = {}
+            for e in range(r, out.k_max + 1, level):
+                v = scale * a_tilde.get(Fraction(p * e, level))
+                if v:
+                    comp[e] = v
+            by_residue[r] = comp
+        if by_residue[r]:
+            out.components[mu.coords] = by_residue[r]
+    zero = {}
+    for e in range(0, out.k_max + 1, level):
+        v = a.get(e // level) + scale * a_tilde.get(Fraction(p * e, level))
         if v:
-            out.coefficients[zero.coords, m] = v
-        m += 1
+            zero[e] = v
+    if zero:
+        out.components[module.zero().coords] = zero
     return out
 
 
@@ -240,11 +240,9 @@ def kernel_element(nf, n, kappa=None, truncation=Fraction(3)):
     a_tilde = nf.series * nf.eps
     vec = vector_lift_closed(nf.series, a_tilde, module, kappa, p, n,
                              truncation=truncation)
-    witness = None
-    for (c, m), v in sorted(vec.coefficients.items()):
-        witness = (c, m, v)
-        break
-    if witness is None:
+    if vec.is_zero():
         raise ConsistencyError("kernel lift vanished identically")
-    report["nonzero_witness"] = witness
+    c = min(vec.components)
+    e = min(vec.components[c])
+    report["nonzero_witness"] = (c, Fraction(e, vec.level), vec.components[c][e])
     return vec, report

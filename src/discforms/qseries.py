@@ -6,15 +6,26 @@ on (support and coset-translation invariance) are runtime-checked
 preconditions, so the combinatorics can be exercised on synthetic data.
 Everything the arrows and decompositions know about H^perp comes from the
 cached reduction: its fibers are the H-cosets sect(nu) + H, nu in H^perp/H.
+
+Storage: `components` maps the coords of mu to its component {k: c(k/N, mu)},
+with N = module.level() and the integer k = N*m (exact, since m = Q(mu) mod 1
+lies in (1/N)Z). Only nonzero values are stored and no component is empty.
+A component dict may be shared by several mu and by several series (up_arrow
+stores one dict for a whole fiber, lifts one dict per Q value), so a stored
+component is never mutated: set replaces it by a new dict (copy on write), and
+copy() copies the outer dict only.
 """
 
 from fractions import Fraction
+from math import floor, gcd
 from operator import attrgetter
 
 from . import fqm
 from ._intmat import is_prime, parse_rational
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
+
+_EMPTY = {}
 
 
 def _conj(v):
@@ -27,58 +38,141 @@ def _is_zero_value(v):
     return v == 0
 
 
+def _scaled(comp, scalar):
+    """{k: v * scalar} without the zero products."""
+    out = {}
+    for k, v in comp.items():
+        w = v * scalar
+        if not _is_zero_value(w):
+            out[k] = w
+    return out
+
+
+def _truncated(comp, k_max):
+    """comp without the exponents above k_max (comp itself when there are none)."""
+    if max(comp) <= k_max:
+        return comp
+    return {k: v for k, v in comp.items() if k <= k_max}
+
+
+def _summed(a, b):
+    """{k: a[k] + b[k]} without the zero sums."""
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, 0) + v
+        if _is_zero_value(w):
+            out.pop(k, None)
+        else:
+            out[k] = w
+    return out
+
+
 class VectorValuedQSeries:
-    """Truncated expansion Sum_{mu, m <= truncation} c(m, mu) q^m e_mu."""
+    """Truncated expansion Sum_{mu, m <= truncation} c(m, mu) q^m e_mu.
+
+    level is module.level(), the exponent scale k = level * m of the
+    components, and k_max = floor(level * truncation) the largest stored k.
+    """
 
     def __init__(self, module, weight, truncation):
         self.module = module
         self.weight = Fraction(weight)
         self.truncation = Fraction(truncation)
-        self.coefficients = {}
+        self.level = module.level()
+        self.k_max = floor(self.level * self.truncation)
+        self.components = {}
 
     def copy(self):
         out = VectorValuedQSeries(self.module, self.weight, self.truncation)
-        out.coefficients = dict(self.coefficients)
+        out.components = dict(self.components)
         return out
 
-    def set(self, mu, m, value):
-        m = Fraction(m)
-        if m % 1 != mu.q():
-            raise PreconditionError("exponent %s is not congruent to Q(%s) mod 1" % (m, mu))
-        if m > self.truncation:
+    def _exponent(self, mu, k, n):
+        """The stored exponent of m = k/n in mu's component, after the checks of set."""
+        level = self.level
+        kk, rest = divmod(k * level, n)
+        if rest or (kk - self.module.nq_value(mu)) % level:
+            raise PreconditionError("exponent %s is not congruent to Q(%s) mod 1"
+                                    % (Fraction(k, n), mu))
+        if kk > self.k_max:
             raise PreconditionError("exponent exceeds the truncation bound")
-        key = (mu.coords, m)
-        if _is_zero_value(value):
-            self.coefficients.pop(key, None)
+        return kk
+
+    def _put(self, mu, comp, n):
+        """Store {k: value} at the exponents k/n as mu's component, with the checks of set."""
+        out = {}
+        for k, v in comp.items():
+            k = self._exponent(mu, k, n)
+            if not _is_zero_value(v):
+                out[k] = v
+        if out:
+            self.components[mu.coords] = out
         else:
-            self.coefficients[key] = value
+            self.components.pop(mu.coords, None)
+
+    def set(self, mu, m, value):
+        """Set c(m, mu) in a new copy of mu's component, in time linear in its size.
+
+        Code that builds whole components (the arrows, read_series, the lifts)
+        checks and stores each component once instead.
+        """
+        m = Fraction(m)
+        k = self._exponent(mu, m.numerator, m.denominator)
+        comp = dict(self.components.get(mu.coords, _EMPTY))
+        if _is_zero_value(value):
+            comp.pop(k, None)
+        else:
+            comp[k] = value
+        if comp:
+            self.components[mu.coords] = comp
+        else:
+            self.components.pop(mu.coords, None)
 
     def get(self, mu, m):
-        return self.coefficients.get((mu.coords, Fraction(m)), 0)
+        k = Fraction(m) * self.level
+        if k.denominator != 1:
+            return 0
+        return self.components.get(mu.coords, _EMPTY).get(k.numerator, 0)
 
     def component(self, mu):
         """The coefficient map m -> c(m, mu) of one basis component."""
-        return {m: v for (c, m), v in self.coefficients.items() if c == mu.coords}
+        n = self.level
+        return {Fraction(k, n): v for k, v in self.components.get(mu.coords, _EMPTY).items()}
+
+    def items(self):
+        """Iterate ((coords, m), c(m, mu)) over the stored nonzero coefficients."""
+        n = self.level
+        for c, comp in self.components.items():
+            for k, v in comp.items():
+                yield (c, Fraction(k, n)), v
+
+    def nonzero_count(self):
+        """Number of stored nonzero coefficients."""
+        return sum(map(len, self.components.values()))
 
     def support(self):
         """Elements whose component is not identically zero."""
-        return sorted(set(c for (c, _m) in self.coefficients))
+        return sorted(self.components)
 
     def __add__(self, other):
         if self.module != other.module or self.weight != other.weight:
             raise PreconditionError("series are not compatible")
         out = VectorValuedQSeries(self.module, self.weight,
                                   min(self.truncation, other.truncation))
-        for (c, m), v in self.coefficients.items():
-            if m <= out.truncation:
-                out.coefficients[c, m] = v
-        for (c, m), v in other.coefficients.items():
-            if m <= out.truncation:
-                w = out.coefficients.get((c, m), 0) + v
-                if _is_zero_value(w):
-                    out.coefficients.pop((c, m), None)
-                else:
-                    out.coefficients[c, m] = w
+        k_max = out.k_max
+        comps = out.components
+        for c, comp in self.components.items():
+            comp = _truncated(comp, k_max)
+            if comp:
+                comps[c] = comp
+        for c, comp in other.components.items():
+            comp = _truncated(comp, k_max)
+            if c in comps:
+                comp = _summed(comps[c], comp)
+            if comp:
+                comps[c] = comp
+            else:
+                comps.pop(c, None)
         return out
 
     def __sub__(self, other):
@@ -86,33 +180,34 @@ class VectorValuedQSeries:
 
     def __mul__(self, scalar):
         out = VectorValuedQSeries(self.module, self.weight, self.truncation)
-        for key, v in self.coefficients.items():
-            w = v * scalar
-            if not _is_zero_value(w):
-                out.coefficients[key] = w
+        # components shared by several mu are scaled once
+        products = {}
+        for c, comp in self.components.items():
+            key = id(comp)
+            if key not in products:
+                products[key] = _scaled(comp, scalar)
+            if products[key]:
+                out.components[c] = products[key]
         return out
 
     __rmul__ = __mul__
 
     def is_zero(self):
-        return all(_is_zero_value(v) for v in self.coefficients.values())
+        return not self.components
 
     def __eq__(self, other):
         if not isinstance(other, VectorValuedQSeries):
             return NotImplemented
         if self.module != other.module:
             return False
-        keys = set(self.coefficients) | set(other.coefficients)
-        for c, m in keys:
-            a = self.coefficients.get((c, m), 0)
-            b = other.coefficients.get((c, m), 0)
-            if a != b:
-                return False
-        return True
+        mine, theirs = self.components, other.components
+        if mine.keys() != theirs.keys():
+            return False
+        return all(comp is theirs[c] or comp == theirs[c] for c, comp in mine.items())
 
     def __repr__(self):
         return "VectorValuedQSeries(module=%s, weight=%s, nonzero=%d)" % (
-            self.module.orders, self.weight, len(self.coefficients))
+            self.module.orders, self.weight, self.nonzero_count())
 
 
 # -- subquotient plumbing (cached per module and subgroup) -----------------------
@@ -149,25 +244,27 @@ def up_arrow(g, module, h):
     if g.module != b:
         raise PreconditionError("series does not live on the subquotient module")
     out = VectorValuedQSeries(module, g.weight, g.truncation)
-    for (c, m), v in g.coefficients.items():
+    scale = out.level // g.level
+    for c, comp in g.components.items():
+        if scale != 1:
+            comp = {k * scale: v for k, v in comp.items()}
         for mu in fibers[c]:
-            out.coefficients[mu.coords, m] = v
+            out.components[mu.coords] = comp
     return out
 
 
 def down_arrow(f, h):
     """Sum a series over the fibers: (f down)_nu = sum over mu in sect(nu) + H."""
     b, _proj, _sect, fibers = reduction(f.module, h)
-    owner = {mu.coords: nu for nu, mus in fibers.items() for mu in mus}
-    sums = {}
-    for (c, m), v in f.coefficients.items():
-        nu = owner.get(c)
-        if nu is not None:
-            key = (nu, m)
-            sums[key] = sums[key] + v if key in sums else v
     out = VectorValuedQSeries(b, f.weight, f.truncation)
-    for (nu, m), v in sums.items():
-        out.set(b.element(nu), m, v)
+    comps = f.components
+    for nu, mus in fibers.items():
+        sums = {}
+        for mu in mus:
+            for k, v in comps.get(mu.coords, _EMPTY).items():
+                sums[k] = sums[k] + v if k in sums else v
+        if sums:
+            out._put(b.element(nu), sums, f.level)
     return out
 
 
@@ -175,12 +272,17 @@ def pairing_at(f, g, m):
     """Hermitian coefficient pairing sum_mu f(m, mu) * conj(g(m, mu))."""
     if f.module != g.module:
         raise PreconditionError("series on different modules")
-    m = Fraction(m)
+    k = Fraction(m) * f.level
+    if k.denominator != 1:
+        return 0
+    k = k.numerator
+    theirs = g.components
     total = 0
-    for (c, mm), v in f.coefficients.items():
-        if mm == m:
-            w = g.coefficients.get((c, mm), 0)
-            if not _is_zero_value(w):
+    for c, comp in f.components.items():
+        v = comp.get(k)
+        if v is not None:
+            w = theirs.get(c, _EMPTY).get(k)
+            if w is not None:
                 total = total + v * _conj(w)
     return total
 
@@ -193,13 +295,15 @@ def is_supported_on(f, subgroup_or_elements):
 
 def _translation_invariant_on(f, mus, h):
     """Check f_{mu+mu'} = f_mu for the given mus and all mu' in h."""
+    comps = f.components
     for mu_coords in mus:
         mu = f.module.element(mu_coords)
-        base = f.component(mu)
+        base = comps.get(mu_coords)
         for hp in h.elements:
             if hp.is_zero():
                 continue
-            if f.component(mu + hp) != base:
+            comp = comps.get((mu + hp).coords)
+            if comp is not base and comp != base:
                 return False
     return True
 
@@ -329,8 +433,9 @@ def oldform_decompose(f, e, t):
                     "coset-translation invariance fails at depth %d" % level)
             h = VectorValuedQSeries(b, f.weight, f.truncation)
             for nu, mu in new:
-                for m, v in cur.component(mu).items():
-                    h.set(nu, m, v)
+                comp = cur.components.get(mu.coords)
+                if comp:
+                    h._put(nu, comp, cur.level)
             result[d] = h
             if not h.is_zero():
                 cur = cur - up_arrow(h, a, i_d)
@@ -365,14 +470,19 @@ def write_series(f):
     lines = ["module: " + ",".join(str(d) for d in f.module.orders),
              "weight: %d/%d" % (f.weight.numerator, f.weight.denominator),
              "truncation: %d/%d" % (f.truncation.numerator, f.truncation.denominator)]
-    for (c, m), v in sorted(f.coefficients.items()):
-        if isinstance(v, CyclotomicNumber):
-            text = repr(v)
-        else:
-            v = Fraction(v)
-            text = "%d/%d" % (v.numerator, v.denominator)
-        lines.append("mu=(%s) m=%d/%d coeff=%s" % (
-            ",".join(str(x) for x in c), m.numerator, m.denominator, text))
+    n = f.level
+    for c in sorted(f.components):
+        mu = ",".join(str(x) for x in c)
+        comp = f.components[c]
+        for k in sorted(comp):
+            v = comp[k]
+            if isinstance(v, CyclotomicNumber):
+                text = repr(v)
+            else:
+                v = Fraction(v)
+                text = "%d/%d" % (v.numerator, v.denominator)
+            g = gcd(k, n)
+            lines.append("mu=(%s) m=%d/%d coeff=%s" % (mu, k // g, n // g, text))
     return "\n".join(lines) + "\n"
 
 
@@ -391,6 +501,7 @@ def read_series(text, module):
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed weight or truncation in header %r"
                                 % "; ".join(lines[1:3])) from None
+    records = {}
     for ln in lines[3:]:
         try:
             fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
@@ -399,7 +510,15 @@ def read_series(text, module):
             coeff = fields["coeff"]
         except (KeyError, ValueError, ZeroDivisionError):
             raise PreconditionError("malformed series record %r" % ln) from None
-        out.set(module.element(coords), m, _parse_value(coeff))
+        mu = module.element(coords)
+        value = _parse_value(coeff)
+        # the checks of set, record by record; a later record of the same
+        # (mu, m) wins, and each component is stored once at the end
+        records.setdefault(mu.coords, {})[out._exponent(mu, m.numerator, m.denominator)] = value
+    for coords, comp in records.items():
+        comp = {k: v for k, v in comp.items() if not _is_zero_value(v)}
+        if comp:
+            out.components[coords] = comp
     return out
 
 

@@ -138,6 +138,12 @@ def gen_Z():
 # -- index tables -----------------------------------------------------------------
 
 
+# The tables hold two n x n integer arrays and every comparison walks n^2
+# entries, so time and memory grow as n^2: larger modules are refused before
+# any table is built.
+ORDER_BOUND = 2_500
+
+
 def _modulus(module):
     """The common modulus lcm(8, level) of the module's Weil matrices."""
     return lcm(8, module.level())
@@ -147,6 +153,9 @@ def _tables(module):
     """The module's _Tables, built on first use and kept with the module."""
     tab = module._weil_tables
     if tab is None:
+        if module.order() > ORDER_BOUND:
+            raise PreconditionError("module order %d exceeds the Weil representation bound %d"
+                                    % (module.order(), ORDER_BOUND))
         tab = module._weil_tables = _Tables(module)
     return tab
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import lcm
 
 from discforms import fqm
-from discforms._intmat import (image_basis, invert_rational, mat_mul, mat_vec,
+from discforms._intmat import (image_basis, invert_rational, mat_mul, mat_vec, parse_rational,
                                smith_normal_form, transpose)
 from discforms.cyclo import CyclotomicNumber, e_frac
-from discforms.errors import ConsistencyError
-from discforms.qseries import VectorValuedQSeries
+from discforms.errors import ConsistencyError, PreconditionError
+from discforms.qseries import (VectorValuedQSeries, _conj, _is_zero_value, _parse_value,
+                               reduction)
 from discforms.weil import WeilMatrix
 
 
@@ -375,3 +376,151 @@ def fqm_from_gram_reference(gram):
         tuple(d[i] for i in kept), [b_of(g, g) / 2 for g in gens],
         [[b_of(g, h) for h in gens] for g in gens])
     return module, gens
+
+
+# -- the flat-dict q-series, kept as the oracle for the component store --------
+
+
+class FlatQSeriesReference:
+    """A series as one dict {(coords, Fraction m): value}, with the checks of set.
+
+    The storage that qseries.VectorValuedQSeries replaced; every operation
+    scans the whole dict.
+    """
+
+    def __init__(self, module, weight, truncation):
+        self.module = module
+        self.weight = Fraction(weight)
+        self.truncation = Fraction(truncation)
+        self.coefficients = {}
+
+    def copy(self):
+        out = FlatQSeriesReference(self.module, self.weight, self.truncation)
+        out.coefficients = dict(self.coefficients)
+        return out
+
+    def set(self, mu, m, value):
+        m = Fraction(m)
+        if m % 1 != mu.q():
+            raise PreconditionError("exponent %s is not congruent to Q(%s) mod 1" % (m, mu))
+        if m > self.truncation:
+            raise PreconditionError("exponent exceeds the truncation bound")
+        key = (mu.coords, m)
+        if _is_zero_value(value):
+            self.coefficients.pop(key, None)
+        else:
+            self.coefficients[key] = value
+
+    def get(self, mu, m):
+        return self.coefficients.get((mu.coords, Fraction(m)), 0)
+
+    def component(self, mu):
+        return {m: v for (c, m), v in self.coefficients.items() if c == mu.coords}
+
+    def support(self):
+        return sorted(set(c for (c, _m) in self.coefficients))
+
+    def __add__(self, other):
+        if self.module != other.module or self.weight != other.weight:
+            raise PreconditionError("series are not compatible")
+        out = FlatQSeriesReference(self.module, self.weight,
+                                   min(self.truncation, other.truncation))
+        for (c, m), v in self.coefficients.items():
+            if m <= out.truncation:
+                out.coefficients[c, m] = v
+        for (c, m), v in other.coefficients.items():
+            if m <= out.truncation:
+                w = out.coefficients.get((c, m), 0) + v
+                if _is_zero_value(w):
+                    out.coefficients.pop((c, m), None)
+                else:
+                    out.coefficients[c, m] = w
+        return out
+
+    def __sub__(self, other):
+        return self + (other * -1)
+
+    def __mul__(self, scalar):
+        out = FlatQSeriesReference(self.module, self.weight, self.truncation)
+        for key, v in self.coefficients.items():
+            w = v * scalar
+            if not _is_zero_value(w):
+                out.coefficients[key] = w
+        return out
+
+    def is_zero(self):
+        return all(_is_zero_value(v) for v in self.coefficients.values())
+
+    def __eq__(self, other):
+        if self.module != other.module:
+            return False
+        keys = set(self.coefficients) | set(other.coefficients)
+        return all(self.coefficients.get(key, 0) == other.coefficients.get(key, 0)
+                   for key in keys)
+
+
+def flat_up_arrow_reference(g, module, h):
+    """qseries.up_arrow on the flat dict: every coefficient copied to each mu of its fiber."""
+    _b, _proj, _sect, fibers = reduction(module, h)
+    out = FlatQSeriesReference(module, g.weight, g.truncation)
+    for (c, m), v in g.coefficients.items():
+        for mu in fibers[c]:
+            out.coefficients[mu.coords, m] = v
+    return out
+
+
+def flat_down_arrow_reference(f, h):
+    """qseries.down_arrow on the flat dict: fiber sums stored through set."""
+    b, _proj, _sect, fibers = reduction(f.module, h)
+    owner = {mu.coords: nu for nu, mus in fibers.items() for mu in mus}
+    sums = {}
+    for (c, m), v in f.coefficients.items():
+        nu = owner.get(c)
+        if nu is not None:
+            key = (nu, m)
+            sums[key] = sums[key] + v if key in sums else v
+    out = FlatQSeriesReference(b, f.weight, f.truncation)
+    for (nu, m), v in sums.items():
+        out.set(b.element(nu), m, v)
+    return out
+
+
+def flat_pairing_at_reference(f, g, m):
+    """qseries.pairing_at by a scan over every stored coefficient."""
+    m = Fraction(m)
+    total = 0
+    for (c, mm), v in f.coefficients.items():
+        if mm == m:
+            w = g.coefficients.get((c, mm), 0)
+            if not _is_zero_value(w):
+                total = total + v * _conj(w)
+    return total
+
+
+def flat_write_series_reference(f):
+    """qseries.write_series on the flat dict, records sorted by (coords, m)."""
+    lines = ["module: " + ",".join(str(d) for d in f.module.orders),
+             "weight: %d/%d" % (f.weight.numerator, f.weight.denominator),
+             "truncation: %d/%d" % (f.truncation.numerator, f.truncation.denominator)]
+    for (c, m), v in sorted(f.coefficients.items()):
+        if isinstance(v, CyclotomicNumber):
+            text = repr(v)
+        else:
+            v = Fraction(v)
+            text = "%d/%d" % (v.numerator, v.denominator)
+        lines.append("mu=(%s) m=%d/%d coeff=%s" % (
+            ",".join(str(x) for x in c), m.numerator, m.denominator, text))
+    return "\n".join(lines) + "\n"
+
+
+def flat_read_series_reference(text, module):
+    """The reader that sets one record at a time: a later record of the same (mu, m) wins."""
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    weight, truncation = (parse_rational(ln.split(":", 1)[1].strip()) for ln in lines[1:3])
+    out = FlatQSeriesReference(module, weight, truncation)
+    for ln in lines[3:]:
+        fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
+        coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
+        out.set(module.element(coords), parse_rational(fields["m"]),
+                _parse_value(fields["coeff"]))
+    return out

@@ -218,7 +218,7 @@ def test_criterion_7_kernel_lift(capsys):
     assert report["condition"] and vec is not None
     scale = F(1, 121)
     nonzero = 0
-    for (c, m), v in vec.coefficients.items():
+    for (c, m), v in vec.items():
         if any(c):
             assert v == -scale * g.get(11 * m)
         else:

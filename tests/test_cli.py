@@ -190,3 +190,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("precondition failure: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_weil_check_refuses_a_module_above_the_order_bound(tmp_path, capsys):
+    g = tmp_path / "u51.txt"
+    write_gram(g, [[0, 51], [51, 0]])
+    assert cli.main(["weil", "check", "--gram", str(g)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition failure: module order 2601 exceeds the Weil "
+                            "representation bound %d\n" % weil.ORDER_BOUND)

@@ -194,7 +194,7 @@ class TestVectorLift:
         swap = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
         auts.append(fqm.Automorphism(self.module, swap))
         for h in auts:
-            for (c, m), v in vec.coefficients.items():
+            for (c, m), v in vec.items():
                 img = h(self.module.element(c))
                 assert vec.get(img, m) == v
 

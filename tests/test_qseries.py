@@ -1,13 +1,18 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from discforms import fqm, qseries as qs
-from discforms.cyclo import e_frac
+from discforms import fqm, lifts, qseries as qs
+from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import PreconditionError
-from helpers import (block, fibers_reference, newpart_series, profile_module,
-                     random_isotropic_subgroup, random_module, random_series, un)
+from helpers import (FlatQSeriesReference, block, fibers_reference, flat_down_arrow_reference,
+                     flat_pairing_at_reference, flat_read_series_reference,
+                     flat_up_arrow_reference, flat_write_series_reference, newpart_series,
+                     profile_module, random_isotropic_subgroup, random_module, random_series,
+                     un)
 
 # The module profiles of the newform_roundtrip benchmark (NEWFORM_SLOTS).
 NEWFORM_PROFILES = (
@@ -136,8 +141,8 @@ def test_down_arrow_checks_every_sum_it_sets():
     h = fqm.cyclic_subgroup_id(a, e, 2)
     mu, nu = qs.reduction(a, h)[3][(1, 0)]
     f = qs.VectorValuedQSeries(a, F(3), F(2))
-    f.coefficients[mu.coords, F(3)] = F(1)
-    f.coefficients[nu.coords, F(3)] = F(-1)
+    f.components[mu.coords] = {3 * f.level: F(1)}
+    f.components[nu.coords] = {3 * f.level: F(-1)}
     with pytest.raises(PreconditionError, match="truncation"):
         qs.down_arrow(f, h)
 
@@ -416,3 +421,202 @@ def test_series_file_roundtrip(tmp_path):
     assert back.weight == f.weight and back.truncation == f.truncation
     with pytest.raises(PreconditionError):
         qs.read_series(text, fqm.hyperbolic_module(4))
+
+
+# -- the component store against the flat-dict oracle -----------------------------
+
+
+def _oracle_cases():
+    """The fiber cases, plus every module the other tests of this file build
+    outside them, each with its trivial and all its isotropic subgroups."""
+    yield from _fiber_cases()
+    extra = [fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))]
+    rng = random.Random(21)  # replays the draws of test_up_support_and_down_up
+    for _ in range(10):
+        a = random_module(rng, max_order=40)
+        h = random_isotropic_subgroup(rng, a)
+        if h.order > 1:
+            random_series(qs.reduction(a, h)[0], F(3), F(2), rng)
+        extra.append(a)
+    for a in extra:
+        subs = [fqm.Subgroup(a, [a.zero()])]
+        for d in range(2, a.order() + 1):
+            if a.order() % (d * d) == 0:
+                subs += fqm.isotropic_subgroups(a, d)
+        yield a, subs
+
+
+def _oracle_value(rng):
+    """A random rational or cyclotomic value; zero, and cyclotomic zeros, included."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return CyclotomicNumber(4, {0: F(1), 2: F(1)})  # 1 + i^2 = 0
+    if kind == 1:
+        return CyclotomicNumber(rng.choice((3, 4, 8)),
+                                {rng.randrange(8): F(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(2)})
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _oracle_exponent(rng, module, mu):
+    """Congruent exponents below and past the truncation, non-congruent ones,
+    and exponents outside (1/N)Z."""
+    n = module.level()
+    kind = rng.randrange(6)
+    if kind == 4 and n > 1:
+        return mu.q() + F(rng.randrange(1, n), n)
+    if kind == 5:
+        return mu.q() + F(1, 2 * n + 1)
+    return mu.q() + rng.randint(-1, 3)
+
+
+def _same_call(fast, ref):
+    """Run both calls: both refuse with one message (None), or both return (got, want)."""
+    try:
+        want = ref()
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match="^%s$" % re.escape(str(exc))):
+            fast()
+        return None
+    return fast(), want
+
+
+def _agree(f, r):
+    assert f.module == r.module and f.truncation == r.truncation
+    assert dict(f.items()) == r.coefficients
+    assert f.nonzero_count() == len(r.coefficients)
+    assert f.support() == r.support() and f.is_zero() == r.is_zero()
+    assert all(f.components.values())  # no empty component is stored
+    assert qs.write_series(f) == flat_write_series_reference(r)
+
+
+def _oracle_pair(module, rng, truncation):
+    f = qs.VectorValuedQSeries(module, F(3), truncation)
+    r = FlatQSeriesReference(module, F(3), truncation)
+    density = min(0.4, 60 / module.order())
+    for mu in module.elements():
+        m = mu.q()
+        while m <= truncation:
+            if rng.random() < density:
+                v = _oracle_value(rng)
+                f.set(mu, m, v)
+                r.set(mu, m, v)
+            m += 1
+    return f, r
+
+
+def _oracle_round(a, h, rng):
+    b = qs.reduction(a, h)[0]
+    pools = {}
+    for mod in (a, b):
+        pools[mod] = [_oracle_pair(mod, rng, rng.choice((F(2), F(3, 2), F(5, 2))))
+                      for _ in range(2)]
+    for _ in range(14):
+        mod = rng.choice((a, b))
+        pool = pools[mod]
+        (f, r), (g, s) = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(9)
+        if op == 0:
+            for _ in range(4):
+                mu = rng.choice(mod.elements())
+                m, v = _oracle_exponent(rng, mod, mu), _oracle_value(rng)
+                _same_call(lambda: f.set(mu, m, v), lambda: r.set(mu, m, v))
+                assert f.get(mu, m) == r.get(mu, m)
+                assert f.component(mu) == r.component(mu)
+        elif op == 1:
+            pool.append((f + g, r + s))
+        elif op == 2:
+            pool.append((f - g, r - s))
+        elif op == 3:
+            c = rng.choice((0, 1, -1, F(2, 3), CyclotomicNumber(4, {1: F(1)})))
+            pool.append((f * c, r * c))
+        elif op == 4:
+            assert (f == g) == (r == s) and (f == f * 1) and (r == r * 1)
+        elif op == 5:
+            up, ref_up = rng.choice(pools[b])
+            pools[a].append((qs.up_arrow(up, a, h), flat_up_arrow_reference(ref_up, a, h)))
+        elif op == 6:
+            down, ref_down = rng.choice(pools[a])
+            pools[b].append((qs.down_arrow(down, h), flat_down_arrow_reference(ref_down, h)))
+        elif op == 7:
+            n = mod.level()
+            for m in (F(0), F(1), F(rng.randrange(3 * n), n), F(1, 2 * n + 1), F(-1, n)):
+                assert qs.pairing_at(f, g, m) == flat_pairing_at_reference(r, s, m)
+        else:
+            f2, r2 = f.copy(), r.copy()
+            mu = rng.choice(mod.elements())
+            m = mu.q()
+            f2.set(mu, m, F(7))
+            r2.set(mu, m, F(7))
+            pool.append((f2, r2))
+    for pool in pools.values():
+        for f, r in pool:
+            _agree(f, r)
+    # a shuffled file with repeated records, some of them zero, and one bad record
+    lines = qs.write_series(rng.choice(pools[a])[0]).splitlines()
+    head, records = lines[:3], lines[3:]
+    mu = rng.choice(a.elements())
+    m = mu.q() + rng.randint(0, 2)
+    records += [rec.rsplit("=", 1)[0] + "=" + rng.choice(("0", "-2/3", "1 * z4^1"))
+                for rec in rng.sample(records, len(records) // 3)]
+    records.append("mu=(%s) m=%s coeff=5" % (",".join(map(str, mu.coords)), m))
+    rng.shuffle(records)
+    text = "\n".join(head + records) + "\n"
+    both = _same_call(lambda: qs.read_series(text, a), lambda: flat_read_series_reference(text, a))
+    if both:
+        _agree(*both)
+    bad = "mu=(%s) m=%s coeff=1" % (",".join(map(str, mu.coords)), m + F(1, 2 * a.level() + 1))
+    records.insert(rng.randrange(len(records) + 1), bad)
+    text = "\n".join(head + records) + "\n"
+    _same_call(lambda: qs.read_series(text, a), lambda: flat_read_series_reference(text, a))
+
+
+def test_component_store_matches_flat_oracle():
+    """Seeded random sequences through the component store and the flat-dict
+    oracle: values agree one by one and the written files byte for byte."""
+    rng = random.Random(808)
+    count = 0
+    for a, subs in _oracle_cases():
+        for h in subs:
+            _oracle_round(a, h, rng)
+            count += 1
+    assert count > 200
+
+
+def test_set_never_writes_through_a_shared_component():
+    """up_arrow, copy, vector_lift_closed and f * 1 may share component dicts;
+    a set on one mu changes that mu's component only, and never the source."""
+    rng = random.Random(909)
+    a, e = u_with_line(6)
+    h = fqm.cyclic_subgroup_id(a, e, 3)
+    g = random_series(qs.reduction(a, h)[0], F(3), F(2), rng, density=0.9)
+    f = random_series(a, F(3), F(2), rng, density=0.9)
+    scalar = lifts.ScalarQSeries(2, 3, 9)
+    for l in range(10):
+        scalar.set(l, rng.randint(1, 5))
+    lift_module = lifts.lift_module(3, 2)
+    vec = lifts.vector_lift_closed(scalar, scalar * 2, lift_module, 2, 3, 2, truncation=2)
+
+    def snapshot(series):
+        return {x.coords: series.component(x) for x in series.module.elements()}
+
+    # (source, derived, whether derived must share a component dict)
+    for source, derived, sharing in ((g, qs.up_arrow(g, a, h), True), (f, f.copy(), True),
+                                     (f, f * 1, False), (vec, vec, True)):
+        source_before = snapshot(source)
+        scalar_before = dict(scalar.coefficients)
+        before = snapshot(derived)
+        holders = Counter(map(id, derived.components.values()))
+        if source is not derived:
+            holders.update(map(id, source.components.values()))
+        shared = [c for c in derived.support() if holders[id(derived.components[c])] > 1]
+        assert shared or not sharing
+        mu = derived.module.element((shared or derived.support())[0])
+        m = min(derived.component(mu))
+        derived.set(mu, m, derived.get(mu, m) + 1)
+        after = snapshot(derived)
+        assert after[mu.coords] != before[mu.coords]
+        assert all(after[c] == before[c] for c in before if c != mu.coords)
+        if source is not derived:
+            assert snapshot(source) == source_before
+        assert scalar.coefficients == scalar_before

@@ -277,3 +277,14 @@ def test_z_squared_scalar():
     a = fqm.fqm_from_gram([[2]])
     z = weil.rho_Z(a)
     assert (z @ z) == weil.identity_matrix(a).scaled(e_frac(F(-a.signature(), 2)))
+
+
+def test_relation_suite_refuses_modules_above_the_order_bound():
+    a = fqm.hyperbolic_module(51)  # order 2601
+    assert a.order() > weil.ORDER_BOUND >= 961
+    start = time.perf_counter()
+    for call in (weil.relation_report, weil.rho_S, weil.rho_T):
+        with pytest.raises(PreconditionError, match="exceeds the Weil representation bound"):
+            call(a)
+    assert a._weil_tables is None
+    assert time.perf_counter() - start < 1
