@@ -149,9 +149,6 @@ def _cmd_lifts_kernel(args):
     vec, report = lifts.kernel_element(nf, args.n, kappa, truncation=truncation)
     print("eps: %d" % eps)
     print("condition: %s" % ("PASS" if report["condition"] else "FAIL"))
-    if not report["condition"]:
-        print("first_violation: %d" % report["first_violation"])
-        return 3
     coords, m, value = report["nonzero_witness"]
     print("nonzero_witness: mu=(%s) m=%s coeff=%s" % (
         ",".join(str(c) for c in coords), m, value))

@@ -87,11 +87,11 @@ class CyclotomicNumber:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rational(r, mod=1):
+    def from_rational(r):
         r = Fraction(r)
         if r.denominator == 1:
             r = int(r)
-        return CyclotomicNumber(mod, {0: r} if r else {})
+        return CyclotomicNumber(1, {0: r} if r else {})
 
     @classmethod
     def _normalized(cls, mod, coeffs):

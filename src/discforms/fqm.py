@@ -3,7 +3,8 @@
 A module is presented by generator orders, the form values Q(g_i), and the
 bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
 [0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
-N = level(), from which Q values and the Q-value histogram are computed.
+N = level(), from which Q values, pairings, the Q-value histogram and the
+Weil layer's index tables are computed.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra;
 only isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND.
@@ -253,14 +254,9 @@ class FiniteQuadraticModule:
         return [sum(ci * row[j] for ci, row in zip(c, self._nb)) % n for j in range(len(c))]
 
     def bilinear_value(self, x, y):
-        b = Fraction(0)
-        for i, ci in enumerate(x.coords):
-            if ci:
-                row = self.bilinear[i]
-                for j, cj in enumerate(y.coords):
-                    if cj:
-                        b += ci * cj * row[j]
-        return b % 1
+        """(x, y) in [0, 1), read from the integer form N*(g_i, g_j) with N = level()."""
+        return Fraction(sum(map(mul, x.coords, self._pairing_row(y.coords))) % self._level,
+                        self._level)
 
     # -- misc --------------------------------------------------------------------
 
@@ -383,14 +379,6 @@ class Automorphism:
         return self.module.element(tuple(
             sum(self.matrix[i][j] * x.coords[j] for j in range(self.module.rank))
             for i in range(self.module.rank)))
-
-    def compose(self, other):
-        return Automorphism(self.module, mat_mul(self.matrix, other.matrix))
-
-    def __eq__(self, other):
-        if not isinstance(other, Automorphism) or self.module != other.module:
-            return NotImplemented
-        return all(self(x) == other(x) for x in self.module.generators())
 
 
 def identity_automorphism(module):

@@ -69,12 +69,15 @@ def eta_qexp(truncation):
     return eta_quotient({1: 1}, truncation)
 
 
-def eta_quotient(exponents, truncation, weight=None, level=None):
+def eta_quotient(exponents, truncation):
     """Product of eta(d tau)^{r_d} as a ScalarQSeries up to the truncation.
 
     The fractional prefix sum(d*r_d)/24 is carried into the exponents exactly.
-    Negative powers expand through geometric series.
+    Negative powers expand through geometric series. The weight is sum(r_d)/2
+    and the level the largest d.
     """
+    if not exponents:
+        raise PreconditionError("an eta quotient needs at least one d:r factor")
     truncation = Fraction(truncation)
     prefix = sum(Fraction(d * r, 24) for d, r in exponents.items())
     n_terms = int(truncation - prefix)
@@ -95,11 +98,7 @@ def eta_quotient(exponents, truncation, weight=None, level=None):
                 for _ in range(-r):
                     for i in range(s, n_terms + 1):
                         poly[i] += poly[i - s]
-    if weight is None:
-        weight = Fraction(sum(exponents.values()), 2)
-    if level is None:
-        level = max(exponents)
-    out = ScalarQSeries(weight, level, truncation)
+    out = ScalarQSeries(Fraction(sum(exponents.values()), 2), max(exponents), truncation)
     for j, c in enumerate(poly):
         if c:
             out.coefficients[prefix + j] = Fraction(c)
@@ -209,36 +208,26 @@ def vector_lift_closed(a, a_tilde, module, k, p, n, truncation=None):
     return out
 
 
-def kernel_element(nf, n, kappa=None, truncation=Fraction(3)):
+def kernel_element(nf, n, kappa, truncation=Fraction(3)):
     """Build the lift of a newform satisfying the kernel condition, with a report.
 
     The condition compares the coefficient-extraction operator with the level
     involution: a(p*l) = -p^{w/2-1} * eps * a(l) for every stored l (w the
-    weight). On success the vector-valued lift with transformed input
-    eps * a is returned and certified nonzero.
+    weight). NewformData checks it on construction, so the report's condition
+    is always True. The vector-valued lift with transformed input eps * a is
+    returned and certified nonzero: a(1) != 0 gives it a nonzero coefficient
+    at m = 1/p, so a truncation below 1/p is refused.
     """
-    if kappa is None:
-        kappa = Fraction(1 + Fraction(n, 2))
-    kappa = Fraction(kappa)
-    if Fraction(nf.weight) != kappa:
+    if nf.weight != Fraction(kappa):
         raise PreconditionError("newform weight does not match the lift weight")
     p = nf.p
-    expo = Fraction(kappa, 2) - 1
-    if expo.denominator != 1:
-        raise PreconditionError("half-integral comparison exponents are unsupported")
-    factor = -nf.eps * Fraction(p) ** int(expo)
+    truncation = Fraction(truncation)
+    if truncation < Fraction(1, p):
+        raise PreconditionError("truncation %s is below 1/p = 1/%d" % (truncation, p))
     report = {"condition": True, "first_violation": None}
-    bound = int(nf.series.truncation)
-    for l in range(bound // p + 1):
-        if nf.series.get(p * l) != factor * nf.series.get(l):
-            report["condition"] = False
-            report["first_violation"] = l
-            break
-    if not report["condition"]:
-        return None, report
     module = lift_module(p, n)
     a_tilde = nf.series * nf.eps
-    vec = vector_lift_closed(nf.series, a_tilde, module, kappa, p, n,
+    vec = vector_lift_closed(nf.series, a_tilde, module, nf.weight, p, n,
                              truncation=truncation)
     if vec.is_zero():
         raise ConsistencyError("kernel lift vanished identically")

@@ -87,25 +87,32 @@ def inc_gamma_upper(s, x):
     return math.exp(-x + s * math.log(x)) * h
 
 
-def _de_nodes(level, base_h=1.0, t_max=6.5):
+# the double-exponential trapezoid: step 1/2^level on [-T_MAX, T_MAX], levels 0..MAX_LEVEL
+T_MAX = 6.5
+MAX_LEVEL = 10
+# the relative accuracy v_kappa asks of its quadrature
+REL_TOL = 1e-10
+
+
+def _de_nodes(level):
     """Abscissas of the double-exponential trapezoid new to this level."""
-    h = base_h / (1 << level)
+    h = 1.0 / (1 << level)
     if level == 0:
         ts = [0.0]
         k = 1
-        while k * h <= t_max:
+        while k * h <= T_MAX:
             ts.extend((k * h, -k * h))
             k += 1
         return h, ts
     ts = []
     k = 1
-    while k * h <= t_max:
+    while k * h <= T_MAX:
         ts.extend((k * h, -k * h))
         k += 2
     return h, ts
 
 
-def _de_integrate(f, transform, rel_tol, max_level=10):
+def _de_integrate(f, transform, tol):
     """Trapezoid sums under a double-exponential change of variables.
 
     transform(t) yields (y, weight) or None when the weight underflows.
@@ -114,7 +121,7 @@ def _de_integrate(f, transform, rel_tol, max_level=10):
     total = 0.0
     prev = None
     err = float("inf")
-    for level in range(max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         h, ts = _de_nodes(level)
         part = 0.0
         for t in ts:
@@ -129,7 +136,7 @@ def _de_integrate(f, transform, rel_tol, max_level=10):
         if prev is not None:
             err = abs(total - prev)
             scale = max(abs(total), 1e-300)
-            if err <= rel_tol * scale and level >= 3:
+            if err <= tol * scale and level >= 3:
                 return total, err, evaluations
         prev = total
     return total, err, evaluations
@@ -159,8 +166,8 @@ def _branch_high(t):
     return y, w
 
 
-def v_kappa(kappa, a, b, rel_tol=1e-10):
-    """The special integral, split at y = 1, with an adaptive error estimate."""
+def v_kappa(kappa, a, b):
+    """The special integral, split at y = 1, to the relative accuracy REL_TOL (adaptive)."""
     kappa, a, b = _finite(kappa, a, b)
     if kappa <= 1:
         raise PreconditionError("requires kappa > 1")
@@ -175,12 +182,12 @@ def v_kappa(kappa, a, b, rel_tol=1e-10):
         g = inc_gamma_upper(kappa - 1.0, a2 * y) if a2 * y > 0 else gamma
         return g * math.exp(expo) * y ** -1.5
 
-    v1, e1, n1 = _de_integrate(integrand, _branch_low, rel_tol / 2)
-    v2, e2, n2 = _de_integrate(integrand, _branch_high, rel_tol / 2)
+    v1, e1, n1 = _de_integrate(integrand, _branch_low, REL_TOL / 2)
+    v2, e2, n2 = _de_integrate(integrand, _branch_high, REL_TOL / 2)
     value = v1 + v2
     err = e1 + e2
     if not math.isfinite(value):
         raise PreconditionError("V_kappa(%r, %r, %r) is not a finite float" % (kappa, a, b))
-    if err > rel_tol * max(abs(value), 1e-300) * 4:
+    if err > REL_TOL * max(abs(value), 1e-300) * 4:
         raise ToleranceNotMet("quadrature error %.3e exceeds the target" % err)
     return QuadratureResult(value=value, error_estimate=err, evaluations=n1 + n2)

@@ -191,9 +191,10 @@ class _Tables:
             steps[c] = (i, c - strides[i])
         shifts = [[c + s if x[i] < d - 1 else c - (d - 1) * s for c, x in enumerate(coords)]
                   for i, (d, s) in enumerate(zip(orders, strides))]
-        gram = [[int(m * b) % m for b in row] for row in module.bilinear]
-        gen_pair = [[sum(map(mul, x, row)) % m for x in coords] for row in gram]
-        gen_q = [int(m * q) % m for q in module.q_values]
+        # the module's integer form N*(g_i, g_j), N*Q(g_i) at N = level, rescaled to M
+        s = m // module.level()
+        gen_pair = [[s * sum(map(mul, x, row)) % m for x in coords] for row in module._nb]
+        gen_q = [s * q for q in module._nq]
         self.add = add_rows = [list(range(n))]
         self.pair = pair = [[0] * n]
         self.q = q = [0] * n
@@ -612,41 +613,10 @@ def _support_product(a, b, mod):
 # -- generators -------------------------------------------------------------------
 
 
-def _index(module):
-    return {x.coords: i for i, x in enumerate(module.elements())}
-
-
-def _permutation(module, dst):
-    """Matrix sending e_y to e_{dst[y]} for a list of codes dst."""
-    tab = _tables(module)
-    n = tab.n
-    src = [None] * n
-    for y, x in enumerate(dst):
-        src[x] = y
-    one = CyclotomicNumber.one()
-    if None in src:
-        # not a bijection: a 0/1 matrix with the images as supports
-        mat = [[tab.objs[0]] * n for _ in range(n)]
-        for y, x in enumerate(dst):
-            mat[x][y] = tab.roots[0]
-        return WeilMatrix(module, one, mat)
-    for k in (1, -1):
-        if dst == tab.mul(k):
-            src = dst = k % tab.exponent
-            break
-    return WeilMatrix._tagged(module, one, "monomial", (src, dst, tab.zeros))
-
-
 def identity_matrix(module):
     tab = _tables(module)
     return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial",
                               (tab.one, tab.one, tab.zeros))
-
-
-def permutation_matrix(module, images):
-    """Matrix sending basis vector e_x to e_{images[x]}."""
-    tab = _tables(module)
-    return _permutation(module, [tab.code(y.coords) for y in images])
 
 
 def rho_T(module, power=1):
@@ -685,8 +655,17 @@ def aut_matrix(module, h):
     if not isinstance(h, fqm.Automorphism):
         raise PreconditionError("expected a checked automorphism")
     tab = _tables(module)
-    return _permutation(module, tab.linear_map([tab.code(h(g).coords)
-                                                for g in module.generators()]))
+    dst = tab.linear_map([tab.code(h(g).coords) for g in module.generators()])
+    for k in (1, -1):
+        if dst == tab.mul(k):
+            src = dst = k % tab.exponent
+            break
+    else:
+        # e_y goes to e_{dst[y]}, so row x reads column src[x] with dst[src[x]] = x
+        src = [0] * tab.n
+        for y, x in enumerate(dst):
+            src[x] = y
+    return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial", (src, dst, tab.zeros))
 
 
 def _word_in_generators(matrix):
@@ -757,20 +736,15 @@ def plus_subspace(module, k):
     """
     fqm.check_weight_parity(module, k)
     reps = fqm.orbit_representatives(module)
-    weights = [1 if (x + x).is_zero() else 2 for x in reps]
-    idx = _index(module)
+    tab = _tables(module)
+    codes = [tab.code(x.coords) for x in reps]
+    neg = tab.mul(-1)
+    weights = [1 if neg[y] == y else 2 for y in codes]
 
     def restrict(full):
-        rows = []
-        for x in reps:
-            row = []
-            xi = idx[x.coords]
-            for y in reps:
-                v = full.mat[xi][idx[y.coords]]
-                if not (y + y).is_zero():
-                    v = v + full.mat[xi][idx[(-y).coords]]
-                row.append(v)
-            rows.append(row)
+        mat = full.mat
+        rows = [[mat[x][y] if neg[y] == y else mat[x][y] + mat[x][neg[y]] for y in codes]
+                for x in codes]
         return WeilMatrix(module, full.scale, rows)
 
     t_mat = restrict(rho_T(module))

@@ -193,6 +193,18 @@ def q_value_reference(module, x):
     return q % 1
 
 
+def bilinear_value_reference(module, x, y):
+    """(x, y) summed in Fractions from the presentation's bilinear matrix."""
+    b = Fraction(0)
+    for i, ci in enumerate(x.coords):
+        if ci:
+            row = module.bilinear[i]
+            for j, cj in enumerate(y.coords):
+                if cj:
+                    b += ci * cj * row[j]
+    return b % 1
+
+
 def gauss_sum_reference(module, c):
     """Sum of e(c*Q(x)) over module.elements(), at the lcm of the value denominators.
 

@@ -148,6 +148,8 @@ MALFORMED_ARGS = {
     "zero_denominator_weight": ("u3", ["dims", "report", "--weight", "1/0"]),
     "non_numeric_kappa": (None, LIFT + ["--kappa", "abc", "--truncation", "1"]),
     "non_numeric_truncation": (None, LIFT + ["--kappa", "2", "--truncation", "x"]),
+    "eta_without_factor": (None, ["lifts", "kernel", "--p", "11", "--kappa", "2", "--eta", "5"]),
+    "zero_truncation": (None, LIFT + ["--kappa", "2", "--truncation", "0"]),
     "non_integer_ell": ("u3", ["lattice", "split", "--ell", "a,b"]),
     "short_ell": ("u3", ["lattice", "split", "--ell", "1"]),
     "nan_kappa": (None, SPECFUN + ["--kappa", "nan", "--a", "1"]),
@@ -165,7 +167,8 @@ MALFORMED_ARGS = {
                                   "non_integer_mu", "token_without_equals",
                                   "non_numeric_weight", "non_numeric_report_weight",
                                   "zero_denominator_weight", "non_numeric_kappa",
-                                  "non_numeric_truncation", "non_integer_ell", "short_ell",
+                                  "non_numeric_truncation", "eta_without_factor",
+                                  "zero_truncation", "non_integer_ell", "short_ell",
                                   "nan_kappa", "infinite_a", "gamma_overflow_kappa",
                                   "huge_kappa", "value_overflow_kappa", "level_above_bound",
                                   "order_above_bound"])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,7 +8,8 @@ import pytest
 from discforms import cyclo, fqm
 from discforms._intmat import is_prime, signature_pair
 from discforms.errors import PreconditionError
-from helpers import block, fqm_from_gram_reference, random_even_gram, random_module, un
+from helpers import (bilinear_value_reference, block, fqm_from_gram_reference, random_even_gram,
+                     random_module, un)
 from test_lattice import LEVEL_GRAMS
 
 
@@ -59,6 +61,39 @@ def test_construction_bounds():
         fqm.fqm_from_gram([[2000000000]])
     # order 2*10^6 and level 4000, the largest Picard table row of interest
     assert fqm.ORDER_BOUND >= 2 * 1000 ** 2 and fqm.LEVEL_BOUND >= 4 * 1000
+
+
+# (orders, q_values, bilinear, message) for each presentation check of FiniteQuadraticModule
+BAD_PRESENTATIONS = {
+    "zero_order": ((0,), (0,), ((0,),), "generator orders must be positive"),
+    "short_q_values": ((2,), (), ((F(1, 2),),), "inconsistent presentation sizes"),
+    "ragged_bilinear": ((2, 2), (F(1, 4), F(1, 4)), ((F(1, 2),), (0, F(1, 2))),
+                        "bilinear matrix is not square"),
+    "diagonal_not_2q": ((2,), (F(1, 4),), ((0,),),
+                        "diagonal pairing must equal 2*Q on generators"),
+    "q_order": ((2,), (F(1, 3),), ((F(2, 3),),), "Q value incompatible with generator order"),
+    "asymmetric": ((2, 2), (0, 0), ((0, F(1, 2)), (0, 0)), "bilinear matrix must be symmetric"),
+    "pairing_order": ((2, 2), (0, 0), ((0, F(1, 3)), (F(1, 3), 0)),
+                      "pairing incompatible with generator order"),
+    "degenerate": ((2,), (0,), ((0,),), "quadratic form is degenerate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
+def test_presentation_checks(case):
+    orders, q_values, bilinear, message = BAD_PRESENTATIONS[case]
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        fqm.FiniteQuadraticModule(orders, q_values, bilinear)
+
+
+def test_bilinear_value_matches_fraction_sums():
+    rng = random.Random(47)
+    for _ in range(12):
+        a = random_module(rng)
+        elts = a.elements()
+        for x in elts:
+            for y in elts:
+                assert a.bilinear_value(x, y) == bilinear_value_reference(a, x, y), (a, x, y)
 
 
 def test_direct_sum_identity_and_signature():

@@ -313,3 +313,26 @@ def test_eq_detects_one_entry_and_scale_differences():
         assert not s == s.scaled(c) and not s.scaled(c) == s, c
     ident = weil.identity_matrix(a)
     assert ident.is_identity() and not ident.scaled(-1).is_identity()
+
+
+@pytest.mark.parametrize("profile", [(("h", 3),), (("h", 2), ("c", 3)), (("c", 4),),
+                                     (("h", 2), ("c", 5))],
+                         ids=lambda p: "".join("%s%d" % b for b in p))
+def test_conj_transpose_on_tags(profile):
+    # the tag is kept, the scale is conjugated, and entry (i, j) is entry (j, i) conjugated
+    a = profile_module(profile)
+    m = generator_matrices(a)
+    rng = random.Random("conj:%s" % (profile,))
+    cases = [(m["T"], "monomial"), (weil.rho_T(a, -3), "monomial"), (m["Z"], "monomial"),
+             (m["neg"], "monomial"), (m["S"], "character"), (m["S_dag"], "character"),
+             (m["T"] @ m["S"] @ m["T"], "character"), (m["S"] @ m["S_dag"], "table"),
+             (m["S"] @ m["S"], "table"),
+             ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), "table"),
+             (_random_matrix(rng, a), "dense")]
+    n = a.order()
+    for x, tag in cases:
+        y = x.conj_transpose()
+        assert x.tag == y.tag == tag
+        assert y.scale == x.scale.conjugate(), tag
+        assert all(y.mat[i][j] == x.mat[j][i].conjugate()
+                   for i in range(n) for j in range(n)), tag
