@@ -16,7 +16,7 @@ rational extraction runs on integers and the division comes after it. No
 element and no matrix is materialized.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import cyclo, fqm
@@ -24,15 +24,11 @@ from .cyclo import e_frac
 from .errors import ConsistencyError, PreconditionError
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    d: int
-    alpha_T: Fraction
-    mult_S: tuple          # multiplicities of (+1, -1) for the normalized S
-    mult_ST: tuple         # multiplicities of (1, e(1/3), e(2/3)) for the normalized ST
-    dim_M: int
-    dim_S: int
-    iso_orbit_count: int
+# mult_S: multiplicities of (+1, -1) for the normalized S
+# mult_ST: multiplicities of (1, e(1/3), e(2/3)) for the normalized ST
+class DimensionReport(namedtuple("DimensionReport",
+                                 "d alpha_T mult_S mult_ST dim_M dim_S iso_orbit_count")):
+    __slots__ = ()
 
     def lines(self):
         yield "d: %d" % self.d

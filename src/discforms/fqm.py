@@ -221,8 +221,24 @@ class FiniteQuadraticModule:
                                self._count_q_values([range(d) for d in self.orders]))
         return self._histogram
 
+    def nq_values(self, choices):
+        """N*Q(x) mod N, with N = level(), for the x with x_i in choices[i].
+
+        The values come in itertools.product(*choices) order, so with
+        choices = [range(d) for d in orders] they follow elements().
+        """
+        return [v for row in self._nq_rows(choices) for v in row]
+
     def _count_q_values(self, choices):
-        """counts[k] = #{x : Q(x) = k/N} over the x with x_i in choices[i].
+        """counts[k] = #{x : Q(x) = k/N} over the x with x_i in choices[i]."""
+        counts = [0] * self._level
+        for row in self._nq_rows(choices):
+            for v in row:
+                counts[v] += 1
+        return tuple(counts)
+
+    def _nq_rows(self, choices):
+        """The values of nq_values, one list per prefix x_0..x_{r-2}.
 
         A prefix recursion: fixing x_0..x_{i-1} leaves N*Q of the prefix and
         its pairings N*(prefix, g_j) with the later generators, so the last
@@ -231,22 +247,20 @@ class FiniteQuadraticModule:
         n, nq, nb = self._level, self._nq, self._nb
         r = len(choices)
         if r == 0:
-            return (1,)
-        counts = [0] * n
+            yield [0]
+            return
 
         def walk(i, v, pair):
             q, p = nq[i], pair[i]
             if i == r - 1:
-                for c in choices[i]:
-                    counts[(v + c * (c * q + p)) % n] += 1
+                yield [(v + c * (c * q + p)) % n for c in choices[i]]
                 return
             row = nb[i]
             for c in choices[i]:
-                walk(i + 1, (v + c * (c * q + p)) % n,
-                     [(pair[j] + c * row[j]) % n for j in range(r)])
+                yield from walk(i + 1, (v + c * (c * q + p)) % n,
+                                [(pair[j] + c * row[j]) % n for j in range(r)])
 
-        walk(0, 0, [0] * r)
-        return tuple(counts)
+        yield from walk(0, 0, [0] * r)
 
     def _pairing_row(self, c):
         """(N*(x, g_j) mod N)_j for the coordinates c of x, with N = level()."""

@@ -7,7 +7,7 @@ converge at machine precision within a few refinement levels.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionError, ConsistencyError
 
@@ -16,11 +16,7 @@ class ToleranceNotMet(ConsistencyError):
     """The adaptive refinement stopped before reaching the requested accuracy."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+QuadratureResult = namedtuple("QuadratureResult", "value error_estimate evaluations")
 
 
 def _finite(*args):

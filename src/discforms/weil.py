@@ -191,19 +191,16 @@ class _Tables:
             steps[c] = (i, c - strides[i])
         shifts = [[c + s if x[i] < d - 1 else c - (d - 1) * s for c, x in enumerate(coords)]
                   for i, (d, s) in enumerate(zip(orders, strides))]
-        # the module's integer form N*(g_i, g_j), N*Q(g_i) at N = level, rescaled to M
+        # the module's integer form N*(g_i, g_j), N*Q at N = level, rescaled to M
         s = m // module.level()
         gen_pair = [[s * sum(map(mul, x, row)) % m for x in coords] for row in module._nb]
-        gen_q = [s * q for q in module._nq]
+        self.q = [s * v for v in module.nq_values([range(d) for d in orders])]
         self.add = add_rows = [list(range(n))]
         self.pair = pair = [[0] * n]
-        self.q = q = [0] * n
-        # Q(x + e_i) = Q(x) + Q(e_i) + (x, e_i)
         for c in range(1, n):
             i, p = steps[c]
             add_rows.append(list(map(shifts[i].__getitem__, add_rows[p])))
             pair.append(list(map(fold, map(add, pair[p], gen_pair[i]))))
-            q[c] = (q[p] + gen_q[i] + pair[p][strides[i]]) % m
         self.zeros = [0] * n
         self.ones = [1] * n
         self._mul = {self.one: add_rows[0]}

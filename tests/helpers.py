@@ -536,3 +536,59 @@ def flat_read_series_reference(text, module):
         out.set(module.element(coords), parse_rational(fields["m"]),
                 _parse_value(fields["coeff"]))
     return out
+
+
+def eta_quotient_reference(exponents, truncation):
+    """lifts.eta_quotient by a loop over the factors (1 - q^{dm}), O(|r| n^2 / d).
+
+    Each factor multiplies (r > 0) or divides (r < 0) the dense expansion in
+    place; the pentagonal kernel of lifts.eta_quotient is checked against it.
+    """
+    truncation = Fraction(truncation)
+    prefix = sum(Fraction(d * r, 24) for d, r in exponents.items())
+    n_terms = int(truncation - prefix)
+    assert n_terms >= 0
+    poly = [0] * (n_terms + 1)
+    poly[0] = 1
+    for d, r in sorted(exponents.items()):
+        for m in range(1, n_terms // d + 1):
+            s = d * m
+            for _ in range(max(r, 0)):
+                for i in range(n_terms, s - 1, -1):
+                    poly[i] -= poly[i - s]
+            for _ in range(max(-r, 0)):
+                for i in range(s, n_terms + 1):
+                    poly[i] += poly[i - s]
+    return {prefix + j: Fraction(c) for j, c in enumerate(poly) if c}
+
+
+def vector_lift_reference(a, a_tilde, module, k, p, n, truncation):
+    """lifts.vector_lift_closed by a loop over module.elements().
+
+    The coefficient at (m, mu) is p^{-(k+n)/2} a_tilde(pm), plus a(m) at mu = 0.
+    """
+    scale = Fraction(1, p ** int((Fraction(k) + n) / 2))
+    out = VectorValuedQSeries(module, k, truncation)
+    level = out.level
+    by_residue = {}
+    for mu in module.elements():
+        if mu.is_zero():
+            continue
+        r = module.nq_value(mu)
+        if r not in by_residue:
+            comp = {}
+            for e in range(r, out.k_max + 1, level):
+                v = scale * a_tilde.get(Fraction(p * e, level))
+                if v:
+                    comp[e] = v
+            by_residue[r] = comp
+        if by_residue[r]:
+            out.components[mu.coords] = by_residue[r]
+    zero = {}
+    for e in range(0, out.k_max + 1, level):
+        v = a.get(e // level) + scale * a_tilde.get(Fraction(p * e, level))
+        if v:
+            zero[e] = v
+    if zero:
+        out.components[module.zero().coords] = zero
+    return out

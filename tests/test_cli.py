@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from discforms import cli, fqm, qseries, weil
+from discforms import cli, dims, fqm, qseries, specfun, weil
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# modules a cold CLI call must not import: dataclasses pulls in inspect, and
+# inspect pulls in ast, dis and tokenize
+HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def write_gram(path, gram):
@@ -88,6 +97,30 @@ def test_lifts_kernel(capsys):
     assert "m=1 coeff=120/121" in out
 
 
+def test_cli_import_graph_stays_light():
+    code = ("import sys, discforms.cli; heavy = sorted(set(%r) & set(sys.modules)); "
+            "assert not heavy, heavy" % (HEAVY_IMPORTS,))
+    # -S: no site hooks, so only the import of discforms.cli adds modules
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_report_records_are_immutable_tuples():
+    report = dims.dim_M(fqm.fqm_from_gram([[2]]), F(5, 2))
+    assert report._fields == ("d", "alpha_T", "mult_S", "mult_ST", "dim_M", "dim_S",
+                              "iso_orbit_count")
+    result = specfun.v_kappa(2.0, 0.0, 0.0)
+    assert result._fields == ("value", "error_estimate", "evaluations")
+    for record, field in ((report, "dim_S"), (result, "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    assert report == dims.dim_M(fqm.fqm_from_gram([[2]]), F(5, 2))
+    assert hash(report) == hash(dims.dim_M(fqm.fqm_from_gram([[2]]), F(5, 2)))
+
+
 def test_specfun_vkappa(capsys):
     code, out = run(capsys, ["specfun", "vkappa", "--kappa", "2.0", "--a", "0", "--b", "0"])
     assert code == 0
@@ -150,6 +183,9 @@ MALFORMED_ARGS = {
     "non_numeric_truncation": (None, LIFT + ["--kappa", "2", "--truncation", "x"]),
     "eta_without_factor": (None, ["lifts", "kernel", "--p", "11", "--kappa", "2", "--eta", "5"]),
     "zero_truncation": (None, LIFT + ["--kappa", "2", "--truncation", "0"]),
+    "truncation_above_qbound": (None, LIFT + ["--kappa", "2", "--truncation", "30"]),
+    "huge_qbound": (None, ["lifts", "kernel", "--p", "11", "--kappa", "2", "--eta",
+                           "1,1:2,11:2", "--qbound", str(10 ** 12)]),
     "non_integer_ell": ("u3", ["lattice", "split", "--ell", "a,b"]),
     "short_ell": ("u3", ["lattice", "split", "--ell", "1"]),
     "nan_kappa": (None, SPECFUN + ["--kappa", "nan", "--a", "1"]),
@@ -168,7 +204,8 @@ MALFORMED_ARGS = {
                                   "non_numeric_weight", "non_numeric_report_weight",
                                   "zero_denominator_weight", "non_numeric_kappa",
                                   "non_numeric_truncation", "eta_without_factor",
-                                  "zero_truncation", "non_integer_ell", "short_ell",
+                                  "zero_truncation", "truncation_above_qbound",
+                                  "huge_qbound", "non_integer_ell", "short_ell",
                                   "nan_kappa", "infinite_a", "gamma_overflow_kappa",
                                   "huge_kappa", "value_overflow_kappa", "level_above_bound",
                                   "order_above_bound"])

@@ -7,7 +7,6 @@ dim_M_reference takes its traces in Fraction coefficients.
 
 import random
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction as F
 from functools import lru_cache
 from math import lcm
@@ -96,7 +95,7 @@ def _weights(module):
 def test_dimension_reports_on_named_modules(name):
     a = NAMED[name]
     for k in _weights(a):
-        assert asdict(dims.dim_M(a, k)) == dim_M_reference(a, k, _reference_gauss), k
+        assert dims.dim_M(a, k)._asdict() == dim_M_reference(a, k, _reference_gauss), k
 
 
 def test_dimension_reports_on_table_rows():
@@ -105,15 +104,15 @@ def test_dimension_reports_on_table_rows():
     # rows of perfbench/golden.json; its inputs are compared up to n = 40 above
     for n in range(1, 31):
         a = dims.table_row_module(n)
-        assert asdict(dims.dim_M(a, F(5, 2))) == dim_M_reference(a, F(5, 2), _reference_gauss), n
+        assert dims.dim_M(a, F(5, 2))._asdict() == dim_M_reference(a, F(5, 2), _reference_gauss), n
 
 
 def test_dimension_reports_on_kohnen_weights():
     a = NAMED["A1"]
     for k in (F(5, 2), F(9, 2), F(13, 2), F(17, 2), F(21, 2), F(25, 2)):
-        assert asdict(dims.dim_M(a, k)) == dim_M_reference(a, k, _reference_gauss), k
+        assert dims.dim_M(a, k)._asdict() == dim_M_reference(a, k, _reference_gauss), k
     t = NAMED["trivial"]
-    assert asdict(dims.dim_M(t, 12)) == dim_M_reference(t, 12, _reference_gauss)
+    assert dims.dim_M(t, 12)._asdict() == dim_M_reference(t, 12, _reference_gauss)
 
 
 def _element_histogram(module):
@@ -134,6 +133,17 @@ def test_histogram_counts_the_elements(name):
     two_torsion = [x for x in a.elements() if (x + x).is_zero()]
     assert n2 == n and sum(counts2) == len(two_torsion)
     assert counts2 == tuple(sum(1 for x in two_torsion if x.q() * n == k) for k in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_nq_values_follow_the_elements(name):
+    a = NAMED[name]
+    assert a.nq_values([range(d) for d in a.orders]) == [a.nq_value(x) for x in a.elements()]
+    assert a.nq_values([range(d) for d in a.orders]) == [
+        q_value_reference(a, x) * a.level() for x in a.elements()]
+    halves = [(0, d // 2) if d % 2 == 0 else (0,) for d in a.orders]
+    assert a.nq_values(halves) == [a.nq_value(x) for x in a.elements()
+                                   if all(c in h for c, h in zip(x.coords, halves))]
 
 
 def _convolve(ha, hb):

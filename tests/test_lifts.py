@@ -5,6 +5,7 @@ import pytest
 
 from discforms import fqm, lifts
 from discforms.errors import PreconditionError
+from helpers import eta_quotient_reference, vector_lift_reference
 
 
 def _pentagonal_euler(n_terms):
@@ -16,7 +17,7 @@ def _pentagonal_euler(n_terms):
         for kk in (k, -k) if k else (0,):
             e = kk * (3 * kk - 1) // 2
             if e <= n_terms:
-                poly[e] += (-1) ** kk
+                poly[e] += -1 if kk % 2 else 1
                 hit = True
         if not hit:
             break
@@ -91,6 +92,38 @@ class TestEta:
     def test_truncation_contract(self):
         g = lifts.eta_quotient({1: 2, 11: 2}, 50)
         assert all(l <= 50 for l in g.coefficients)
+
+    def test_truncation_below_the_leading_exponent_refused(self):
+        # eta = q^{1/24} + ...: a truncation in [0, 1/24) holds no term
+        for truncation in (0, F(1, 48), -1):
+            with pytest.raises(PreconditionError, match="below the leading exponent"):
+                lifts.eta_quotient({1: 1}, truncation)
+        assert lifts.eta_quotient({1: 1}, F(1, 24)).coefficients == {F(1, 24): 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pentagonal_kernel_against_factor_loop_and_brute_force(self, seed):
+        rng = random.Random(4200 + seed)
+        for _ in range(50):
+            exps = {rng.randint(1, 12): rng.randint(-4, 4) for _ in range(rng.randint(1, 3))}
+            n_terms = rng.randint(0, 300)
+            prefix = sum(F(d * r, 24) for d, r in exps.items())
+            truncation = prefix + n_terms + F(rng.randint(0, 23), 24)
+            series = lifts.eta_quotient(exps, truncation)
+            assert series.coefficients == eta_quotient_reference(exps, truncation), exps
+            assert (series.weight, series.level) == (F(sum(exps.values()), 2), max(exps))
+            brute = brute_eta_quotient(exps, n_terms)
+            assert [series.get(prefix + j) for j in range(n_terms + 1)] == brute, exps
+
+    def test_term_bound_refused_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(lifts, "TERM_BOUND", 50)
+        at_bound = 50 + F(1, 24)
+        assert (lifts.eta_quotient({1: 1}, at_bound).coefficients
+                == eta_quotient_reference({1: 1}, at_bound))
+        with pytest.raises(PreconditionError, match="51 eta quotient terms exceed the bound 50"):
+            lifts.eta_quotient({1: 1}, at_bound + 1)
+        monkeypatch.undo()
+        with pytest.raises(PreconditionError, match="exceed the bound"):
+            lifts.eta_quotient({1: 2, 11: 2}, 11 * 10 ** 12)
 
 
 class TestUp:
@@ -211,6 +244,13 @@ class TestVectorLift:
         v_sum = lifts.vector_lift_closed(a_sum, t_sum, self.module, 2, 3, 2, truncation=2)
         assert v_sum == v1 + v2
 
+    def test_truncation_above_the_input_refused(self):
+        a, at = self._series(10), self._series(11)
+        # a_tilde up to 9 fixes the lift up to 9/3 = 3
+        assert lifts.vector_lift_closed(a, at, self.module, 2, 3, 2).truncation == 3
+        with pytest.raises(PreconditionError, match="exceeds 3"):
+            lifts.vector_lift_closed(a, at, self.module, 2, 3, 2, truncation=F(10, 3))
+
     def test_signature_guard(self):
         bad = fqm.hyperbolic_module(3)  # rank 2, not n + 2 = 4
         with pytest.raises(PreconditionError):
@@ -227,8 +267,34 @@ class TestKernelElement:
         z = vec.module.zero()
         assert vec.get(z, 1) == 1 - F(1, 121)
 
+    def test_truncation_above_qbound_refused(self):
+        # qbound 20: the input is known up to q^220, its level-involution image to 20
+        g = lifts.eta_quotient({1: 2, 11: 2}, 220)
+        nf = lifts.NewformData(g, -1, 2, 11)
+        assert lifts.kernel_element(nf, 2, 2, truncation=20)[0].truncation == 20
+        with pytest.raises(PreconditionError, match="truncation 30 exceeds 20"):
+            lifts.kernel_element(nf, 2, 2, truncation=30)
+
     def test_wrong_weight_rejected(self):
         g = lifts.eta_quotient({1: 2, 11: 2}, 110)
         nf = lifts.NewformData(g, -1, 2, 11)
         with pytest.raises(PreconditionError):
             lifts.kernel_element(nf, 10, 6)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 10)])
+def test_lift_matches_the_element_loop(p, n):
+    module = lifts.lift_module(p, n)
+    rng = random.Random(100 * p + n)
+    trunc = 4 * p
+    a = lifts.ScalarQSeries(2, p, trunc)
+    at = lifts.ScalarQSeries(2, p, trunc)
+    for l in range(trunc + 1):
+        a.set(l, rng.randint(-5, 5))
+        at.set(l, rng.choice([0, rng.randint(-5, 5)]))
+    for truncation in (None, F(1, p), F(5, 2)):
+        vec = lifts.vector_lift_closed(a, at, module, 2, p, n, truncation=truncation)
+        ref = vector_lift_reference(a, at, module, 2, p, n, vec.truncation)
+        assert vec == ref
+        # the same component dicts, inserted in the same order
+        assert list(vec.components.items()) == list(ref.components.items())
