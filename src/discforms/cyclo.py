@@ -1,8 +1,9 @@
 """Exact arithmetic with roots of unity.
 
 Values live in the group ring Q[x]/(x^M - 1): a sparse map exponent -> rational
-coefficient. Sums and products never canonicalize; reduction modulo the M-th
-cyclotomic polynomial happens only for equality tests, zero tests, and rational
+coefficient. Sums and products never canonicalize; reduction to the canonical
+basis of Q(zeta_M), the tensor product of the power bases of Q(zeta_q) over the
+prime powers q || M, happens only for equality tests, zero tests and rational
 extraction, which keeps long generator-matrix products cheap.
 """
 
@@ -12,62 +13,26 @@ from math import gcd, lcm
 import cmath
 
 from ._intmat import is_prime
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m):
-    """Coefficient tuple (low to high) of the m-th cyclotomic polynomial.
+def _basis_plan(m):
+    """Per prime p | m, with q = p^e exactly dividing m: (q, q - q/p, shifts).
 
-    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is built from
-    Phi_1 = x - 1 one prime p at a time by Phi_{np}(x) = Phi_n(x^p) / Phi_n(x).
+    By CRT an exponent x is its parts x mod q. The top base-p digit of the q-part
+    is p - 1 exactly when x mod q >= q - q/p. The shifts k*m/p (k = 1..p-1) leave
+    the parts of the other primes alone and, as m/q is a unit mod p, move that
+    digit to each of the others once.
     """
-    if m < 1:
-        raise PreconditionError("modulus must be positive")
-    poly, rad = [-1, 1], 1
+    plan = []
     for p in range(2, m + 1):
         if m % p == 0 and is_prime(p):
-            poly, rad = _poly_div_exact(_spread(poly, p), poly), rad * p
-    return tuple(_spread(poly, m // rad))
-
-
-def _spread(poly, k):
-    """Coefficients of poly(x^k)."""
-    out = [0] * (k * (len(poly) - 1) + 1)
-    out[::k] = poly
-    return out
-
-
-def _poly_div_exact(num, den):
-    """Exact division of integer polynomials with monic denominator."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise AssertionError("division was not exact")
-    return out
-
-
-def _poly_rem(coeffs, phi):
-    """Remainder of a dense coefficient list modulo the monic polynomial phi."""
-    deg = len(phi) - 1
-    terms = [(j - deg, p) for j, p in enumerate(phi[:deg]) if p]
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j, p in terms:
-                rem[i + j] -= c * p
-    return rem[:deg]
-
-
-_ZERO_MEMO = {}
+            q = p
+            while m % (q * p) == 0:
+                q *= p
+            plan.append((q, q - q // p, range(m // p, m, m // p)))
+    return tuple(plan)
 
 
 class CyclotomicNumber:
@@ -220,23 +185,29 @@ class CyclotomicNumber:
     # -- canonicalization ---------------------------------------------------
 
     def reduce(self):
-        """Canonical representative modulo the cyclotomic polynomial."""
-        phi = cyclotomic_polynomial(self.mod)
-        dense = [0] * self.mod
-        for e, c in self.coeffs.items():
-            dense[e] = c
-        rem = _poly_rem(dense, phi)
-        return CyclotomicNumber(self.mod, {e: c for e, c in enumerate(rem) if c})
+        """Canonical form at the same modulus.
+
+        The basis is the tensor product, over the prime powers q || mod, of the
+        power bases 1, w, ..., w^(phi(q)-1) of the q-th root w whose other CRT parts
+        are 0: no exponent has top digit p - 1 in its q-part. A term with that digit
+        is minus the sum of its p - 1 shifts to the other digits, since the p-th
+        roots of unity sum to zero. The primes are cleared one after another, and a
+        shift moves no other prime's digit. At a prime power this is the remainder
+        modulo Phi_q.
+        """
+        mod, out = self.mod, dict(self.coeffs)
+        for q, top, shifts in _basis_plan(mod):
+            for e in [e for e in out if e % q >= top]:
+                c = out.pop(e)
+                for s in shifts:
+                    f = e + s
+                    if f >= mod:
+                        f -= mod
+                    out[f] = out.get(f, 0) - c
+        return CyclotomicNumber._normalized(mod, {e: c for e, c in out.items() if c})
 
     def is_zero(self):
-        if not self.coeffs:
-            return True
-        key = (self.mod, frozenset(self.coeffs.items()))
-        hit = _ZERO_MEMO.get(key)
-        if hit is None:
-            hit = not self.reduce().coeffs
-            _ZERO_MEMO[key] = hit
-        return hit
+        return not self.reduce().coeffs
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -164,7 +164,14 @@ def _primitive_isotropic(lat, ell):
 
 
 def _solve_unit_pairing(ell):
-    """Integer x with x . ell = 1, via the extended gcd chain."""
+    """Integer x with x . ell = 1, via the extended gcd chain.
+
+    _solve_scaled_pairing solves the same kind of equation by another chain
+    (it skips zero entries and keeps each partial gcd positive) and picks a
+    different solution. Both stay: this solution fixes split_UN's ell_tilde,
+    which `discforms lattice split` prints, so merging the chains would change
+    that output; test_gcd_chain_solutions_are_stable pins both choices.
+    """
     n = len(ell)
     g = ell[0]
     cur = [1] + [0] * (n - 1)
@@ -259,7 +266,12 @@ def sublattice_K0(lat, ell):
 
 
 def _solve_scaled_pairing(c, g):
-    """Integer x with c . x = g = gcd(c)."""
+    """Integer x with c . x = g = gcd(c).
+
+    Not merged with _solve_unit_pairing: the two chains pick different
+    solutions, the choice shows in `discforms lattice split` output, and
+    test_gcd_chain_solutions_are_stable pins both.
+    """
     n = len(c)
     out = [0] * n
     cur_g = 0

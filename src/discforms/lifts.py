@@ -53,6 +53,10 @@ class ScalarQSeries:
 
     def __mul__(self, c):
         out = ScalarQSeries(self.weight, self.level, self.truncation)
+        if c == 1:
+            # a copy, not self: set() mutates
+            out.coefficients = dict(self.coefficients)
+            return out
         for l, v in self.coefficients.items():
             w = v * c
             if w:

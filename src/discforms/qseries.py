@@ -460,8 +460,8 @@ def resum_decomposition(parts, module, e):
 # -- file format -------------------------------------------------------------------
 
 # Coefficient roots of unity may have order up to the Weil-matrix modulus
-# lcm(8, level) of the largest admissible module; a zero test reduces modulo the
-# cyclotomic polynomial of that order, which is built densely.
+# lcm(8, level) of the largest admissible module; a zero test at that order costs
+# at most order * sum(p - 1) dict operations over the primes p dividing it.
 ROOT_ORDER_BOUND = 8 * fqm.LEVEL_BOUND
 
 

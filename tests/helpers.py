@@ -1,11 +1,12 @@
 """Shared generators and reference oracles for randomized exact tests. Everything is seeded."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from discforms import fqm
-from discforms._intmat import (image_basis, invert_rational, mat_mul, mat_vec, parse_rational,
-                               smith_normal_form, transpose)
+from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
+                               parse_rational, smith_normal_form, transpose)
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import ConsistencyError, PreconditionError
 from discforms.qseries import (VectorValuedQSeries, _conj, _is_zero_value, _parse_value,
@@ -180,6 +181,54 @@ def cyclotomic_polynomial_reference(m):
             assert not any(poly)
             poly = out
     return poly
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_radical(m):
+    """Phi_m as a coefficient tuple (low to high), fast enough for orders near 40000.
+
+    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is built from
+    Phi_1 = x - 1 one prime p at a time by Phi_{np}(x) = Phi_n(x^p) / Phi_n(x).
+    """
+    def spread(poly, k):
+        out = [0] * (k * (len(poly) - 1) + 1)
+        out[::k] = poly
+        return out
+
+    poly, rad = [-1, 1], 1
+    for p in range(2, m + 1):
+        if m % p == 0 and is_prime(p):
+            num, den = spread(poly, p), poly
+            out = [0] * (len(num) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                out[i] = c = num[i + len(den) - 1]
+                if c:
+                    for j, dj in enumerate(den):
+                        num[i + j] -= c * dj
+            assert not any(num), "division was not exact"
+            poly, rad = out, rad * p
+    return tuple(spread(poly, m // rad))
+
+
+def phi_remainder_reference(x):
+    """The remainder of a CyclotomicNumber modulo Phi_mod, as {exponent: coefficient}.
+
+    This is the canonical form on the power basis 1, z, ..., z^(phi(mod)-1): two
+    numbers at one modulus are equal exactly when their remainders are.
+    """
+    phi = cyclotomic_polynomial_radical(x.mod)
+    deg = len(phi) - 1
+    terms = [(j - deg, c) for j, c in enumerate(phi[:deg]) if c]
+    rem = [0] * x.mod
+    for e, c in x.coeffs.items():
+        rem[e] = c
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = 0
+            for j, p in terms:
+                rem[i + j] -= c * p
+    return {e: c for e, c in enumerate(rem[:deg]) if c}
 
 
 def q_value_reference(module, x):

@@ -9,6 +9,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from discforms import cli, dims, fqm, lattice, lifts, qseries as qs, specfun, weil
 from discforms._intmat import signature_pair
 from helpers import (newpart_series, random_even_gram, random_isotropic_subgroup,
@@ -228,6 +230,37 @@ def test_criterion_7_kernel_lift(capsys):
     assert vec.get(vec.module.zero(), 1) == F(120, 121)
     with capsys.disabled():
         print("ACCEPTANCE 7 (level-11 kernel lift, condition to q^100): PASS")
+
+
+@pytest.mark.parametrize("p, kappa, eps, components", [(2, 8, 1, 16), (3, 6, -1, 81),
+                                                       (5, 4, 1, 625)])
+def test_criterion_7_small_prime_kernel_lifts(capsys, p, kappa, eps, components):
+    # eta(tau)^kappa eta(p tau)^kappa, with kappa (p + 1) = 24
+    g = lifts.eta_quotient({1: kappa, p: kappa}, p * 100)
+    nf = lifts.NewformData(g, eps, kappa, p)
+    for l in range(101):
+        assert g.get(p * l) == -eps * p ** (kappa // 2 - 1) * g.get(l)
+    vec, report = lifts.kernel_element(nf, 2, kappa, truncation=F(2))
+    assert report["condition"]
+    scale = F(1, p ** ((kappa + 2) // 2))
+    nonzero = 0
+    for (c, m), v in vec.items():
+        if any(c):
+            assert v == eps * scale * g.get(p * m)
+        else:
+            assert v == g.get(m) + eps * scale * g.get(p * m)
+        nonzero += 1
+    assert nonzero > 0
+    assert vec.get(vec.module.zero(), 1) == 1 - F(1, p * p)
+    assert len(vec.support()) == components
+    code = cli.main(["lifts", "kernel", "--p", str(p), "--kappa", str(kappa),
+                     "--eta", "1,1:%d,%d:%d" % (kappa, p, kappa)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "eps: %d\ncondition: PASS\nnonzero_witness: mu=(0,0,0,0) m=1 coeff=%s\n"
+        "components: %d\n" % (eps, 1 - F(1, p * p), components))
+    with capsys.disabled():
+        print("ACCEPTANCE 7 (level-%d kernel lift, condition to q^100): PASS" % p)
 
 
 def test_criterion_8_special_function(capsys):

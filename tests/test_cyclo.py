@@ -5,7 +5,9 @@ import pytest
 
 from discforms import cyclo, fqm
 from discforms.cyclo import CyclotomicNumber, e_frac
-from helpers import cyclotomic_polynomial_reference, random_module
+from discforms._intmat import is_prime
+from helpers import (cyclotomic_polynomial_radical, cyclotomic_polynomial_reference,
+                     phi_remainder_reference, random_module)
 
 
 def test_e_frac_basics():
@@ -50,29 +52,121 @@ def test_reduce_idempotence():
     assert r.mod == rr.mod and r.coeffs == rr.coeffs
 
 
+def _random_number(rng, m, terms):
+    return CyclotomicNumber(m, {rng.randrange(m): F(rng.randint(-5, 5), rng.randint(1, 4))
+                                for _ in range(terms)})
+
+
+def _is_prime_power(m):
+    p = next(p for p in range(2, m + 1) if m % p == 0)
+    while m % p == 0:
+        m //= p
+    return m == 1
+
+
+def _squarefree_orders(bound):
+    """{k: every squarefree order below bound with exactly k prime factors}."""
+    primes = [p for p in range(2, bound // 2 + 1) if is_prime(p)]
+    out = {}
+
+    def walk(start, prod, k):
+        out.setdefault(k, []).append(prod)
+        for i in range(start, len(primes)):
+            if prod * primes[i] >= bound:
+                break
+            walk(i + 1, prod * primes[i], k + 1)
+
+    walk(0, 1, 0)
+    return out
+
+
 def test_cyclotomic_polynomials_against_divisor_recursion():
     ref = {}
     for m in range(1, 201):
         ref[m] = cyclotomic_polynomial_reference(m)
-        assert list(cyclo.cyclotomic_polynomial(m)) == ref[m], m
-    # so reduce() is unchanged: random numbers at every modulus up to 200
+        assert list(cyclotomic_polynomial_radical(m)) == ref[m], m
+    # reduce() keeps the value: random numbers at every modulus up to 200 have the
+    # Phi_m remainder of their reduced form, which is that remainder itself at 1 and
+    # at prime powers
     rng = random.Random(29)
     for m in range(1, 201):
-        x = CyclotomicNumber(m, {rng.randrange(m): F(rng.randint(-5, 5), rng.randint(1, 4))
-                                 for _ in range(6)})
-        dense = [x.coeffs.get(e, 0) for e in range(m)]
-        assert x.reduce().coeffs == {e: c for e, c in enumerate(cyclo._poly_rem(dense, ref[m]))
-                                     if c}
+        x = _random_number(rng, m, 6)
+        rem = phi_remainder_reference(x)
+        assert phi_remainder_reference(x.reduce()) == rem, m
+        if m == 1 or _is_prime_power(m):
+            assert x.reduce().coeffs == rem, m
 
 
 def test_zero_tests_at_large_orders():
-    assert len(cyclo.cyclotomic_polynomial(40000)) == 16001
+    rng = random.Random(40000)
+    for m, phi in ((40000, 16000), (30030, 5760)):
+        assert len(cyclotomic_polynomial_radical(m)) == phi + 1
+        # the canonical basis has phi(m) elements: random coefficients on every root fill it
+        full = CyclotomicNumber(m, {e: rng.randint(1, 10 ** 9) for e in range(m)})
+        assert len(full.reduce().coeffs) == phi
     assert not CyclotomicNumber(40000, {1: 1}).is_zero()
     assert CyclotomicNumber(40000, {7: 1, 20007: 1}).is_zero()
     assert CyclotomicNumber(40000, {e: 1 for e in range(3, 40000, 125)}).is_zero()
-    assert len(cyclo.cyclotomic_polynomial(30030)) == 5761
     assert CyclotomicNumber(2310, {e: 1 for e in range(0, 2310, 165)}).is_zero()
     assert not CyclotomicNumber(2310, {0: 1, 165: 1}).is_zero()
+
+
+def test_zero_tests_at_order_30030():
+    # the sums of all 10010-th and of all 14-th roots of unity, at an order where
+    # Phi_m is dense (5761 terms)
+    assert CyclotomicNumber(30030, {e: 1 for e in range(0, 30030, 3)}).is_zero()
+    assert CyclotomicNumber(30030, {e: 1 for e in range(0, 30030, 2145)}).is_zero()
+    assert not CyclotomicNumber(30030, {e: 1 for e in range(0, 30030, 3) if e != 30027}).is_zero()
+    assert not CyclotomicNumber(30030, {e: 1 for e in range(2145, 30030, 2145)}).is_zero()
+
+
+def test_reduce_against_phi_remainder_at_every_order():
+    rng = random.Random(300)
+    for m in range(1, 301):
+        # the sums of the p-th roots of unity, one per prime p | m
+        roots = [CyclotomicNumber(m, {k * (m // p): 1 for k in range(p)})
+                 for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+        for _ in range(3):
+            x = _random_number(rng, m, rng.randint(1, 8))
+            rem = phi_remainder_reference(x)
+            assert x.is_zero() == (not rem), m
+            assert x.reduce().coeffs == CyclotomicNumber(m, rem).reduce().coeffs, m
+            # numbers that vanish without looking like it
+            for z in [x - CyclotomicNumber(m, rem)] + [x * r for r in roots]:
+                assert z.is_zero(), m
+
+
+def test_reduce_is_the_phi_remainder_at_prime_powers():
+    rng = random.Random(7)
+    orders = [m for m in range(2, 301) if _is_prime_power(m)] + [512, 625, 729, 1331, 2187, 2401]
+    for m in orders:
+        for _ in range(3):
+            x = _random_number(rng, m, rng.randint(1, 12))
+            assert x.reduce().coeffs == phi_remainder_reference(x), m
+
+
+def test_reduce_is_idempotent_and_multiplicative():
+    rng = random.Random(31)
+    for m in [rng.randrange(1, 600) for _ in range(80)] + [60, 210, 720, 2310]:
+        x, y = _random_number(rng, m, 8), _random_number(rng, m, 8)
+        r = x.reduce()
+        assert r.reduce().coeffs == r.coeffs, m
+        assert (x * y).reduce().coeffs == (r * y.reduce()).reduce().coeffs, m
+        assert x * y == r * y.reduce(), m
+
+
+def test_divisor_root_sums_vanish_at_squarefree_orders():
+    rng = random.Random(2026)
+    by_factors = _squarefree_orders(40000)
+    assert by_factors[6] == [30030, 39270]
+    for k in range(2, 7):
+        for m in rng.sample(by_factors[k], min(3, len(by_factors[k]))):
+            for d in (d for d in range(2, m + 1) if m % d == 0):
+                roots = {e: 1 for e in range(0, m, m // d)}
+                assert CyclotomicNumber(m, roots).is_zero(), (m, d)
+                e = rng.choice(list(roots))
+                roots[e] += F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                assert not CyclotomicNumber(m, roots).is_zero(), (m, d, e)
 
 
 def test_numeric_embedding_of_exact_identities():
