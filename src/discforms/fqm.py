@@ -4,7 +4,8 @@ A module is presented by generator orders, the form values Q(g_i), and the
 bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
 [0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
 N = level(), from which Q values, pairings, the Q-value histogram and the
-Weil layer's index tables are computed.
+Weil layer's index tables are computed. Construction is integer algebra; the
+histogram, Gauss sum and signature are built when first read.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra;
 only isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND.
@@ -22,10 +23,10 @@ from ._intmat import (even_gram, hermite_rows, identity, invert_rational, is_pri
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
-# Construction refuses larger modules before any Gauss sum or histogram is
-# built: the magnitude check multiplies two cyclotomic numbers of up to `level`
-# terms each, and the Q-value histogram is one pass over all elements. The
-# Picard table rows up to n = 1000 have order 2*n^2 and level at most 4*n.
+# Construction refuses larger modules, so that the first invariant read stays
+# bounded: the Q-value histogram is one pass over all elements, and the
+# signature's magnitude check multiplies two cyclotomic numbers of up to
+# `level` terms each. Picard table rows n <= 1000 have order 2*n^2, level <= 4*n.
 LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
 
@@ -139,9 +140,8 @@ class FiniteQuadraticModule:
                     raise PreconditionError("bilinear matrix must be symmetric")
                 if _mod1(self.orders[i] * self.bilinear[i][j]) != 0:
                     raise PreconditionError("pairing incompatible with generator order")
-        # |sum e(Q(x))|^2 equals the order exactly iff the form is non-degenerate
-        g = self.gauss_sum_one()
-        if (g * g.conjugate()).rational_value() != self.order():
+        # non-degenerate: no x other than 0 pairs to 0 with every generator
+        if any(c % d for x in _perp_rows(self, identity(r)) for c, d in zip(x, self.orders)):
             raise PreconditionError("quadratic form is degenerate")
 
     def gauss_sum_one(self):
@@ -502,7 +502,12 @@ def milgram_signature(a):
     for s in range(8):
         x = g * cyclo.e_frac(Fraction(-s, 8))
         if (x - x.conjugate()).is_zero():
-            if x.to_complex().real > 0:
+            # x is real with x^2 = |A| >= 1; its float sums M = lcm(8, level) terms at most, of
+            # total size |A|: error < M*|A|*2^-52 < 10^-4 under the bounds, far below 1/2
+            f = x.to_complex().real
+            if abs(f) < 0.5:
+                raise ConsistencyError("signature phase too close to zero in floating point")
+            if f > 0:
                 return s
     raise ConsistencyError("no admissible signature phase found")
 
@@ -529,15 +534,7 @@ def two_torsion_q_histogram(a):
 
 def orbit_representatives(a):
     """Lexicographically first representatives of the {x, -x} orbits."""
-    reps = []
-    seen = set()
-    for x in a.elements():
-        if x.coords in seen:
-            continue
-        reps.append(x)
-        seen.add(x.coords)
-        seen.add((-x).coords)
-    return reps
+    return [x for x in a.elements() if x.coords <= (-x).coords]
 
 
 # -- subgroup-lattice operations ----------------------------------------------------
@@ -581,14 +578,18 @@ def isotropic_subgroups(a, order):
 
 
 def orthogonal_complement(a, g):
-    """Subgroup of all x pairing integrally with every element of g.
+    """Subgroup of all x pairing integrally with every element of g."""
+    return Subgroup._spanned(a, _perp_rows(a, g.hnf))
 
-    Its lattice is {x : M*x = 0 mod N} with M[k][j] = N*(h_k, g_j) over the
-    Hermite rows h_k of g: the integer kernel of [M | -N*I], cut to x.
+
+def _perp_rows(a, rows):
+    """Rows that span, with diag(orders), the lattice of the x pairing to 0 with the rows h_k.
+
+    It is the integer kernel of [M | -N*I] cut to x, M[k][j] = N*(h_k, g_j), N = level.
     """
     n, r = a.level(), a.rank
-    m = [a._pairing_row(h) + [-n * (i == k) for k in range(r)] for i, h in enumerate(g.hnf)]
-    return Subgroup._spanned(a, [v[:r] for v in kernel_basis(m)])
+    m = [a._pairing_row(h) + [-n * (i == k) for k in range(r)] for i, h in enumerate(rows)]
+    return [v[:r] for v in kernel_basis(m)]
 
 
 def subquotient(a, h):

@@ -21,9 +21,10 @@ entries that carry a structure tag:
 R and C are index maps: an integer k for x -> k*x, or a list of codes.
 Products, conjugate transposes and comparisons dispatch on the tags. A
 monomial factor re-indexes the other factor in O(n). Character times
-character is the table F[u] = sum_t e(gamma(t) + (u, t)), n histograms in
-O(n^2). Table times character, when the inner phase gamma is M*Q, is again a
-table, by Q(t) + (t, w) = Q(t + w) - Q(w). Every other pair runs the support
+character, when both inner maps are integers (moved out by (u, kt) = (ku, t)),
+is the table F[u] = sum_t e(gamma(t) + (u, t)), n histograms in O(n^2). Table
+times character, when the inner phase gamma is M*Q, is again a table, by
+Q(t) + (t, w) = Q(t + w) - Q(w). Every other pair runs the support
 kernel on the dense view .mat, which a tagged matrix builds on first read.
 Comparisons run one zero test per distinct (exponent difference, entry, entry)
 triple.
@@ -320,8 +321,7 @@ class WeilMatrix:
     - "monomial": data (src, dst, ph); row x holds e(ph[x]) in column src(x),
       and column y its entry in row dst(y);
     - "character": data (alpha, beta, None, R, C), entries
-      e(alpha[x] + beta[y] + (Rx, Cy)), with C the identity whenever it is an
-      integer;
+      e(alpha[x] + beta[y] + (Rx, Cy));
     - "table": data (alpha, beta, K, R, C), entries
       e(alpha[x] + beta[y]) * objs[K[Rx + Cy]];
     - "dense": no data; the rows are .mat.
@@ -382,9 +382,7 @@ class WeilMatrix:
         alpha, beta, k, rmap, cmap = data
         x = tab.as_list(rmap)[i]
         if tag == "character":
-            prow = tab.pair[x]
-            if not isinstance(cmap, int):
-                prow = list(map(prow.__getitem__, cmap))
+            prow = tab.pull(tab.pair[x], cmap)
             return list(map(fold, map(alpha[i].__add__, map(add, beta, prow)))), tab.ones
         arow = tab.add[x]
         kids = list(map(k.__getitem__, map(arow.__getitem__, tab.as_list(cmap))))
@@ -432,8 +430,8 @@ class WeilMatrix:
             alpha, beta, k, rmap, cmap = self.data
             if self.tag == "character":
                 # -(Ry, Cx) = (-Cx, Ry)
-                out = _character(tab, tab.vneg(beta), tab.vneg(alpha), None,
-                                 tab.compose(-1, cmap), rmap)
+                out = "character", (tab.vneg(beta), tab.vneg(alpha), None,
+                                    tab.compose(-1, cmap), rmap)
             else:
                 out = "table", (tab.vneg(beta), tab.vneg(alpha), tab.conjugate(k), cmap, rmap)
         return WeilMatrix._tagged(self.module, scale, *out)
@@ -513,13 +511,6 @@ def _times_root(x, d, m):
 # -- structured products --------------------------------------------------------------
 
 
-def _character(tab, alpha, beta, _k, rmap, cmap):
-    """A character tag; an integer column map k moves to the rows, (Rx, ky) = (kRx, y)."""
-    if isinstance(cmap, int):
-        rmap, cmap = tab.compose(cmap, rmap), tab.one
-    return "character", (alpha, beta, None, rmap, cmap)
-
-
 def _monomial_monomial(tab, a, b):
     src1, dst1, ph1 = a
     src2, dst2, ph2 = b
@@ -542,13 +533,13 @@ def _columns_reindexed(tab, a, b):
 
 
 def _character_character(tab, a, b):
-    """sum_t e(gamma(t) + (Rx, t) + (kt, Cy)) = F[Rx + kCy], gamma = beta_a + alpha_b."""
+    """sum_t e(gamma(t) + (Rx, jt) + (kt, Cy)) = F[jRx + kCy], gamma = beta_a + alpha_b."""
     alpha1, beta1, _k1, r1, c1 = a
     alpha2, beta2, _k2, r2, c2 = b
     if not (isinstance(c1, int) and isinstance(r2, int)):
         return None
     f = tab.fourier(tab.vadd(beta1, alpha2))
-    return "table", (alpha1, beta2, f, r1, tab.compose(r2, c2))
+    return "table", (alpha1, beta2, f, tab.compose(c1, r1), tab.compose(r2, c2))
 
 
 def _table_character(tab, a, b):
@@ -568,9 +559,9 @@ def _table_character(tab, a, b):
 
 _PRODUCTS = {
     ("monomial", "monomial"): _monomial_monomial,
-    ("monomial", "character"): lambda tab, a, b: _character(tab, *_rows_reindexed(tab, a, b)),
+    ("monomial", "character"): lambda tab, a, b: ("character", _rows_reindexed(tab, a, b)),
     ("monomial", "table"): lambda tab, a, b: ("table", _rows_reindexed(tab, a, b)),
-    ("character", "monomial"): lambda tab, a, b: _character(tab, *_columns_reindexed(tab, a, b)),
+    ("character", "monomial"): lambda tab, a, b: ("character", _columns_reindexed(tab, a, b)),
     ("table", "monomial"): lambda tab, a, b: ("table", _columns_reindexed(tab, a, b)),
     ("character", "character"): _character_character,
     ("table", "character"): _table_character,
@@ -631,8 +622,8 @@ def rho_S(module):
     tab = _tables(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    s = _character(tab, tab.zeros, tab.zeros, None, -1, tab.one)
-    return WeilMatrix._tagged(module, scale, *s)
+    return WeilMatrix._tagged(module, scale, "character",
+                              (tab.zeros, tab.zeros, None, -1, tab.one))
 
 
 def rho_Z(module):

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 from discforms import fqm
 from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
@@ -269,6 +270,33 @@ def gauss_sum_reference(module, c):
         e = q.numerator * (mod // q.denominator)
         out[e] = out.get(e, 0) + n
     return CyclotomicNumber(mod, out)
+
+
+def degenerate_reference(orders, q_values, bilinear):
+    """True when |sum_x e(Q(x))|^2 differs from the order: the Gauss-sum degeneracy test.
+
+    Q is summed in Fractions over all coordinate tuples of a presentation that
+    passes the shape checks of FiniteQuadraticModule, so no module is built.
+    """
+    r = len(orders)
+    counts = {}
+    for c in product(*(range(d) for d in orders)):
+        q = sum(c[i] * c[i] * Fraction(q_values[i]) for i in range(r))
+        q += sum(c[i] * c[j] * Fraction(bilinear[i][j]) for i in range(r) for j in range(i + 1, r))
+        counts[q % 1] = counts.get(q % 1, 0) + 1
+    mod = lcm(*(q.denominator for q in counts))
+    g = CyclotomicNumber(mod, {q.numerator * (mod // q.denominator): n for q, n in counts.items()})
+    return (g * g.conjugate()).rational_value() != prod(orders)
+
+
+def orbit_representatives_reference(module):
+    """The first member of each {x, -x} orbit met in module.elements(), by a seen-set walk."""
+    reps, seen = [], set()
+    for x in module.elements():
+        if x.coords not in seen:
+            reps.append(x)
+            seen.update((x.coords, (-x).coords))
+    return reps
 
 
 def orbit_data_reference(module):

@@ -88,6 +88,25 @@ def test_lattice_split(tmp_path, capsys):
     assert "level: 6" in out
 
 
+# (Gram matrix, --ell, exact stdout): a non-empty k_gram block, and the g = -1
+# branch of the unit-pairing gcd chain
+SPLIT_OUTPUTS = {
+    "A2+U(3)": ([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]], "0,0,1,0",
+                "ell_tilde: 0,0,0,1\nlevel: 3\nk_gram:\n2 1\n1 2\n"
+                "basis_rows:\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"),
+    "U(3)": ([[0, 3], [3, 0]], "-1,0",
+             "ell_tilde: 0,-1\nlevel: 3\nk_gram:\nbasis_rows:\n0 -1\n-1 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_OUTPUTS))
+def test_lattice_split_stdout(tmp_path, capsys, case):
+    gram, ell, expected = SPLIT_OUTPUTS[case]
+    g = tmp_path / "gram.txt"
+    write_gram(g, gram)
+    assert run(capsys, ["lattice", "split", "--gram", str(g), "--ell=" + ell]) == (0, expected)
+
+
 def test_lifts_kernel(capsys):
     code, out = run(capsys, ["lifts", "kernel", "--p", "11", "--kappa", "2",
                              "--eta", "1,1:2,11:2", "--qbound", "20",
@@ -96,6 +115,14 @@ def test_lifts_kernel(capsys):
     assert "eps: -1" in out
     assert "condition: PASS" in out
     assert "m=1 coeff=120/121" in out
+
+
+def test_lifts_kernel_refuses_a_non_eigenform(capsys):
+    # eta(tau)^2 eta(11 tau) fails the coefficient recursion for both eigenvalues
+    code = cli.main(["lifts", "kernel", "--p", "11", "--kappa", "2", "--eta", "1,1:2,11:1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "series is not a level involution eigenform" in captured.err
 
 
 def test_cli_import_graph_stays_light():

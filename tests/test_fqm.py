@@ -2,14 +2,15 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 
-from discforms import cyclo, fqm
+from discforms import cyclo, dims, fqm, lifts
 from discforms._intmat import is_prime, signature_pair
 from discforms.errors import PreconditionError
-from helpers import (bilinear_value_reference, block, fqm_from_gram_reference, random_even_gram,
-                     random_module, un)
+from helpers import (bilinear_value_reference, block, degenerate_reference, fqm_from_gram_reference,
+                     random_even_gram, random_module, un)
 from test_lattice import LEVEL_GRAMS
 
 
@@ -50,7 +51,7 @@ class TestFromGram:
 
 
 def test_construction_bounds():
-    # checked before the Gauss-sum magnitude check or any histogram is built
+    # checked before the radical is computed, and so before any invariant is read
     n = fqm.LEVEL_BOUND + 1  # odd, so Q = 1/n has level n
     with pytest.raises(PreconditionError, match="level %d exceeds the bound %d" % (n, n - 1)):
         fqm.cyclic_module(n, F(1, n))
@@ -84,6 +85,55 @@ def test_presentation_checks(case):
     orders, q_values, bilinear, message = BAD_PRESENTATIONS[case]
     with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
         fqm.FiniteQuadraticModule(orders, q_values, bilinear)
+
+
+def _random_presentation(rng):
+    """Orders, Q values and pairings that pass every shape check of the constructor."""
+    orders = [rng.choice((2, 3, 4, 5, 6, 8, 9)) for _ in range(rng.randint(1, 3))]
+    q_values = [F(rng.randrange(0, 2 * d, 1 if d % 2 == 0 else 2), 2 * d) for d in orders]
+    bilinear = [[F(0)] * len(orders) for _ in orders]
+    for i, di in enumerate(orders):
+        bilinear[i][i] = 2 * q_values[i] % 1
+        for j in range(i):
+            g = gcd(di, orders[j])
+            bilinear[i][j] = bilinear[j][i] = F(rng.randrange(g), g)
+    return orders, q_values, bilinear
+
+
+def test_radical_check_agrees_with_gauss_sum_oracle():
+    rng = random.Random(12)
+    degenerate = 0
+    for _ in range(520):
+        orders, q_values, bilinear = _random_presentation(rng)
+        expected = degenerate_reference(orders, q_values, bilinear)
+        try:
+            fqm.FiniteQuadraticModule(orders, q_values, bilinear)
+            refused = False
+        except PreconditionError as exc:
+            assert str(exc) == "quadratic form is degenerate", (orders, q_values, bilinear)
+            refused = True
+        assert refused == expected, (orders, q_values, bilinear)
+        degenerate += refused
+    assert degenerate >= 150
+
+
+def test_construction_builds_no_cyclotomic_number(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an invariant was built during construction")
+
+    monkeypatch.setattr(fqm.FiniteQuadraticModule, "_count_q_values", refuse)
+    monkeypatch.setattr(cyclo, "gauss_sum", refuse)
+    monkeypatch.setattr(cyclo.CyclotomicNumber, "__init__", refuse)
+    monkeypatch.setattr(cyclo.CyclotomicNumber, "_normalized", classmethod(refuse))
+    a = fqm.fqm_from_gram(block([[2, 1], [1, 2]], un(3), [[4, 1], [1, 6]]))
+    assert a.order() == 3 * 9 * 23
+    b = fqm.direct_sum(a, fqm.hyperbolic_module(4))
+    assert fqm.negate(fqm.negate(b)) == b
+    h = fqm.Subgroup.from_generators(b, [b.element((0,) * a.rank + (1, 0))])
+    assert fqm.subquotient(b, h)[0].order() == a.order()
+    assert lifts.lift_module(11, 2).order() == 11 ** 4
+    assert dims.table_row_module(990).order() == 2 * 990 ** 2
+    assert fqm.hyperbolic_module(2000).level() == 2000
 
 
 def test_bilinear_value_matches_fraction_sums():

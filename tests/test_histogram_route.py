@@ -15,7 +15,8 @@ import pytest
 
 from discforms import cyclo, dims, fqm
 from helpers import (block, dim_M_reference, gauss_sum_reference, orbit_data_reference,
-                     q_value_reference, random_even_gram, random_module, un)
+                     orbit_representatives_reference, q_value_reference, random_even_gram,
+                     random_module, un)
 
 C_VALUES = (1, -1, 2, -2, 3)
 
@@ -81,6 +82,18 @@ def test_gauss_sums_and_orbit_data_on_named_modules(name):
 def test_gauss_sums_and_orbit_data_on_table_rows():
     for n in TABLE_NS:
         _check_against_oracles(dims.table_row_module(n))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_orbit_representatives_match_the_seen_set_walk(name):
+    a = NAMED[name]
+    assert fqm.orbit_representatives(a) == orbit_representatives_reference(a)
+
+
+def test_orbit_representatives_on_table_rows():
+    for n in TABLE_NS:
+        a = dims.table_row_module(n)
+        assert fqm.orbit_representatives(a) == orbit_representatives_reference(a), n
 
 
 def _weights(module):

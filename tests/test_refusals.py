@@ -1,0 +1,196 @@
+"""Every documented refusal of the public API, each matched by its message.
+
+Each case builds its own small input and names the PreconditionError it must
+raise; the refusals that no other test reaches are collected here.
+"""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from discforms import fqm, lattice, lifts, qseries, weil
+from discforms.errors import PreconditionError
+
+
+def _a1():
+    return fqm.cyclic_module(2, F(1, 4))
+
+
+def _h(n):
+    return fqm.hyperbolic_module(n)
+
+
+def _line(a, coords):
+    return fqm.Subgroup.from_generators(a, [a.element(coords)])
+
+
+def _series(a, weight=2, truncation=1, coeffs=()):
+    """A series on a with c(m, mu) = v for the (coords, m, v) in coeffs."""
+    f = qseries.VectorValuedQSeries(a, weight, truncation)
+    for coords, m, v in coeffs:
+        f.set(a.element(coords), m, v)
+    return f
+
+
+def _scalar(level, coeffs, weight=2, truncation=3):
+    f = lifts.ScalarQSeries(weight, level, truncation)
+    for l, v in coeffs:
+        f.set(l, v)
+    return f
+
+
+def _proj_outside_perp():
+    a = _h(2)
+    _b, proj, _sect = fqm.subquotient(a, _line(a, (1, 0)))
+    return proj(a.element((0, 1)))
+
+
+def _signature_four():
+    c = fqm.cyclic_module(3, F(1, 3))
+    return fqm.direct_sum(fqm.direct_sum(c, c), _h(3))
+
+
+def _lift(module, k=2, p=3, n=2):
+    s = lifts.ScalarQSeries(k, p, 3)
+    return lifts.vector_lift_closed(s, s, module, k, p, n)
+
+
+# case -> (thunk that must raise, message)
+REFUSALS = {
+    # fqm
+    "aut_not_endomorphism": (
+        lambda: fqm.Automorphism(fqm.direct_sum(_a1(), fqm.cyclic_module(4, F(1, 8))),
+                                 [[0, 1], [1, 0]]),
+        "matrix does not define an endomorphism"),
+    "aut_moves_q": (lambda: fqm.Automorphism(fqm.cyclic_module(5, F(1, 5)), [[2]]),
+                    "map does not preserve the quadratic form"),
+    "aut_moves_pairing": (lambda: fqm.Automorphism(_h(3), [[1, 0], [0, 2]]),
+                          "map does not preserve the pairing"),
+    "elements_of_two_modules": (lambda: _h(2).zero() + _h(3).zero(),
+                                "elements belong to different modules"),
+    "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
+                                 "subgroups of different modules"),
+    "element_length": (lambda: _h(2).element((0,)), "coordinate length mismatch"),
+    "to_coords_outside_dual": (lambda: fqm.fqm_from_gram_with_maps([[2]])[1]([F(1, 3)]),
+                               "vector is not in the dual lattice"),
+    "isotropic_order_not_dividing": (lambda: fqm.isotropic_subgroups(_h(2), 3),
+                                     "order must divide the module order"),
+    "proj_outside_perp": (_proj_outside_perp, "element is not in the orthogonal complement"),
+    "content_reference": (lambda: fqm.content(_a1(), _a1().element((1,)), _a1().zero()),
+                          "reference element must be isotropic"),
+    "cyclic_subgroup_reference": (
+        lambda: fqm.cyclic_subgroup_id(_a1(), _a1().element((1,)), 2),
+        "reference element must be isotropic"),
+    "phi_r_orders": (
+        lambda: fqm.phi_r(fqm.direct_sum(_a1(), fqm.cyclic_module(4, F(1, 8))), 1, pair=(0, 1)),
+        "selected generators have different orders"),
+    "normal_form_foreign": (lambda: fqm.MatrixModelSplit(3).normal_form(_h(3).zero()),
+                            "element does not belong to the split module"),
+    # lattice
+    "coset_representative_foreign": (
+        lambda: lattice.EvenLattice([[2]]).coset_representative(_h(2).zero()),
+        "class does not belong to this discriminant group"),
+    "ell_not_primitive": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 3], [3, 0]]), [0, 2]),
+                          "ell must be primitive"),
+    "ell_not_isotropic": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 3], [3, 0]]), [1, 1]),
+                          "ell must be isotropic"),
+    "express_outside": (lambda: lattice.express_in_basis([[2, 0], [0, 2]], [1, 0]),
+                        "vector does not lie in the sublattice"),
+    "express_singular_basis": (lambda: lattice.express_in_basis([[1, 0], [2, 0]], [1, 0]),
+                               "matrix is singular"),
+    "norm_split_norms": (lambda: lattice.represent_norm_split([], 3, 1, [1, 0, 0, 0]),
+                         "norms must lie in pZ"),
+    "norm_split_witness": (lambda: lattice.represent_norm_split([], 3, 3, [1, 0, 0, 0]),
+                           "witness is divisible by p in the dual"),
+    # lifts
+    "scalar_past_truncation": (lambda: _scalar(11, [(4, 1)]),
+                               "exponent exceeds the truncation bound"),
+    "eta_argument": (lambda: lifts.eta_quotient({0: 1}, 3),
+                     "eta arguments must be positive integers"),
+    "u_p_fractional": (lambda: lifts.u_p(lifts.eta_quotient({1: 1}, 3), 2),
+                       "U_p is implemented for integral exponents"),
+    "newform_eps": (lambda: lifts.NewformData(_scalar(11, [(1, 1)]), 2, 2, 11),
+                    "eigenvalue must be +1 or -1"),
+    "newform_weight": (lambda: lifts.NewformData(_scalar(11, [(1, 1)]), 1, 3, 11),
+                       "weight must be a positive even integer"),
+    "newform_zero": (lambda: lifts.NewformData(_scalar(11, []), 1, 2, 11),
+                     "the zero series is not a newform"),
+    "newform_exponents": (lambda: lifts.NewformData(lifts.eta_quotient({1: 1}, 3), 1, 2, 11),
+                          "newform expansions have integral exponents"),
+    "newform_cusp": (lambda: lifts.NewformData(_scalar(11, [(0, 1), (1, 1)]), 1, 2, 11),
+                     "newforms are cusp forms"),
+    "newform_normalized": (lambda: lifts.NewformData(_scalar(11, [(2, 1)]), 1, 2, 11),
+                           "newforms are normalized at the first coefficient"),
+    "newform_recursion": (lambda: lifts.NewformData(_scalar(2, [(1, 1), (2, 5)]), 1, 2, 2),
+                          "coefficient recursion fails at index 1"),
+    "lift_module_n": (lambda: lifts.lift_module(11, 3), "the construction needs n = 2 mod 8"),
+    "lift_n": (lambda: _lift(_h(3), n=3), "the construction needs n = 2 mod 8"),
+    "lift_signature": (lambda: _lift(_signature_four()), "module signature must vanish mod 8"),
+    "lift_parity": (lambda: _lift(lifts.lift_module(3, 2), k=3),
+                    "k + n must be even for a rational rescaling"),
+    # qseries
+    "add_weights": (lambda: _series(_h(2)) + _series(_h(2), weight=4),
+                    "series are not compatible"),
+    "up_arrow_module": (lambda: qseries.up_arrow(_series(_h(2)), _h(2), _line(_h(2), (1, 0))),
+                        "series does not live on the subquotient module"),
+    "pairing_modules": (lambda: qseries.pairing_at(_series(_h(2)), _series(_h(3)), 1),
+                        "series on different modules"),
+    "prime_union_orders": (
+        lambda: qseries.decompose_prime_union(_series(_h(6)), [_line(_h(6), (3, 0))] * 2),
+        "subgroup orders must be distinct primes"),
+    "prime_union_support": (
+        lambda: qseries.decompose_prime_union(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
+                                              [_line(_h(6), (3, 0))]),
+        "series is not supported on the union of complements"),
+    "prime_union_invariance": (
+        lambda: qseries.decompose_prime_union(_series(_h(6), coeffs=[((0, 0), 1, 1)]),
+                                              [_line(_h(6), (3, 0))]),
+        "coset-translation invariance fails for subgroup 0"),
+    "oldform_order_one": (lambda: qseries.is_oldform(_series(_h(2)), _h(2).zero()),
+                          "reference element must be isotropic of order >= 2"),
+    "oldform_reference": (
+        lambda: qseries.oldform_decompose(_series(_a1()), _a1().element((1,)), 1),
+        "reference element must be isotropic"),
+    "oldform_support": (
+        lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
+                                          _h(6).element((1, 0)), 1),
+        "support precondition fails at recursion depth 1"),
+    "oldform_invariance": (
+        lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 2), 1, 1)]),
+                                          _h(6).element((1, 0)), 1),
+        "coset-translation invariance fails at depth 1"),
+    # weil
+    "matmul_modules": (lambda: weil.identity_matrix(_h(2)) @ weil.identity_matrix(_h(3)),
+                       "matrices act on different modules"),
+    "first_difference_modules": (
+        lambda: weil.identity_matrix(_h(2)).first_difference(weil.identity_matrix(_h(3))),
+        "matrices act on different modules"),
+    "first_difference_sizes": (
+        lambda: weil.identity_matrix(_h(2)).first_difference(weil.WeilMatrix(_h(2), 1, [])),
+        "matrices have different sizes"),
+    "aut_matrix_unchecked": (lambda: weil.aut_matrix(_h(2), [[1, 0], [0, 1]]),
+                             "expected a checked automorphism"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case):
+    thunk, message = REFUSALS[case]
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        thunk()
+
+
+def test_resum_of_a_depth_zero_decomposition_is_the_series():
+    a = _h(6)
+    e = a.element((1, 0))
+    f = _series(a, truncation=2, coeffs=[((0, 1), 1, 3), ((2, 3), 2, F(1, 2))])
+    parts = qseries.oldform_decompose(f, e, 0)
+    assert list(parts) == [1]
+    assert qseries.resum_decomposition(parts, a, e) == f
+
+
+def test_rho_of_a_plain_matrix():
+    a = _h(3)
+    assert weil.rho_of(a, ((1, 1), (0, 1))) == weil.rho_T(a)
+    assert weil.rho_of(a, ((0, -1), (1, 0))) == weil.rho_S(a)
