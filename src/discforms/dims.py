@@ -99,7 +99,7 @@ def dim_M(module, k):
             raise ConsistencyError("negative eigenvalue multiplicity for ST")
         mult.append(mj)
     m0, m1, m2 = mult
-    if m0 + m1 + m2 != d or m_plus + m_minus != d:
+    if m0 + m1 + m2 != d:
         raise ConsistencyError("eigenvalue multiplicities do not sum to d")
     # alpha of the inverse: eigenvalue e(1/3) contributes 2/3 and vice versa
     alpha_st = Fraction(2 * m1 + m2, 3)

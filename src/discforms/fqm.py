@@ -12,7 +12,6 @@ only isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND.
 """
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -156,7 +155,7 @@ class FiniteQuadraticModule:
         return len(self.orders)
 
     def order(self):
-        return reduce(lambda a, b: a * b, self.orders, 1)
+        return prod(self.orders)
 
     def level(self):
         return self._level
@@ -418,6 +417,8 @@ def cyclic_module(n, q):
 
 def hyperbolic_module(n):
     """Discriminant form of the hyperbolic plane rescaled by n: (Z/n)^2 with Q(a,b)=ab/n."""
+    if n < 1:
+        raise PreconditionError("generator orders must be positive")
     if n == 1:
         return trivial_module()
     h = Fraction(1, n)
@@ -429,6 +430,8 @@ def matrix_model_module(p):
 
     Coordinates (c11, c12, c21, c22) stand for the class of (1/p)*[[c11,c12],[c21,c22]].
     """
+    if p < 1:
+        raise PreconditionError("generator orders must be positive")
     h = Fraction(1, p)
     z = Fraction(0)
     bil = ((z, z, z, h), (z, z, -h % 1, z), (z, -h % 1, z, z), (h, z, z, z))
@@ -471,11 +474,8 @@ def fqm_from_gram(gram):
 
 def direct_sum(a, b):
     """Orthogonal direct sum, generators of a followed by generators of b."""
-    ra, rb = a.rank, b.rank
-    zeros_a = tuple(Fraction(0) for _ in range(rb))
-    zeros_b = tuple(Fraction(0) for _ in range(ra))
-    bil = tuple(tuple(a.bilinear[i]) + zeros_a for i in range(ra)) + \
-        tuple(zeros_b + tuple(b.bilinear[i]) for i in range(rb))
+    bil = (tuple(row + (0,) * b.rank for row in a.bilinear)
+           + tuple((0,) * a.rank + row for row in b.bilinear))
     return FiniteQuadraticModule(a.orders + b.orders, a.q_values + b.q_values, bil)
 
 
@@ -495,6 +495,7 @@ def milgram_signature(a):
 
     The sum over the module of e(Q(x)) must have squared magnitude equal to the
     order; the phase, an exact eighth root of unity, is the signature.
+    cyclo.sqrt_card returns the x proved real and positive here, unchecked.
     """
     g = a.gauss_sum_one()
     if (g * g.conjugate()).rational_value() != a.order():

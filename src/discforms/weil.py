@@ -720,7 +720,8 @@ def plus_subspace(module, k):
     central element acts by e(-k/2) on the subspace. Returns
     (reps, weights, t_mat, s_mat, st_mat) where reps are orbit representatives,
     weights are the squared norms of the basis vectors e_x + e_{-x} (1 when
-    2x = 0), and the matrices are WeilMatrix-style pairs (scale, rows).
+    2x = 0), and the matrices are dense WeilMatrix objects of size len(reps),
+    rows and columns indexed by reps in order.
     """
     fqm.check_weight_parity(module, k)
     reps = fqm.orbit_representatives(module)

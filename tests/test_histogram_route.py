@@ -128,6 +128,54 @@ def test_dimension_reports_on_kohnen_weights():
     assert dims.dim_M(t, 12)._asdict() == dim_M_reference(t, 12, _reference_gauss)
 
 
+def _check_milgram_is_read_once(module, weights, monkeypatch):
+    """sqrt_card only reads the Milgram pass, and dim_M pays two large products.
+
+    With the signature cached, sqrt_card runs with reduce and rational_value
+    made to raise and multiplies no two multi-term numbers; dim_M multiplies
+    two multi-term numbers once per trace (S and ST), and its report matches
+    the element-loop oracle.
+    """
+    module.signature()
+    big_products = []
+    mul = cyclo.CyclotomicNumber.__mul__
+
+    def spy(x, y):
+        if isinstance(y, cyclo.CyclotomicNumber) and len(x.coeffs) > 1 and len(y.coeffs) > 1:
+            big_products.append((x.mod, y.mod))
+        return mul(x, y)
+
+    def refuse(self):
+        raise AssertionError("sqrt_card reduced a cyclotomic number")
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclo.CyclotomicNumber, "__mul__", spy)
+        m.setattr(cyclo.CyclotomicNumber, "reduce", refuse)
+        m.setattr(cyclo.CyclotomicNumber, "rational_value", refuse)
+        s = cyclo.sqrt_card(module)
+    assert big_products == []
+    want = cyclo.e_frac(F(-module.signature(), 8)) * module.gauss_sum_one()
+    assert _same_cyclotomic(s, want)
+    for k in weights:
+        with monkeypatch.context() as m:
+            m.setattr(cyclo.CyclotomicNumber, "__mul__", spy)
+            report = dims.dim_M(module, k)
+        assert len(big_products) <= 2, (k, big_products)
+        big_products.clear()
+        assert report._asdict() == dim_M_reference(module, k, _reference_gauss), k
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_sqrt_card_reads_the_milgram_pass_on_named_modules(name, monkeypatch):
+    a = NAMED[name]
+    _check_milgram_is_read_once(a, _weights(a), monkeypatch)
+
+
+def test_sqrt_card_reads_the_milgram_pass_on_table_rows(monkeypatch):
+    for n in TABLE_NS:
+        _check_milgram_is_read_once(dims.table_row_module(n), (F(5, 2),), monkeypatch)
+
+
 def _element_histogram(module):
     n = module.level()
     counts = Counter(q_value_reference(module, x) * n for x in module.elements())

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from discforms import fqm, lattice, lifts, qseries, weil
+from discforms import dims, fqm, lattice, lifts, qseries, weil
 from discforms.errors import PreconditionError
 
 
@@ -87,6 +87,14 @@ REFUSALS = {
         "selected generators have different orders"),
     "normal_form_foreign": (lambda: fqm.MatrixModelSplit(3).normal_form(_h(3).zero()),
                             "element does not belong to the split module"),
+    # order 0 is refused before the pairing 1/n is built
+    "hyperbolic_order_zero": (lambda: fqm.hyperbolic_module(0),
+                              "generator orders must be positive"),
+    "matrix_model_order_zero": (lambda: fqm.matrix_model_module(0),
+                                "generator orders must be positive"),
+    "picard_rank_zero": (lambda: dims.picard_rank(0), "generator orders must be positive"),
+    "lift_module_order_zero": (lambda: lifts.lift_module(0, 2),
+                               "generator orders must be positive"),
     # lattice
     "coset_representative_foreign": (
         lambda: lattice.EvenLattice([[2]]).coset_representative(_h(2).zero()),
