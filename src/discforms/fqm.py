@@ -34,6 +34,16 @@ def _mod1(x):
     return Fraction(x) % 1
 
 
+def _order(d):
+    """A generator order as an int; it must be a positive integer."""
+    n = int(d)
+    if n != d:
+        raise PreconditionError("generator orders must be integers")
+    if n < 1:
+        raise PreconditionError("generator orders must be positive")
+    return n
+
+
 class FqmElement:
     """Element of a finite quadratic module, in generator coordinates."""
 
@@ -92,9 +102,7 @@ class FiniteQuadraticModule:
     """Finite abelian group with a non-degenerate quadratic form into Q/Z."""
 
     def __init__(self, orders, q_values, bilinear):
-        orders = tuple(int(d) for d in orders)
-        if any(d < 1 for d in orders):
-            raise PreconditionError("generator orders must be positive")
+        orders = tuple(map(_order, orders))
         q_values = tuple(_mod1(q) for q in q_values)
         bilinear = tuple(tuple(_mod1(b) for b in row) for row in bilinear)
         self.orders = orders
@@ -417,8 +425,7 @@ def cyclic_module(n, q):
 
 def hyperbolic_module(n):
     """Discriminant form of the hyperbolic plane rescaled by n: (Z/n)^2 with Q(a,b)=ab/n."""
-    if n < 1:
-        raise PreconditionError("generator orders must be positive")
+    n = _order(n)
     if n == 1:
         return trivial_module()
     h = Fraction(1, n)
@@ -430,8 +437,7 @@ def matrix_model_module(p):
 
     Coordinates (c11, c12, c21, c22) stand for the class of (1/p)*[[c11,c12],[c21,c22]].
     """
-    if p < 1:
-        raise PreconditionError("generator orders must be positive")
+    p = _order(p)
     h = Fraction(1, p)
     z = Fraction(0)
     bil = ((z, z, z, h), (z, z, -h % 1, z), (z, -h % 1, z, z), (h, z, z, z))

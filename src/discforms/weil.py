@@ -26,7 +26,10 @@ is the table F[u] = sum_t e(gamma(t) + (u, t)), n histograms in O(n^2). Table
 times character, when the inner phase gamma is M*Q, is again a table, by
 Q(t) + (t, w) = Q(t + w) - Q(w). Every other pair runs the support
 kernel on the dense view .mat, which a tagged matrix builds on first read.
-Comparisons run one zero test per distinct (exponent difference, entry, entry)
+Comparisons of two monomials, a table and a monomial, or two characters are
+proved from the tags in O(n) work and a few zero tests; every other pair, and
+every pair that is not proved equal that way, walks the rows with one zero
+test per distinct (exponent difference, canonical entry, canonical entry)
 triple.
 """
 
@@ -165,9 +168,10 @@ class _Tables:
     """Integer tables of a module on the mixed-radix codes of its elements.
 
     Exponents are taken at M = lcm(8, level) and kept in [0, M): q[x] = M*Q(x)
-    and pair[x][y] = M*(x, y); add[x][y] is the code of x + y. Entries of
-    table matrices are interned by content: objs[k] is the k-th distinct
-    cyclotomic number, with objs[0] = 0 and objs[1] = 1.
+    and pair[x][y] = M*(x, y); add[x][y] is the code of x + y, and gens[i]
+    is the code of the i-th generator. Entries of table matrices are interned
+    by content: objs[k] is the k-th distinct cyclotomic number, with
+    objs[0] = 0 and objs[1] = 1.
     """
 
     def __init__(self, module):
@@ -181,6 +185,7 @@ class _Tables:
         for i in range(r - 2, -1, -1):
             strides[i] = strides[i + 1] * orders[i + 1]
         self._orders, self._strides = orders, strides
+        self.gens = [s * (1 % d) for s, d in zip(strides, orders)]
         self._coords = coords = list(product(*(range(d) for d in orders)))
         self.fold = list(range(m)) * 3
         fold = self.fold.__getitem__
@@ -209,6 +214,7 @@ class _Tables:
         self.roots = [normal(m, {e: 1}) for e in range(m)]
         self.objs = [normal(m, {}), self.roots[0]]
         self._kids = {frozenset(): 0, frozenset({(0, 1)}): 1}
+        self._canon = [0, 1]
         self._fourier = {}
 
     # -- codes and index maps --------------------------------------------------
@@ -235,6 +241,23 @@ class _Tables:
 
     def as_list(self, f):
         return self.mul(f) if isinstance(f, int) else f
+
+    def is_unit(self, f):
+        """Whether the index map f is a bijection."""
+        if isinstance(f, int):
+            return gcd(f, self.exponent) == 1
+        return len(set(f)) == self.n
+
+    def images(self, f):
+        """The codes of the generator images under f, or None when f is not additive.
+
+        An integer map is additive; a list is additive iff it is the linear map
+        of its generator images.
+        """
+        images = list(map(self.as_list(f).__getitem__, self.gens))
+        if isinstance(f, int) or self.linear_map(images) == f:
+            return images
+        return None
 
     def compose(self, f, g):
         """The index map x -> f(g(x))."""
@@ -273,6 +296,16 @@ class _Tables:
             k = self._kids[key] = len(self.objs)
             self.objs.append(CyclotomicNumber._normalized(self.mod, coeffs))
         return k
+
+    def canon(self, k):
+        """Index in objs of the reduced form of objs[k] (cached for all indices up to k).
+
+        Equal values share this index, and every zero entry maps to 0.
+        """
+        canon = self._canon
+        while len(canon) <= k:
+            canon.append(self.kid(self.objs[len(canon)].reduce().coeffs))
+        return canon[k]
 
     def fourier(self, gamma):
         """K with K[u] = sum_t e(gamma(t) + (u, t)): one histogram per u (cached)."""
@@ -445,9 +478,12 @@ class WeilMatrix:
         """None when the matrices are equal, else the first differing entry.
 
         The entry is (i, j, d) in row-major order, with d = self.entry(i, j) -
-        other.entry(i, j) reduced. Entries are compared without being built:
-        each row yields (exponent difference, entry index, entry index)
-        triples, and one zero test is run per distinct triple.
+        other.entry(i, j) reduced. Entries are compared without being built.
+        Two monomials, a table and a monomial, or two characters are first
+        compared by the rules of _EQUALITIES, which read only the tags' data.
+        When no rule proves the matrices equal, each row yields (exponent
+        difference, canonical entry, canonical entry) triples, and one zero
+        test is run per distinct triple.
         """
         if not isinstance(other, WeilMatrix) or other.module != self.module:
             raise PreconditionError("matrices act on different modules")
@@ -458,11 +494,17 @@ class WeilMatrix:
         m, roots, objs = tab.mod, tab.roots, tab.objs
         # canonical scales: a product's scale is a long unreduced sum, its value often one term
         sa, sb = self.scale.reduce(), other.scale.reduce()
+        rule = _EQUALITIES.get((self.tag, other.tag))
+        if rule and rule(tab, self.data, other.data, sa, sb):
+            return None
         same_scale = sa.mod == sb.mod and sa.coeffs == sb.coeffs
         memo, left, right = {}, {}, {}
+        canon = tab._canon
         for i in range(n):
             ea, ka = self._row(tab, i)
             eb, kb = other._row(tab, i)
+            tab.canon(len(objs) - 1)  # every interned entry, the new dense ones included
+            ka, kb = list(map(canon.__getitem__, ka)), list(map(canon.__getitem__, kb))
             failed = set()
             for key in set(zip(map(sub, eb, ea), ka, kb)):
                 ok = memo.get(key)
@@ -506,6 +548,82 @@ def _times_root(x, d, m):
     """x * e(d/m), for x at a multiple of the modulus m."""
     n, f = x.mod, x.mod // m
     return CyclotomicNumber._normalized(n, {(e + d * f) % n: c for e, c in x.coeffs.items()})
+
+
+# -- structured comparisons -----------------------------------------------------------
+#
+# Each rule gets the tables, the data of both matrices and their reduced scales
+# sa and sb. It returns True only when it has proved sa * A = sb * B; anything
+# else leaves the comparison to the row walk of first_difference.
+
+
+def _equal_up_to_roots(tab, x, y, diffs):
+    """Whether x = y * e(d/M) for every exponent difference d in diffs."""
+    y = y * tab.objs[1]
+    return all((x - _times_root(y, d, tab.mod)).is_zero()
+               for d in set(map(tab.fold.__getitem__, diffs)))
+
+
+def _monomials_equal(tab, a, b, sa, sb):
+    """The same columns, and sa = sb * e(ph_b[x] - ph_a[x]) for every row x."""
+    src_a, _dst_a, ph_a = a
+    src_b, _dst_b, ph_b = b
+    return (tab.as_list(src_a) == tab.as_list(src_b)
+            and _equal_up_to_roots(tab, sa, sb, map(sub, ph_b, ph_a)))
+
+
+def _table_equals_monomial(tab, a, b, sa, sb):
+    """A table against a monomial matrix, by the supports of the table's rows.
+
+    With U the set of u where K[u] is nonzero, row x of the table is nonzero
+    exactly at the columns y with Cy in U - Rx. For a bijective C that is one
+    column only when U = {u}; it must then be src(x), with the entries
+    sa * e(alpha[x] + beta[src(x)]) * K[u] = sb * e(ph[x]).
+    """
+    alpha, beta, k, rmap, cmap = a
+    src, _dst, ph = b
+    nonzero = {kid for kid in set(k) if tab.canon(kid)}
+    support = [u for u, kid in enumerate(k) if kid in nonzero]
+    if len(support) != 1 or not tab.is_unit(cmap):
+        return False
+    (u,) = support
+    neg, shift = tab.mul(-1), tab.add[u]
+    if tab.as_list(tab.compose(cmap, src)) != [shift[neg[x]] for x in tab.as_list(rmap)]:
+        return False
+    phases = tab.vadd(alpha, tab.pull(beta, src))
+    return _equal_up_to_roots(tab, sa * tab.objs[tab.canon(k[u])], sb, map(sub, ph, phases))
+
+
+def _characters_equal(tab, a, b, sa, sb):
+    """Two characters: the same pairing (Rx, Cy), and constant phase differences.
+
+    With additive index maps both pairings are bilinear, so they agree iff they
+    agree on the r^2 pairs of generators. Then the entries agree iff
+    alpha_b - alpha_a = c1 and beta_b - beta_a = c2 are constant and
+    sa = sb * e(c1 + c2).
+    """
+    alpha_a, beta_a, _ka, ra, ca = a
+    alpha_b, beta_b, _kb, rb, cb = b
+    images = list(map(tab.images, (ra, ca, rb, cb)))
+    if None in images:
+        return False
+    ra, ca, rb, cb = images
+    pair = tab.pair
+    if any(pair[x][y] != pair[v][w] for x, v in zip(ra, rb) for y, w in zip(ca, cb)):
+        return False
+    fold = tab.fold.__getitem__
+    c1 = set(map(fold, map(sub, alpha_b, alpha_a)))
+    c2 = set(map(fold, map(sub, beta_b, beta_a)))
+    return (len(c1) == len(c2) == 1
+            and _equal_up_to_roots(tab, sa, sb, [c1.pop() + c2.pop()]))
+
+
+_EQUALITIES = {
+    ("monomial", "monomial"): _monomials_equal,
+    ("table", "monomial"): _table_equals_monomial,
+    ("monomial", "table"): lambda tab, a, b, sa, sb: _table_equals_monomial(tab, b, a, sb, sa),
+    ("character", "character"): _characters_equal,
+}
 
 
 # -- structured products --------------------------------------------------------------

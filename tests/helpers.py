@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
+from operator import sub
 
 from discforms import fqm
 from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
@@ -12,7 +13,7 @@ from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import ConsistencyError, PreconditionError
 from discforms.qseries import (VectorValuedQSeries, _conj, _is_zero_value, _parse_value,
                                reduction)
-from discforms.weil import WeilMatrix
+from discforms.weil import WeilMatrix, _tables, _times_root
 
 
 def un(n):
@@ -166,6 +167,57 @@ def dense_matmul_reference(a, b):
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
     return WeilMatrix(a.module, a.scale * b.scale, out)
+
+
+def first_difference_reference(self, other):
+    """WeilMatrix.first_difference as a row walk only, with no structured rules.
+
+    The oracle that the equality rules of weil._EQUALITIES are checked against.
+    None when the matrices are equal, else the first differing entry (i, j, d)
+    in row-major order, with d = self.entry(i, j) - other.entry(i, j) reduced.
+    Entries are compared without being built: each row yields (exponent
+    difference, entry index, entry index) triples, and one zero test is run
+    per distinct triple.
+    """
+    if not isinstance(other, WeilMatrix) or other.module != self.module:
+        raise PreconditionError("matrices act on different modules")
+    n = self.size
+    if other.size != n:
+        raise PreconditionError("matrices have different sizes")
+    tab = _tables(self.module)
+    m, roots, objs = tab.mod, tab.roots, tab.objs
+    # canonical scales: a product's scale is a long unreduced sum, its value often one term
+    sa, sb = self.scale.reduce(), other.scale.reduce()
+    same_scale = sa.mod == sb.mod and sa.coeffs == sb.coeffs
+    memo, left, right = {}, {}, {}
+    for i in range(n):
+        ea, ka = self._row(tab, i)
+        eb, kb = other._row(tab, i)
+        failed = set()
+        for key in set(zip(map(sub, eb, ea), ka, kb)):
+            ok = memo.get(key)
+            if ok is None:
+                d, a, b = key
+                if a == b and (a == 0 or (same_scale and d == 0)):
+                    ok = True
+                else:
+                    # sa * A - sb * e(d) * B, with the two products taken once per entry
+                    x = left.get(a)
+                    if x is None:
+                        x = left[a] = sa * objs[a]
+                    y = right.get(b)
+                    if y is None:
+                        y = right[b] = sb * objs[b]
+                    ok = (x - _times_root(y, d, m)).is_zero()
+                memo[key] = ok
+            if not ok:
+                failed.add(key)
+        if failed:
+            for j, key in enumerate(zip(map(sub, eb, ea), ka, kb)):
+                if key in failed:
+                    d = sa * roots[ea[j]] * objs[ka[j]] - sb * roots[eb[j]] * objs[kb[j]]
+                    return i, j, d.reduce()
+    return None
 
 
 def cyclotomic_polynomial_reference(m):

@@ -95,6 +95,11 @@ REFUSALS = {
     "picard_rank_zero": (lambda: dims.picard_rank(0), "generator orders must be positive"),
     "lift_module_order_zero": (lambda: lifts.lift_module(0, 2),
                                "generator orders must be positive"),
+    # a non-integral order is refused, not truncated to int
+    "cyclic_order_not_integral": (lambda: fqm.cyclic_module(2.5, F(1, 4)),
+                                  "generator orders must be integers"),
+    "hyperbolic_order_not_integral": (lambda: fqm.hyperbolic_module(2.5),
+                                      "generator orders must be integers"),
     # lattice
     "coset_representative_foreign": (
         lambda: lattice.EvenLattice([[2]]).coset_representative(_h(2).zero()),

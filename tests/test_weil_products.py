@@ -12,7 +12,7 @@ import pytest
 from discforms import cyclo, fqm, weil
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import PreconditionError
-from helpers import dense_matmul_reference, profile_module
+from helpers import dense_matmul_reference, first_difference_reference, profile_module
 
 # The modules of test_weil.py.
 TEST_WEIL_MODULES = (
@@ -336,3 +336,116 @@ def test_conj_transpose_on_tags(profile):
         assert y.scale == x.scale.conjugate(), tag
         assert all(y.mat[i][j] == x.mat[j][i].conjugate()
                    for i in range(n) for j in range(n)), tag
+
+
+def compared_pairs(a):
+    """The (lhs, rhs) pairs that relation_report compares on a, in order, with their row walks.
+
+    Each pair comes with the number of rows that first_difference built for it.
+    """
+    pairs, rows = [], [0]
+    row, first_difference = weil.WeilMatrix._row, weil.WeilMatrix.first_difference
+
+    def count(self, tab, i):
+        rows[0] += 1
+        return row(self, tab, i)
+
+    def spy(self, other):
+        before = rows[0]
+        out = first_difference(self, other)
+        pairs.append((self, other, rows[0] - before))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil.WeilMatrix, "_row", count)
+        mp.setattr(weil.WeilMatrix, "first_difference", spy)
+        report = weil.relation_report(a)
+    assert all(report.values()) and len(pairs) == len(report), a.orders
+    return pairs
+
+
+def variants(x):
+    """Matrices next to x: copies with other index maps, and single changes that may differ.
+
+    A monomial gets its maps as lists, one phase +1 and two src entries
+    swapped; a character its maps as lists, one alpha +1, two row-map entries
+    swapped (no longer additive) and its column map negated (another
+    pairing); a table one entry id replaced, and both index maps zero (one
+    entry everywhere); every matrix its scale times e(1/M).
+    """
+    a = x.module
+    tab = weil._tables(a)
+    n, mid = tab.n, tab.n // 2
+
+    def tagged(data):
+        return weil.WeilMatrix._tagged(a, x.scale, x.tag, data)
+
+    def swapped(f):
+        f = list(tab.as_list(f))
+        f[0], f[-1] = f[-1], f[0]
+        return f
+
+    out = [x.scaled(e_frac(F(1, x.mod)))]
+    if x.tag == "monomial":
+        src, dst, ph = x.data
+        bumped = list(ph)
+        bumped[mid] = (bumped[mid] + 1) % tab.mod
+        src2 = swapped(src)
+        dst2 = [0] * n
+        for y, v in enumerate(src2):
+            dst2[v] = y
+        out += [tagged((list(tab.as_list(src)), list(tab.as_list(dst)), ph)),
+                tagged((src, dst, bumped)), tagged((src2, dst2, ph))]
+    elif x.tag == "character":
+        alpha, beta, k, r, c = x.data
+        bumped = list(alpha)
+        bumped[mid] = (bumped[mid] + 1) % tab.mod
+        out += [tagged((alpha, beta, k, list(tab.as_list(r)), list(tab.as_list(c)))),
+                tagged((bumped, beta, k, r, c)), tagged((alpha, beta, k, swapped(r), c)),
+                tagged((alpha, beta, k, r, tab.compose(-1, c)))]
+    elif x.tag == "table":
+        alpha, beta, k, r, c = x.data
+        k2 = list(k)
+        k2[mid] = 1 if tab.canon(k2[mid]) != 1 else 0
+        out += [tagged((alpha, beta, k2, r, c)), tagged((alpha, beta, k, 0, 0))]
+    return out
+
+
+def difference_key(d):
+    return d if d is None else (d[0], d[1], d[2].mod, d[2].coeffs)
+
+
+def assert_same_difference(x, y, label):
+    got = difference_key(x.first_difference(y))
+    assert got == difference_key(first_difference_reference(x, y)), label
+
+
+@pytest.mark.parametrize("make", [make for _name, make in TEST_WEIL_MODULES]
+                         + [lambda p=p: profile_module(p) for p in BENCH_PROFILES],
+                         ids=[m[0] for m in TEST_WEIL_MODULES]
+                         + ["".join("%s%d" % b for b in p) for p in BENCH_PROFILES])
+def test_first_difference_matches_row_walk_reference(make):
+    # every pair of relation_report, and each side against the variants of the other,
+    # both ways round
+    a = make()
+    for lhs, rhs, _rows in compared_pairs(a):
+        label = (a.orders, lhs.tag, rhs.tag)
+        for x, y in [(lhs, rhs)] + [(lhs, v) for v in variants(rhs)] + \
+                [(v, rhs) for v in variants(lhs)]:
+            assert_same_difference(x, y, label)
+            assert_same_difference(y, x, label)
+
+
+STRUCTURED_PAIRS = {("monomial", "monomial"), ("table", "monomial"), ("monomial", "table"),
+                    ("character", "character")}
+
+
+@pytest.mark.parametrize("make", [lambda: profile_module((("h", 8), ("c", 2))),
+                                  lambda: fqm.hyperbolic_module(31)],
+                         ids=["h8c2", "H(31)"])
+def test_structured_comparisons_build_no_rows(make):
+    # only the braid relation, a character against a table, walks the rows
+    pairs = compared_pairs(make())
+    walked = [(x.tag, y.tag) for x, y, rows in pairs if rows]
+    assert all((x.tag, y.tag) in STRUCTURED_PAIRS for x, y, rows in pairs if not rows)
+    assert walked == [("character", "table")]
