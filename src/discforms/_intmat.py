@@ -2,12 +2,13 @@
 
 Owns Gram-matrix validation (even_gram), the parsing of rational input text
 (parse_rational), the extended gcd (ext_gcd), the Smith and Hermite forms,
-lattice bases, signatures and primality (is_prime). All matrices are lists of
-lists (or tuples of tuples). Functions never mutate their arguments.
+lattice bases, signatures, and the one trial-division factorization with its
+divisors and primality test (factorization, divisors, is_prime). All matrices
+are lists of lists (or tuples of tuples). Functions never mutate their
+arguments.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import PreconditionError
 
@@ -312,6 +313,31 @@ def signature_pair(gram):
     return pos, neg
 
 
+def factorization(n):
+    """The prime factorization [(p, e), ...] of n >= 1, p ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n):
+    """The positive divisors of n >= 1, ascending, from its factorization."""
+    out = [1]
+    for p, e in factorization(n):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def is_prime(n):
-    """Primality by trial division up to the square root."""
-    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+    """Primality, read from the factorization."""
+    return n >= 2 and factorization(n) == [(n, 1)]

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 import cmath
 
-from ._intmat import is_prime
+from ._intmat import factorization
 from .errors import ConsistencyError
 
 
@@ -25,14 +25,8 @@ def _basis_plan(m):
     the parts of the other primes alone and, as m/q is a unit mod p, move that
     digit to each of the others once.
     """
-    plan = []
-    for p in range(2, m + 1):
-        if m % p == 0 and is_prime(p):
-            q = p
-            while m % (q * p) == 0:
-                q *= p
-            plan.append((q, q - q // p, range(m // p, m, m // p)))
-    return tuple(plan)
+    return tuple((p ** e, p ** e - p ** (e - 1), range(m // p, m, m // p))
+                 for p, e in factorization(m))
 
 
 class CyclotomicNumber:

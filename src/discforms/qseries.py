@@ -21,7 +21,7 @@ from math import floor, gcd
 from operator import attrgetter
 
 from . import fqm
-from ._intmat import is_prime, parse_rational
+from ._intmat import divisors, factorization, is_prime, parse_rational
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
 
@@ -81,10 +81,17 @@ class VectorValuedQSeries:
         self.level = module.level()
         self.k_max = floor(self.level * self.truncation)
         self.components = {}
+        # the coords whose component dict set made for this series alone
+        self._owned = set()
+
+    def _share(self):
+        """The components, for another series to share: set copies them again first."""
+        self._owned.clear()
+        return self.components
 
     def copy(self):
         out = VectorValuedQSeries(self.module, self.weight, self.truncation)
-        out.components = dict(self.components)
+        out.components = dict(self._share())
         return out
 
     def _exponent(self, mu, k, n):
@@ -111,22 +118,27 @@ class VectorValuedQSeries:
             self.components.pop(mu.coords, None)
 
     def set(self, mu, m, value):
-        """Set c(m, mu) in a new copy of mu's component, in time linear in its size.
+        """Set c(m, mu), in place in a component dict that this series owns.
 
-        Code that builds whole components (the arrows, read_series, the lifts)
-        checks and stores each component once instead.
+        A component that may be shared (made by copy, the arrows, a sum or the
+        lifts) is copied once, and the copy is owned from then on, so repeated
+        sets into one component take amortized constant time.
         """
         m = Fraction(m)
         k = self._exponent(mu, m.numerator, m.denominator)
-        comp = dict(self.components.get(mu.coords, _EMPTY))
+        c = mu.coords
+        comp = self.components.get(c)
+        if comp is None or c not in self._owned:
+            comp = dict(comp or _EMPTY)
+            self._owned.add(c)
         if _is_zero_value(value):
             comp.pop(k, None)
         else:
             comp[k] = value
         if comp:
-            self.components[mu.coords] = comp
+            self.components[c] = comp
         else:
-            self.components.pop(mu.coords, None)
+            self.components.pop(c, None)
 
     def get(self, mu, m):
         k = Fraction(m) * self.level
@@ -161,11 +173,11 @@ class VectorValuedQSeries:
                                   min(self.truncation, other.truncation))
         k_max = out.k_max
         comps = out.components
-        for c, comp in self.components.items():
+        for c, comp in self._share().items():
             comp = _truncated(comp, k_max)
             if comp:
                 comps[c] = comp
-        for c, comp in other.components.items():
+        for c, comp in other._share().items():
             comp = _truncated(comp, k_max)
             if c in comps:
                 comp = _summed(comps[c], comp)
@@ -245,7 +257,7 @@ def up_arrow(g, module, h):
         raise PreconditionError("series does not live on the subquotient module")
     out = VectorValuedQSeries(module, g.weight, g.truncation)
     scale = out.level // g.level
-    for c, comp in g.components.items():
+    for c, comp in g._share().items():
         if scale != 1:
             comp = {k * scale: v for k, v in comp.items()}
         for mu in fibers[c]:
@@ -361,18 +373,8 @@ def decompose_prime_union(f, subgroups):
 
 
 def _omega(n):
-    count = 0
-    p = 2
-    while n > 1:
-        while n % p == 0:
-            n //= p
-            count += 1
-        p += 1 if p == 2 else 2
-    return count
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The number of prime factors of n, counted with multiplicity."""
+    return sum(e for _p, e in factorization(n))
 
 
 def moebius_resum(f, e):
@@ -380,10 +382,11 @@ def moebius_resum(f, e):
     a = f.module
     n = e.order()
     out = VectorValuedQSeries(a, f.weight, f.truncation)
-    for d in _divisors(n):
-        if d == 1 or any(d % (p * p) == 0 for p in range(2, d)):
+    for d in divisors(n)[1:]:
+        primes = factorization(d)
+        if any(k > 1 for _p, k in primes):
             continue
-        mob = (-1) ** _omega(d)
+        mob = (-1) ** len(primes)
         i_d = fqm.cyclic_subgroup_id(a, e, d)
         term = up_arrow(down_arrow(f, i_d), a, i_d) * Fraction(-mob, d)
         out = out + term
@@ -420,7 +423,7 @@ def oldform_decompose(f, e, t):
             if _omega(fqm.content(a, e, a.element(c))) < level:
                 raise PreconditionError(
                     "support precondition fails at recursion depth %d" % level)
-        for d in _divisors(n):
+        for d in divisors(n):
             if _omega(d) != level:
                 continue
             i_d = fqm.cyclic_subgroup_id(a, e, d)

@@ -12,25 +12,21 @@ entries that carry a structure tag:
 
 - monomial: row x holds one root of unity e(ph(x)), in column src(x) (T^k, Z,
   the identity and automorphism matrices);
-- character: entries e(alpha(x) + beta(y) + (Rx, Cy)) (S, S^dagger, T^k S,
-  S Z, ...);
-- table: entries e(alpha(x) + beta(y)) * K[Rx + Cy], where K holds n interned
-  cyclotomic numbers (S S^dagger, S^2, (S T)^3, ...);
-- dense: rows of CyclotomicNumbers.
+- quadratic: entries e(alpha(x) + beta(y) + (Rx, Cy)) * K[Px + Qy], where K
+  holds n interned cyclotomic numbers, or is absent and reads 1 (S, T^k S,
+  S S^dagger, (S T)^3 and every rho(M) with c != 0);
+- dense: rows of CyclotomicNumbers (plus_subspace and hand-built matrices).
 
-R and C are index maps: an integer k for x -> k*x, or a list of codes.
+R, C, P and Q are index maps: an integer k for x -> k*x, or a list of codes.
 Products, conjugate transposes and comparisons dispatch on the tags. A
-monomial factor re-indexes the other factor in O(n). Character times
-character, when both inner maps are integers (moved out by (u, kt) = (ku, t)),
-is the table F[u] = sum_t e(gamma(t) + (u, t)), n histograms in O(n^2). Table
-times character, when the inner phase gamma is M*Q, is again a table, by
-Q(t) + (t, w) = Q(t + w) - Q(w). Every other pair runs the support
-kernel on the dense view .mat, which a tagged matrix builds on first read.
-Comparisons of two monomials, a table and a monomial, or two characters are
-proved from the tags in O(n) work and a few zero tests; every other pair, and
-every pair that is not proved equal that way, walks the rows with one zero
-test per distinct (exponent difference, canonical entry, canonical entry)
-triple.
+monomial factor re-indexes the other factor in O(n); a quadratic matrix times
+one without K is again quadratic, by one transform of n histograms (see
+_quadratic_product), so rho(M), a word in S and monomials, stays tagged. Any
+other pair (a dense factor, or K on both sides) is refused. Comparisons of two
+monomials, a quadratic matrix with K and a monomial, or two quadratic matrices
+without K are proved from the tags; every other pair, and every pair not
+proved equal that way, walks the rows with one zero test per distinct
+(exponent difference, canonical entry, canonical entry) triple.
 """
 
 import cmath
@@ -142,9 +138,9 @@ def gen_Z():
 # -- index tables -----------------------------------------------------------------
 
 
-# The tables hold two n x n integer arrays and every comparison walks n^2
-# entries, so time and memory grow as n^2: larger modules are refused before
-# any table is built.
+# The tables hold two n x n integer arrays, and a transform of a product reads
+# all of the pairing table, so time and memory grow as n^2: larger modules are
+# refused before any table is built.
 ORDER_BOUND = 2_500
 
 
@@ -169,8 +165,8 @@ class _Tables:
 
     Exponents are taken at M = lcm(8, level) and kept in [0, M): q[x] = M*Q(x)
     and pair[x][y] = M*(x, y); add[x][y] is the code of x + y, and gens[i]
-    is the code of the i-th generator. Entries of table matrices are interned
-    by content: objs[k] is the k-th distinct cyclotomic number, with
+    is the code of the i-th generator. The entries K of quadratic matrices are
+    interned by content: objs[k] is the k-th distinct cyclotomic number, with
     objs[0] = 0 and objs[1] = 1.
     """
 
@@ -207,6 +203,8 @@ class _Tables:
             i, p = steps[c]
             add_rows.append(list(map(shifts[i].__getitem__, add_rows[p])))
             pair.append(list(map(fold, map(add, pair[p], gen_pair[i]))))
+        # z by its pairings with the generators, which name it: the pairing is non-degenerate
+        self._dual = {col: z for z, col in enumerate(zip(*(pair[g] for g in self.gens)))}
         self.zeros = [0] * n
         self.ones = [1] * n
         self._mul = {self.one: add_rows[0]}
@@ -215,7 +213,7 @@ class _Tables:
         self.objs = [normal(m, {}), self.roots[0]]
         self._kids = {frozenset(): 0, frozenset({(0, 1)}): 1}
         self._canon = [0, 1]
-        self._fourier = {}
+        self._transforms = {}
 
     # -- codes and index maps --------------------------------------------------
 
@@ -263,6 +261,8 @@ class _Tables:
         """The index map x -> f(g(x))."""
         if isinstance(f, int):
             f %= self.exponent
+            if not f:
+                return 0
             if isinstance(g, int):
                 return f * g % self.exponent
             if f == self.one:
@@ -270,6 +270,27 @@ class _Tables:
         elif isinstance(g, int) and g % self.exponent == self.one:
             return f
         return list(map(self.as_list(f).__getitem__, self.as_list(g)))
+
+    def inverse(self, f):
+        """The inverse of a bijective index map f."""
+        if isinstance(f, int):
+            return pow(f, -1, self.exponent)
+        return sorted(range(self.n), key=f.__getitem__)
+
+    def adjoint(self, f):
+        """The index map f* with (f x, y) = (x, f* y), or None when f is not additive.
+
+        An integer map is its own adjoint; else f*(g_j) is the z with
+        (g_i, z) = (f g_i, g_j) for every generator g_i.
+        """
+        if isinstance(f, int):
+            return f
+        images = self.images(f)
+        if images is None:
+            return None
+        pair = self.pair
+        return self.linear_map([self._dual[tuple(pair[y][g] for y in images)]
+                                for g in self.gens])
 
     # -- exponent vectors --------------------------------------------------------
 
@@ -307,31 +328,36 @@ class _Tables:
             canon.append(self.kid(self.objs[len(canon)].reduce().coeffs))
         return canon[k]
 
-    def fourier(self, gamma):
-        """K with K[u] = sum_t e(gamma(t) + (u, t)): one histogram per u (cached)."""
-        key = tuple(gamma)
-        out = self._fourier.get(key)
-        if out is None:
-            fold = self.fold.__getitem__
-            out = self._fourier[key] = [self.kid(dict(Counter(map(fold, map(add, gamma, row)))))
-                                        for row in self.pair]
-        return out
+    def q_multiple(self, gamma):
+        """The c with gamma = c*q, or None; c*Q is fixed by its values at g_i and g_i + g_j."""
+        m, q, gens = self.mod, self.q, self.gens
+        probe = gens + [self.add[g][h] for i, g in enumerate(gens) for h in gens[i + 1:]]
+        c = next((c for c in range(m) if all(c * q[x] % m == gamma[x] for x in probe)), None)
+        return c if c is not None and [c * v % m for v in q] == gamma else None
 
-    def convolve_q(self, k, mu):
-        """G with G[v] = sum_s K[v + mu*s] e(Q(s)), for K given by its entry indices k."""
-        m, objs, q = self.mod, self.objs, self.q
-        steps = self.mul(mu)
-        out = []
-        for row in self.add:
-            acc = {}
-            for (kid, qe), c in Counter(zip(map(k.__getitem__, map(row.__getitem__, steps)),
-                                            q)).items():
-                for e, co in objs[kid].coeffs.items():
-                    e += qe
-                    if e >= m:
-                        e -= m
-                    acc[e] = acc.get(e, 0) + co * c
-            out.append(self.kid({e: c for e, c in acc.items() if c}))
+    def transform(self, k, gamma):
+        """T with T[v] = sum_s K[s] e(gamma(s) + (s, v)), one histogram per v (cached).
+
+        K is given by its entry indices k, or is None and reads 1.
+        """
+        key = (k if k is None else tuple(k), tuple(gamma))
+        out = self._transforms.get(key)
+        if out is None:
+            m, objs, fold = self.mod, self.objs, self.fold.__getitem__
+            out = self._transforms[key] = []
+            for row in self.pair:
+                exps = map(fold, map(add, gamma, row))
+                if k is None:
+                    out.append(self.kid(dict(Counter(exps))))
+                    continue
+                acc = {}
+                for (kid, e), c in Counter(zip(k, exps)).items():
+                    for f, co in objs[kid].coeffs.items():
+                        f += e
+                        if f >= m:
+                            f -= m
+                        acc[f] = acc.get(f, 0) + co * c
+                out.append(self.kid({f: c for f, c in acc.items() if c}))
         return out
 
     def conjugate(self, k):
@@ -353,17 +379,16 @@ class WeilMatrix:
 
     - "monomial": data (src, dst, ph); row x holds e(ph[x]) in column src(x),
       and column y its entry in row dst(y);
-    - "character": data (alpha, beta, None, R, C), entries
-      e(alpha[x] + beta[y] + (Rx, Cy));
-    - "table": data (alpha, beta, K, R, C), entries
-      e(alpha[x] + beta[y]) * objs[K[Rx + Cy]];
+    - "quadratic": data (alpha, beta, R, C, K, P, Q), entries
+      e(alpha[x] + beta[y] + (Rx, Cy)) * objs[K[Px + Qy]]; K = None reads 1
+      (with P = Q = 0), and R = C = 0 leaves the table alone;
     - "dense": no data; the rows are .mat.
 
     WeilMatrix(module, scale, rows) builds a dense matrix; entries given at a
     divisor of .mod are promoted. For every tag .mat is the dense list of rows
-    of CyclotomicNumbers, built on first read for tagged matrices. Pairs of
-    factors without a structured product rule multiply by the support kernel
-    on .mat.
+    of CyclotomicNumbers, built on first read for tagged matrices. Products
+    are structured only: a pair of factors without a product rule (a dense
+    factor, or K on both sides) raises PreconditionError.
     """
 
     def __init__(self, module, scale, mat):
@@ -412,14 +437,14 @@ class WeilMatrix:
         if tag == "dense":
             row = self._mat[i]
             return [0] * len(row), [tab.kid(x._promoted(tab.mod).coeffs) for x in row]
-        alpha, beta, k, rmap, cmap = data
-        x = tab.as_list(rmap)[i]
-        if tag == "character":
-            prow = tab.pull(tab.pair[x], cmap)
-            return list(map(fold, map(alpha[i].__add__, map(add, beta, prow)))), tab.ones
-        arow = tab.add[x]
-        kids = list(map(k.__getitem__, map(arow.__getitem__, tab.as_list(cmap))))
-        return list(map(fold, map(alpha[i].__add__, beta))), kids
+        alpha, beta, rmap, cmap, k, pmap, qmap = data
+        if rmap != 0:
+            beta = map(add, beta, tab.pull(tab.pair[tab.as_list(rmap)[i]], cmap))
+        exps = list(map(fold, map(alpha[i].__add__, beta)))
+        if k is None:
+            return exps, tab.ones
+        arow = tab.add[tab.as_list(pmap)[i]]
+        return exps, list(map(k.__getitem__, map(arow.__getitem__, tab.as_list(qmap))))
 
     def _dense(self):
         tab = _tables(self.module)
@@ -442,12 +467,19 @@ class WeilMatrix:
             return NotImplemented
         if other.module != self.module:
             raise PreconditionError("matrices act on different modules")
-        scale = self.scale * other.scale
         rule = _PRODUCTS.get((self.tag, other.tag))
-        out = rule(_tables(self.module), self.data, other.data) if rule else None
-        if out is None:
-            return WeilMatrix(self.module, scale, _support_product(self.mat, other.mat, self.mod))
-        return WeilMatrix._tagged(self.module, scale, *out)
+        data = rule(_tables(self.module), self.data, other.data) if rule else None
+        if data is None:
+            raise PreconditionError("no structured product of a %s and a %s matrix"
+                                    % (self.shape(), other.shape()))
+        tag = other.tag if self.tag == "monomial" else self.tag
+        return WeilMatrix._tagged(self.module, self.scale * other.scale, tag, data)
+
+    def shape(self):
+        """The tag, with "quadratic" split by whether K is present."""
+        if self.tag != "quadratic":
+            return self.tag
+        return "quadratic (K absent)" if self.data[4] is None else "quadratic (K present)"
 
     def conj_transpose(self):
         scale = self.scale.conjugate()
@@ -458,16 +490,13 @@ class WeilMatrix:
         tab = _tables(self.module)
         if self.tag == "monomial":
             src, dst, ph = self.data
-            out = "monomial", (dst, src, tab.vneg(tab.pull(ph, dst)))
+            data = dst, src, tab.vneg(tab.pull(ph, dst))
         else:
-            alpha, beta, k, rmap, cmap = self.data
-            if self.tag == "character":
-                # -(Ry, Cx) = (-Cx, Ry)
-                out = "character", (tab.vneg(beta), tab.vneg(alpha), None,
-                                    tab.compose(-1, cmap), rmap)
-            else:
-                out = "table", (tab.vneg(beta), tab.vneg(alpha), tab.conjugate(k), cmap, rmap)
-        return WeilMatrix._tagged(self.module, scale, *out)
+            # -(Ry, Cx) = (-Cx, Ry), and K[Py + Qx] is read with the table maps swapped
+            alpha, beta, rmap, cmap, k, pmap, qmap = self.data
+            data = (tab.vneg(beta), tab.vneg(alpha), tab.compose(-1, cmap), rmap,
+                    k if k is None else tab.conjugate(k), qmap, pmap)
+        return WeilMatrix._tagged(self.module, scale, self.tag, data)
 
     def scaled(self, c):
         if self.tag == "dense":
@@ -478,12 +507,10 @@ class WeilMatrix:
         """None when the matrices are equal, else the first differing entry.
 
         The entry is (i, j, d) in row-major order, with d = self.entry(i, j) -
-        other.entry(i, j) reduced. Entries are compared without being built.
-        Two monomials, a table and a monomial, or two characters are first
-        compared by the rules of _EQUALITIES, which read only the tags' data.
-        When no rule proves the matrices equal, each row yields (exponent
-        difference, canonical entry, canonical entry) triples, and one zero
-        test is run per distinct triple.
+        other.entry(i, j) reduced. The rules of _EQUALITIES first try to prove
+        equality from the tags' data alone; otherwise each row yields (exponent
+        difference, canonical entry, canonical entry) triples, and one zero test
+        is run per distinct triple, so that no entry is built.
         """
         if not isinstance(other, WeilMatrix) or other.module != self.module:
             raise PreconditionError("matrices act on different modules")
@@ -494,7 +521,7 @@ class WeilMatrix:
         m, roots, objs = tab.mod, tab.roots, tab.objs
         # canonical scales: a product's scale is a long unreduced sum, its value often one term
         sa, sb = self.scale.reduce(), other.scale.reduce()
-        rule = _EQUALITIES.get((self.tag, other.tag))
+        rule = _EQUALITIES.get((self.shape(), other.shape()))
         if rule and rule(tab, self.data, other.data, sa, sb):
             return None
         same_scale = sa.mod == sb.mod and sa.coeffs == sb.coeffs
@@ -552,9 +579,10 @@ def _times_root(x, d, m):
 
 # -- structured comparisons -----------------------------------------------------------
 #
-# Each rule gets the tables, the data of both matrices and their reduced scales
-# sa and sb. It returns True only when it has proved sa * A = sb * B; anything
-# else leaves the comparison to the row walk of first_difference.
+# Each rule is keyed by the shapes of the two matrices and gets the tables, their
+# data and their reduced scales sa and sb. It returns True only when it has proved
+# sa * A = sb * B; anything else leaves the comparison to the row walk of
+# first_difference.
 
 
 def _equal_up_to_roots(tab, x, y, diffs):
@@ -572,38 +600,40 @@ def _monomials_equal(tab, a, b, sa, sb):
             and _equal_up_to_roots(tab, sa, sb, map(sub, ph_b, ph_a)))
 
 
-def _table_equals_monomial(tab, a, b, sa, sb):
-    """A table against a monomial matrix, by the supports of the table's rows.
+def _quadratic_equals_monomial(tab, a, b, sa, sb):
+    """A quadratic matrix with K against a monomial matrix, by the supports of the rows.
 
-    With U the set of u where K[u] is nonzero, row x of the table is nonzero
-    exactly at the columns y with Cy in U - Rx. For a bijective C that is one
-    column only when U = {u}; it must then be src(x), with the entries
-    sa * e(alpha[x] + beta[src(x)]) * K[u] = sb * e(ph[x]).
+    With U the set of u where K[u] is nonzero, row x of the quadratic matrix is
+    nonzero exactly at the columns y with Qy in U - Px. For a bijective Q that
+    is one column only when U = {u}; it must then be src(x), with the entries
+    sa * e(alpha[x] + beta[src(x)] + (Rx, C src(x))) * K[u] = sb * e(ph[x]).
     """
-    alpha, beta, k, rmap, cmap = a
+    alpha, beta, rmap, cmap, k, pmap, qmap = a
     src, _dst, ph = b
     nonzero = {kid for kid in set(k) if tab.canon(kid)}
     support = [u for u, kid in enumerate(k) if kid in nonzero]
-    if len(support) != 1 or not tab.is_unit(cmap):
+    if len(support) != 1 or not tab.is_unit(qmap):
         return False
     (u,) = support
     neg, shift = tab.mul(-1), tab.add[u]
-    if tab.as_list(tab.compose(cmap, src)) != [shift[neg[x]] for x in tab.as_list(rmap)]:
+    if tab.as_list(tab.compose(qmap, src)) != [shift[neg[x]] for x in tab.as_list(pmap)]:
         return False
-    phases = tab.vadd(alpha, tab.pull(beta, src))
+    pair = tab.pair
+    cross = [pair[x][y] for x, y in zip(tab.as_list(rmap), tab.as_list(tab.compose(cmap, src)))]
+    phases = tab.vadd(tab.vadd(alpha, tab.pull(beta, src)), cross)
     return _equal_up_to_roots(tab, sa * tab.objs[tab.canon(k[u])], sb, map(sub, ph, phases))
 
 
-def _characters_equal(tab, a, b, sa, sb):
-    """Two characters: the same pairing (Rx, Cy), and constant phase differences.
+def _phases_equal(tab, a, b, sa, sb):
+    """Two quadratic matrices without K: the same pairing (Rx, Cy), and constant phase differences.
 
     With additive index maps both pairings are bilinear, so they agree iff they
     agree on the r^2 pairs of generators. Then the entries agree iff
     alpha_b - alpha_a = c1 and beta_b - beta_a = c2 are constant and
     sa = sb * e(c1 + c2).
     """
-    alpha_a, beta_a, _ka, ra, ca = a
-    alpha_b, beta_b, _kb, rb, cb = b
+    alpha_a, beta_a, ra, ca, _ka, _pa, _qa = a
+    alpha_b, beta_b, rb, cb, _kb, _pb, _qb = b
     images = list(map(tab.images, (ra, ca, rb, cb)))
     if None in images:
         return False
@@ -620,100 +650,83 @@ def _characters_equal(tab, a, b, sa, sb):
 
 _EQUALITIES = {
     ("monomial", "monomial"): _monomials_equal,
-    ("table", "monomial"): _table_equals_monomial,
-    ("monomial", "table"): lambda tab, a, b, sa, sb: _table_equals_monomial(tab, b, a, sb, sa),
-    ("character", "character"): _characters_equal,
+    ("quadratic (K present)", "monomial"): _quadratic_equals_monomial,
+    ("monomial", "quadratic (K present)"):
+        lambda tab, a, b, sa, sb: _quadratic_equals_monomial(tab, b, a, sb, sa),
+    ("quadratic (K absent)", "quadratic (K absent)"): _phases_equal,
 }
 
 
 # -- structured products --------------------------------------------------------------
+#
+# Each rule gets the tables and the data of both factors, and returns the data
+# of the product, or None when the pair has no structured product.
 
 
 def _monomial_monomial(tab, a, b):
     src1, dst1, ph1 = a
     src2, dst2, ph2 = b
-    return "monomial", (tab.compose(src2, src1), tab.compose(dst1, dst2),
-                        tab.vadd(ph1, tab.pull(ph2, src1)))
+    return tab.compose(src2, src1), tab.compose(dst1, dst2), tab.vadd(ph1, tab.pull(ph2, src1))
 
 
 def _rows_reindexed(tab, a, b):
-    """Monomial a times character or table b: row x of b moved to src(x), times e(ph[x])."""
+    """Monomial a times quadratic b: row x of b moved to src(x), times e(ph[x])."""
     src, _dst, ph = a
-    alpha, beta, k, rmap, cmap = b
-    return tab.vadd(ph, tab.pull(alpha, src)), beta, k, tab.compose(rmap, src), cmap
+    alpha, beta, rmap, cmap, k, pmap, qmap = b
+    return (tab.vadd(ph, tab.pull(alpha, src)), beta, tab.compose(rmap, src), cmap, k,
+            tab.compose(pmap, src), qmap)
 
 
 def _columns_reindexed(tab, a, b):
-    """Character or table a times monomial b: column y of a moved to dst(y)."""
-    alpha, beta, k, rmap, cmap = a
+    """Quadratic a times monomial b: column y of a moved to dst(y)."""
+    alpha, beta, rmap, cmap, k, pmap, qmap = a
     _src, dst, ph = b
-    return alpha, tab.pull(tab.vadd(beta, ph), dst), k, rmap, tab.compose(cmap, dst)
+    return (alpha, tab.pull(tab.vadd(beta, ph), dst), rmap, tab.compose(cmap, dst), k, pmap,
+            tab.compose(qmap, dst))
 
 
-def _character_character(tab, a, b):
-    """sum_t e(gamma(t) + (Rx, jt) + (kt, Cy)) = F[jRx + kCy], gamma = beta_a + alpha_b."""
-    alpha1, beta1, _k1, r1, c1 = a
-    alpha2, beta2, _k2, r2, c2 = b
-    if not (isinstance(c1, int) and isinstance(r2, int)):
-        return None
-    f = tab.fourier(tab.vadd(beta1, alpha2))
-    return "table", (alpha1, beta2, f, tab.compose(c1, r1), tab.compose(r2, c2))
+def _quadratic_product(tab, a, b):
+    """Quadratic a times quadratic b without K, summed over the middle index t.
 
-
-def _table_character(tab, a, b):
-    """Table times character when the inner phase is M*Q.
-
-    With w = kCy: sum_t K[Rx + mu t] e(Q(t) + (t, w)) = e(-Q(w)) G[Rx - mu w],
-    where G[v] = sum_s K[v + mu s] e(Q(s)), by Q(t) + (t, w) = Q(t + w) - Q(w).
+    With gamma = beta_a + alpha_b, w = C_a* R_a x + R_b* C_b y and u = P_a x the
+    sum is sum_t e(gamma(t) + (t, w)) K[u + mu t], mu = Q_a. Without K that is
+    T(None, gamma)[w]. With K, a bijective mu (inverse mu') and
+    gamma(mu' s) = c Q(s), the substitution s = u + mu t and
+    c Q(s - u) = c Q(s) - c (s, u) + c Q(u) give
+    e(c Q(u) - (u, mu'* w)) * T(K, c Q)[mu'* w - c u]: a cross term
+    -(u, mu'* R_b* C_b y) times a table, so the product keeps the tag.
     """
-    alpha1, beta1, k, r1, mu = a
-    alpha2, beta2, _k2, r2, c2 = b
-    if not (isinstance(mu, int) and isinstance(r2, int)) or tab.vadd(beta1, alpha2) != tab.q:
+    alpha1, beta1, r1, c1, k, p1, mu = a
+    alpha2, beta2, r2, c2, k2, _p2, _q2 = b
+    left, right = tab.adjoint(c1), tab.adjoint(r2)
+    if k2 is not None or left is None or right is None:
         return None
-    w = tab.compose(r2, c2)
-    beta = tab.vadd(beta2, tab.vneg(tab.pull(tab.q, w)))
-    return "table", (alpha1, beta, tab.convolve_q(k, mu), r1, tab.compose(-mu, w))
+    gamma = tab.vadd(beta1, alpha2)
+    w1, w2 = tab.compose(left, r1), tab.compose(right, c2)
+    if k is None:
+        return alpha1, beta2, 0, 0, tab.transform(None, gamma), w1, w2
+    if not tab.is_unit(mu):
+        return None
+    inv = tab.inverse(mu)
+    gamma, adj = tab.pull(gamma, inv), tab.adjoint(inv)  # gamma(mu' s), to be c Q(s)
+    c = tab.q_multiple(gamma)
+    if adj is None or c is None:
+        return None
+    # v1 = mu'* C_a* R_a x; the phase c Q(u) - (u, v1) goes to alpha
+    v1, qmap = tab.as_list(tab.compose(adj, w1)), tab.compose(adj, w2)
+    m, fold, pair, add_rows = tab.mod, tab.fold, tab.pair, tab.add
+    u = tab.as_list(p1)
+    alpha = [fold[x + gamma[ux] + m - pair[ux][vx]] for x, ux, vx in zip(alpha1, u, v1)]
+    pmap = [add_rows[vx][cu] for vx, cu in zip(v1, tab.as_list(tab.compose(-c, p1)))]
+    return alpha, beta2, tab.compose(-1, p1), qmap, tab.transform(k, gamma), pmap, qmap
 
 
 _PRODUCTS = {
     ("monomial", "monomial"): _monomial_monomial,
-    ("monomial", "character"): lambda tab, a, b: ("character", _rows_reindexed(tab, a, b)),
-    ("monomial", "table"): lambda tab, a, b: ("table", _rows_reindexed(tab, a, b)),
-    ("character", "monomial"): lambda tab, a, b: ("character", _columns_reindexed(tab, a, b)),
-    ("table", "monomial"): lambda tab, a, b: ("table", _columns_reindexed(tab, a, b)),
-    ("character", "character"): _character_character,
-    ("table", "character"): _table_character,
+    ("monomial", "quadratic"): _rows_reindexed,
+    ("quadratic", "monomial"): _columns_reindexed,
+    ("quadratic", "quadratic"): _quadratic_product,
 }
-
-
-def _support_product(a, b, mod):
-    """Product of dense entry rows, each entry summed over shared supports only."""
-    rows = [{t: x.coeffs for t, x in enumerate(row) if x.coeffs} for row in a]
-    cols = [{} for _ in b]
-    for t, row in enumerate(b):
-        for j, y in enumerate(row):
-            if y.coeffs:
-                cols[j][t] = y.coeffs
-    zero = CyclotomicNumber(mod, {})
-    out = []
-    for r in rows:
-        row = []
-        for c in cols:
-            short, other = (r, c) if len(r) <= len(c) else (c, r)
-            acc = {}
-            for t, x in short.items():
-                y = other.get(t)
-                if y is None:
-                    continue
-                for e1, c1 in x.items():
-                    for e2, c2 in y.items():
-                        e = e1 + e2
-                        if e >= mod:
-                            e -= mod
-                        acc[e] = acc.get(e, 0) + c1 * c2
-            row.append(CyclotomicNumber(mod, acc) if acc else zero)
-        out.append(row)
-    return out
 
 
 # -- generators -------------------------------------------------------------------
@@ -735,13 +748,13 @@ def rho_T(module, power=1):
 def rho_S(module):
     """The Fourier-transform generator: entries e(-(x, y)) scaled by the Gauss phase.
 
-    A character matrix with row map x -> -x, since -(x, y) = (-x, y).
+    A quadratic matrix without K and with row map x -> -x, since -(x, y) = (-x, y).
     """
     tab = _tables(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    return WeilMatrix._tagged(module, scale, "character",
-                              (tab.zeros, tab.zeros, None, -1, tab.one))
+    return WeilMatrix._tagged(module, scale, "quadratic",
+                              (tab.zeros, tab.zeros, -1, tab.one, None, 0, 0))
 
 
 def rho_Z(module):
@@ -768,29 +781,22 @@ def aut_matrix(module, h):
             break
     else:
         # e_y goes to e_{dst[y]}, so row x reads column src[x] with dst[src[x]] = x
-        src = [0] * tab.n
-        for y, x in enumerate(dst):
-            src[x] = y
+        src = tab.inverse(dst)
     return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial", (src, dst, tab.zeros))
 
 
 def _word_in_generators(matrix):
-    """Write an SL2(Z) matrix as a word in T powers, S, and Z."""
+    """Write an SL2(Z) matrix as a word in nonzero T powers, S, and Z."""
     (a, b), (c, d) = matrix
     word = []
     while c != 0:
         n = a // c
-        word.append(("T", n))
-        word.append(("S", 1))
+        word += [("T", n), ("S", 1)]
         # continue with S^{-1} T^{-n} M
         a, b, c, d = c, d, -(a - n * c), -(b - n * d)
     # now the matrix is upper triangular with a = d = +-1
-    if a == 1:
-        word.append(("T", b))
-    else:
-        word.append(("Z", 1))
-        word.append(("T", -b))
-    return word
+    word += [("T", b)] if a == 1 else [("Z", 1), ("T", -b)]
+    return [(kind, n) for kind, n in word if n]
 
 
 def rho_of(module, g):
@@ -798,26 +804,18 @@ def rho_of(module, g):
 
     The matrix is decomposed into a word in the generators by a continued
     fraction on its first column; the branch bit is matched by comparing the
-    word's metaplectic product with the requested element.
+    word's metaplectic product with the requested element. The word is folded
+    from the left by S and monomials only, so every partial product is tagged
+    (see _quadratic_product) and no dense matrix is built.
     """
     if not isinstance(g, MetaplecticElement):
         g = MetaplecticElement(g)
-    word = _word_in_generators(g.matrix)
     out = identity_matrix(module)
     acc = MetaplecticElement(((1, 0), (0, 1)))
-    t_elt = gen_T()
-    s_elt = gen_S()
-    for kind, n in word:
-        if kind == "T":
-            if n:
-                out = out @ rho_T(module, n)
-                acc = acc @ t_elt ** n
-        elif kind == "S":
-            out = out @ rho_S(module)
-            acc = acc @ s_elt
-        else:
-            out = out @ rho_Z(module)
-            acc = acc @ gen_Z()
+    letters = {"S": (rho_S(module), gen_S()), "Z": (rho_Z(module), gen_Z())}
+    for kind, n in _word_in_generators(g.matrix):
+        mat, elt = letters[kind] if kind != "T" else (rho_T(module, n), gen_T() ** n)
+        out, acc = out @ mat, acc @ elt
     if acc.matrix != g.matrix:
         raise ConsistencyError("word reduction did not reproduce the matrix %s on the module "
                                "with orders %s and level %d"

@@ -6,7 +6,7 @@ from itertools import product
 from math import lcm, prod
 from operator import sub
 
-from discforms import fqm
+from discforms import fqm, weil
 from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
                                parse_rational, smith_normal_form, transpose)
 from discforms.cyclo import CyclotomicNumber, e_frac
@@ -167,6 +167,34 @@ def dense_matmul_reference(a, b):
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
     return WeilMatrix(a.module, a.scale * b.scale, out)
+
+
+def rho_of_reference(module, g):
+    """weil.rho_of with every product of the word taken by dense_matmul_reference.
+
+    The oracle that the structured word products of weil.rho_of are checked
+    against: the same word in T powers, S and Z, folded from the left.
+    """
+    if not isinstance(g, weil.MetaplecticElement):
+        g = weil.MetaplecticElement(g)
+    out = weil.identity_matrix(module)
+    acc = weil.MetaplecticElement(((1, 0), (0, 1)))
+    for kind, n in weil._word_in_generators(g.matrix):
+        if kind == "T":
+            if n:
+                out = dense_matmul_reference(out, weil.rho_T(module, n))
+                acc = acc @ weil.gen_T() ** n
+        elif kind == "S":
+            out = dense_matmul_reference(out, weil.rho_S(module))
+            acc = acc @ weil.gen_S()
+        else:
+            out = dense_matmul_reference(out, weil.rho_Z(module))
+            acc = acc @ weil.gen_Z()
+    if acc.matrix != g.matrix:
+        raise ConsistencyError("word reduction did not reproduce %s" % (g.matrix,))
+    if acc.bit != g.bit:
+        out = out.scaled(e_frac(Fraction(-module.signature(), 2)))
+    return out
 
 
 def first_difference_reference(self, other):

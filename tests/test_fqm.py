@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from discforms import cyclo, dims, fqm, lifts
-from discforms._intmat import is_prime, signature_pair
+from discforms import cyclo, dims, fqm, lifts, qseries
+from discforms._intmat import divisors, factorization, is_prime, signature_pair
 from discforms.errors import PreconditionError
 from helpers import (bilinear_value_reference, block, degenerate_reference, fqm_from_gram_reference,
                      random_even_gram, random_module, un)
@@ -412,6 +412,20 @@ class TestNormalForm:
 def test_is_prime_matches_brute_force():
     for n in range(-3, 501):
         assert is_prime(n) == (n >= 2 and all(n % k for k in range(2, n))), n
+
+
+def test_factorization_and_divisors_match_brute_force():
+    # divisors by a loop up to n, prime factors by repeated division by the least divisor > 1
+    for n in range(1, 3001):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == divs, n
+        factors, m = [], n
+        while m > 1:
+            p = next(d for d in range(2, m + 1) if m % d == 0)
+            factors.append(p)
+            m //= p
+        assert factorization(n) == sorted((p, factors.count(p)) for p in set(factors)), n
+        assert qseries._omega(n) == len(factors), n
 
 
 def test_element_arithmetic():

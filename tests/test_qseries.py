@@ -620,3 +620,43 @@ def test_set_never_writes_through_a_shared_component():
         if source is not derived:
             assert snapshot(source) == source_before
         assert scalar.coefficients == scalar_before
+
+
+def test_set_mutates_its_own_component_in_place():
+    # the first set copies mu's component once; later sets keep that dict object
+    a = fqm.hyperbolic_module(3)
+    mu = a.element((1, 1))  # Q = 1/3
+    f = qs.VectorValuedQSeries(a, F(3), F(20))
+    f.set(mu, F(1, 3), 1)
+    comp = f.components[mu.coords]
+    for k in range(1, 50):
+        f.set(mu, F(1, 3) + k % 19, k)
+    assert f.components[mu.coords] is comp
+    assert f.get(mu, F(1, 3) + 11) == 49 and f.nonzero_count() == 19
+
+
+def test_set_after_sharing_leaves_the_sharer_unchanged():
+    # copy, a sum and up_arrow share component dicts, so the source gives up
+    # ownership: a set on either side copies again and leaves the other alone
+    a, e = u_with_line(6)
+    h = fqm.cyclic_subgroup_id(a, e, 3)
+    b = qs.reduction(a, h)[0]
+    mu = a.element((1, 1))
+    nu = b.element((0,) * len(b.orders))
+    f = qs.VectorValuedQSeries(a, F(3), F(2))
+    g = qs.VectorValuedQSeries(b, F(3), F(2))
+    f.set(mu, mu.q(), 1)
+    f.set(mu, mu.q() + 1, 2)
+    g.set(nu, 1, 3)
+    g.set(nu, 2, 4)
+    for make in (lambda: f.copy(), lambda: f + qs.VectorValuedQSeries(a, F(3), F(2))):
+        derived = make()
+        before = dict(derived.components[mu.coords])
+        f.set(mu, mu.q(), 5)
+        assert derived.components[mu.coords] == before
+        derived.set(mu, mu.q() + 1, 6)
+        assert f.get(mu, mu.q() + 1) == 2
+    raised = qs.up_arrow(g, a, h)
+    before = {c: dict(comp) for c, comp in raised.components.items()}
+    g.set(nu, 1, 7)
+    assert {c: dict(comp) for c, comp in raised.components.items()} == before

@@ -6,13 +6,15 @@ the coefficient map of every entry of the dense view .mat, and the scale.
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from discforms import cyclo, fqm, weil
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import PreconditionError
-from helpers import dense_matmul_reference, first_difference_reference, profile_module
+from helpers import (dense_matmul_reference, first_difference_reference, profile_module,
+                     rho_of_reference)
 
 # The modules of test_weil.py.
 TEST_WEIL_MODULES = (
@@ -88,63 +90,61 @@ def test_products_of_products():
     # T^k S, S Z and S P are root-of-unity matrices that are not generators
     a = profile_module((("h", 2), ("c", 3)))
     mats = generator_matrices(a)
-    ts = dense_matmul_reference(mats["T"], mats["S"])
-    sz = dense_matmul_reference(mats["S"], mats["Z"])
-    sp = dense_matmul_reference(mats["S"], mats["neg"])
+    ts = mats["T"] @ mats["S"]
+    sz = mats["S"] @ mats["Z"]
+    sp = mats["S"] @ mats["neg"]
     for x in (ts, sz, sp):
         for y in (ts, sz, sp, mats["S_dag"], mats["T_inv"]):
             assert_same_product(x, y, "composite")
             assert_same_product(y, x, "composite")
 
 
-def test_kernel_choice(monkeypatch):
-    # structured pairs never reach the dense kernel; dense pairs always do
+def assert_refused(x, y):
+    with pytest.raises(PreconditionError) as err:
+        x @ y
+    assert "of a %s and a %s matrix" % (x.shape(), y.shape()) in str(err.value)
+
+
+def test_kernel_choice():
+    # every structured pair has a product rule and stays tagged; a dense factor,
+    # or K on both sides, is refused with both shapes named
     a = fqm.hyperbolic_module(3)
     m = generator_matrices(a)
     st = m["S"] @ m["T"]
-    structured = [(m[x], m[y]) for x in m for y in m
-                  if (m[x].tag, m[y].tag) != ("table", "table")]
-    structured += [(m["S"] @ m["S_dag"], m["Z"]), (m["T"] @ m["S"] @ m["T"], m["T_inv"]),
+    table = m["S"] @ m["S_dag"]
+    structured = [(m[x], m[y]) for x in m for y in m]
+    structured += [(table, m["Z"]), (m["T"] @ m["S"] @ m["T"], m["T_inv"]),
                    (m["S_dag"] @ m["Z"], m["T_inv"] @ m["S_dag"]), (st @ st, st)]
-
-    def refuse(*args):
-        raise AssertionError("dense kernel on a structured pair")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(weil, "_support_product", refuse)
-        for x, y in structured:
-            assert (x @ y).tag != "dense", (x.tag, y.tag)
-            assert_same_product(x, y, (x.tag, y.tag))
-    calls = []
-    kernel = weil._support_product
-
-    def spy(*args):
-        calls.append(args)
-        return kernel(*args)
-
+    for x, y in structured:
+        assert (x @ y).tag != "dense", (x.shape(), y.shape())
+        assert_same_product(x, y, (x.shape(), y.shape()))
     dense = [dense_matmul_reference(m["T"], m["S"]), dense_matmul_reference(m["S"], m["Z"])]
-    with monkeypatch.context() as mp:
-        mp.setattr(weil, "_support_product", spy)
-        for x in dense:
-            for y in dense:
-                assert_same_product(x, y, "dense")
-    assert len(calls) == 4
+    for x in dense:
+        for y in dense + [m["S"], m["T"], table]:
+            assert_refused(x, y)
+            assert_refused(y, x)
+    assert table.shape() == (st @ st).shape() == "quadratic (K present)"
+    for x, y in ((table, table), (table, st @ st), (m["S"], table)):
+        assert_refused(x, y)
+
+
+ABSENT, PRESENT = "quadratic (K absent)", "quadratic (K present)"
 
 
 def test_structure_tags():
     for a in (fqm.hyperbolic_module(5), profile_module((("h", 2), ("c", 3))),
               fqm.cyclic_module(4, F(3, 8))):
         m = generator_matrices(a)
-        assert m["S"].tag == m["S_dag"].tag == "character"
+        assert m["S"].shape() == m["S_dag"].shape() == ABSENT
         assert {m[x].tag for x in ("T", "T_inv", "Z", "neg")} == {"monomial"}
         assert weil.identity_matrix(a).tag == "monomial"
         st = m["S"] @ m["T"]
         cube = st @ st @ st
-        for prod, tag in ((m["S"] @ m["S_dag"], "table"),
-                          (m["T"] @ m["S"] @ m["T"], "character"),
-                          ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), "table"),
-                          (cube, "table")):
-            assert prod.tag == tag, (a.orders, tag)
+        for prod, shape in ((m["S"] @ m["S_dag"], PRESENT),
+                            (m["T"] @ m["S"] @ m["T"], ABSENT),
+                            ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), PRESENT),
+                            (cube, PRESENT)):
+            assert prod.shape() == shape, (a.orders, shape)
         assert cube == m["Z"] and m["S"] @ m["S"] == m["Z"]
 
 
@@ -229,21 +229,24 @@ def _random_matrix(rng, a, phase=False):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_random_matrices_mixed_moduli(seed):
-    # entries at mixed divisors of the module's modulus lcm(8, level)
+    # entries at mixed divisors of the module's modulus lcm(8, level) are promoted
+    # to it; a dense factor has no product rule, against a dense or a tagged factor
     rng = random.Random(900 + seed)
     for a in (fqm.hyperbolic_module(2), fqm.cyclic_module(5, F(1, 5)),
               fqm.hyperbolic_module(3)):
+        mats = generator_matrices(a)
         for _ in range(6):
             ph1, ph2 = rng.random() < 0.5, rng.random() < 0.5
             x = _random_matrix(rng, a, ph1)
             y = _random_matrix(rng, a, ph2)
             assert x.mod == y.mod == weil._modulus(a)
-            assert_same_product(x, y, (seed, a.orders, ph1, ph2))
-            assert_same_product(y, x, (seed, a.orders, ph2, ph1))
+            assert {v.mod for m in (x, y) for row in m.mat for v in row} == {x.mod}
+            assert_refused(x, y)
+            assert_refused(y, mats[rng.choice(sorted(mats))])
 
 
 def test_sparse_random_matrices():
-    # mostly-zero factors, with cancelling multi-term entries
+    # mostly-zero dense factors, with cancelling multi-term entries, are refused too
     rng = random.Random(31)
     a = fqm.hyperbolic_module(3)
     for _ in range(8):
@@ -255,8 +258,8 @@ def test_sparse_random_matrices():
                     if rng.random() < 0.7:
                         row[j] = CyclotomicNumber(24, {})
         y.mat[0][0] = CyclotomicNumber(24, {0: 1, 12: 1})  # 1 + (-1) = 0 unreduced
-        assert_same_product(x, y, "sparse")
-        assert_same_product(y, x, "sparse")
+        assert_refused(x, y)
+        assert_refused(y, x)
 
 
 ALL_MODULES = [make() for _name, make in TEST_WEIL_MODULES] + \
@@ -323,16 +326,17 @@ def test_conj_transpose_on_tags(profile):
     a = profile_module(profile)
     m = generator_matrices(a)
     rng = random.Random("conj:%s" % (profile,))
+    st = m["S"] @ m["T"]
     cases = [(m["T"], "monomial"), (weil.rho_T(a, -3), "monomial"), (m["Z"], "monomial"),
-             (m["neg"], "monomial"), (m["S"], "character"), (m["S_dag"], "character"),
-             (m["T"] @ m["S"] @ m["T"], "character"), (m["S"] @ m["S_dag"], "table"),
-             (m["S"] @ m["S"], "table"),
-             ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), "table"),
-             (_random_matrix(rng, a), "dense")]
+             (m["neg"], "monomial"), (m["S"], ABSENT), (m["S_dag"], ABSENT),
+             (m["T"] @ m["S"] @ m["T"], ABSENT), (m["S"] @ m["S_dag"], PRESENT),
+             (m["S"] @ m["S"], PRESENT),
+             ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), PRESENT),
+             (st @ st @ st, PRESENT), (_random_matrix(rng, a), "dense")]
     n = a.order()
     for x, tag in cases:
         y = x.conj_transpose()
-        assert x.tag == y.tag == tag
+        assert x.shape() == y.shape() == tag
         assert y.scale == x.scale.conjugate(), tag
         assert all(y.mat[i][j] == x.mat[j][i].conjugate()
                    for i in range(n) for j in range(n)), tag
@@ -368,10 +372,11 @@ def variants(x):
     """Matrices next to x: copies with other index maps, and single changes that may differ.
 
     A monomial gets its maps as lists, one phase +1 and two src entries
-    swapped; a character its maps as lists, one alpha +1, two row-map entries
-    swapped (no longer additive) and its column map negated (another
-    pairing); a table one entry id replaced, and both index maps zero (one
-    entry everywhere); every matrix its scale times e(1/M).
+    swapped; a quadratic matrix its cross maps as lists, one alpha +1, two
+    cross-row entries swapped (no longer additive) and its cross column map
+    negated (another pairing), and, when K is present, one K entry id
+    replaced and both table maps zero (one entry everywhere); every matrix
+    its scale times e(1/M).
     """
     a = x.module
     tab = weil._tables(a)
@@ -396,18 +401,18 @@ def variants(x):
             dst2[v] = y
         out += [tagged((list(tab.as_list(src)), list(tab.as_list(dst)), ph)),
                 tagged((src, dst, bumped)), tagged((src2, dst2, ph))]
-    elif x.tag == "character":
-        alpha, beta, k, r, c = x.data
+    elif x.tag == "quadratic":
+        alpha, beta, r, c, k, p, q = x.data
         bumped = list(alpha)
         bumped[mid] = (bumped[mid] + 1) % tab.mod
-        out += [tagged((alpha, beta, k, list(tab.as_list(r)), list(tab.as_list(c)))),
-                tagged((bumped, beta, k, r, c)), tagged((alpha, beta, k, swapped(r), c)),
-                tagged((alpha, beta, k, r, tab.compose(-1, c)))]
-    elif x.tag == "table":
-        alpha, beta, k, r, c = x.data
-        k2 = list(k)
-        k2[mid] = 1 if tab.canon(k2[mid]) != 1 else 0
-        out += [tagged((alpha, beta, k2, r, c)), tagged((alpha, beta, k, 0, 0))]
+        lists = [list(tab.as_list(f)) for f in (r, c, p, q)]
+        out += [tagged((alpha, beta, lists[0], lists[1], k, lists[2], lists[3])),
+                tagged((bumped, beta, r, c, k, p, q)), tagged((alpha, beta, swapped(r), c, k, p, q)),
+                tagged((alpha, beta, r, tab.compose(-1, c), k, p, q))]
+        if k is not None:
+            k2 = list(k)
+            k2[mid] = 1 if tab.canon(k2[mid]) != 1 else 0
+            out += [tagged((alpha, beta, r, c, k2, p, q)), tagged((alpha, beta, r, c, k, 0, 0))]
     return out
 
 
@@ -420,32 +425,112 @@ def assert_same_difference(x, y, label):
     assert got == difference_key(first_difference_reference(x, y)), label
 
 
-@pytest.mark.parametrize("make", [make for _name, make in TEST_WEIL_MODULES]
-                         + [lambda p=p: profile_module(p) for p in BENCH_PROFILES],
-                         ids=[m[0] for m in TEST_WEIL_MODULES]
-                         + ["".join("%s%d" % b for b in p) for p in BENCH_PROFILES])
+EVERY_MODULE = pytest.mark.parametrize(
+    "make", [make for _name, make in TEST_WEIL_MODULES]
+    + [lambda p=p: profile_module(p) for p in BENCH_PROFILES],
+    ids=[m[0] for m in TEST_WEIL_MODULES] + ["".join("%s%d" % b for b in p) for p in BENCH_PROFILES])
+
+
+@EVERY_MODULE
 def test_first_difference_matches_row_walk_reference(make):
     # every pair of relation_report, and each side against the variants of the other,
     # both ways round
     a = make()
     for lhs, rhs, _rows in compared_pairs(a):
-        label = (a.orders, lhs.tag, rhs.tag)
+        label = (a.orders, lhs.shape(), rhs.shape())
+        assert len(variants(lhs)) > 3 and len(variants(rhs)) > 3, label
         for x, y in [(lhs, rhs)] + [(lhs, v) for v in variants(rhs)] + \
                 [(v, rhs) for v in variants(lhs)]:
             assert_same_difference(x, y, label)
             assert_same_difference(y, x, label)
 
 
-STRUCTURED_PAIRS = {("monomial", "monomial"), ("table", "monomial"), ("monomial", "table"),
-                    ("character", "character")}
+STRUCTURED_PAIRS = {("monomial", "monomial"), (PRESENT, "monomial"), ("monomial", PRESENT),
+                    (ABSENT, ABSENT)}
 
 
-@pytest.mark.parametrize("make", [lambda: profile_module((("h", 8), ("c", 2))),
+@pytest.mark.parametrize("make", [lambda: profile_module((("h", 2), ("c", 3))),
+                                  lambda: profile_module((("h", 8), ("c", 2))),
                                   lambda: fqm.hyperbolic_module(31)],
-                         ids=["h8c2", "H(31)"])
+                         ids=["h2c3", "h8c2", "H(31)"])
 def test_structured_comparisons_build_no_rows(make):
-    # only the braid relation, a character against a table, walks the rows
-    pairs = compared_pairs(make())
-    walked = [(x.tag, y.tag) for x, y, rows in pairs if rows]
-    assert all((x.tag, y.tag) in STRUCTURED_PAIRS for x, y, rows in pairs if not rows)
-    assert walked == [("character", "table")]
+    # only the braid relation, K absent against K present, walks the rows: n on each side
+    a = make()
+    pairs = compared_pairs(a)
+    walked = [(x.shape(), y.shape(), rows) for x, y, rows in pairs if rows]
+    assert all((x.shape(), y.shape()) in STRUCTURED_PAIRS for x, y, rows in pairs if not rows)
+    assert walked == [(ABSENT, PRESENT, 2 * a.order())]
+
+
+def random_sl2(rng, bound=40):
+    """A seeded random matrix of SL2(Z) with entries of absolute value at most bound."""
+    while True:
+        c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if gcd(c, d) != 1:
+            continue
+        if c == 0:
+            a, b = d, rng.randint(-bound, bound)
+        else:
+            # a = d^-1 mod c, shifted by a random multiple of c
+            a = (pow(d, -1, abs(c)) if abs(c) > 1 else 0) + c * rng.randint(-1, 1)
+            b = (a * d - 1) // c
+        if max(map(abs, (a, b))) <= bound:
+            return (a, b), (c, d)
+
+
+@EVERY_MODULE
+def test_rho_of_matches_word_reference(make):
+    # seeded random M: rho_of stays tagged for both branch bits, and equals the word
+    # folded by dense_matmul_reference for a seeded bit (one M above order 16, where
+    # the dense reference takes seconds)
+    a = make()
+    rng = random.Random("rho_of:%s:%s" % (a.orders, a.signature()))
+    for _ in range(3 if a.order() <= 16 else 1):
+        m, bit = random_sl2(rng), rng.randrange(2)
+        got = [weil.rho_of(a, weil.MetaplecticElement(m, b)) for b in (0, 1)]
+        assert "dense" not in {x.tag for x in got}, m
+        assert got[bit] == rho_of_reference(a, weil.MetaplecticElement(m, bit)), (m, bit)
+        assert got[1 - bit] == got[bit].scaled(e_frac(F(-a.signature(), 2))), (m, bit)
+
+
+@EVERY_MODULE
+def test_rho_of_cocycle(make):
+    # rho(M) rho(g) = rho(M g) for g in {S, T, Z}, the branch bit by the exact cocycle
+    a = make()
+    rng = random.Random("cocycle:%s:%s" % (a.orders, a.signature()))
+    gens = [(g, weil.rho_of(a, g)) for g in (weil.gen_S(), weil.gen_T(), weil.gen_Z())]
+    for _ in range(3):
+        m = random_sl2(rng)
+        for bit in (0, 1):
+            g = weil.MetaplecticElement(m, bit)
+            r = weil.rho_of(a, g)
+            for h, rh in gens:
+                assert r @ rh == weil.rho_of(a, g @ h), (g, h)
+
+
+@pytest.mark.parametrize("profile", [(("h", 3),), (("h", 2), ("c", 3)), (("c", 8),),
+                                     (("h", 2), ("h", 2))],
+                         ids=lambda p: "".join("%s%d" % b for b in p))
+def test_adjoint_and_q_multiple_against_brute_force(profile):
+    # (f x, y) = (x, f* y) for additive index maps; q_multiple finds c*q and nothing else
+    a = profile_module(profile)
+    tab = weil._tables(a)
+    maps = [1, -1, 5, generator_matrices(a)["neg"].data[0]]
+    try:
+        maps.append(generator_matrices(a)["phi_r"].data[0])
+    except KeyError:
+        pass
+    for f in maps:
+        fl, adj = tab.as_list(f), tab.as_list(tab.adjoint(f))
+        assert all(tab.pair[fl[x]][y] == tab.pair[x][adj[y]]
+                   for x in range(tab.n) for y in range(tab.n)), f
+    if tab.n > 2:
+        # 1 and n - 1 swapped: not additive, so without an adjoint
+        swapped = [0, tab.n - 1] + list(range(2, tab.n - 1)) + [1]
+        assert tab.images(swapped) is None and tab.adjoint(swapped) is None
+    for c in range(tab.mod):
+        got = tab.q_multiple([c * v % tab.mod for v in tab.q])
+        assert [got * v % tab.mod for v in tab.q] == [c * v % tab.mod for v in tab.q]
+    bumped = list(tab.q)
+    bumped[-1] = (bumped[-1] + 1) % tab.mod
+    assert tab.q_multiple(bumped) is None
