@@ -3,8 +3,11 @@
 Values live in the group ring Q[x]/(x^M - 1): a sparse map exponent -> rational
 coefficient. Sums and products never canonicalize; reduction to the canonical
 basis of Q(zeta_M), the tensor product of the power bases of Q(zeta_q) over the
-prime powers q || M, happens only for equality tests, zero tests and rational
-extraction, which keeps long generator-matrix products cheap.
+prime powers q || M, happens for equality tests, zero tests and rational
+extraction, which keeps long generator-matrix products cheap. Gauss sums are
+the one place that canonicalizes at construction: a histogram sum of up to M
+terms, reduced once in O(M * omega(M)), usually has a value of a few terms, so
+the products of Gauss sums in fqm, dims and weil stay short.
 """
 
 from fractions import Fraction
@@ -249,7 +252,8 @@ def gauss_sum(module, c=1):
 
     Read from the Q-value histogram: G(c) = sum_k counts[k] * e(c*k/N), with
     integer coefficients, at the least modulus N/gcd(N, c*k) over the values
-    that occur.
+    that occur, and returned in canonical form: the N-term sum usually has a
+    few-term value, and every product of Gauss sums then stays short.
     """
     n, counts = module.q_histogram()
     exps = [(c * k % n, m) for k, m in enumerate(counts) if m]
@@ -257,7 +261,7 @@ def gauss_sum(module, c=1):
     out = {}
     for e, m in exps:
         out[e // g] = out.get(e // g, 0) + m
-    return CyclotomicNumber(n // g, out)
+    return CyclotomicNumber(n // g, out).reduce()
 
 
 def sqrt_card(module):

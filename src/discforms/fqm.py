@@ -23,9 +23,10 @@ from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
 # Construction refuses larger modules, so that the first invariant read stays
-# bounded: the Q-value histogram is one pass over all elements, and the
-# signature's magnitude check multiplies two cyclotomic numbers of up to
-# `level` terms each. Picard table rows n <= 1000 have order 2*n^2, level <= 4*n.
+# bounded: the Q-value histogram is one pass over all elements, and the Gauss
+# sum read from it is reduced once to its canonical form, O(level * omega(level));
+# the signature's magnitude check then multiplies two few-term numbers. Picard
+# table rows n <= 1000 have order 2*n^2, level <= 4*n.
 LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
 
@@ -132,20 +133,23 @@ class FiniteQuadraticModule:
     # -- construction checks -------------------------------------------------
 
     def _validate(self):
-        r = len(self.orders)
-        if len(self.q_values) != r or len(self.bilinear) != r:
+        # on the integer form: values in [0, 1) at level N are equal, or 0 mod 1,
+        # exactly when N times them are
+        orders, nq, nb, n = self.orders, self._nq, self._nb, self._level
+        r = len(orders)
+        if len(nq) != r or len(nb) != r:
             raise PreconditionError("inconsistent presentation sizes")
         for i in range(r):
-            if len(self.bilinear[i]) != r:
+            if len(nb[i]) != r:
                 raise PreconditionError("bilinear matrix is not square")
-            if self.bilinear[i][i] != _mod1(2 * self.q_values[i]):
+            if (nb[i][i] - 2 * nq[i]) % n:
                 raise PreconditionError("diagonal pairing must equal 2*Q on generators")
-            if _mod1(self.orders[i] ** 2 * self.q_values[i]) != 0:
+            if orders[i] ** 2 * nq[i] % n:
                 raise PreconditionError("Q value incompatible with generator order")
             for j in range(r):
-                if self.bilinear[i][j] != self.bilinear[j][i]:
+                if nb[i][j] != nb[j][i]:
                     raise PreconditionError("bilinear matrix must be symmetric")
-                if _mod1(self.orders[i] * self.bilinear[i][j]) != 0:
+                if orders[i] * nb[i][j] % n:
                     raise PreconditionError("pairing incompatible with generator order")
         # non-degenerate: no x other than 0 pairs to 0 with every generator
         if any(c % d for x in _perp_rows(self, identity(r)) for c, d in zip(x, self.orders)):

@@ -11,9 +11,10 @@ Storage: `components` maps the coords of mu to its component {k: c(k/N, mu)},
 with N = module.level() and the integer k = N*m (exact, since m = Q(mu) mod 1
 lies in (1/N)Z). Only nonzero values are stored and no component is empty.
 A component dict may be shared by several mu and by several series (up_arrow
-stores one dict for a whole fiber, lifts one dict per Q value), so a stored
-component is never mutated: set replaces it by a new dict (copy on write), and
-copy() copies the outer dict only.
+stores one dict for a whole fiber, lifts one dict per Q value). set mutates in
+place only a component dict that it made for this series (_owned); a shared one
+is copied once first. copy(), __add__ and up_arrow share components through
+_share(), which drops that ownership, so copy() copies the outer dict only.
 """
 
 from fractions import Fraction

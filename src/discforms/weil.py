@@ -21,12 +21,14 @@ R, C, P and Q are index maps: an integer k for x -> k*x, or a list of codes.
 Products, conjugate transposes and comparisons dispatch on the tags. A
 monomial factor re-indexes the other factor in O(n); a quadratic matrix times
 one without K is again quadratic, by one transform of n histograms (see
-_quadratic_product), so rho(M), a word in S and monomials, stays tagged. Any
-other pair (a dense factor, or K on both sides) is refused. Comparisons of two
-monomials, a quadratic matrix with K and a monomial, or two quadratic matrices
-without K are proved from the tags; every other pair, and every pair not
-proved equal that way, walks the rows with one zero test per distinct
-(exponent difference, canonical entry, canonical entry) triple.
+_quadratic_product), so rho(M), a word in S and monomials, stays tagged; one
+without K times one with K is the conjugate transpose of that rule's product
+B^dagger A^dagger. Any other pair is refused: a dense factor, K on both
+sides, or a K whose column map is not a bijection left of a factor without K.
+Comparisons of two monomials, a quadratic matrix with K and a monomial, or two
+quadratic matrices without K are proved from the tags; every other pair, and
+every pair not proved equal that way, walks the rows with one zero test per
+distinct (exponent difference, canonical entry, canonical entry) triple.
 """
 
 import cmath
@@ -387,8 +389,8 @@ class WeilMatrix:
     WeilMatrix(module, scale, rows) builds a dense matrix; entries given at a
     divisor of .mod are promoted. For every tag .mat is the dense list of rows
     of CyclotomicNumbers, built on first read for tagged matrices. Products
-    are structured only: a pair of factors without a product rule (a dense
-    factor, or K on both sides) raises PreconditionError.
+    are structured only: a pair of factors without a product rule (see the
+    module docstring) raises PreconditionError.
     """
 
     def __init__(self, module, scale, mat):
@@ -469,6 +471,14 @@ class WeilMatrix:
             raise PreconditionError("matrices act on different modules")
         rule = _PRODUCTS.get((self.tag, other.tag))
         data = rule(_tables(self.module), self.data, other.data) if rule else None
+        if data is None and (self.shape(), other.shape()) == ("quadratic (K absent)",
+                                                              "quadratic (K present)"):
+            # (AB)^dagger = B^dagger A^dagger has K on the left, where the rule applies
+            b, a = other.conj_transpose(), self.conj_transpose()
+            data = rule(_tables(self.module), b.data, a.data)
+            if data is not None:
+                return WeilMatrix._tagged(self.module, b.scale * a.scale, "quadratic",
+                                          data).conj_transpose()
         if data is None:
             raise PreconditionError("no structured product of a %s and a %s matrix"
                                     % (self.shape(), other.shape()))
@@ -519,7 +529,7 @@ class WeilMatrix:
             raise PreconditionError("matrices have different sizes")
         tab = _tables(self.module)
         m, roots, objs = tab.mod, tab.roots, tab.objs
-        # canonical scales: a product's scale is a long unreduced sum, its value often one term
+        # canonical scales: a product's scale is an unreduced product of canonical factors
         sa, sb = self.scale.reduce(), other.scale.reduce()
         rule = _EQUALITIES.get((self.shape(), other.shape()))
         if rule and rule(tab, self.data, other.data, sa, sb):

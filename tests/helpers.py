@@ -352,6 +352,37 @@ def gauss_sum_reference(module, c):
     return CyclotomicNumber(mod, out)
 
 
+def validate_reference(orders, q_values, bilinear):
+    """The presentation checks of FiniteQuadraticModule, in Fraction arithmetic.
+
+    The checks that construction runs on the integer form N*Q, N*(g_i, g_j),
+    here on the values reduced to [0, 1), in the same order and with the same
+    messages; degeneracy is decided by degenerate_reference. Raises
+    PreconditionError, or returns None for a module that construction accepts.
+    """
+    orders = tuple(int(d) for d in orders)
+    q_values = tuple(Fraction(q) % 1 for q in q_values)
+    bilinear = tuple(tuple(Fraction(b) % 1 for b in row) for row in bilinear)
+    r = len(orders)
+    if len(q_values) != r or len(bilinear) != r:
+        raise PreconditionError("inconsistent presentation sizes")
+    for i in range(r):
+        if len(bilinear[i]) != r:
+            raise PreconditionError("bilinear matrix is not square")
+        if bilinear[i][i] != 2 * q_values[i] % 1:
+            raise PreconditionError("diagonal pairing must equal 2*Q on generators")
+        if orders[i] ** 2 * q_values[i] % 1 != 0:
+            raise PreconditionError("Q value incompatible with generator order")
+        for j in range(r):
+            if bilinear[i][j] != bilinear[j][i]:
+                raise PreconditionError("bilinear matrix must be symmetric")
+            if orders[i] * bilinear[i][j] % 1 != 0:
+                raise PreconditionError("pairing incompatible with generator order")
+    if degenerate_reference(orders, q_values, bilinear):
+        raise PreconditionError("quadratic form is degenerate")
+    return None
+
+
 def degenerate_reference(orders, q_values, bilinear):
     """True when |sum_x e(Q(x))|^2 differs from the order: the Gauss-sum degeneracy test.
 

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -10,7 +11,7 @@ from discforms import cyclo, dims, fqm, lifts, qseries
 from discforms._intmat import divisors, factorization, is_prime, signature_pair
 from discforms.errors import PreconditionError
 from helpers import (bilinear_value_reference, block, degenerate_reference, fqm_from_gram_reference,
-                     random_even_gram, random_module, un)
+                     random_even_gram, random_module, un, validate_reference)
 from test_lattice import LEVEL_GRAMS
 
 
@@ -115,6 +116,62 @@ def test_radical_check_agrees_with_gauss_sum_oracle():
         assert refused == expected, (orders, q_values, bilinear)
         degenerate += refused
     assert degenerate >= 150
+
+
+def _corrupted(rng, orders, q_values, bilinear):
+    """The presentation with one to three seeded defects; some leave it valid."""
+    orders, q_values = list(orders), list(q_values)
+    bilinear = [list(row) for row in bilinear]
+    r = len(orders)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(r), rng.randrange(r)
+        kind = rng.randrange(8)
+        if kind == 0:  # a Q value moved, perhaps off its order or off the diagonal
+            q_values[i] += F(rng.randint(1, 5), rng.choice((2, 3, 4, 8)) * orders[i])
+        elif kind == 1:  # one side of a pairing moved
+            bilinear[i][j] += F(rng.randint(1, 3), rng.choice((2, 3, 4, 6)))
+        elif kind == 2:  # both sides moved, perhaps off the generator orders
+            bilinear[i][j] = bilinear[j][i] = bilinear[i][j] + F(1, rng.choice((2, 3, 4, 9)))
+        elif kind == 3:  # an order changed
+            orders[i] = rng.choice((1, 2, 3, 4, 6, 8, 12))
+        elif kind == 4:  # representatives outside [0, 1): the same presentation
+            q_values[i] += rng.randint(-3, 3)
+            bilinear[i][j] -= rng.randint(-2, 2)
+        elif kind == 5:  # a diagonal pairing replaced
+            bilinear[i][i] = F(rng.randrange(2 * orders[i]), 2 * orders[i])
+        elif kind == 6:  # a Q value dropped, the last defect
+            q_values.pop()
+            break
+        else:  # a row shortened, the last defect
+            bilinear[i].pop()
+            break
+    return orders, q_values, bilinear
+
+
+def _outcome(check, *presentation):
+    try:
+        check(*presentation)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_form_checks_match_fraction_reference(seed):
+    rng = random.Random(4100 + seed)
+    presentations = [_random_presentation(rng) for _ in range(40)]
+    for _ in range(10):
+        a = random_module(rng, max_order=60)
+        presentations.append((a.orders, a.q_values, a.bilinear))
+    refused = Counter()
+    for p in presentations:
+        for q in (p, _corrupted(rng, *p), _corrupted(rng, *p)):
+            want = _outcome(validate_reference, *q)
+            assert _outcome(fqm.FiniteQuadraticModule, *q) == want, q
+            refused[want] += 1
+    # every check refuses something: sizes, squareness, the four value checks and
+    # degeneracy; None counts the accepted presentations
+    assert len(refused) == 8, refused
 
 
 def test_construction_builds_no_cyclotomic_number(monkeypatch):

@@ -1,7 +1,8 @@
 """The Q-value histogram route of fqm, cyclo.gauss_sum and dims against element loops.
 
 The oracles in helpers.py walk module.elements(): gauss_sum_reference sums
-e(c*Q(x)), orbit_data_reference reads the {x, -x} orbit representatives and
+e(c*Q(x)), compared with the canonical gauss_sum after reduce();
+orbit_data_reference reads the {x, -x} orbit representatives and
 dim_M_reference takes its traces in Fraction coefficients.
 """
 
@@ -68,9 +69,12 @@ def _same_cyclotomic(x, y):
 
 
 def _check_against_oracles(module):
+    # gauss_sum is canonical and the element loop is not: canonical forms are
+    # unique, so equal maps after reduce() are equal values
     for c in C_VALUES:
-        fast, slow = cyclo.gauss_sum(module, c), _reference_gauss(module, c)
+        fast, slow = cyclo.gauss_sum(module, c), _reference_gauss(module, c).reduce()
         assert _same_cyclotomic(fast, slow), (module, c, fast, slow)
+        assert _same_cyclotomic(fast, fast.reduce()), (module, c, fast)
     assert dims._orbit_data(module) == orbit_data_reference(module)
 
 

@@ -6,6 +6,7 @@ the coefficient map of every entry of the dense view .mat, and the scale.
 
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
@@ -106,15 +107,17 @@ def assert_refused(x, y):
 
 
 def test_kernel_choice():
-    # every structured pair has a product rule and stays tagged; a dense factor,
-    # or K on both sides, is refused with both shapes named
+    # every structured pair has a product rule and stays tagged, K absent times K
+    # present by (AB)^dagger = B^dagger A^dagger; a dense factor, or K on both
+    # sides, is refused with both shapes named
     a = fqm.hyperbolic_module(3)
     m = generator_matrices(a)
     st = m["S"] @ m["T"]
     table = m["S"] @ m["S_dag"]
     structured = [(m[x], m[y]) for x in m for y in m]
     structured += [(table, m["Z"]), (m["T"] @ m["S"] @ m["T"], m["T_inv"]),
-                   (m["S_dag"] @ m["Z"], m["T_inv"] @ m["S_dag"]), (st @ st, st)]
+                   (m["S_dag"] @ m["Z"], m["T_inv"] @ m["S_dag"]), (st @ st, st),
+                   (m["S"], table), (m["T"] @ m["S"], st @ st)]
     for x, y in structured:
         assert (x @ y).tag != "dense", (x.shape(), y.shape())
         assert_same_product(x, y, (x.shape(), y.shape()))
@@ -124,7 +127,7 @@ def test_kernel_choice():
             assert_refused(x, y)
             assert_refused(y, x)
     assert table.shape() == (st @ st).shape() == "quadratic (K present)"
-    for x, y in ((table, table), (table, st @ st), (m["S"], table)):
+    for x, y in ((table, table), (table, st @ st)):
         assert_refused(x, y)
 
 
@@ -146,6 +149,55 @@ def test_structure_tags():
                             (cube, PRESENT)):
             assert prod.shape() == shape, (a.orders, shape)
         assert cube == m["Z"] and m["S"] @ m["S"] == m["Z"]
+
+
+def _bracketings(word):
+    """Every bracketing of the word, as nested pairs of letters."""
+    if len(word) == 1:
+        yield word[0]
+        return
+    for k in range(1, len(word)):
+        for left in _bracketings(word[:k]):
+            for right in _bracketings(word[k:]):
+                yield left, right
+
+
+def _bracketed_product(mats, tree):
+    if isinstance(tree, str):
+        return mats[tree]
+    return _bracketed_product(mats, tree[0]) @ _bracketed_product(mats, tree[1])
+
+
+# The bracketings of S^4 with no product rule: K on both sides, or a K that
+# depends on the row only, (S (S S)), times a matrix without K.
+UNRULED_BRACKETINGS = {("S", (("S", "S"), "S")), (("S", "S"), ("S", "S")),
+                       (("S", ("S", "S")), "S")}
+
+
+@pytest.mark.parametrize("profile", [(("h", 3),), (("h", 2), ("c", 3))],
+                         ids=lambda p: "".join("%s%d" % b for b in p))
+def test_every_bracketing_of_short_words(profile):
+    # every bracketing of every word of length <= 4 in S, T and Z equals the left
+    # fold, right-associated words in S included; only UNRULED_BRACKETINGS are refused
+    a = profile_module(profile)
+    mats = {"S": weil.rho_S(a), "T": weil.rho_T(a), "Z": weil.rho_Z(a)}
+    refused, count = set(), 0
+    for n in range(1, 5):
+        for word in product("STZ", repeat=n):
+            want = mats[word[0]]
+            for x in word[1:]:
+                want = want @ mats[x]
+            for tree in _bracketings(word):
+                count += 1
+                try:
+                    got = _bracketed_product(mats, tree)
+                except PreconditionError:
+                    refused.add(tree)
+                    continue
+                assert got == want, tree
+    assert count == 3 + 9 + 2 * 27 + 5 * 81
+    assert refused == UNRULED_BRACKETINGS
+    assert mats["S"] @ (mats["S"] @ mats["S"]) == mats["Z"] @ mats["S"]
 
 
 WORD_LETTERS = ("S", "S_dag", "T", "T_inv", "Z", "neg", "phi_r")
