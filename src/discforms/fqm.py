@@ -48,11 +48,13 @@ def _order(d):
 class FqmElement:
     """Element of a finite quadratic module, in generator coordinates."""
 
-    __slots__ = ("module", "coords")
+    # _nq is N*Q(x), kept by module.nq_value on its first read
+    __slots__ = ("module", "coords", "_nq")
 
     def __init__(self, module, coords):
         self.module = module
         self.coords = tuple(c % d for c, d in zip(coords, module.orders))
+        self._nq = None
 
     def __add__(self, other):
         self._same(other)
@@ -93,7 +95,7 @@ class FqmElement:
                 and self.module == other.module)
 
     def __hash__(self):
-        return hash((self.module._key, self.coords))
+        return hash((self.module._hash, self.coords))
 
     def __repr__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -139,9 +141,9 @@ class FiniteQuadraticModule:
         r = len(orders)
         if len(nq) != r or len(nb) != r:
             raise PreconditionError("inconsistent presentation sizes")
+        if any(len(row) != r for row in nb):
+            raise PreconditionError("bilinear matrix is not square")
         for i in range(r):
-            if len(nb[i]) != r:
-                raise PreconditionError("bilinear matrix is not square")
             if (nb[i][i] - 2 * nq[i]) % n:
                 raise PreconditionError("diagonal pairing must equal 2*Q on generators")
             if orders[i] ** 2 * nq[i] % n:
@@ -205,7 +207,10 @@ class FiniteQuadraticModule:
         return self._elements
 
     def nq_value(self, x):
-        """The integer N*Q(x) mod N, with N = level()."""
+        """The integer N*Q(x) mod N, with N = level(); kept on x when x.module is self."""
+        own = x.module is self
+        if own and x._nq is not None:
+            return x._nq
         nq, nb = self._nq, self._nb
         c = x.coords
         v = 0
@@ -216,7 +221,10 @@ class FiniteQuadraticModule:
                 for j in range(i + 1, len(c)):
                     if c[j]:
                         v += ci * c[j] * row[j]
-        return v % self._level
+        v %= self._level
+        if own:
+            x._nq = v
+        return v
 
     def q_value(self, x):
         """Q(x) in [0, 1), read from the integer form N*Q with N = level()."""
@@ -372,7 +380,7 @@ class Subgroup:
                 and self.hnf == other.hnf)
 
     def __hash__(self):
-        return hash((self.module._key, self.hnf))
+        return hash((self.module._hash, self.hnf))
 
     def __repr__(self):
         return "Subgroup(order=%d, gens=%s)" % (self.order, list(self.generators))
@@ -565,7 +573,7 @@ def isotropic_subgroups(a, order):
     if a.order() % order:
         raise PreconditionError("order must divide the module order")
     n = a.level()
-    iso = [(x, a._pairing_row(x.coords)) for x in a.elements() if x.q() == 0]
+    iso = [(x, a._pairing_row(x.coords)) for x in a.elements() if a.nq_value(x) == 0]
     frontier = [Subgroup._spanned(a, [])]
     seen = set(frontier)
     found = []

@@ -18,7 +18,7 @@ _share(), which drops that ownership, so copy() copies the outer dict only.
 """
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from operator import attrgetter
 
 from . import fqm
@@ -36,7 +36,7 @@ def _conj(v):
 def _is_zero_value(v):
     if isinstance(v, CyclotomicNumber):
         return v.is_zero()
-    return v == 0
+    return not v
 
 
 def _scaled(comp, scalar):
@@ -125,7 +125,8 @@ class VectorValuedQSeries:
         lifts) is copied once, and the copy is owned from then on, so repeated
         sets into one component take amortized constant time.
         """
-        m = Fraction(m)
+        if not isinstance(m, (int, Fraction)):
+            m = Fraction(m)
         k = self._exponent(mu, m.numerator, m.denominator)
         c = mu.coords
         comp = self.components.get(c)
@@ -235,7 +236,7 @@ def reduction(module, h):
     by coords; the union of the fibers is H^perp. fqm.subquotient rejects a
     subgroup that is not isotropic.
     """
-    key = (module._key, h.hnf)
+    key = (module, h.hnf)
     hit = _REDUCTIONS.get(key)
     if hit is not None:
         return hit
@@ -285,10 +286,11 @@ def pairing_at(f, g, m):
     """Hermitian coefficient pairing sum_mu f(m, mu) * conj(g(m, mu))."""
     if f.module != g.module:
         raise PreconditionError("series on different modules")
-    k = Fraction(m) * f.level
-    if k.denominator != 1:
+    if not isinstance(m, (int, Fraction)):
+        m = Fraction(m)
+    k, rest = divmod(m.numerator * f.level, m.denominator)
+    if rest:
         return 0
-    k = k.numerator
     theirs = g.components
     total = 0
     for c, comp in f.components.items():
@@ -505,22 +507,33 @@ def read_series(text, module):
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed weight or truncation in header %r"
                                 % "; ".join(lines[1:3])) from None
+    # each distinct field text is parsed once: mu to its element, which keeps
+    # its N*Q, m to a Fraction and coeff to (value, is zero)
+    mus, ms, values = {}, {}, {}
     records = {}
     for ln in lines[3:]:
         try:
             fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
-            coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
-            m = parse_rational(fields["m"])
-            coeff = fields["coeff"]
+            mu_text, m_text, coeff = fields["mu"], fields["m"], fields["coeff"]
+            mu = mus.get(mu_text)
+            if mu is None:
+                coords = tuple(int(x) for x in mu_text.strip("()").split(",") if x != "")
+            m = ms.get(m_text)
+            if m is None:
+                m = ms[m_text] = parse_rational(m_text)
         except (KeyError, ValueError, ZeroDivisionError):
             raise PreconditionError("malformed series record %r" % ln) from None
-        mu = module.element(coords)
-        value = _parse_value(coeff)
+        if mu is None:
+            mu = mus[mu_text] = module.element(coords)
+        entry = values.get(coeff)
+        if entry is None:
+            value = _parse_value(coeff)
+            entry = values[coeff] = (value, _is_zero_value(value))
         # the checks of set, record by record; a later record of the same
         # (mu, m) wins, and each component is stored once at the end
-        records.setdefault(mu.coords, {})[out._exponent(mu, m.numerator, m.denominator)] = value
+        records.setdefault(mu.coords, {})[out._exponent(mu, m.numerator, m.denominator)] = entry
     for coords, comp in records.items():
-        comp = {k: v for k, v in comp.items() if not _is_zero_value(v)}
+        comp = {k: v for k, (v, zero) in comp.items() if not zero}
         if comp:
             out.components[coords] = comp
     return out
@@ -533,11 +546,12 @@ def _header_value(line):
 
 
 def _parse_value(text):
+    """A rational, or one CyclotomicNumber at the lcm of the root orders of its terms."""
     try:
         text = text.strip()
         if "z" not in text:
             return parse_rational(text)
-        total = CyclotomicNumber.zero()
+        terms = []
         for part in text.split("+"):
             part = part.strip()
             if "*" in part:
@@ -546,9 +560,14 @@ def _parse_value(text):
                 modulus = int(modulus)
                 if not 1 <= modulus <= ROOT_ORDER_BOUND:
                     raise ValueError("root of unity order out of range")
-                total = total + CyclotomicNumber(modulus, {int(exponent): parse_rational(coeff)})
+                terms.append((modulus, int(exponent), parse_rational(coeff)))
             else:
-                total = total + parse_rational(part)
-        return total
+                terms.append((1, 0, parse_rational(part)))
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed coefficient %r" % text) from None
+    mod = lcm(*(t[0] for t in terms))
+    coeffs = {}
+    for modulus, exponent, c in terms:
+        e = exponent % modulus * (mod // modulus)
+        coeffs[e] = coeffs[e] + c if e in coeffs else c
+    return CyclotomicNumber._normalized(mod, {e: c for e, c in coeffs.items() if c})

@@ -11,7 +11,7 @@ from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, 
                                parse_rational, smith_normal_form, transpose)
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import ConsistencyError, PreconditionError
-from discforms.qseries import (VectorValuedQSeries, _conj, _is_zero_value, _parse_value,
+from discforms.qseries import (ROOT_ORDER_BOUND, VectorValuedQSeries, _conj, _is_zero_value,
                                reduction)
 from discforms.weil import WeilMatrix, _tables, _times_root
 
@@ -366,9 +366,9 @@ def validate_reference(orders, q_values, bilinear):
     r = len(orders)
     if len(q_values) != r or len(bilinear) != r:
         raise PreconditionError("inconsistent presentation sizes")
+    if any(len(row) != r for row in bilinear):
+        raise PreconditionError("bilinear matrix is not square")
     for i in range(r):
-        if len(bilinear[i]) != r:
-            raise PreconditionError("bilinear matrix is not square")
         if bilinear[i][i] != 2 * q_values[i] % 1:
             raise PreconditionError("diagonal pairing must equal 2*Q on generators")
         if orders[i] ** 2 * q_values[i] % 1 != 0:
@@ -722,8 +722,31 @@ def flat_read_series_reference(text, module):
         fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
         coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
         out.set(module.element(coords), parse_rational(fields["m"]),
-                _parse_value(fields["coeff"]))
+                parse_value_reference(fields["coeff"]))
     return out
+
+
+def parse_value_reference(text):
+    """qseries._parse_value adding one CyclotomicNumber per term, each sum promoting."""
+    try:
+        text = text.strip()
+        if "z" not in text:
+            return parse_rational(text)
+        total = CyclotomicNumber.zero()
+        for part in text.split("+"):
+            part = part.strip()
+            if "*" in part:
+                coeff, power = part.split("*")
+                modulus, exponent = power.strip().lstrip("z").split("^")
+                modulus = int(modulus)
+                if not 1 <= modulus <= ROOT_ORDER_BOUND:
+                    raise ValueError("root of unity order out of range")
+                total = total + CyclotomicNumber(modulus, {int(exponent): parse_rational(coeff)})
+            else:
+                total = total + parse_rational(part)
+        return total
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError("malformed coefficient %r" % text) from None
 
 
 def eta_quotient_reference(exponents, truncation):

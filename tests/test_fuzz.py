@@ -3,7 +3,8 @@
 A parser may return a value or raise PreconditionError (exit code 2 on the
 command line); any other exception, or a run that does not end, is a fault.
 The round trip writes random series with rational and multi-term cyclotomic
-coefficients and reads them back.
+coefficients and reads them back. The coefficient parser must agree with the
+term-by-term oracle of tests/helpers.py on every text.
 """
 
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from discforms import cli, fqm, qseries as qs
 from discforms._intmat import DECIMAL_EXPONENT_BOUND
 from discforms.cyclo import CyclotomicNumber
 from discforms.errors import PreconditionError
+from helpers import parse_value_reference
 
 FUZZ = settings(deadline=None, max_examples=150)
 
@@ -87,10 +89,36 @@ def test_read_series(text):
     parses_or_refuses(qs.read_series, text, MODULE)
 
 
+def value_outcome(parse, text):
+    """The refusal message, or the parsed value in its exact representation."""
+    try:
+        v = parse(text)
+    except PreconditionError as exc:
+        return str(exc)
+    return (v.mod, v.coeffs) if isinstance(v, CyclotomicNumber) else v
+
+
 @FUZZ
 @given(COEFFICIENT)
 def test_parse_value(text):
-    parses_or_refuses(qs._parse_value, text)
+    assert value_outcome(qs._parse_value, text) == value_outcome(parse_value_reference, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1 * z4^1 + 2 * z6^1 + 1/2",  # moduli mixed with a rational: one sum at lcm 12
+    "1/2 * z8^3 + 3 * z3^-1 + -1/4 * z24^5",
+    "1 * z4^1 + -1 * z4^1",  # terms that cancel to 0
+    "1 * z4^1 + -1 * z8^2 + 2 + -2",
+    "0 * z6^1",
+    "1 * z4^2 + 1",  # -1 + 1: zero only once reduced
+    "2/4 * z4^5 + 1/2 * z4^1",  # one root written twice
+    "1 * z%d^1" % qs.ROOT_ORDER_BOUND,
+    "1 * z%d^1" % (qs.ROOT_ORDER_BOUND + 1),  # root order above the bound
+    "1 * z3^1 + 1 * z%d^1" % (qs.ROOT_ORDER_BOUND + 1),
+    "1 * z0^1", "1 * z4", "z4^1", "1 * z4^1 +", "1 * z4^x", "1/0 * z4^1",
+])
+def test_parse_value_matches_term_by_term_oracle(text):
+    assert value_outcome(qs._parse_value, text) == value_outcome(parse_value_reference, text)
 
 
 @FUZZ

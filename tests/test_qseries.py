@@ -583,6 +583,119 @@ def test_component_store_matches_flat_oracle():
     assert count > 200
 
 
+# A file on H(4), Q(x, y) = xy/4, whose mu, m and coeff texts repeat: (5,2) and
+# (1,-2) spell (1,2), 2/4 spells 1/2, and 1 * z8^2 spells 1 * z4^1. The later
+# record of a pair wins, zeros included.
+REPEATED_FIELDS = """module: 4,4
+weight: 3
+truncation: 2
+mu=(1,2) m=1/2 coeff=2/4
+mu=(5,2) m=2/4 coeff=1/2
+mu=(1,2) m=3/2 coeff=1 * z4^1 + 1/2
+mu=(2,1) m=1/2 coeff=1 * z8^2 + 1/2
+mu=(2,1) m=6/4 coeff=2/4
+mu=(1,1) m=1/4 coeff=-3
+mu=(1,1) m=5/4 coeff=-3
+mu=(1,-2) m=3/2 coeff=0
+mu=(0,0) m=1 coeff=1 * z4^1 + -1 * z4^1
+mu=(0,0) m=2 coeff=2/4
+mu=(2,1) m=1/2 coeff=1 * z4^1 + 1/2
+"""
+
+
+def test_read_series_with_repeated_fields_matches_the_oracle():
+    a = fqm.hyperbolic_module(4)
+    got, want = _same_call(lambda: qs.read_series(REPEATED_FIELDS, a),
+                           lambda: flat_read_series_reference(REPEATED_FIELDS, a))
+    _agree(got, want)
+    mu, nu = a.element((1, 2)), a.element((2, 1))
+    assert got.component(mu) == {F(1, 2): F(1, 2)}  # the zero at 3/2 overrode the value
+    assert got.get(nu, F(1, 2)) == e_frac(F(1, 4)) + F(1, 2)
+    assert got.support() == [(0, 0), (1, 1), (1, 2), (2, 1)]
+    assert qs.read_series(qs.write_series(got), a) == got
+
+
+@pytest.mark.parametrize("record, message", [
+    ("mu=(1,2) m=1/2", "malformed series record %r"),
+    ("mu=(1,x) m=1/2 coeff=2/4", "malformed series record %r"),
+    ("mu=(1,2) m=1/0 coeff=2/4", "malformed series record %r"),
+    ("mu=(1,2) m=1/3 coeff=2/4", "exponent 1/3 is not congruent to Q((1,2)) mod 1"),
+    ("mu=(5,2) m=1/4 coeff=-3", "exponent 1/4 is not congruent to Q((1,2)) mod 1"),
+    ("mu=(1,2) m=5/2 coeff=2/4", "exponent exceeds the truncation bound"),
+    ("mu=(1,2,0) m=1/2 coeff=2/4", "coordinate length mismatch"),
+    ("mu=(1,2,0) m=1/3 coeff=1 * z", "coordinate length mismatch"),
+    ("mu=(1,2) m=1/3 coeff=1 * z", "malformed coefficient '1 * z'"),
+])
+def test_read_series_refusals_keep_their_messages(record, message):
+    """A bad record refuses with its own message, before or after the records
+    whose fields it repeats; the first bad record decides."""
+    a = fqm.hyperbolic_module(4)
+    lines = REPEATED_FIELDS.splitlines()
+    if "%r" in message:
+        message %= record
+    for at in (3, len(lines)):
+        text = "\n".join(lines[:at] + [record] + lines[at:]) + "\n"
+        with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+            qs.read_series(text, a)
+        if not message.startswith("malformed series record"):
+            _same_call(lambda: qs.read_series(text, a),
+                       lambda: flat_read_series_reference(text, a))
+    later = "\n".join(lines + [record, "mu=(1,2) m=1/3 coeff=1"]) + "\n"
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        qs.read_series(later, a)
+
+
+def test_equal_modules_share_hashes_and_the_reduction_cache(monkeypatch):
+    monkeypatch.setattr(qs, "_REDUCTIONS", {})
+    a1, a2 = fqm.hyperbolic_module(6), fqm.hyperbolic_module(6)
+    assert a1 is not a2 and a1 == a2 and hash(a1) == hash(a2)
+    x1, x2 = a1.element((2, 3)), a2.element((2, 3))
+    assert x1 == x2 and hash(x1) == hash(x2) and len({x1, x2}) == 1
+    h1, h2 = (fqm.Subgroup.from_generators(a, [a.element((3, 0))]) for a in (a1, a2))
+    assert h1 == h2 and hash(h1) == hash(h2) and len({h1, h2}) == 1
+    first = qs.reduction(a1, h1)
+    assert qs.reduction(a2, h2) is first and len(qs._REDUCTIONS) == 1
+    # a different module of the same shape gets its own entry
+    b = fqm.negate(a1)
+    qs.reduction(b, fqm.Subgroup.from_generators(b, [b.element((3, 0))]))
+    assert len(qs._REDUCTIONS) == 2 and b != a1
+
+
+def test_cached_nq_never_crosses_modules():
+    """nq_value keeps N*Q on an element of its own module only: an element read
+    through an equal but distinct module, or through a module of the same
+    shape with another form, gets that module's value and keeps nothing."""
+    a, twin = fqm.hyperbolic_module(6), fqm.hyperbolic_module(6)
+    b = fqm.negate(a)  # orders (6, 6), the form -Q
+    for coords, nq in (((1, 1), 1), ((2, 5), 4), ((0, 3), 0)):
+        x = a.element(coords)
+        assert b.nq_value(x) == (-nq) % 6 == b.nq_value(b.element(coords))
+        assert twin.nq_value(x) == nq and x._nq is None
+        assert a.nq_value(x) == nq and x._nq == nq
+        assert b.nq_value(x) == (-nq) % 6 and twin.nq_value(x) == nq
+        assert x.q() == F(nq, 6) and b.q_value(x) == F((-nq) % 6, 6)
+        y = b.element(coords)
+        assert b.nq_value(y) == (-nq) % 6 and a.nq_value(y) == nq == twin.nq_value(y)
+
+
+def test_pairing_at_and_set_take_int_fraction_and_str_exponents():
+    rng = random.Random(317)
+    a = fqm.hyperbolic_module(6)
+    (f, r), (g, s) = _oracle_pair(a, rng, F(2)), _oracle_pair(a, rng, F(2))
+    for m in (0, 1, 2, 3, -1, F(1, 3), F(-1, 3), F(-7, 6), F(1, 12), F(-1, 13), F(13, 6),
+              "1/3", "-1/2", "5/6", "1/12", "-2", "2", "0.5"):
+        assert qs.pairing_at(f, g, m) == flat_pairing_at_reference(r, s, m), m
+    assert qs.pairing_at(f, f, "7/6") == qs.pairing_at(f, f, F(7, 6))
+    mu, zero = a.element((1, 2)), a.zero()  # Q(mu) = 1/3
+    for x, m in ((mu, F(4, 3)), (mu, "1/3"), (mu, "2/6"), (mu, 1), (mu, "7/3"), (mu, F(-2, 3)),
+                 (zero, 0), (zero, 2), (zero, "1"), (zero, 3), (zero, -1), (zero, "1/2"),
+                 (zero, 1.0)):
+        v = F(rng.randint(-3, 3), rng.randint(1, 3))
+        _same_call(lambda: f.set(x, m, v), lambda: r.set(x, m, v))
+        assert f.get(x, m) == r.get(x, m)
+    _agree(f, r)
+
+
 def test_set_never_writes_through_a_shared_component():
     """up_arrow, copy, vector_lift_closed and f * 1 may share component dicts;
     a set on one mu changes that mu's component only, and never the source."""

@@ -72,6 +72,9 @@ REFUSALS = {
     "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
                                  "subgroups of different modules"),
     "element_length": (lambda: _h(2).element((0,)), "coordinate length mismatch"),
+    # every row length is checked before the symmetry check reads across rows
+    "bilinear_short_last_row": (lambda: fqm.FiniteQuadraticModule((1, 1), (0, 0), ((0, 0), ())),
+                                "bilinear matrix is not square"),
     "to_coords_outside_dual": (lambda: fqm.fqm_from_gram_with_maps([[2]])[1]([F(1, 3)]),
                                "vector is not in the dual lattice"),
     "isotropic_order_not_dividing": (lambda: fqm.isotropic_subgroups(_h(2), 3),
