@@ -227,6 +227,8 @@ class VectorValuedQSeries:
 # -- subquotient plumbing (cached per module and subgroup) -----------------------
 
 _REDUCTIONS = {}
+# The number of reductions kept, oldest evicted first.
+REDUCTION_CACHE = 256
 
 
 def reduction(module, h):
@@ -234,7 +236,7 @@ def reduction(module, h):
 
     fibers maps the coords of each nu in B to its H-coset sect(nu) + H, sorted
     by coords; the union of the fibers is H^perp. fqm.subquotient rejects a
-    subgroup that is not isotropic.
+    subgroup that is not isotropic. The last REDUCTION_CACHE results are kept.
     """
     key = (module, h.hnf)
     hit = _REDUCTIONS.get(key)
@@ -243,8 +245,10 @@ def reduction(module, h):
     b, proj, sect = fqm.subquotient(module, h)
     fibers = {nu.coords: sorted((sect(nu) + x for x in h.elements), key=attrgetter("coords"))
               for nu in b.elements()}
-    _REDUCTIONS[key] = (b, proj, sect, fibers)
-    return _REDUCTIONS[key]
+    if len(_REDUCTIONS) >= REDUCTION_CACHE:
+        del _REDUCTIONS[next(iter(_REDUCTIONS))]
+    _REDUCTIONS[key] = hit = (b, proj, sect, fibers)
+    return hit
 
 
 def _perp(module, h):

@@ -14,21 +14,27 @@ entries that carry a structure tag:
   the identity and automorphism matrices);
 - quadratic: entries e(alpha(x) + beta(y) + (Rx, Cy)) * K[Px + Qy], where K
   holds n interned cyclotomic numbers, or is absent and reads 1 (S, T^k S,
-  S S^dagger, (S T)^3 and every rho(M) with c != 0);
+  S S^dagger, (S T)^3 and every rho(M) with c != 0). A Gaussian product such
+  as S T^c S, with c a unit, keeps one Gauss sum in every entry of K;
 - dense: rows of CyclotomicNumbers (plus_subspace and hand-built matrices).
 
 R, C, P and Q are index maps: an integer k for x -> k*x, or a list of codes.
 Products, conjugate transposes and comparisons dispatch on the tags. A
 monomial factor re-indexes the other factor in O(n); a quadratic matrix times
-one without K is again quadratic, by one transform of n histograms (see
-_quadratic_product), so rho(M), a word in S and monomials, stays tagged; one
-without K times one with K is the conjugate transpose of that rule's product
-B^dagger A^dagger. Any other pair is refused: a dense factor, K on both
-sides, or a K whose column map is not a bijection left of a factor without K.
-Comparisons of two monomials, a quadratic matrix with K and a monomial, or two
-quadratic matrices without K are proved from the tags; every other pair, and
-every pair not proved equal that way, walks the rows with one zero test per
-distinct (exponent difference, canonical entry, canonical entry) triple.
+one without K is again quadratic (see _quadratic_product), so rho(M), a word
+in S and monomials, stays tagged. Its sum over the middle index is a closed
+form when the middle phase is c*Q with c a unit (one Gauss sum, the phases in
+alpha, beta and the cross pairing) or is 0 (one character sum per element
+order); otherwise it is one transform of n histograms. A constant K factors
+out of the sum. One without K times one with K is the conjugate transpose of
+that rule's product B^dagger A^dagger. Any other pair is refused: a dense
+factor, K on both sides, or a non-constant K whose column map is not a
+bijection left of a factor without K. Comparisons of two monomials, a
+quadratic matrix with K and a monomial, two quadratic matrices without K, or
+one without K and one with a constant K are proved from the tags; every
+other pair, and every pair not proved equal that way, walks the rows with one
+zero test per distinct (exponent difference, canonical entry, canonical
+entry) triple.
 """
 
 import cmath
@@ -144,6 +150,13 @@ def gen_Z():
 # all of the pairing table, so time and memory grow as n^2: larger modules are
 # refused before any table is built.
 ORDER_BOUND = 2_500
+# The number of histogram transforms a module keeps, oldest evicted first.
+TRANSFORM_CACHE = 16
+
+
+def _order_in(v, d):
+    """The order of v in Z/d."""
+    return d // gcd(v, d)
 
 
 def _modulus(module):
@@ -338,29 +351,50 @@ class _Tables:
         return c if c is not None and [c * v % m for v in q] == gamma else None
 
     def transform(self, k, gamma):
-        """T with T[v] = sum_s K[s] e(gamma(s) + (s, v)), one histogram per v (cached).
+        """T with T[v] = sum_s K[s] e(gamma(s) + (s, v)) as raw sums, one entry index per v.
 
-        K is given by its entry indices k, or is None and reads 1.
+        K is given by its entry indices k, or is None and reads 1. Without K and
+        with gamma = 0, row v is the character sum of v: n/o at each multiple of
+        M/o, with o the order of v, so one entry is built per distinct order.
+        Otherwise each row is one histogram of n terms, and the last
+        TRANSFORM_CACHE results of this kind are kept.
         """
+        m, objs, fold = self.mod, self.objs, self.fold.__getitem__
+        out = []
+        if k is None and not any(gamma):
+            by_order = {}
+            for o in (lcm(*map(_order_in, x, self._orders)) for x in self._coords):
+                if o not in by_order:
+                    by_order[o] = self.kid({j * (m // o): self.n // o for j in range(o)})
+                out.append(by_order[o])
+            return out
         key = (k if k is None else tuple(k), tuple(gamma))
-        out = self._transforms.get(key)
-        if out is None:
-            m, objs, fold = self.mod, self.objs, self.fold.__getitem__
-            out = self._transforms[key] = []
-            for row in self.pair:
-                exps = map(fold, map(add, gamma, row))
-                if k is None:
-                    out.append(self.kid(dict(Counter(exps))))
-                    continue
-                acc = {}
-                for (kid, e), c in Counter(zip(k, exps)).items():
-                    for f, co in objs[kid].coeffs.items():
-                        f += e
-                        if f >= m:
-                            f -= m
-                        acc[f] = acc.get(f, 0) + co * c
-                out.append(self.kid({f: c for f, c in acc.items() if c}))
+        hit = self._transforms.get(key)
+        if hit is not None:
+            return hit
+        for row in self.pair:
+            exps = map(fold, map(add, gamma, row))
+            if k is None:
+                out.append(self.kid(dict(Counter(exps))))
+                continue
+            acc = {}
+            for (kid, e), c in Counter(zip(k, exps)).items():
+                for f, co in objs[kid].coeffs.items():
+                    f += e
+                    if f >= m:
+                        f -= m
+                    acc[f] = acc.get(f, 0) + co * c
+            out.append(self.kid({f: c for f, c in acc.items() if c}))
+        if len(self._transforms) >= TRANSFORM_CACHE:
+            del self._transforms[next(iter(self._transforms))]
+        self._transforms[key] = out
         return out
+
+    def times(self, k, k0):
+        """The entry indices of the raw products objs[x] * objs[k0] for the entries x of k."""
+        objs = self.objs
+        out = {x: self.kid((objs[x] * objs[k0]).coeffs) for x in set(k)}
+        return list(map(out.__getitem__, k))
 
     def conjugate(self, k):
         """The entry indices of the complex conjugates of the entries k."""
@@ -658,12 +692,24 @@ def _phases_equal(tab, a, b, sa, sb):
             and _equal_up_to_roots(tab, sa, sb, [c1.pop() + c2.pop()]))
 
 
+def _phases_equal_constant(tab, a, b, sa, sb):
+    """A quadratic matrix without K against one whose K is one entry k0 everywhere.
+
+    The entry objs[k0] joins the scale sb, and _phases_equal decides.
+    """
+    k = b[4]
+    return len(set(k)) == 1 and _phases_equal(tab, a, b, sa, sb * tab.objs[k[0]])
+
+
 _EQUALITIES = {
     ("monomial", "monomial"): _monomials_equal,
     ("quadratic (K present)", "monomial"): _quadratic_equals_monomial,
     ("monomial", "quadratic (K present)"):
         lambda tab, a, b, sa, sb: _quadratic_equals_monomial(tab, b, a, sb, sa),
     ("quadratic (K absent)", "quadratic (K absent)"): _phases_equal,
+    ("quadratic (K absent)", "quadratic (K present)"): _phases_equal_constant,
+    ("quadratic (K present)", "quadratic (K absent)"):
+        lambda tab, a, b, sa, sb: _phases_equal_constant(tab, b, a, sb, sa),
 }
 
 
@@ -699,12 +745,14 @@ def _quadratic_product(tab, a, b):
     """Quadratic a times quadratic b without K, summed over the middle index t.
 
     With gamma = beta_a + alpha_b, w = C_a* R_a x + R_b* C_b y and u = P_a x the
-    sum is sum_t e(gamma(t) + (t, w)) K[u + mu t], mu = Q_a. Without K that is
-    T(None, gamma)[w]. With K, a bijective mu (inverse mu') and
-    gamma(mu' s) = c Q(s), the substitution s = u + mu t and
+    sum is sum_t e(gamma(t) + (t, w)) K[u + mu t], mu = Q_a. Without K, or with
+    a constant K that factors out of the sum, that is T(None, gamma)[w] (see
+    _gaussian_sum), times the constant. Otherwise, for a bijective mu (inverse
+    mu') and gamma(mu' s) = c Q(s), the substitution s = u + mu t and
     c Q(s - u) = c Q(s) - c (s, u) + c Q(u) give
     e(c Q(u) - (u, mu'* w)) * T(K, c Q)[mu'* w - c u]: a cross term
-    -(u, mu'* R_b* C_b y) times a table, so the product keeps the tag.
+    -(u, mu'* R_b* C_b y) times a table, so the product keeps the tag. Every
+    entry is the raw sum that the dense loop over t would give.
     """
     alpha1, beta1, r1, c1, k, p1, mu = a
     alpha2, beta2, r2, c2, k2, _p2, _q2 = b
@@ -713,8 +761,9 @@ def _quadratic_product(tab, a, b):
         return None
     gamma = tab.vadd(beta1, alpha2)
     w1, w2 = tab.compose(left, r1), tab.compose(right, c2)
-    if k is None:
-        return alpha1, beta2, 0, 0, tab.transform(None, gamma), w1, w2
+    if k is None or len(set(k)) == 1:
+        data = _gaussian_sum(tab, alpha1, beta2, gamma, w1, w2)
+        return data if k is None else data[:4] + (tab.times(data[4], k[0]),) + data[5:]
     if not tab.is_unit(mu):
         return None
     inv = tab.inverse(mu)
@@ -729,6 +778,26 @@ def _quadratic_product(tab, a, b):
     alpha = [fold[x + gamma[ux] + m - pair[ux][vx]] for x, ux, vx in zip(alpha1, u, v1)]
     pmap = [add_rows[vx][cu] for vx, cu in zip(v1, tab.as_list(tab.compose(-c, p1)))]
     return alpha, beta2, tab.compose(-1, p1), qmap, tab.transform(k, gamma), pmap, qmap
+
+
+def _gaussian_sum(tab, alpha, beta, gamma, w1, w2):
+    """The data of e(alpha[x] + beta[y]) * T(None, gamma)[w1 x + w2 y].
+
+    When gamma = c q with c a unit mod the exponent (inverse c'), the
+    substitution s = t + c' v in T(None, gamma)[v] = sum_t e(c Q(t) + (t, v))
+    gives e(phi(v)) * H, with H = sum_s e(gamma(s)) the histogram of gamma and
+    phi(v) = -gamma(c' v). Since phi(a + b) = phi(a) + phi(b) - c' (a, b), the
+    phases phi(w1 x) and phi(w2 y) join alpha and beta, the cross term is the
+    pairing (-c' w1 x, w2 y), and K is H everywhere: one interned entry in
+    O(n). Otherwise K is the transform of n rows, read at w1 x + w2 y.
+    """
+    c = tab.q_multiple(gamma)
+    if c is None or gcd(c, tab.exponent) != 1:
+        return alpha, beta, 0, 0, tab.transform(None, gamma), w1, w2
+    inv = pow(c, -1, tab.exponent)
+    phi = tab.vneg(tab.pull(gamma, inv))
+    return (tab.vadd(alpha, tab.pull(phi, w1)), tab.vadd(beta, tab.pull(phi, w2)),
+            tab.compose(-inv, w1), w2, [tab.kid(dict(Counter(gamma)))] * tab.n, 0, 0)
 
 
 _PRODUCTS = {

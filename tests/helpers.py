@@ -1,10 +1,11 @@
 """Shared generators and reference oracles for randomized exact tests. Everything is seeded."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import sub
+from operator import add, sub
 
 from discforms import fqm, weil
 from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
@@ -167,6 +168,31 @@ def dense_matmul_reference(a, b):
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
     return WeilMatrix(a.module, a.scale * b.scale, out)
+
+
+def transform_reference(tab, k, gamma):
+    """weil._Tables.transform by one histogram of n terms per row, for every gamma.
+
+    The oracle that the closed forms of the Weil products are checked against:
+    T[v] = sum_s K[s] e(gamma(s) + (s, v)) as a raw sum, K given by entry
+    indices k or None (reads 1); returns the interned entry index of each row.
+    """
+    m, objs, fold = tab.mod, tab.objs, tab.fold.__getitem__
+    out = []
+    for row in tab.pair:
+        exps = map(fold, map(add, gamma, row))
+        if k is None:
+            out.append(tab.kid(dict(Counter(exps))))
+            continue
+        acc = {}
+        for (kid, e), c in Counter(zip(k, exps)).items():
+            for f, co in objs[kid].coeffs.items():
+                f += e
+                if f >= m:
+                    f -= m
+                acc[f] = acc.get(f, 0) + co * c
+        out.append(tab.kid({f: c for f, c in acc.items() if c}))
+    return out
 
 
 def rho_of_reference(module, g):

@@ -661,6 +661,24 @@ def test_equal_modules_share_hashes_and_the_reduction_cache(monkeypatch):
     assert len(qs._REDUCTIONS) == 2 and b != a1
 
 
+def test_reduction_cache_is_bounded_and_hits_are_identical(monkeypatch):
+    # past REDUCTION_CACHE entries the oldest is evicted; a kept entry is returned as is
+    assert qs.REDUCTION_CACHE == 256
+    monkeypatch.setattr(qs, "_REDUCTIONS", {})
+    monkeypatch.setattr(qs, "REDUCTION_CACHE", 3)
+    a = fqm.hyperbolic_module(6)
+    hs = [fqm.Subgroup.from_generators(a, [a.element(g)])
+          for g in ((3, 0), (0, 3), (2, 0), (0, 2), (1, 0))]
+    first = [qs.reduction(a, h) for h in hs]
+    assert len(qs._REDUCTIONS) == 3
+    assert all(qs.reduction(a, h) is r for h, r in zip(hs[2:], first[2:]))
+    again = qs.reduction(a, hs[0])
+    assert again is not first[0] and again[3] == first[0][3]
+    # hits do not refresh an entry: hs[2] was the oldest and is gone
+    assert len(qs._REDUCTIONS) == 3 and qs.reduction(a, hs[2]) is not first[2]
+    assert qs.reduction(a, hs[0]) is again
+
+
 def test_cached_nq_never_crosses_modules():
     """nq_value keeps N*Q on an element of its own module only: an element read
     through an equal but distinct module, or through a module of the same

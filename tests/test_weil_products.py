@@ -15,7 +15,7 @@ from discforms import cyclo, fqm, weil
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import PreconditionError
 from helpers import (dense_matmul_reference, first_difference_reference, profile_module,
-                     rho_of_reference)
+                     rho_of_reference, transform_reference)
 
 # The modules of test_weil.py.
 TEST_WEIL_MODULES = (
@@ -151,6 +151,58 @@ def test_structure_tags():
         assert cube == m["Z"] and m["S"] @ m["S"] == m["Z"]
 
 
+@pytest.mark.parametrize("name,make", TEST_WEIL_MODULES, ids=[m[0] for m in TEST_WEIL_MODULES])
+def test_gaussian_products_match_dense_reference(name, make):
+    # S T^c S for every c in [0, M), and S^dagger (S T^c S) through (B^dagger A^dagger)^dagger,
+    # raw-equal to the dense loop. T^c depends on c only through gamma = c*q, so one c per
+    # distinct gamma is multiplied out. For c a unit mod the exponent K is one entry
+    # everywhere; otherwise it is the histogram transform of gamma.
+    a = make()
+    tab = weil._tables(a)
+    s = weil.rho_S(a)
+    s_dag = s.conj_transpose()
+    seen = set()
+    for c in range(tab.mod):
+        gamma = [c * v % tab.mod for v in tab.q]
+        if tuple(gamma) in seen:
+            continue
+        seen.add(tuple(gamma))
+        st = s @ weil.rho_T(a, c)
+        x = st @ s
+        assert snapshot(x) == snapshot(dense_matmul_reference(st, s)), (name, c)
+        assert_same_product(s_dag, x, (name, c))
+        k = x.data[4]
+        if gcd(c, tab.exponent) == 1:
+            assert len(set(k)) == 1 and x.data[5:] == (0, 0), (name, c)
+        else:
+            assert k == transform_reference(tab, None, gamma), (name, c)
+    # (S T)^3 both ways round: a constant K on the left, and K absent times a constant K
+    st = s @ weil.rho_T(a)
+    assert len(set((st @ st).data[4])) == 1
+    assert_same_product(st @ st, st, name)
+    assert_same_product(st, st @ st, name)
+
+
+@pytest.mark.parametrize("profile", [(("h", 3),), (("h", 2), ("c", 3)), (("c", 8),),
+                                     (("h", 2), ("h", 2))],
+                         ids=lambda p: "".join("%s%d" % b for b in p))
+def test_histogram_transforms_match_reference(profile):
+    # every transform a product takes, gamma = 0 (character sums by element order) and
+    # K present included, raw-equal to one histogram per row
+    a = profile_module(profile)
+    tab = weil._tables(a)
+    rng = random.Random("transform:%s" % (profile,))
+    ks = [None, tab.transform(None, tab.zeros),
+          [rng.randrange(len(tab.objs)) for _ in range(tab.n)]]
+    for c in range(tab.mod):
+        gamma = [c * v % tab.mod for v in tab.q]
+        for k in ks:
+            assert tab.transform(k, gamma) == transform_reference(tab, k, gamma), (c, k)
+    gamma = [rng.randrange(tab.mod) for _ in range(tab.n)]
+    assert tab.transform(None, gamma) == transform_reference(tab, None, gamma)
+    assert len(tab._transforms) <= weil.TRANSFORM_CACHE
+
+
 def _bracketings(word):
     """Every bracketing of the word, as nested pairs of letters."""
     if len(word) == 1:
@@ -168,10 +220,9 @@ def _bracketed_product(mats, tree):
     return _bracketed_product(mats, tree[0]) @ _bracketed_product(mats, tree[1])
 
 
-# The bracketings of S^4 with no product rule: K on both sides, or a K that
-# depends on the row only, (S (S S)), times a matrix without K.
-UNRULED_BRACKETINGS = {("S", (("S", "S"), "S")), (("S", "S"), ("S", "S")),
-                       (("S", ("S", "S")), "S")}
+# The bracketing of S^4 with no product rule: K on both sides. (S (S S)) S and
+# S ((S S) S) are taken through the constant K of S (S S) and (S S) S.
+UNRULED_BRACKETINGS = {(("S", "S"), ("S", "S"))}
 
 
 @pytest.mark.parametrize("profile", [(("h", 3),), (("h", 2), ("c", 3))],
@@ -497,8 +548,42 @@ def test_first_difference_matches_row_walk_reference(make):
             assert_same_difference(y, x, label)
 
 
+@EVERY_MODULE
+def test_constant_table_differences_match_row_walk_reference(make):
+    # K absent against a constant K: equal pairs are proved from the tags, and a pair
+    # that differs by one scale or one phase gets the row walk's witness, both ways round
+    a = make()
+    tab = weil._tables(a)
+    m = generator_matrices(a)
+    lhs = m["T"] @ m["S"] @ m["T"]
+    rhs = (m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"])
+    alpha, beta, r, c, k, p, q = rhs.data
+    assert lhs.shape() == ABSENT and rhs.shape() == PRESENT and len(set(k)) == 1
+    n, mod, mid = tab.n, tab.mod, tab.n // 2
+
+    def tagged(scale, alpha, beta, k):
+        return weil.WeilMatrix._tagged(a, scale, "quadratic", (alpha, beta, r, c, k, p, q))
+
+    def bumped(v):
+        return v[:mid] + [(v[mid] + 1) % mod] + v[mid + 1:]
+
+    # equal: a constant moved from the phases to the scale, or from K to the scale
+    doubled = tab.kid({e: 2 * x for e, x in tab.objs[k[0]].coeffs.items()})
+    equal = [rhs, tagged(rhs.scale * e_frac(F(-2, mod)), tab.vadd(alpha, [1] * n),
+                         tab.vadd(beta, [1] * n), k),
+             tagged(rhs.scale * F(1, 2), alpha, beta, [doubled] * n)]
+    differ = [rhs.scaled(e_frac(F(1, mod))), rhs.scaled(-1), tagged(rhs.scale, bumped(alpha), beta, k),
+              tagged(rhs.scale, alpha, bumped(beta), k), tagged(rhs.scale, alpha, beta, [doubled] * n)]
+    for y in equal + differ:
+        for u, v in ((lhs, y), (y, lhs)):
+            assert_same_difference(u, v, a.orders)
+    for y in equal:
+        assert weil._EQUALITIES[(ABSENT, PRESENT)](tab, lhs.data, y.data, lhs.scale.reduce(),
+                                                   y.scale.reduce())
+
+
 STRUCTURED_PAIRS = {("monomial", "monomial"), (PRESENT, "monomial"), ("monomial", PRESENT),
-                    (ABSENT, ABSENT)}
+                    (ABSENT, ABSENT), (ABSENT, PRESENT)}
 
 
 @pytest.mark.parametrize("make", [lambda: profile_module((("h", 2), ("c", 3))),
@@ -506,12 +591,12 @@ STRUCTURED_PAIRS = {("monomial", "monomial"), (PRESENT, "monomial"), ("monomial"
                                   lambda: fqm.hyperbolic_module(31)],
                          ids=["h2c3", "h8c2", "H(31)"])
 def test_structured_comparisons_build_no_rows(make):
-    # only the braid relation, K absent against K present, walks the rows: n on each side
+    # every relation is decided from the tags: the braid relation, K absent against
+    # a constant K, included
     a = make()
     pairs = compared_pairs(a)
-    walked = [(x.shape(), y.shape(), rows) for x, y, rows in pairs if rows]
-    assert all((x.shape(), y.shape()) in STRUCTURED_PAIRS for x, y, rows in pairs if not rows)
-    assert walked == [(ABSENT, PRESENT, 2 * a.order())]
+    assert [(x.shape(), y.shape(), rows) for x, y, rows in pairs if rows] == []
+    assert all((x.shape(), y.shape()) in STRUCTURED_PAIRS for x, y, _rows in pairs)
 
 
 def random_sl2(rng, bound=40):
