@@ -1,13 +1,16 @@
 """Exact arithmetic with roots of unity.
 
-Values live in the group ring Q[x]/(x^M - 1): a sparse map exponent -> rational
-coefficient. Sums and products never canonicalize; reduction to the canonical
-basis of Q(zeta_M), the tensor product of the power bases of Q(zeta_q) over the
-prime powers q || M, happens for equality tests, zero tests and rational
-extraction, which keeps long generator-matrix products cheap. Gauss sums are
-the one place that canonicalizes at construction: a histogram sum of up to M
-terms, reduced once in O(M * omega(M)), usually has a value of a few terms, so
-the products of Gauss sums in fqm, dims and weil stay short.
+A value lives in the group ring Q[x]/(x^M - 1) as (1/den) * sum_e coeffs[e] x^e:
+a sparse map from exponents in [0, M) to nonzero integers over one denominator
+den >= 1 with gcd(den, *coeffs) = 1. Each group-ring element has exactly one such
+form, so operations work on integers and divide out one gcd at the end, and no
+Fraction is built per term. Sums and products never canonicalize; reduction to
+the canonical basis of Q(zeta_M), the tensor product of the power bases of
+Q(zeta_q) over the prime powers q || M, happens for equality tests, zero tests
+and rational extraction, which keeps long generator-matrix products cheap. Gauss
+sums are the one place that canonicalizes at construction: a histogram sum of up
+to M terms, reduced once in O(M * omega(M)), usually has a value of a few terms,
+so the products of Gauss sums in fqm, dims and weil stay short.
 """
 
 from fractions import Fraction
@@ -33,46 +36,65 @@ def _basis_plan(m):
 
 
 class CyclotomicNumber:
-    """Element of Q(zeta_M), stored as a sparse sum of M-th roots of unity."""
+    """Element of Q(zeta_M): (1/den) * sum coeffs[e] * zeta_M^e with integer coeffs."""
 
-    __slots__ = ("mod", "coeffs")
+    __slots__ = ("mod", "coeffs", "den")
 
     def __init__(self, mod, coeffs):
-        self.mod = mod
+        """The number sum c * zeta_mod^e over {e: c}, with int or Fraction values c."""
         out = {}
         for e, c in coeffs.items():
             if c:
                 e %= mod
                 out[e] = out.get(e, 0) + c
-        self.coeffs = {e: c for e, c in out.items() if c}
+        try:
+            den = lcm(*(c.denominator for c in out.values()))
+        except (AttributeError, TypeError):
+            raise TypeError("cyclotomic coefficients must be int or Fraction") from None
+        self.mod = mod
+        self.den = den
+        self.coeffs = {e: c.numerator * (den // c.denominator) for e, c in out.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(r):
-        r = Fraction(r)
-        if r.denominator == 1:
-            r = int(r)
-        return CyclotomicNumber(1, {0: r} if r else {})
+        r = r if type(r) is int else Fraction(r)
+        return CyclotomicNumber._normalized(1, {0: r.numerator} if r else {}, r.denominator)
 
     @classmethod
-    def _normalized(cls, mod, coeffs):
-        """Wrap coeffs that are already normal: exponents in [0, mod), no zero values.
+    def _normalized(cls, mod, coeffs, den=1):
+        """Wrap a form that is already normal: exponents in [0, mod), nonzero int
+        values, den >= 1 and gcd(den, *coeffs) = 1.
 
-        Skips the renormalization of __init__; the caller vouches for the form.
+        Skips the normalization of __init__; the caller vouches for the form.
         """
         out = object.__new__(cls)
         out.mod = mod
         out.coeffs = coeffs
+        out.den = den
         return out
+
+    @classmethod
+    def _over(cls, mod, coeffs, den):
+        """The number (1/den) * sum coeffs[e] * zeta_mod^e, from int values at
+        exponents in [0, mod): drops the zero values and divides out the one gcd.
+        """
+        coeffs = {e: c for e, c in coeffs.items() if c}
+        if den != 1:
+            g = gcd(den, *coeffs.values())
+            if g != 1:
+                den //= g
+                coeffs = {e: c // g for e, c in coeffs.items()}
+        return cls._normalized(mod, coeffs, den)
 
     @staticmethod
     def zero():
-        return CyclotomicNumber(1, {})
+        return CyclotomicNumber._normalized(1, {})
 
     @staticmethod
     def one():
-        return CyclotomicNumber(1, {0: 1})
+        return CyclotomicNumber._normalized(1, {0: 1})
 
     # -- coercion ----------------------------------------------------------
 
@@ -82,7 +104,8 @@ class CyclotomicNumber:
         if mod % self.mod:
             raise AssertionError("promotion target must be a multiple")
         f = mod // self.mod
-        return CyclotomicNumber(mod, {e * f: c for e, c in self.coeffs.items()})
+        return CyclotomicNumber._normalized(mod, {e * f: c for e, c in self.coeffs.items()},
+                                            self.den)
 
     @staticmethod
     def _pair(a, b):
@@ -95,53 +118,68 @@ class CyclotomicNumber:
 
     # -- ring operations ----------------------------------------------------
 
+    @staticmethod
+    def _sum(a, b, sign):
+        """a + sign * b, for a and b at one modulus: both over the lcm of their dens."""
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        out = dict(a.coeffs) if fa == 1 else {e: c * fa for e, c in a.coeffs.items()}
+        for e, c in b.coeffs.items():
+            out[e] = out.get(e, 0) + c * fb
+        return CyclotomicNumber._over(a.mod, out, den)
+
     def __add__(self, other):
         a, b = CyclotomicNumber._pair(self, other)
         if a is None:
             return NotImplemented
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return CyclotomicNumber(a.mod, out)
+        return CyclotomicNumber._sum(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.mod, {e: -c for e, c in self.coeffs.items()})
+        return CyclotomicNumber._normalized(self.mod, {e: -c for e, c in self.coeffs.items()},
+                                            self.den)
 
     def __sub__(self, other):
         a, b = CyclotomicNumber._pair(self, other)
         if a is None:
             return NotImplemented
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return CyclotomicNumber(a.mod, out)
+        return CyclotomicNumber._sum(a, b, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return CyclotomicNumber(self.mod, {})
-            if other == 1:
-                return self
-            return CyclotomicNumber(self.mod, {e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, CyclotomicNumber):
+        if isinstance(other, CyclotomicNumber):
+            a, b = (self, other) if self.mod == other.mod else CyclotomicNumber._pair(self, other)
+            mod = a.mod
+            out = {}
+            if len(a.coeffs) > len(b.coeffs):
+                a, b = b, a
+            for e1, c1 in a.coeffs.items():
+                for e2, c2 in b.coeffs.items():
+                    e = e1 + e2
+                    if e >= mod:
+                        e -= mod
+                    out[e] = out.get(e, 0) + c1 * c2
+            return CyclotomicNumber._over(mod, out, a.den * b.den)
+        if isinstance(other, Fraction):
+            if other.denominator != 1:
+                n = other.numerator
+                return CyclotomicNumber._over(self.mod, {e: c * n for e, c in self.coeffs.items()},
+                                              self.den * other.denominator)
+            other = other.numerator
+        if not isinstance(other, int):
             return NotImplemented
-        a, b = CyclotomicNumber._pair(self, other)
-        mod = a.mod
-        out = {}
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                if e >= mod:
-                    e -= mod
-                out[e] = out.get(e, 0) + c1 * c2
-        return CyclotomicNumber(mod, out)
+        if other == 0:
+            return CyclotomicNumber._normalized(self.mod, {})
+        if other == 1:
+            return self
+        # gcd(den/g, other/g) = 1 and gcd(den, *coeffs) = 1 keep the form normal
+        g = gcd(self.den, other)
+        k = other // g
+        return CyclotomicNumber._normalized(self.mod, {e: c * k for e, c in self.coeffs.items()},
+                                            self.den // g)
 
     __rmul__ = __mul__
 
@@ -177,7 +215,9 @@ class CyclotomicNumber:
         return out
 
     def conjugate(self):
-        return CyclotomicNumber(self.mod, {-e % self.mod: c for e, c in self.coeffs.items()})
+        m = self.mod
+        return CyclotomicNumber._normalized(m, {-e % m: c for e, c in self.coeffs.items()},
+                                            self.den)
 
     # -- canonicalization ---------------------------------------------------
 
@@ -190,7 +230,8 @@ class CyclotomicNumber:
         is minus the sum of its p - 1 shifts to the other digits, since the p-th
         roots of unity sum to zero. The primes are cleared one after another, and a
         shift moves no other prime's digit. At a prime power this is the remainder
-        modulo Phi_q.
+        modulo Phi_q. The integer coefficients keep their denominator, and one gcd
+        normalizes the result.
         """
         mod, out = self.mod, dict(self.coeffs)
         for q, top, shifts in _basis_plan(mod):
@@ -201,7 +242,7 @@ class CyclotomicNumber:
                     if f >= mod:
                         f -= mod
                     out[f] = out.get(f, 0) - c
-        return CyclotomicNumber._normalized(mod, {e: c for e, c in out.items() if c})
+        return CyclotomicNumber._over(mod, out, self.den)
 
     def is_zero(self):
         return not self.reduce().coeffs
@@ -211,7 +252,7 @@ class CyclotomicNumber:
             other = CyclotomicNumber.from_rational(other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        if self.mod == other.mod and self.coeffs == other.coeffs:
+        if self.mod == other.mod and self.den == other.den and self.coeffs == other.coeffs:
             return True
         return (self - other).is_zero()
 
@@ -221,22 +262,23 @@ class CyclotomicNumber:
         r = self.reduce()
         if any(e != 0 for e in r.coeffs):
             raise ConsistencyError("value is not rational: %s" % self)
-        return Fraction(r.coeffs.get(0, 0))
+        return Fraction(r.coeffs.get(0, 0), r.den)
 
     # -- diagnostics ---------------------------------------------------------
 
     def to_complex(self):
-        w = 2j * cmath.pi / self.mod
-        return sum(complex(c) * cmath.exp(w * e) for e, c in self.coeffs.items())
+        # c / den is the correctly rounded float of the coefficient, as float(Fraction) is
+        w, d = 2j * cmath.pi / self.mod, self.den
+        return sum(complex(c / d) * cmath.exp(w * e) for e, c in self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        parts = []
+        parts, den = [], self.den
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            c = Fraction(c)
-            cs = "%d/%d" % (c.numerator, c.denominator) if c.denominator != 1 else str(c.numerator)
+            g = gcd(c, den)
+            cs = "%d/%d" % (c // g, den // g) if g != den else str(c // g)
             parts.append(cs if e == 0 else "%s * z%d^%d" % (cs, self.mod, e))
         return " + ".join(parts)
 
@@ -244,7 +286,7 @@ class CyclotomicNumber:
 def e_frac(q):
     """The root of unity e(q) = exp(2*pi*i*q) for rational q."""
     q = Fraction(q) % 1
-    return CyclotomicNumber(q.denominator, {q.numerator: 1})
+    return CyclotomicNumber._normalized(q.denominator, {q.numerator: 1})
 
 
 def gauss_sum(module, c=1):
@@ -261,7 +303,7 @@ def gauss_sum(module, c=1):
     out = {}
     for e, m in exps:
         out[e // g] = out.get(e // g, 0) + m
-    return CyclotomicNumber(n // g, out).reduce()
+    return CyclotomicNumber._normalized(n // g, out).reduce()
 
 
 def sqrt_card(module):

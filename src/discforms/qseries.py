@@ -476,23 +476,33 @@ ROOT_ORDER_BOUND = 8 * fqm.LEVEL_BOUND
 
 
 def write_series(f):
-    """Serialize to the line-based text format."""
+    """Serialize to the line-based text format.
+
+    A component dict that several mu share is formatted once.
+    """
     lines = ["module: " + ",".join(str(d) for d in f.module.orders),
              "weight: %d/%d" % (f.weight.numerator, f.weight.denominator),
              "truncation: %d/%d" % (f.truncation.numerator, f.truncation.denominator)]
     n = f.level
+    # id(comp) is stable: every component stays alive in f.components
+    records = {}
     for c in sorted(f.components):
-        mu = ",".join(str(x) for x in c)
         comp = f.components[c]
-        for k in sorted(comp):
-            v = comp[k]
-            if isinstance(v, CyclotomicNumber):
-                text = repr(v)
-            else:
-                v = Fraction(v)
-                text = "%d/%d" % (v.numerator, v.denominator)
-            g = gcd(k, n)
-            lines.append("mu=(%s) m=%d/%d coeff=%s" % (mu, k // g, n // g, text))
+        tails = records.get(id(comp))
+        if tails is None:
+            tails = records[id(comp)] = []
+            for k in sorted(comp):
+                v = comp[k]
+                if isinstance(v, CyclotomicNumber):
+                    text = repr(v)
+                else:
+                    v = Fraction(v)
+                    text = "%d/%d" % (v.numerator, v.denominator)
+                g = gcd(k, n)
+                tails.append(" m=%d/%d coeff=%s" % (k // g, n // g, text))
+        if tails:
+            mu = "mu=(%s)" % ",".join(map(str, c))
+            lines.append(mu + ("\n" + mu).join(tails))
     return "\n".join(lines) + "\n"
 
 
@@ -570,8 +580,9 @@ def _parse_value(text):
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed coefficient %r" % text) from None
     mod = lcm(*(t[0] for t in terms))
+    den = lcm(*(t[2].denominator for t in terms))
     coeffs = {}
     for modulus, exponent, c in terms:
         e = exponent % modulus * (mod // modulus)
-        coeffs[e] = coeffs[e] + c if e in coeffs else c
-    return CyclotomicNumber._normalized(mod, {e: c for e, c in coeffs.items() if c})
+        coeffs[e] = coeffs.get(e, 0) + c.numerator * (den // c.denominator)
+    return CyclotomicNumber._over(mod, coeffs, den)

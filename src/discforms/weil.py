@@ -226,7 +226,7 @@ class _Tables:
         normal = CyclotomicNumber._normalized
         self.roots = [normal(m, {e: 1}) for e in range(m)]
         self.objs = [normal(m, {}), self.roots[0]]
-        self._kids = {frozenset(): 0, frozenset({(0, 1)}): 1}
+        self._kids = {(1, frozenset()): 0, (1, frozenset({(0, 1)})): 1}
         self._canon = [0, 1]
         self._transforms = {}
 
@@ -324,13 +324,13 @@ class _Tables:
 
     # -- interned entries ----------------------------------------------------------
 
-    def kid(self, coeffs):
-        """Index in objs of the entry with these normal coefficients (interned)."""
-        key = frozenset(coeffs.items())
+    def kid(self, x):
+        """Index in objs of the entry x, a number at the modulus M (interned by its raw form)."""
+        key = (x.den, frozenset(x.coeffs.items()))
         k = self._kids.get(key)
         if k is None:
             k = self._kids[key] = len(self.objs)
-            self.objs.append(CyclotomicNumber._normalized(self.mod, coeffs))
+            self.objs.append(x)
         return k
 
     def canon(self, k):
@@ -340,7 +340,7 @@ class _Tables:
         """
         canon = self._canon
         while len(canon) <= k:
-            canon.append(self.kid(self.objs[len(canon)].reduce().coeffs))
+            canon.append(self.kid(self.objs[len(canon)].reduce()))
         return canon[k]
 
     def q_multiple(self, gamma):
@@ -360,12 +360,13 @@ class _Tables:
         TRANSFORM_CACHE results of this kind are kept.
         """
         m, objs, fold = self.mod, self.objs, self.fold.__getitem__
+        normal = CyclotomicNumber._normalized
         out = []
         if k is None and not any(gamma):
             by_order = {}
             for o in (lcm(*map(_order_in, x, self._orders)) for x in self._coords):
                 if o not in by_order:
-                    by_order[o] = self.kid({j * (m // o): self.n // o for j in range(o)})
+                    by_order[o] = self.kid(normal(m, {j * (m // o): self.n // o for j in range(o)}))
                 out.append(by_order[o])
             return out
         key = (k if k is None else tuple(k), tuple(gamma))
@@ -375,16 +376,20 @@ class _Tables:
         for row in self.pair:
             exps = map(fold, map(add, gamma, row))
             if k is None:
-                out.append(self.kid(dict(Counter(exps))))
+                out.append(self.kid(normal(m, dict(Counter(exps)))))
                 continue
+            terms = Counter(zip(k, exps)).items()
+            den = lcm(*{objs[kid].den for (kid, _e), _c in terms})
             acc = {}
-            for (kid, e), c in Counter(zip(k, exps)).items():
-                for f, co in objs[kid].coeffs.items():
+            for (kid, e), c in terms:
+                x = objs[kid]
+                c *= den // x.den
+                for f, co in x.coeffs.items():
                     f += e
                     if f >= m:
                         f -= m
                     acc[f] = acc.get(f, 0) + co * c
-            out.append(self.kid({f: c for f, c in acc.items() if c}))
+            out.append(self.kid(CyclotomicNumber._over(m, acc, den)))
         if len(self._transforms) >= TRANSFORM_CACHE:
             del self._transforms[next(iter(self._transforms))]
         self._transforms[key] = out
@@ -393,13 +398,13 @@ class _Tables:
     def times(self, k, k0):
         """The entry indices of the raw products objs[x] * objs[k0] for the entries x of k."""
         objs = self.objs
-        out = {x: self.kid((objs[x] * objs[k0]).coeffs) for x in set(k)}
+        out = {x: self.kid(objs[x] * objs[k0]) for x in set(k)}
         return list(map(out.__getitem__, k))
 
     def conjugate(self, k):
         """The entry indices of the complex conjugates of the entries k."""
-        m, objs = self.mod, self.objs
-        conj = {x: self.kid({-e % m: c for e, c in objs[x].coeffs.items()}) for x in set(k)}
+        objs = self.objs
+        conj = {x: self.kid(objs[x].conjugate()) for x in set(k)}
         return list(map(conj.__getitem__, k))
 
 
@@ -472,7 +477,7 @@ class WeilMatrix:
             return exps, kids
         if tag == "dense":
             row = self._mat[i]
-            return [0] * len(row), [tab.kid(x._promoted(tab.mod).coeffs) for x in row]
+            return [0] * len(row), [tab.kid(x._promoted(tab.mod)) for x in row]
         alpha, beta, rmap, cmap, k, pmap, qmap = data
         if rmap != 0:
             beta = map(add, beta, tab.pull(tab.pair[tab.as_list(rmap)[i]], cmap))
@@ -492,8 +497,7 @@ class WeilMatrix:
                 return roots[e]
             x = shifted.get((e, k))
             if x is None:
-                x = shifted[(e, k)] = CyclotomicNumber._normalized(
-                    m, {(f + e) % m: c for f, c in objs[k].coeffs.items()})
+                x = shifted[(e, k)] = _times_root(objs[k], e, m)
             return x
 
         return [list(map(entry, *self._row(tab, i))) for i in range(tab.n)]
@@ -568,7 +572,7 @@ class WeilMatrix:
         rule = _EQUALITIES.get((self.shape(), other.shape()))
         if rule and rule(tab, self.data, other.data, sa, sb):
             return None
-        same_scale = sa.mod == sb.mod and sa.coeffs == sb.coeffs
+        same_scale = sa.mod == sb.mod and sa.den == sb.den and sa.coeffs == sb.coeffs
         memo, left, right = {}, {}, {}
         canon = tab._canon
         for i in range(n):
@@ -618,7 +622,8 @@ class WeilMatrix:
 def _times_root(x, d, m):
     """x * e(d/m), for x at a multiple of the modulus m."""
     n, f = x.mod, x.mod // m
-    return CyclotomicNumber._normalized(n, {(e + d * f) % n: c for e, c in x.coeffs.items()})
+    return CyclotomicNumber._normalized(n, {(e + d * f) % n: c for e, c in x.coeffs.items()},
+                                        x.den)
 
 
 # -- structured comparisons -----------------------------------------------------------
@@ -796,8 +801,9 @@ def _gaussian_sum(tab, alpha, beta, gamma, w1, w2):
         return alpha, beta, 0, 0, tab.transform(None, gamma), w1, w2
     inv = pow(c, -1, tab.exponent)
     phi = tab.vneg(tab.pull(gamma, inv))
+    hist = tab.kid(CyclotomicNumber._normalized(tab.mod, dict(Counter(gamma))))
     return (tab.vadd(alpha, tab.pull(phi, w1)), tab.vadd(beta, tab.pull(phi, w2)),
-            tab.compose(-inv, w1), w2, [tab.kid(dict(Counter(gamma)))] * tab.n, 0, 0)
+            tab.compose(-inv, w1), w2, [hist] * tab.n, 0, 0)
 
 
 _PRODUCTS = {

@@ -1,5 +1,6 @@
 """Shared generators and reference oracles for randomized exact tests. Everything is seeded."""
 
+import cmath
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,7 @@ from operator import add, sub
 from discforms import fqm, weil
 from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
                                parse_rational, smith_normal_form, transpose)
-from discforms.cyclo import CyclotomicNumber, e_frac
+from discforms.cyclo import CyclotomicNumber, _basis_plan, e_frac
 from discforms.errors import ConsistencyError, PreconditionError
 from discforms.qseries import (ROOT_ORDER_BOUND, VectorValuedQSeries, _conj, _is_zero_value,
                                reduction)
@@ -153,18 +154,19 @@ def dense_matmul_reference(a, b):
     n = a.size
     out = []
     for i in range(n):
-        nz = [(t, a.mat[i][t].coeffs) for t in range(n) if a.mat[i][t].coeffs]
+        nz = [(t, a.mat[i][t]) for t in range(n) if a.mat[i][t].coeffs]
         row = []
         for j in range(n):
             acc = {}
             for t, x in nz:
-                y = b.mat[t][j].coeffs
-                if not y:
+                y = b.mat[t][j]
+                if not y.coeffs:
                     continue
-                for e1, c1 in x.items():
-                    for e2, c2 in y.items():
+                den = x.den * y.den
+                for e1, c1 in x.coeffs.items():
+                    for e2, c2 in y.coeffs.items():
                         e = (e1 + e2) % mod
-                        acc[e] = acc.get(e, 0) + c1 * c2
+                        acc[e] = acc.get(e, 0) + (c1 * c2 if den == 1 else Fraction(c1 * c2, den))
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
     return WeilMatrix(a.module, a.scale * b.scale, out)
@@ -182,16 +184,17 @@ def transform_reference(tab, k, gamma):
     for row in tab.pair:
         exps = map(fold, map(add, gamma, row))
         if k is None:
-            out.append(tab.kid(dict(Counter(exps))))
+            out.append(tab.kid(CyclotomicNumber._normalized(m, dict(Counter(exps)))))
             continue
         acc = {}
         for (kid, e), c in Counter(zip(k, exps)).items():
-            for f, co in objs[kid].coeffs.items():
+            x = objs[kid]
+            for f, co in x.coeffs.items():
                 f += e
                 if f >= m:
                     f -= m
-                acc[f] = acc.get(f, 0) + co * c
-        out.append(tab.kid({f: c for f, c in acc.items() if c}))
+                acc[f] = acc.get(f, 0) + Fraction(co * c, x.den)
+        out.append(tab.kid(CyclotomicNumber(m, acc)))
     return out
 
 
@@ -242,7 +245,7 @@ def first_difference_reference(self, other):
     m, roots, objs = tab.mod, tab.roots, tab.objs
     # canonical scales: a product's scale is a long unreduced sum, its value often one term
     sa, sb = self.scale.reduce(), other.scale.reduce()
-    same_scale = sa.mod == sb.mod and sa.coeffs == sb.coeffs
+    same_scale = sa.mod == sb.mod and sa.den == sb.den and sa.coeffs == sb.coeffs
     memo, left, right = {}, {}, {}
     for i in range(n):
         ea, ka = self._row(tab, i)
@@ -272,6 +275,215 @@ def first_difference_reference(self, other):
                     d = sa * roots[ea[j]] * objs[ka[j]] - sb * roots[eb[j]] * objs[kb[j]]
                     return i, j, d.reduce()
     return None
+
+
+class FractionCyclotomicReference:
+    """cyclo.CyclotomicNumber with one Fraction or int coefficient per root, kept as the oracle."""
+
+    __slots__ = ("mod", "coeffs")
+
+    def __init__(self, mod, coeffs):
+        self.mod = mod
+        out = {}
+        for e, c in coeffs.items():
+            if c:
+                e %= mod
+                out[e] = out.get(e, 0) + c
+        self.coeffs = {e: c for e, c in out.items() if c}
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_rational(r):
+        r = Fraction(r)
+        if r.denominator == 1:
+            r = int(r)
+        return FractionCyclotomicReference(1, {0: r} if r else {})
+
+    @classmethod
+    def _normalized(cls, mod, coeffs):
+        """Wrap coeffs that are already normal: exponents in [0, mod), no zero values.
+
+        Skips the renormalization of __init__; the caller vouches for the form.
+        """
+        out = object.__new__(cls)
+        out.mod = mod
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
+    def zero():
+        return FractionCyclotomicReference(1, {})
+
+    @staticmethod
+    def one():
+        return FractionCyclotomicReference(1, {0: 1})
+
+    # -- coercion ----------------------------------------------------------
+
+    def _promoted(self, mod):
+        if mod == self.mod:
+            return self
+        if mod % self.mod:
+            raise AssertionError("promotion target must be a multiple")
+        f = mod // self.mod
+        return FractionCyclotomicReference(mod, {e * f: c for e, c in self.coeffs.items()})
+
+    @staticmethod
+    def _pair(a, b):
+        if isinstance(b, (int, Fraction)):
+            b = FractionCyclotomicReference.from_rational(b)
+        elif not isinstance(b, FractionCyclotomicReference):
+            return None, None
+        m = lcm(a.mod, b.mod)
+        return a._promoted(m), b._promoted(m)
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        a, b = FractionCyclotomicReference._pair(self, other)
+        if a is None:
+            return NotImplemented
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return FractionCyclotomicReference(a.mod, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomicReference(self.mod, {e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        a, b = FractionCyclotomicReference._pair(self, other)
+        if a is None:
+            return NotImplemented
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
+            out[e] = out.get(e, 0) - c
+        return FractionCyclotomicReference(a.mod, out)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return FractionCyclotomicReference(self.mod, {})
+            if other == 1:
+                return self
+            return FractionCyclotomicReference(self.mod, {e: c * other for e, c in self.coeffs.items()})
+        if not isinstance(other, FractionCyclotomicReference):
+            return NotImplemented
+        a, b = FractionCyclotomicReference._pair(self, other)
+        mod = a.mod
+        out = {}
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                e = e1 + e2
+                if e >= mod:
+                    e -= mod
+                out[e] = out.get(e, 0) + c1 * c2
+        return FractionCyclotomicReference(mod, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            return self * (Fraction(1) / Fraction(other))
+        if not isinstance(other, FractionCyclotomicReference):
+            return NotImplemented
+        # supported divisors: values with rational |x|^2 (roots of unity,
+        # rationals, exact square roots of cardinalities)
+        norm = (other * other.conjugate()).rational_value()
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return self * other.conjugate() * (Fraction(1) / norm)
+
+    def __rtruediv__(self, other):
+        return FractionCyclotomicReference.from_rational(other) / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return FractionCyclotomicReference.one() / self ** (-n)
+        out = FractionCyclotomicReference.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return out
+
+    def conjugate(self):
+        return FractionCyclotomicReference(self.mod, {-e % self.mod: c for e, c in self.coeffs.items()})
+
+    # -- canonicalization ---------------------------------------------------
+
+    def reduce(self):
+        """Canonical form at the same modulus.
+
+        The basis is the tensor product, over the prime powers q || mod, of the
+        power bases 1, w, ..., w^(phi(q)-1) of the q-th root w whose other CRT parts
+        are 0: no exponent has top digit p - 1 in its q-part. A term with that digit
+        is minus the sum of its p - 1 shifts to the other digits, since the p-th
+        roots of unity sum to zero. The primes are cleared one after another, and a
+        shift moves no other prime's digit. At a prime power this is the remainder
+        modulo Phi_q.
+        """
+        mod, out = self.mod, dict(self.coeffs)
+        for q, top, shifts in _basis_plan(mod):
+            for e in [e for e in out if e % q >= top]:
+                c = out.pop(e)
+                for s in shifts:
+                    f = e + s
+                    if f >= mod:
+                        f -= mod
+                    out[f] = out.get(f, 0) - c
+        return FractionCyclotomicReference._normalized(mod, {e: c for e, c in out.items() if c})
+
+    def is_zero(self):
+        return not self.reduce().coeffs
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionCyclotomicReference.from_rational(other)
+        if not isinstance(other, FractionCyclotomicReference):
+            return NotImplemented
+        if self.mod == other.mod and self.coeffs == other.coeffs:
+            return True
+        return (self - other).is_zero()
+
+    __hash__ = None
+
+    def rational_value(self):
+        r = self.reduce()
+        if any(e != 0 for e in r.coeffs):
+            raise ConsistencyError("value is not rational: %s" % self)
+        return Fraction(r.coeffs.get(0, 0))
+
+    # -- diagnostics ---------------------------------------------------------
+
+    def to_complex(self):
+        w = 2j * cmath.pi / self.mod
+        return sum(complex(c) * cmath.exp(w * e) for e, c in self.coeffs.items())
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            c = Fraction(c)
+            cs = "%d/%d" % (c.numerator, c.denominator) if c.denominator != 1 else str(c.numerator)
+            parts.append(cs if e == 0 else "%s * z%d^%d" % (cs, self.mod, e))
+        return " + ".join(parts)
 
 
 def cyclotomic_polynomial_reference(m):
@@ -318,7 +530,7 @@ def cyclotomic_polynomial_radical(m):
 
 
 def phi_remainder_reference(x):
-    """The remainder of a CyclotomicNumber modulo Phi_mod, as {exponent: coefficient}.
+    """The remainder of a CyclotomicNumber modulo Phi_mod, as {exponent: Fraction}.
 
     This is the canonical form on the power basis 1, z, ..., z^(phi(mod)-1): two
     numbers at one modulus are equal exactly when their remainders are.
@@ -328,7 +540,7 @@ def phi_remainder_reference(x):
     terms = [(j - deg, c) for j, c in enumerate(phi[:deg]) if c]
     rem = [0] * x.mod
     for e, c in x.coeffs.items():
-        rem[e] = c
+        rem[e] = Fraction(c, x.den)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:

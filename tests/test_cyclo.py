@@ -1,13 +1,20 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from discforms import cyclo, fqm
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms._intmat import is_prime
-from helpers import (cyclotomic_polynomial_radical, cyclotomic_polynomial_reference,
-                     phi_remainder_reference, random_module)
+from discforms.errors import ConsistencyError
+from helpers import (FractionCyclotomicReference, cyclotomic_polynomial_radical,
+                     cyclotomic_polynomial_reference, phi_remainder_reference, random_module)
+
+
+def raw(x):
+    """The stored form of a number: equal values at one modulus have one raw reduced form."""
+    return x.mod, x.coeffs, x.den
 
 
 def test_e_frac_basics():
@@ -49,7 +56,7 @@ def test_reduce_idempotence():
     x = e_frac(F(1, 5)) + e_frac(F(2, 5)) * F(3, 7) + 2
     r = x.reduce()
     rr = r.reduce()
-    assert r.mod == rr.mod and r.coeffs == rr.coeffs
+    assert raw(r) == raw(rr)
 
 
 def _random_number(rng, m, terms):
@@ -80,6 +87,77 @@ def _squarefree_orders(bound):
     return out
 
 
+def _with_oracle(rng, m, terms):
+    """A random number at modulus m, and the same number in the Fraction oracle."""
+    coeffs = {rng.randrange(2 * m): rng.choice([rng.randint(-9, 9),
+                                                F(rng.randint(-9, 9), rng.randint(1, 12))])
+              for _ in range(terms)}
+    return CyclotomicNumber(m, coeffs), FractionCyclotomicReference(m, coeffs)
+
+
+def _agrees(x, ref):
+    """x is normal and has the oracle's value term by term, its repr byte for byte."""
+    assert isinstance(x, CyclotomicNumber) and x.den >= 1
+    assert all(type(c) is int and c and 0 <= e < x.mod for e, c in x.coeffs.items())
+    assert gcd(x.den, *x.coeffs.values()) == 1
+    assert (x.mod, {e: F(c, x.den) for e, c in x.coeffs.items()}) == (ref.mod, ref.coeffs)
+    assert repr(x) == repr(ref)
+    assert x.to_complex() == ref.to_complex()
+
+
+def test_ring_operations_match_the_fraction_oracle():
+    rng = random.Random(1919)
+    moduli = list(range(1, 121)) + [30030] * 8
+    divisors_30030 = [d for d in range(1, 30031) if 30030 % d == 0]
+    for m in moduli:
+        x, xr = _with_oracle(rng, m, rng.randint(0, 6))
+        n = rng.choice(divisors_30030) if m == 30030 else rng.randint(1, 120)
+        y, yr = _with_oracle(rng, n, rng.randint(0, 6))
+        k = rng.randint(-6, 6)
+        q = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
+        # u = r * e(j/n) has rational |u|^2, so it is a supported divisor
+        j, r = rng.randrange(n), F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        u, ur = CyclotomicNumber(n, {j: r}), FractionCyclotomicReference(n, {j: r})
+        e, f = rng.randint(-3, 4), rng.randint(0, 3) if m < 30030 else 2
+        pairs = [(x + y, xr + yr), (x - y, xr - yr), (x * y, xr * yr), (y * x, yr * xr),
+                 (x + k, xr + k), (k + x, k + xr), (x - q, xr - q), (q - x, q - xr),
+                 (x * k, xr * k), (k * x, k * xr), (x * q, xr * q), (q * x, q * xr),
+                 (x + q, xr + q), (-x, -xr), (x.conjugate(), xr.conjugate()),
+                 (x.reduce(), xr.reduce()), ((x * y).reduce(), (xr * yr).reduce()),
+                 (x / u, xr / ur), (q / u, q / ur), (x / q, xr / q), (u ** e, ur ** e),
+                 (x ** f, xr ** f)]
+        if k:
+            pairs += [(x / k, xr / k), (k / u, k / ur)]
+        for got, want in pairs:
+            _agrees(got, want)
+        # zero tests and equality, with values that vanish without looking like it
+        # the p-th roots of unity, p the least prime factor of n (2 for n = 1), sum to zero
+        p = next((p for p in range(2, n + 1) if n % p == 0), 2)
+        roots = CyclotomicNumber(p, {i: 1 for i in range(p)})
+        roots_r = FractionCyclotomicReference(p, {i: 1 for i in range(p)})
+        for a, ar in ((x, xr), (x - x.reduce(), xr - xr.reduce()), (x * q - q * x, xr * q - q * xr),
+                      (roots * x, roots_r * xr), (x + roots * q, xr + roots_r * q)):
+            assert a.is_zero() == ar.is_zero()
+            for b, br in ((y, yr), (x, xr), (k, k), (q, q), (x + roots, xr + roots_r)):
+                assert (a == b) == (ar == br)
+        # rational values: |u|^2, and rationals hidden behind a vanishing sum
+        for a, ar in ((u * u.conjugate(), ur * ur.conjugate()), (roots * x + q, roots_r * xr + q),
+                      (x - x + k, xr - xr + k)):
+            assert a.rational_value() == ar.rational_value()
+            assert type(a.rational_value()) is F
+        if any(xr.reduce().coeffs.keys() - {0}):
+            with pytest.raises(ConsistencyError):
+                x.rational_value()
+        else:
+            assert x.rational_value() == xr.rational_value()
+
+
+def test_inexact_coefficients_are_refused():
+    for bad in (0.5, 1.0, complex(1, 1)):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            CyclotomicNumber(4, {1: bad})
+
+
 def test_cyclotomic_polynomials_against_divisor_recursion():
     ref = {}
     for m in range(1, 201):
@@ -94,7 +172,7 @@ def test_cyclotomic_polynomials_against_divisor_recursion():
         rem = phi_remainder_reference(x)
         assert phi_remainder_reference(x.reduce()) == rem, m
         if m == 1 or _is_prime_power(m):
-            assert x.reduce().coeffs == rem, m
+            assert raw(x.reduce()) == raw(CyclotomicNumber(m, rem)), m
 
 
 def test_zero_tests_at_large_orders():
@@ -118,6 +196,10 @@ def test_zero_tests_at_order_30030():
     assert CyclotomicNumber(30030, {e: 1 for e in range(0, 30030, 2145)}).is_zero()
     assert not CyclotomicNumber(30030, {e: 1 for e in range(0, 30030, 3) if e != 30027}).is_zero()
     assert not CyclotomicNumber(30030, {e: 1 for e in range(2145, 30030, 2145)}).is_zero()
+    # the same sums over a denominator
+    assert CyclotomicNumber(30030, {e: F(1, 7) for e in range(0, 30030, 3)}).is_zero()
+    assert not CyclotomicNumber(30030, {e: F(1, 7) for e in range(0, 30030, 3) if e}).is_zero()
+    assert cyclo.sqrt_card(fqm.hyperbolic_module(31)) ** 2 == 961
 
 
 def test_reduce_against_phi_remainder_at_every_order():
@@ -130,7 +212,7 @@ def test_reduce_against_phi_remainder_at_every_order():
             x = _random_number(rng, m, rng.randint(1, 8))
             rem = phi_remainder_reference(x)
             assert x.is_zero() == (not rem), m
-            assert x.reduce().coeffs == CyclotomicNumber(m, rem).reduce().coeffs, m
+            assert raw(x.reduce()) == raw(CyclotomicNumber(m, rem).reduce()), m
             # numbers that vanish without looking like it
             for z in [x - CyclotomicNumber(m, rem)] + [x * r for r in roots]:
                 assert z.is_zero(), m
@@ -142,7 +224,7 @@ def test_reduce_is_the_phi_remainder_at_prime_powers():
     for m in orders:
         for _ in range(3):
             x = _random_number(rng, m, rng.randint(1, 12))
-            assert x.reduce().coeffs == phi_remainder_reference(x), m
+            assert raw(x.reduce()) == raw(CyclotomicNumber(m, phi_remainder_reference(x))), m
 
 
 def test_reduce_is_idempotent_and_multiplicative():
@@ -150,8 +232,8 @@ def test_reduce_is_idempotent_and_multiplicative():
     for m in [rng.randrange(1, 600) for _ in range(80)] + [60, 210, 720, 2310]:
         x, y = _random_number(rng, m, 8), _random_number(rng, m, 8)
         r = x.reduce()
-        assert r.reduce().coeffs == r.coeffs, m
-        assert (x * y).reduce().coeffs == (r * y.reduce()).reduce().coeffs, m
+        assert raw(r.reduce()) == raw(r), m
+        assert raw((x * y).reduce()) == raw((r * y.reduce()).reduce()), m
         assert x * y == r * y.reduce(), m
 
 

@@ -95,7 +95,7 @@ def value_outcome(parse, text):
         v = parse(text)
     except PreconditionError as exc:
         return str(exc)
-    return (v.mod, v.coeffs) if isinstance(v, CyclotomicNumber) else v
+    return (v.mod, v.coeffs, v.den) if isinstance(v, CyclotomicNumber) else v
 
 
 @FUZZ

@@ -65,7 +65,7 @@ def _reference_gauss(module, c):
 
 
 def _same_cyclotomic(x, y):
-    return x.mod == y.mod and x.coeffs == y.coeffs
+    return x.mod == y.mod and x.coeffs == y.coeffs and x.den == y.den
 
 
 def _check_against_oracles(module):

@@ -615,6 +615,39 @@ def test_read_series_with_repeated_fields_matches_the_oracle():
     assert qs.read_series(qs.write_series(got), a) == got
 
 
+def _flat(f):
+    """The flat oracle holding the coefficients of f."""
+    r = FlatQSeriesReference(f.module, f.weight, f.truncation)
+    r.coefficients = dict(f.items())
+    return r
+
+
+def test_write_series_of_shared_components_matches_the_flat_writer():
+    # the level-11 kernel lift: its 14641 components share a few dicts
+    g = lifts.eta_quotient({1: 2, 11: 2}, 1100)
+    vec, _report = lifts.kernel_element(lifts.NewformData(g, -1, 2, 11), 2, 2)
+    assert len({id(c) for c in vec.components.values()}) < 20 < len(vec.components) == 11 ** 4
+    assert qs.write_series(vec) == flat_write_series_reference(_flat(vec))
+    # up_arrow outputs share one dict per fiber; half the values are cyclotomic over a
+    # denominator
+    rng = random.Random(19)
+    checked = 0
+    while checked < 8:
+        a = random_module(rng, max_order=60)
+        h = random_isotropic_subgroup(rng, a)
+        if h.order == 1:
+            continue
+        b = qs.reduction(a, h)[0]
+        base = random_series(b, F(3), F(2), rng)
+        for (coords, m), _v in list(base.items())[::2]:
+            terms = {rng.randrange(12): F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3)}
+            base.set(b.element(coords), m, CyclotomicNumber(12, terms))
+        up = qs.up_arrow(base, a, h)
+        assert len({id(c) for c in up.components.values()}) < len(up.components)
+        assert qs.write_series(up) == flat_write_series_reference(_flat(up))
+        checked += 1
+
+
 @pytest.mark.parametrize("record, message", [
     ("mu=(1,2) m=1/2", "malformed series record %r"),
     ("mu=(1,x) m=1/2 coeff=2/4", "malformed series record %r"),

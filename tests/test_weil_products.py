@@ -59,8 +59,8 @@ def generator_matrices(a):
 
 
 def snapshot(m):
-    return (m.mod, m.scale.mod, m.scale.coeffs,
-            [[(x.mod, x.coeffs) for x in row] for row in m.mat])
+    return (m.mod, m.scale.mod, m.scale.coeffs, m.scale.den,
+            [[(x.mod, x.coeffs, x.den) for x in row] for row in m.mat])
 
 
 def assert_same_product(x, y, label):
@@ -374,11 +374,13 @@ def test_integer_rho_S_matches_fraction_reference():
         s = weil.rho_S(a)
         elts = a.elements()
         want_scale = e_frac(F(-a.signature(), 8)) * cyclo.sqrt_card(a) * F(1, a.order())
-        assert (s.scale.mod, s.scale.coeffs) == (want_scale.mod, want_scale.coeffs)
+        assert (s.scale.mod, s.scale.coeffs, s.scale.den) == \
+            (want_scale.mod, want_scale.coeffs, want_scale.den)
         for i, x in enumerate(elts):
             for j, y in enumerate(elts):
                 want = e_frac(-x.bil(y))._promoted(s.mod)
-                assert (s.mat[i][j].mod, s.mat[i][j].coeffs) == (want.mod, want.coeffs), \
+                got = s.mat[i][j]
+                assert (got.mod, got.coeffs, got.den) == (want.mod, want.coeffs, want.den), \
                     (a.orders, x, y)
 
 
@@ -390,7 +392,8 @@ def test_integer_rho_T_matches_fraction_reference():
             for i, x in enumerate(a.elements()):
                 for j, v in enumerate(t.mat[i]):
                     want = e_frac(k * x.q())._promoted(t.mod) if i == j else zero
-                    assert (v.mod, v.coeffs) == (want.mod, want.coeffs), (a.orders, k, x)
+                    assert (v.mod, v.coeffs, v.den) == (want.mod, want.coeffs, want.den), \
+                        (a.orders, k, x)
 
 
 def test_eq_detects_one_entry_and_scale_differences():
@@ -398,8 +401,9 @@ def test_eq_detects_one_entry_and_scale_differences():
     s = weil.rho_S(a)
     mod, n = s.mod, s.size
     # the same matrix as s with fresh entry objects and a separately built scale
-    copy = weil.WeilMatrix(a, s.scale * 1, [[CyclotomicNumber(mod, dict(x.coeffs)) for x in row]
-                                            for row in s.mat])
+    copy = weil.WeilMatrix(a, s.scale * 1,
+                           [[CyclotomicNumber._normalized(mod, dict(x.coeffs), x.den) for x in row]
+                            for row in s.mat])
     assert s == s and s == copy and copy == s
     # equal values in other representations: 1 + z2 = 0, so adding it changes nothing
     vanishing = CyclotomicNumber(mod, {0: 1, mod // 2: 1})
@@ -520,7 +524,7 @@ def variants(x):
 
 
 def difference_key(d):
-    return d if d is None else (d[0], d[1], d[2].mod, d[2].coeffs)
+    return d if d is None else (d[0], d[1], d[2].mod, d[2].coeffs, d[2].den)
 
 
 def assert_same_difference(x, y, label):
@@ -568,7 +572,7 @@ def test_constant_table_differences_match_row_walk_reference(make):
         return v[:mid] + [(v[mid] + 1) % mod] + v[mid + 1:]
 
     # equal: a constant moved from the phases to the scale, or from K to the scale
-    doubled = tab.kid({e: 2 * x for e, x in tab.objs[k[0]].coeffs.items()})
+    doubled = tab.kid(tab.objs[k[0]] * 2)
     equal = [rhs, tagged(rhs.scale * e_frac(F(-2, mod)), tab.vadd(alpha, [1] * n),
                          tab.vadd(beta, [1] * n), k),
              tagged(rhs.scale * F(1, 2), alpha, beta, [doubled] * n)]
