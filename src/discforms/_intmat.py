@@ -59,10 +59,23 @@ DECIMAL_EXPONENT_BOUND = 4300
 
 
 def parse_rational(x):
-    """Fraction(x), with ValueError for text whose decimal exponent exceeds the bound."""
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        if abs(int(x.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
-            raise ValueError("decimal exponent of %r exceeds %d" % (x, DECIMAL_EXPONENT_BOUND))
+    """Fraction(x), with ValueError for text whose decimal exponent exceeds the bound.
+
+    ASCII text [-]a/b or [-]a with digits a, b and b != 0 is read with int();
+    every other text (spaces, signs, underscores, decimals, exponents, other
+    digits) goes through Fraction(text), the one route that reads decimals.
+    """
+    if isinstance(x, str):
+        a, slash, b = x.partition("/")
+        if not slash:
+            b = "1"
+        if ((a[1:] if a[:1] == "-" else a).isdigit() and b.isdigit() and x.isascii()
+                and b.strip("0")):
+            return Fraction(int(a), int(b))
+        if "e" in x or "E" in x:
+            if abs(int(x.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
+                raise ValueError("decimal exponent of %r exceeds %d"
+                                 % (x, DECIMAL_EXPONENT_BOUND))
     return Fraction(x)
 
 

@@ -397,13 +397,15 @@ class Automorphism:
             for j in range(r):
                 if (self.matrix[i][j] * module.orders[j]) % module.orders[i]:
                     raise PreconditionError("matrix does not define an endomorphism")
-        gens = module.generators()
-        imgs = [self(g) for g in gens]
+        # on the integer form: N*Q(g_i) and N*(g_i, g_j) at N = level()
+        imgs = [self(g) for g in module.generators()]
+        n, nq, nb = module.level(), module._nq, module._nb
         for i in range(r):
-            if imgs[i].q() != gens[i].q():
+            if module.nq_value(imgs[i]) != nq[i]:
                 raise PreconditionError("map does not preserve the quadratic form")
+            row = module._pairing_row(imgs[i].coords)
             for j in range(r):
-                if imgs[i].bil(imgs[j]) != gens[i].bil(gens[j]):
+                if sum(map(mul, imgs[j].coords, row)) % n != nb[i][j]:
                     raise PreconditionError("map does not preserve the pairing")
         if Subgroup._spanned(module, [x.coords for x in imgs]).order != module.order():
             raise PreconditionError("map is not bijective")

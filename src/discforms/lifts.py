@@ -13,7 +13,7 @@ from operator import add, sub
 
 from . import fqm
 from .errors import ConsistencyError, PreconditionError
-from .qseries import VectorValuedQSeries
+from .qseries import VectorValuedQSeries, _stored
 
 # eta_quotient refuses more terms than this: 10^5 terms of {1: 2, 11: 2} take
 # about 4 s and of {1: -1} about 7 s (2-CPU x86 host, Python 3.11)
@@ -247,14 +247,14 @@ def vector_lift_closed(a, a_tilde, module, k, p, n, truncation=None):
             for e in range(r, out.k_max + 1, level):
                 v = scale * a_tilde.get(Fraction(p * e, level))
                 if v:
-                    comp[e] = v
+                    comp[e] = _stored(v)
         if comp:
             out.components[coords] = comp
     zero = {}
     for e in range(0, out.k_max + 1, level):
         v = a.get(e // level) + scale * a_tilde.get(Fraction(p * e, level))
         if v:
-            zero[e] = v
+            zero[e] = _stored(v)
     if zero:
         out.components[module.zero().coords] = zero
     return out

@@ -9,7 +9,10 @@ cached reduction: its fibers are the H-cosets sect(nu) + H, nu in H^perp/H.
 
 Storage: `components` maps the coords of mu to its component {k: c(k/N, mu)},
 with N = module.level() and the integer k = N*m (exact, since m = Q(mu) mod 1
-lies in (1/N)Z). Only nonzero values are stored and no component is empty.
+lies in (1/N)Z). Only nonzero values are stored and no component is empty. A
+rational value is stored as an int when it is integral and as a Fraction
+otherwise (_stored), so the arrows, sums and comparisons of integral series run
+in int arithmetic; an int equals the Fraction it replaces.
 A component dict may be shared by several mu and by several series (up_arrow
 stores one dict for a whole fiber, lifts one dict per Q value). set mutates in
 place only a component dict that it made for this series (_owned); a shared one
@@ -39,13 +42,21 @@ def _is_zero_value(v):
     return not v
 
 
+def _stored(v):
+    """v as a series stores it: an integral Fraction becomes its int."""
+    # the int test first: isinstance(v, Fraction) is an ABC check
+    if type(v) is not int and isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    return v
+
+
 def _scaled(comp, scalar):
     """{k: v * scalar} without the zero products."""
     out = {}
     for k, v in comp.items():
         w = v * scalar
         if not _is_zero_value(w):
-            out[k] = w
+            out[k] = _stored(w)
     return out
 
 
@@ -64,7 +75,7 @@ def _summed(a, b):
         if _is_zero_value(w):
             out.pop(k, None)
         else:
-            out[k] = w
+            out[k] = _stored(w)
     return out
 
 
@@ -112,7 +123,7 @@ class VectorValuedQSeries:
         for k, v in comp.items():
             k = self._exponent(mu, k, n)
             if not _is_zero_value(v):
-                out[k] = v
+                out[k] = _stored(v)
         if out:
             self.components[mu.coords] = out
         else:
@@ -133,6 +144,7 @@ class VectorValuedQSeries:
         if comp is None or c not in self._owned:
             comp = dict(comp or _EMPTY)
             self._owned.add(c)
+        value = _stored(value)
         if _is_zero_value(value):
             comp.pop(k, None)
         else:
@@ -495,6 +507,8 @@ def write_series(f):
                 v = comp[k]
                 if isinstance(v, CyclotomicNumber):
                     text = repr(v)
+                elif isinstance(v, int):
+                    text = "%d/1" % v
                 else:
                     v = Fraction(v)
                     text = "%d/%d" % (v.numerator, v.denominator)
@@ -564,7 +578,7 @@ def _parse_value(text):
     try:
         text = text.strip()
         if "z" not in text:
-            return parse_rational(text)
+            return _stored(parse_rational(text))
         terms = []
         for part in text.split("+"):
             part = part.strip()

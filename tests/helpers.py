@@ -9,8 +9,8 @@ from math import lcm, prod
 from operator import add, sub
 
 from discforms import fqm, weil
-from discforms._intmat import (image_basis, invert_rational, is_prime, mat_mul, mat_vec,
-                               parse_rational, smith_normal_form, transpose)
+from discforms._intmat import (DECIMAL_EXPONENT_BOUND, image_basis, invert_rational, is_prime,
+                               mat_mul, mat_vec, smith_normal_form, transpose)
 from discforms.cyclo import CyclotomicNumber, _basis_plan, e_frac
 from discforms.errors import ConsistencyError, PreconditionError
 from discforms.qseries import (ROOT_ORDER_BOUND, VectorValuedQSeries, _conj, _is_zero_value,
@@ -951,15 +951,24 @@ def flat_write_series_reference(f):
     return "\n".join(lines) + "\n"
 
 
+def parse_rational_reference(x):
+    """_intmat.parse_rational with every text through Fraction(text) and the exponent bound."""
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        if abs(int(x.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
+            raise ValueError("decimal exponent of %r exceeds %d" % (x, DECIMAL_EXPONENT_BOUND))
+    return Fraction(x)
+
+
 def flat_read_series_reference(text, module):
     """The reader that sets one record at a time: a later record of the same (mu, m) wins."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    weight, truncation = (parse_rational(ln.split(":", 1)[1].strip()) for ln in lines[1:3])
+    weight, truncation = (parse_rational_reference(ln.split(":", 1)[1].strip())
+                          for ln in lines[1:3])
     out = FlatQSeriesReference(module, weight, truncation)
     for ln in lines[3:]:
         fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
         coords = tuple(int(x) for x in fields["mu"].strip("()").split(",") if x != "")
-        out.set(module.element(coords), parse_rational(fields["m"]),
+        out.set(module.element(coords), parse_rational_reference(fields["m"]),
                 parse_value_reference(fields["coeff"]))
     return out
 
@@ -969,7 +978,7 @@ def parse_value_reference(text):
     try:
         text = text.strip()
         if "z" not in text:
-            return parse_rational(text)
+            return parse_rational_reference(text)
         total = CyclotomicNumber.zero()
         for part in text.split("+"):
             part = part.strip()
@@ -979,9 +988,10 @@ def parse_value_reference(text):
                 modulus = int(modulus)
                 if not 1 <= modulus <= ROOT_ORDER_BOUND:
                     raise ValueError("root of unity order out of range")
-                total = total + CyclotomicNumber(modulus, {int(exponent): parse_rational(coeff)})
+                coeff = parse_rational_reference(coeff)
+                total = total + CyclotomicNumber(modulus, {int(exponent): coeff})
             else:
-                total = total + parse_rational(part)
+                total = total + parse_rational_reference(part)
         return total
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed coefficient %r" % text) from None

@@ -96,6 +96,11 @@ SPLIT_OUTPUTS = {
                 "basis_rows:\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"),
     "U(3)": ([[0, 3], [3, 0]], "-1,0",
              "ell_tilde: 0,-1\nlevel: 3\nk_gram:\nbasis_rows:\n0 -1\n-1 0\n"),
+    # lattice._solve_scaled_pairing in place of _solve_unit_pairing prints
+    # ell_tilde 0,0,0,-1 here: this pins the choice of gcd chain
+    "A2+[[6,3],[3,0]]": ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 6, 3], [0, 0, 3, 0]], "-2,-1,-1,2",
+                         "ell_tilde: 0,0,1,-1\nlevel: 3\nk_gram:\n2 -1\n-1 2\n"
+                         "basis_rows:\n1 0 1 -1\n0 1 0 0\n0 0 1 -1\n-2 -1 -1 2\n"),
 }
 
 

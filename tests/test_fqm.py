@@ -10,8 +10,9 @@ import pytest
 from discforms import cyclo, dims, fqm, lifts, qseries
 from discforms._intmat import divisors, factorization, is_prime, signature_pair
 from discforms.errors import PreconditionError
-from helpers import (bilinear_value_reference, block, degenerate_reference, fqm_from_gram_reference,
-                     random_even_gram, random_module, un, validate_reference)
+from helpers import (bilinear_value_reference, block, closure_reference, degenerate_reference,
+                     fqm_from_gram_reference, q_value_reference, random_even_gram, random_module,
+                     un, validate_reference)
 from test_lattice import LEVEL_GRAMS
 
 
@@ -500,3 +501,61 @@ def test_describe_format():
     assert lines[0] == "divisors: 5,5"
     assert lines[1] == "Q(g1)=0/1"
     assert "1/5" in lines[3]
+
+
+def _automorphism_refusal_reference(module, matrix):
+    """The refusal of fqm.Automorphism(module, matrix), or None, with Q and the
+    pairing of the generator images summed in Fractions."""
+    r, orders = module.rank, module.orders
+    if any(matrix[i][j] * orders[j] % orders[i] for i in range(r) for j in range(r)):
+        return "matrix does not define an endomorphism"
+    imgs = [module.element(tuple(row[k] for row in matrix)) for k in range(r)]
+    for i in range(r):
+        if q_value_reference(module, imgs[i]) != module.q_values[i]:
+            return "map does not preserve the quadratic form"
+        for j in range(r):
+            if bilinear_value_reference(module, imgs[i], imgs[j]) != module.bilinear[i][j]:
+                return "map does not preserve the pairing"
+    if len(closure_reference(module, imgs)) != module.order():
+        return "map is not bijective"
+    return None
+
+
+def _candidate_matrices(rng, module):
+    """Endomorphisms, signed permutations of equal-order generators, unit scalings
+    u with u^2 = 1 mod the level (these preserve the form), and raw integer matrices."""
+    r, orders, n = module.rank, module.orders, module.level()
+    yield [[rng.randrange(-n, n) for _j in range(r)] for _i in range(r)]
+    yield [[rng.randrange(-3, 4) * (orders[i] // gcd(orders[i], orders[j])) for j in range(r)]
+           for i in range(r)]
+    units = [u for u in range(1, n + 1) if u * u % n == 1]
+    u = rng.choice(units)
+    yield [[u * (i == j) for j in range(r)] for i in range(r)]
+    perm = list(range(r))
+    for _ in range(r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if orders[i] == orders[j]:
+            perm[i], perm[j] = perm[j], perm[i]
+    signs = [rng.choice((1, -1, u)) for _ in range(r)]
+    yield [[signs[j] * (perm[j] == i) for j in range(r)] for i in range(r)]
+
+
+def test_automorphism_checks_the_form_in_integers():
+    """Automorphism accepts and refuses exactly as the Fraction oracles decide,
+    with the refusal message of the first failing check."""
+    rng = random.Random(2019)
+    seen = Counter()
+    for _ in range(150):
+        module = random_module(rng, max_order=60)
+        for matrix in _candidate_matrices(rng, module):
+            want = _automorphism_refusal_reference(module, matrix)
+            seen[want] += 1
+            if want is None:
+                aut = fqm.Automorphism(module, matrix)
+                assert all(aut(x).q() == x.q() for x in module.elements())
+            else:
+                with pytest.raises(PreconditionError, match="^%s$" % re.escape(want)):
+                    fqm.Automorphism(module, matrix)
+    assert min(seen[m] for m in (None, "matrix does not define an endomorphism",
+                                 "map does not preserve the quadratic form",
+                                 "map does not preserve the pairing")) >= 20, seen

@@ -7,16 +7,17 @@ coefficients and reads them back. The coefficient parser must agree with the
 term-by-term oracle of tests/helpers.py on every text.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from discforms import cli, fqm, qseries as qs
-from discforms._intmat import DECIMAL_EXPONENT_BOUND
+from discforms._intmat import DECIMAL_EXPONENT_BOUND, parse_rational
 from discforms.cyclo import CyclotomicNumber
 from discforms.errors import PreconditionError
-from helpers import parse_value_reference
+from helpers import parse_rational_reference, parse_value_reference
 
 FUZZ = settings(deadline=None, max_examples=150)
 
@@ -119,6 +120,50 @@ def test_parse_value(text):
 ])
 def test_parse_value_matches_term_by_term_oracle(text):
     assert value_outcome(qs._parse_value, text) == value_outcome(parse_value_reference, text)
+
+
+def rational_outcome(parse, text):
+    """The exception class, or the parsed value."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the class is compared, whatever it is
+        return type(exc)
+
+
+# texts at the edge of the int() route: spaces, signs, zeros, underscores,
+# non-ASCII digits, decimals and exponents all take the Fraction(text) route.
+# Fraction reads "3 /4" and "1_000/3" from Python 3.12 and 3.11 on, and int()
+# refuses 5000 digits from 3.11, so those are compared with the oracle only.
+RATIONAL_EDGES = ("3 /4", "1_000/3", "1" * 5000, "1/" + "1" * 5000)
+RATIONAL_PINNED = {
+    "+3/4": F(3, 4), " 3/4 ": F(3, 4), "03/004": F(3, 4), "-0/5": 0, "1/0": ZeroDivisionError,
+    "3/-4": ValueError, "--3/4": ValueError, "/3": ValueError, "3/": ValueError,
+    "": ValueError, "-": ValueError, "\u0663/\u0664": F(3, 4), "2.5": F(5, 2), "1e5": 100000,
+    "1e99999": ValueError, "7": 7, "-12/8": F(-3, 2),
+}
+
+
+def test_parse_rational_matches_the_fraction_route():
+    """parse_rational reads [-]a/b and [-]a with int(); every text gives the
+    value, or the exception class, of Fraction(text) with the exponent bound."""
+    for text, want in RATIONAL_PINNED.items():
+        assert rational_outcome(parse_rational, text) == want, text
+        assert rational_outcome(parse_rational_reference, text) == want, text
+    for text in RATIONAL_EDGES:
+        assert rational_outcome(parse_rational, text) == rational_outcome(
+            parse_rational_reference, text), text
+    rng = random.Random(20)
+    alphabet = "0123456789-+/ ._eE\u0663"
+    for _ in range(3000):
+        a = rng.randrange(10 ** rng.randint(1, 40))
+        b = rng.randrange(10 ** rng.randint(0, 40))
+        sign = rng.choice(("", "-"))
+        noise = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        for text in ("%s%d/%d" % (sign, a, b), "%s%d" % (sign, a),
+                     "%s%0*d/%0*d" % (sign, rng.randint(1, 6), a, rng.randint(1, 6), b), noise):
+            got = rational_outcome(parse_rational, text)
+            want = rational_outcome(parse_rational_reference, text)
+            assert got == want and type(got) is type(want), text
 
 
 @FUZZ

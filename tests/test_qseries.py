@@ -824,3 +824,61 @@ def test_set_after_sharing_leaves_the_sharer_unchanged():
     before = {c: dict(comp) for c, comp in raised.components.items()}
     g.set(nu, 1, 7)
     assert {c: dict(comp) for c, comp in raised.components.items()} == before
+
+
+def _check_storage(f):
+    """No stored value is an integral Fraction, and the flat reader reads f back."""
+    values = [v for comp in f.components.values() for v in comp.values()]
+    assert not any(isinstance(v, F) and v.denominator == 1 for v in values)
+    _agree(f, flat_read_series_reference(qs.write_series(f), f.module))
+    return Counter(type(v) for v in values)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    """set, read_series, the arrows, products, sums, reconstruction, the oldform
+    decomposition and the kernel lift store an integral rational as an int and a
+    non-integral one as a Fraction."""
+    rng = random.Random(2020)
+    seen = Counter()
+    for profile in NEWFORM_PROFILES:
+        a = profile_module(profile)
+        h = random_isotropic_subgroup(rng, a)
+        b = qs.reduction(a, h)[0]
+        f = qs.VectorValuedQSeries(a, F(3), F(2))
+        for mu in a.elements():
+            m = mu.q()
+            while m <= 2:
+                if rng.random() < 0.5:
+                    f.set(mu, m, F(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+                m += 1
+        g = random_series(b, F(3), F(2), rng)
+        up = qs.up_arrow(g, a, h)
+        rec, report = qs.reconstruct_from_descent(up, h)
+        assert report["reconstructed"]
+        for s in (f, qs.read_series(qs.write_series(f), a), qs.down_arrow(f, h), f * F(2),
+                  f * F(6, 2), f * F(1, 2), f * F(1, 2) * 2, f + f * F(1, 2), f - f * F(1, 3),
+                  g, up, qs.down_arrow(up, h), rec):
+            seen += _check_storage(s)
+    for n, t in ((12, 1), (30, 2)):
+        a, e = u_with_line(n)
+        f = None
+        for d in range(2, n + 1):
+            if n % d or qs._omega(d) < t:
+                continue
+            i_d = fqm.cyclic_subgroup_id(a, e, d)
+            b, proj, _s, _fib = qs.reduction(a, i_d)
+            g = newpart_series(b, proj(e), F(3), F(2), rng) if d != n \
+                else random_series(b, F(3), F(2), rng)
+            piece = qs.up_arrow(g, a, i_d) * F(1, 2)
+            f = piece if f is None else f + piece
+        for g in qs.oldform_decompose(f, e, t).values():
+            seen += _check_storage(g)
+    g = lifts.eta_quotient({1: 2, 11: 2}, 1100)
+    vec, _report = lifts.kernel_element(lifts.NewformData(g, -1, 2, 11), 2, 2, truncation=F(1))
+    seen += _check_storage(vec)
+    # a lift whose rescaled coefficients a_tilde(pm) / p^2 are integral
+    s = lifts.ScalarQSeries(2, 3, 3)
+    for l in range(4):
+        s.set(l, rng.choice((9, 18, 3)) * (l + 1))
+    seen += _check_storage(lifts.vector_lift_closed(s, s, lifts.lift_module(3, 2), 2, 3, 2))
+    assert seen[int] > 1000 and seen[F] > 1000, seen
