@@ -15,8 +15,7 @@ entries that carry a structure tag:
 - quadratic: entries e(alpha(x) + beta(y) + (Rx, Cy)) * K[Px + Qy], where K
   holds n interned cyclotomic numbers, or is absent and reads 1 (S, T^k S,
   S S^dagger, (S T)^3 and every rho(M) with c != 0). A Gaussian product such
-  as S T^c S, with c a unit, keeps one Gauss sum in every entry of K;
-- dense: rows of CyclotomicNumbers (plus_subspace and hand-built matrices).
+  as S T^c S, with c a unit, keeps one Gauss sum in every entry of K.
 
 R, C, P and Q are index maps: an integer k for x -> k*x, or a list of codes.
 Products, conjugate transposes and comparisons dispatch on the tags. A
@@ -27,14 +26,13 @@ form when the middle phase is c*Q with c a unit (one Gauss sum, the phases in
 alpha, beta and the cross pairing) or is 0 (one character sum per element
 order); otherwise it is one transform of n histograms. A constant K factors
 out of the sum. One without K times one with K is the conjugate transpose of
-that rule's product B^dagger A^dagger. Any other pair is refused: a dense
-factor, K on both sides, or a non-constant K whose column map is not a
-bijection left of a factor without K. Comparisons of two monomials, a
-quadratic matrix with K and a monomial, two quadratic matrices without K, or
-one without K and one with a constant K are proved from the tags; every
-other pair, and every pair not proved equal that way, walks the rows with one
-zero test per distinct (exponent difference, canonical entry, canonical
-entry) triple.
+that rule's product B^dagger A^dagger. Any other pair is refused: K on both
+sides, or a non-constant K whose column map is not a bijection left of a
+factor without K. Comparisons of two monomials, a quadratic matrix with K and
+a monomial, two quadratic matrices without K, or one without K and one with a
+constant K are proved from the tags; every other pair, and every pair not
+proved equal that way, walks the rows with one zero test per distinct
+(exponent difference, canonical entry, canonical entry) triple.
 """
 
 import cmath
@@ -414,43 +412,30 @@ class _Tables:
 class WeilMatrix:
     """Square matrix over Q(zeta_mod), stored as scale * entries with a structure tag.
 
-    Rows and columns are indexed by module.elements() in their fixed order,
-    all entries live at the modulus .mod = lcm(8, level), and .tag is one of
+    WeilMatrix(module, scale, tag, data): rows and columns are indexed by
+    module.elements() in their fixed order, the scale is a CyclotomicNumber,
+    all entries live at the modulus .mod = lcm(8, level), and tag is one of
     (see the module docstring for the entry formulas):
 
     - "monomial": data (src, dst, ph); row x holds e(ph[x]) in column src(x),
       and column y its entry in row dst(y);
     - "quadratic": data (alpha, beta, R, C, K, P, Q), entries
       e(alpha[x] + beta[y] + (Rx, Cy)) * objs[K[Px + Qy]]; K = None reads 1
-      (with P = Q = 0), and R = C = 0 leaves the table alone;
-    - "dense": no data; the rows are .mat.
+      (with P = Q = 0), and R = C = 0 leaves the table alone.
 
-    WeilMatrix(module, scale, rows) builds a dense matrix; entries given at a
-    divisor of .mod are promoted. For every tag .mat is the dense list of rows
-    of CyclotomicNumbers, built on first read for tagged matrices. Products
-    are structured only: a pair of factors without a product rule (see the
-    module docstring) raises PreconditionError.
+    .mat is a read-only view: the list of rows of CyclotomicNumbers, built
+    from the data on first read. Products are structured only: a pair of
+    factors without a product rule (see the module docstring) raises
+    PreconditionError.
     """
 
-    def __init__(self, module, scale, mat):
+    def __init__(self, module, scale, tag, data):
         self.module = module
-        self.mod = mod = _modulus(module)
-        self.scale = scale if isinstance(scale, CyclotomicNumber) else \
-            CyclotomicNumber.from_rational(scale)
-        self.tag = "dense"
-        self.data = None
-        self._mat = [[x._promoted(mod) if x.mod != mod else x for x in row] for row in mat]
-
-    @classmethod
-    def _tagged(cls, module, scale, tag, data):
-        out = cls.__new__(cls)
-        out.module = module
-        out.mod = _modulus(module)
-        out.scale = scale
-        out.tag = tag
-        out.data = data
-        out._mat = None
-        return out
+        self.mod = _modulus(module)
+        self.scale = scale
+        self.tag = tag
+        self.data = data
+        self._mat = None
 
     @property
     def mat(self):
@@ -460,7 +445,7 @@ class WeilMatrix:
 
     @property
     def size(self):
-        return len(self._mat) if self.tag == "dense" else self.module.order()
+        return self.module.order()
 
     def entry(self, i, j):
         return self.scale * self.mat[i][j]
@@ -475,9 +460,6 @@ class WeilMatrix:
             j = tab.as_list(src)[i]
             exps[j], kids[j] = ph[i], 1
             return exps, kids
-        if tag == "dense":
-            row = self._mat[i]
-            return [0] * len(row), [tab.kid(x._promoted(tab.mod)) for x in row]
         alpha, beta, rmap, cmap, k, pmap, qmap = data
         if rmap != 0:
             beta = map(add, beta, tab.pull(tab.pair[tab.as_list(rmap)[i]], cmap))
@@ -507,21 +489,21 @@ class WeilMatrix:
             return NotImplemented
         if other.module != self.module:
             raise PreconditionError("matrices act on different modules")
-        rule = _PRODUCTS.get((self.tag, other.tag))
-        data = rule(_tables(self.module), self.data, other.data) if rule else None
+        rule = _PRODUCTS[(self.tag, other.tag)]
+        data = rule(_tables(self.module), self.data, other.data)
         if data is None and (self.shape(), other.shape()) == ("quadratic (K absent)",
                                                               "quadratic (K present)"):
             # (AB)^dagger = B^dagger A^dagger has K on the left, where the rule applies
             b, a = other.conj_transpose(), self.conj_transpose()
             data = rule(_tables(self.module), b.data, a.data)
             if data is not None:
-                return WeilMatrix._tagged(self.module, b.scale * a.scale, "quadratic",
-                                          data).conj_transpose()
+                return WeilMatrix(self.module, b.scale * a.scale, "quadratic",
+                                  data).conj_transpose()
         if data is None:
             raise PreconditionError("no structured product of a %s and a %s matrix"
                                     % (self.shape(), other.shape()))
         tag = other.tag if self.tag == "monomial" else self.tag
-        return WeilMatrix._tagged(self.module, self.scale * other.scale, tag, data)
+        return WeilMatrix(self.module, self.scale * other.scale, tag, data)
 
     def shape(self):
         """The tag, with "quadratic" split by whether K is present."""
@@ -531,10 +513,6 @@ class WeilMatrix:
 
     def conj_transpose(self):
         scale = self.scale.conjugate()
-        if self.tag == "dense":
-            n = self.size
-            mat = [[self._mat[j][i].conjugate() for j in range(n)] for i in range(n)]
-            return WeilMatrix(self.module, scale, mat)
         tab = _tables(self.module)
         if self.tag == "monomial":
             src, dst, ph = self.data
@@ -544,12 +522,10 @@ class WeilMatrix:
             alpha, beta, rmap, cmap, k, pmap, qmap = self.data
             data = (tab.vneg(beta), tab.vneg(alpha), tab.compose(-1, cmap), rmap,
                     k if k is None else tab.conjugate(k), qmap, pmap)
-        return WeilMatrix._tagged(self.module, scale, self.tag, data)
+        return WeilMatrix(self.module, scale, self.tag, data)
 
     def scaled(self, c):
-        if self.tag == "dense":
-            return WeilMatrix(self.module, self.scale * c, self._mat)
-        return WeilMatrix._tagged(self.module, self.scale * c, self.tag, self.data)
+        return WeilMatrix(self.module, self.scale * c, self.tag, self.data)
 
     def first_difference(self, other):
         """None when the matrices are equal, else the first differing entry.
@@ -562,9 +538,6 @@ class WeilMatrix:
         """
         if not isinstance(other, WeilMatrix) or other.module != self.module:
             raise PreconditionError("matrices act on different modules")
-        n = self.size
-        if other.size != n:
-            raise PreconditionError("matrices have different sizes")
         tab = _tables(self.module)
         m, roots, objs = tab.mod, tab.roots, tab.objs
         # canonical scales: a product's scale is an unreduced product of canonical factors
@@ -574,11 +547,11 @@ class WeilMatrix:
             return None
         same_scale = sa.mod == sb.mod and sa.den == sb.den and sa.coeffs == sb.coeffs
         memo, left, right = {}, {}, {}
+        tab.canon(len(objs) - 1)  # every interned entry
         canon = tab._canon
-        for i in range(n):
+        for i in range(tab.n):
             ea, ka = self._row(tab, i)
             eb, kb = other._row(tab, i)
-            tab.canon(len(objs) - 1)  # every interned entry, the new dense ones included
             ka, kb = list(map(canon.__getitem__, ka)), list(map(canon.__getitem__, kb))
             failed = set()
             for key in set(zip(map(sub, eb, ea), ka, kb)):
@@ -613,10 +586,6 @@ class WeilMatrix:
 
     def is_identity(self):
         return self == identity_matrix(self.module)
-
-    def to_complex(self):
-        s = self.scale.to_complex()
-        return [[s * x.to_complex() for x in row] for row in self.mat]
 
 
 def _times_root(x, d, m):
@@ -819,15 +788,14 @@ _PRODUCTS = {
 
 def identity_matrix(module):
     tab = _tables(module)
-    return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial",
-                              (tab.one, tab.one, tab.zeros))
+    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.one, tab.one, tab.zeros))
 
 
 def rho_T(module, power=1):
     """Diagonal action by e(Q(x)) (or its integer powers)."""
     tab = _tables(module)
     ph = [power * v % tab.mod for v in tab.q]
-    return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial", (tab.one, tab.one, ph))
+    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.one, tab.one, ph))
 
 
 def rho_S(module):
@@ -838,16 +806,15 @@ def rho_S(module):
     tab = _tables(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    return WeilMatrix._tagged(module, scale, "quadratic",
-                              (tab.zeros, tab.zeros, -1, tab.one, None, 0, 0))
+    return WeilMatrix(module, scale, "quadratic", (tab.zeros, tab.zeros, -1, tab.one, None, 0, 0))
 
 
 def rho_Z(module):
     """Action of the central element: e(-sig/4) times the negation permutation."""
     tab = _tables(module)
     neg = -1 % tab.exponent
-    return WeilMatrix._tagged(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
-                              (neg, neg, tab.zeros))
+    return WeilMatrix(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
+                      (neg, neg, tab.zeros))
 
 
 def rho_ST(module):
@@ -867,7 +834,7 @@ def aut_matrix(module, h):
     else:
         # e_y goes to e_{dst[y]}, so row x reads column src[x] with dst[src[x]] = x
         src = tab.inverse(dst)
-    return WeilMatrix._tagged(module, CyclotomicNumber.one(), "monomial", (src, dst, tab.zeros))
+    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (src, dst, tab.zeros))
 
 
 def _word_in_generators(matrix):
@@ -909,38 +876,6 @@ def rho_of(module, g):
         # the two lifts differ by the order-two central element Z^2
         out = out.scaled(e_frac(Fraction(-module.signature(), 2)))
     return out
-
-
-# -- the symmetrized subspace --------------------------------------------------
-
-
-def plus_subspace(module, k):
-    """Basis data and restricted generator matrices on the symmetrized subspace.
-
-    k is the weight; 2k must be congruent to the signature mod 4 so that the
-    central element acts by e(-k/2) on the subspace. Returns
-    (reps, weights, t_mat, s_mat, st_mat) where reps are orbit representatives,
-    weights are the squared norms of the basis vectors e_x + e_{-x} (1 when
-    2x = 0), and the matrices are dense WeilMatrix objects of size len(reps),
-    rows and columns indexed by reps in order.
-    """
-    fqm.check_weight_parity(module, k)
-    reps = fqm.orbit_representatives(module)
-    tab = _tables(module)
-    codes = [tab.code(x.coords) for x in reps]
-    neg = tab.mul(-1)
-    weights = [1 if neg[y] == y else 2 for y in codes]
-
-    def restrict(full):
-        mat = full.mat
-        rows = [[mat[x][y] if neg[y] == y else mat[x][y] + mat[x][neg[y]] for y in codes]
-                for x in codes]
-        return WeilMatrix(module, full.scale, rows)
-
-    t_mat = restrict(rho_T(module))
-    s_mat = restrict(rho_S(module))
-    st_mat = restrict(rho_ST(module))
-    return reps, weights, t_mat, s_mat, st_mat
 
 
 # -- relation suite -------------------------------------------------------------

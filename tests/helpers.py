@@ -144,11 +144,61 @@ def fibers_reference(module, h):
     return fibers
 
 
+class DenseReference:
+    """A Weil matrix as scale times dense rows of CyclotomicNumbers.
+
+    The oracle that the tagged WeilMatrix is checked against: entries given at
+    a divisor of the module's modulus are promoted to it, and == compares
+    values entry by entry, against another DenseReference or, through the
+    reflected __eq__, a WeilMatrix (anything with .module, .scale and .mat).
+    """
+
+    def __init__(self, module, scale, rows):
+        self.module = module
+        self.mod = mod = weil._modulus(module)
+        self.scale = scale
+        self.mat = [[x._promoted(mod) for x in row] for row in rows]
+
+    @property
+    def size(self):
+        return len(self.mat)
+
+    def entry(self, i, j):
+        return self.scale * self.mat[i][j]
+
+    def scaled(self, c):
+        return DenseReference(self.module, self.scale * c, self.mat)
+
+    def conj_transpose(self):
+        return DenseReference(self.module, self.scale.conjugate(),
+                              [[x.conjugate() for x in col] for col in zip(*self.mat)])
+
+    def to_complex(self):
+        s = self.scale.to_complex()
+        return [[s * x.to_complex() for x in row] for row in self.mat]
+
+    def __eq__(self, other):
+        if other.module != self.module or len(other.mat) != self.size:
+            return False
+        sa, sb = self.scale, other.scale
+        memo = {}
+        for ra, rb in zip(self.mat, other.mat):
+            for x, y in zip(ra, rb):
+                key = (x.den, frozenset(x.coeffs.items()), y.den, frozenset(y.coeffs.items()))
+                ok = memo.get(key)
+                if ok is None:
+                    ok = memo[key] = (sa * x - sb * y).is_zero()
+                if not ok:
+                    return False
+        return True
+
+
 def dense_matmul_reference(a, b):
-    """a @ b for WeilMatrix factors by the plain dense triple loop over exponent pairs.
+    """a @ b for WeilMatrix or DenseReference factors by the plain dense triple loop.
 
     The slow exact product that the structured kernels of WeilMatrix.__matmul__
-    are checked against; both factors are at the module's modulus.
+    are checked against, summed over exponent pairs; both factors are at the
+    module's modulus. Returns a DenseReference.
     """
     mod = a.mod
     n = a.size
@@ -169,7 +219,35 @@ def dense_matmul_reference(a, b):
                         acc[e] = acc.get(e, 0) + (c1 * c2 if den == 1 else Fraction(c1 * c2, den))
             row.append(CyclotomicNumber(mod, acc))
         out.append(row)
-    return WeilMatrix(a.module, a.scale * b.scale, out)
+    return DenseReference(a.module, a.scale * b.scale, out)
+
+
+def plus_subspace_reference(module, k):
+    """Basis data and restricted generator matrices on the symmetrized subspace.
+
+    The numeric oracle of the dimension formula. k is the weight; 2k must be
+    congruent to the signature mod 4 so that the central element acts by
+    e(-k/2) on the subspace. Returns (reps, weights, t_mat, s_mat, st_mat)
+    where reps are the {x, -x} orbit representatives, weights are the squared
+    norms of the basis vectors e_x + e_{-x} (1 when 2x = 0), and the matrices
+    are DenseReferences of size len(reps), rows and columns indexed by reps
+    in order.
+    """
+    fqm.check_weight_parity(module, k)
+    reps = fqm.orbit_representatives(module)
+    tab = _tables(module)
+    codes = [tab.code(x.coords) for x in reps]
+    neg = tab.mul(-1)
+    weights = [1 if neg[y] == y else 2 for y in codes]
+
+    def restrict(full):
+        mat = full.mat
+        rows = [[mat[x][y] if neg[y] == y else mat[x][y] + mat[x][neg[y]] for y in codes]
+                for x in codes]
+        return DenseReference(module, full.scale, rows)
+
+    return (reps, weights, restrict(weil.rho_T(module)), restrict(weil.rho_S(module)),
+            restrict(weil.rho_ST(module)))
 
 
 def transform_reference(tab, k, gamma):
@@ -238,16 +316,13 @@ def first_difference_reference(self, other):
     """
     if not isinstance(other, WeilMatrix) or other.module != self.module:
         raise PreconditionError("matrices act on different modules")
-    n = self.size
-    if other.size != n:
-        raise PreconditionError("matrices have different sizes")
     tab = _tables(self.module)
     m, roots, objs = tab.mod, tab.roots, tab.objs
     # canonical scales: a product's scale is a long unreduced sum, its value often one term
     sa, sb = self.scale.reduce(), other.scale.reduce()
     same_scale = sa.mod == sb.mod and sa.den == sb.den and sa.coeffs == sb.coeffs
     memo, left, right = {}, {}, {}
-    for i in range(n):
+    for i in range(tab.n):
         ea, ka = self._row(tab, i)
         eb, kb = other._row(tab, i)
         failed = set()

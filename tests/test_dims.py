@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from discforms import dims, fqm, weil
+from discforms import dims, fqm
 from discforms.errors import PreconditionError
-from helpers import random_module
+from helpers import plus_subspace_reference, random_module
 
 
 def test_trivial_module_weight_12():
@@ -57,7 +57,7 @@ def _alpha_numeric(mat):
 
 
 def _numeric_report(module, k):
-    reps, w, tm, sm, stm = weil.plus_subspace(module, k)
+    reps, w, tm, sm, stm = plus_subspace_reference(module, k)
     d = len(reps)
     kf = float(k)
     s_mat = np.array(sm.to_complex())

@@ -182,9 +182,6 @@ REFUSALS = {
     "first_difference_modules": (
         lambda: weil.identity_matrix(_h(2)).first_difference(weil.identity_matrix(_h(3))),
         "matrices act on different modules"),
-    "first_difference_sizes": (
-        lambda: weil.identity_matrix(_h(2)).first_difference(weil.WeilMatrix(_h(2), 1, [])),
-        "matrices have different sizes"),
     "aut_matrix_unchecked": (lambda: weil.aut_matrix(_h(2), [[1, 0], [0, 1]]),
                              "expected a checked automorphism"),
 }

@@ -14,8 +14,8 @@ import pytest
 from discforms import cyclo, fqm, weil
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms.errors import PreconditionError
-from helpers import (dense_matmul_reference, first_difference_reference, profile_module,
-                     rho_of_reference, transform_reference)
+from helpers import (DenseReference, dense_matmul_reference, first_difference_reference,
+                     profile_module, rho_of_reference, transform_reference)
 
 # The modules of test_weil.py.
 TEST_WEIL_MODULES = (
@@ -107,9 +107,9 @@ def assert_refused(x, y):
 
 
 def test_kernel_choice():
-    # every structured pair has a product rule and stays tagged, K absent times K
-    # present by (AB)^dagger = B^dagger A^dagger; a dense factor, or K on both
-    # sides, is refused with both shapes named
+    # every pair has a product rule, K absent times K present by
+    # (AB)^dagger = B^dagger A^dagger, and the product is monomial exactly when both
+    # factors are; K on both sides is refused with both shapes named
     a = fqm.hyperbolic_module(3)
     m = generator_matrices(a)
     st = m["S"] @ m["T"]
@@ -119,13 +119,9 @@ def test_kernel_choice():
                    (m["S_dag"] @ m["Z"], m["T_inv"] @ m["S_dag"]), (st @ st, st),
                    (m["S"], table), (m["T"] @ m["S"], st @ st)]
     for x, y in structured:
-        assert (x @ y).tag != "dense", (x.shape(), y.shape())
+        monomial = x.tag == y.tag == "monomial"
+        assert ((x @ y).tag == "monomial") == monomial, (x.shape(), y.shape())
         assert_same_product(x, y, (x.shape(), y.shape()))
-    dense = [dense_matmul_reference(m["T"], m["S"]), dense_matmul_reference(m["S"], m["Z"])]
-    for x in dense:
-        for y in dense + [m["S"], m["T"], table]:
-            assert_refused(x, y)
-            assert_refused(y, x)
     assert table.shape() == (st @ st).shape() == "quadratic (K present)"
     for x, y in ((table, table), (table, st @ st)):
         assert_refused(x, y)
@@ -280,8 +276,9 @@ def test_first_difference_on_tags():
     assert (m["S"] @ m["S"]).first_difference(m["Z"]) is None
     assert (st @ st @ st) == m["Z"]
     for x in (m["S"], m["T"], m["S"] @ m["S_dag"], st @ st):
-        dense = weil.WeilMatrix(a, x.scale, x.mat)
-        assert x == dense and dense == x and x.first_difference(dense) is None
+        dense = DenseReference(a, x.scale, x.mat)
+        assert x == dense and dense == x
+        assert not x.scaled(-1) == dense and not dense == x.scaled(-1)
     # differences: a power of T, a scale, a table against a scaled monomial
     for x, y in ((m["T"], weil.rho_T(a, 2)), (m["S"], m["S"].scaled(-1)),
                  (m["S"] @ m["S"], m["Z"].scaled(e_frac(F(1, 3)))),
@@ -292,77 +289,6 @@ def test_first_difference_on_tags():
         n = x.size
         assert all((x.entry(k // n, k % n) - y.entry(k // n, k % n)).is_zero()
                    for k in range(i * n + j)), (i, j)
-
-
-def _random_entry(rng, mod):
-    kind = rng.random()
-    if kind < 0.3:
-        return CyclotomicNumber(mod, {})
-    if kind < 0.55:
-        return CyclotomicNumber(mod, {rng.randrange(mod): rng.choice([1, F(1)])})
-    coeffs = {rng.randrange(2 * mod): F(rng.randint(-5, 5), rng.randint(1, 4))
-              for _ in range(rng.randint(1, 4))}
-    return CyclotomicNumber(mod, coeffs)
-
-
-def _random_matrix(rng, a, phase=False):
-    """Random entries at divisors of the module's modulus; with phase, single roots of unity.
-
-    Half of the phase matrices get one single-term entry whose coefficient is
-    not 1, which the phase kernel must not take.
-    """
-    n = a.order()
-    mod = weil._modulus(a)
-    divisors = [d for d in range(1, mod + 1) if mod % d == 0]
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            m = rng.choice(divisors)
-            row.append(CyclotomicNumber(m, {rng.randrange(m): 1}) if phase
-                       else _random_entry(rng, m))
-        rows.append(row)
-    if phase and rng.random() < 0.5:
-        rows[rng.randrange(n)][rng.randrange(n)] = CyclotomicNumber(
-            mod, {rng.randrange(mod): rng.choice([-1, 2, F(1, 2)])})
-    scale = CyclotomicNumber(rng.choice(divisors),
-                             {rng.randrange(mod): F(rng.randint(1, 6), rng.randint(1, 6))})
-    return weil.WeilMatrix(a, scale, rows)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_random_matrices_mixed_moduli(seed):
-    # entries at mixed divisors of the module's modulus lcm(8, level) are promoted
-    # to it; a dense factor has no product rule, against a dense or a tagged factor
-    rng = random.Random(900 + seed)
-    for a in (fqm.hyperbolic_module(2), fqm.cyclic_module(5, F(1, 5)),
-              fqm.hyperbolic_module(3)):
-        mats = generator_matrices(a)
-        for _ in range(6):
-            ph1, ph2 = rng.random() < 0.5, rng.random() < 0.5
-            x = _random_matrix(rng, a, ph1)
-            y = _random_matrix(rng, a, ph2)
-            assert x.mod == y.mod == weil._modulus(a)
-            assert {v.mod for m in (x, y) for row in m.mat for v in row} == {x.mod}
-            assert_refused(x, y)
-            assert_refused(y, mats[rng.choice(sorted(mats))])
-
-
-def test_sparse_random_matrices():
-    # mostly-zero dense factors, with cancelling multi-term entries, are refused too
-    rng = random.Random(31)
-    a = fqm.hyperbolic_module(3)
-    for _ in range(8):
-        x = _random_matrix(rng, a)
-        y = _random_matrix(rng, a)
-        for m in (x, y):
-            for row in m.mat:
-                for j in range(len(row)):
-                    if rng.random() < 0.7:
-                        row[j] = CyclotomicNumber(24, {})
-        y.mat[0][0] = CyclotomicNumber(24, {0: 1, 12: 1})  # 1 + (-1) = 0 unreduced
-        assert_refused(x, y)
-        assert_refused(y, x)
 
 
 ALL_MODULES = [make() for _name, make in TEST_WEIL_MODULES] + \
@@ -396,31 +322,64 @@ def test_integer_rho_T_matches_fraction_reference():
                         (a.orders, k, x)
 
 
+def count_rows(mp):
+    """Make WeilMatrix._row count its calls on mp; returns the one-element counter."""
+    rows, row = [0], weil.WeilMatrix._row
+
+    def count(self, tab, i):
+        rows[0] += 1
+        return row(self, tab, i)
+
+    mp.setattr(weil.WeilMatrix, "_row", count)
+    return rows
+
+
+def row_walks(pairs):
+    """first_difference of each pair, with the number of rows it built."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        rows = count_rows(mp)
+        for x, y in pairs:
+            before = rows[0]
+            out.append((x.first_difference(y), rows[0] - before))
+    return out
+
+
 def test_eq_detects_one_entry_and_scale_differences():
+    # the row walk, after the rules of _EQUALITIES prove nothing: equal values in
+    # other raw forms, one entry changed, and only the scale changed
     a = fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))
-    s = weil.rho_S(a)
-    mod, n = s.mod, s.size
-    # the same matrix as s with fresh entry objects and a separately built scale
-    copy = weil.WeilMatrix(a, s.scale * 1,
-                           [[CyclotomicNumber._normalized(mod, dict(x.coeffs), x.den) for x in row]
-                            for row in s.mat])
-    assert s == s and s == copy and copy == s
-    # equal values in other representations: 1 + z2 = 0, so adding it changes nothing
-    vanishing = CyclotomicNumber(mod, {0: 1, mod // 2: 1})
-    mat = [list(row) for row in s.mat]
-    mat[1][2] = mat[1][2] + vanishing
-    assert s == weil.WeilMatrix(a, s.scale, mat)
-    doubled = [[x * 2 for x in row] for row in s.mat]
-    assert s == weil.WeilMatrix(a, s.scale * F(1, 2), doubled)
-    # one entry differs
-    for i, j in ((0, 0), (n - 1, n - 1), (2, 5)):
-        mat = [list(row) for row in s.mat]
-        mat[i][j] = mat[i][j] * e_frac(F(1, 3))
-        other = weil.WeilMatrix(a, s.scale, mat)
-        assert not s == other and not other == s, (i, j)
+    tab = weil._tables(a)
+    s, t = weil.rho_S(a), weil.rho_T(a)
+    s_dag = s.conj_transpose()
+    n = s.size
+    table = s @ s_dag
+    assert s == s and s == weil.WeilMatrix(a, s.scale * 1, s.tag, s.data)
+    # S S^dagger and S^dagger S, and the table with its K doubled and its scale halved
+    alpha, beta, r, c, k, p, q = table.data
+    doubled = weil.WeilMatrix(a, table.scale * F(1, 2), "quadratic",
+                              (alpha, beta, r, c, tab.times(k, tab.kid(tab.objs[1] * 2)), p, q))
+    equal = [(table, s_dag @ s), (s_dag @ s, table), (table, doubled), (doubled, table)]
+    assert {(x.shape(), y.shape()) for x, y in equal} == {(PRESENT, PRESENT)}
+    assert (PRESENT, PRESENT) not in weil._EQUALITIES
+    for got, rows in row_walks(equal):
+        assert got is None and rows == 2 * n
+    # one phase of T changed, located exactly
+    src, dst, ph = t.data
+    for i in (0, n - 1, 5):
+        bumped = list(ph)
+        bumped[i] = (bumped[i] + tab.mod // 3) % tab.mod
+        other = weil.WeilMatrix(a, t.scale, "monomial", (src, dst, bumped))
+        assert not t == other and not other == t, i
+        (got, rows), = row_walks([(t, other)])
+        assert got[:2] == (i, i) and rows == 2 * (i + 1)
+        assert (t.entry(i, i) - other.entry(i, i) - got[2]).is_zero()
     # only the scale differs, by a root of unity or by a rational factor
-    for c in (e_frac(F(1, 8)), -1, F(3, 2)):
-        assert not s == s.scaled(c) and not s.scaled(c) == s, c
+    for x in (s, table):
+        for c in (e_frac(F(1, 8)), -1, F(3, 2)):
+            assert not x == x.scaled(c) and not x.scaled(c) == x, c
+            (got, rows), = row_walks([(x, x.scaled(c))])
+            assert got[:2] == (0, 0) and rows == 2, c
     ident = weil.identity_matrix(a)
     assert ident.is_identity() and not ident.scaled(-1).is_identity()
 
@@ -432,14 +391,13 @@ def test_conj_transpose_on_tags(profile):
     # the tag is kept, the scale is conjugated, and entry (i, j) is entry (j, i) conjugated
     a = profile_module(profile)
     m = generator_matrices(a)
-    rng = random.Random("conj:%s" % (profile,))
     st = m["S"] @ m["T"]
     cases = [(m["T"], "monomial"), (weil.rho_T(a, -3), "monomial"), (m["Z"], "monomial"),
              (m["neg"], "monomial"), (m["S"], ABSENT), (m["S_dag"], ABSENT),
              (m["T"] @ m["S"] @ m["T"], ABSENT), (m["S"] @ m["S_dag"], PRESENT),
              (m["S"] @ m["S"], PRESENT),
              ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), PRESENT),
-             (st @ st @ st, PRESENT), (_random_matrix(rng, a), "dense")]
+             (st @ st @ st, PRESENT)]
     n = a.order()
     for x, tag in cases:
         y = x.conj_transpose()
@@ -447,6 +405,7 @@ def test_conj_transpose_on_tags(profile):
         assert y.scale == x.scale.conjugate(), tag
         assert all(y.mat[i][j] == x.mat[j][i].conjugate()
                    for i in range(n) for j in range(n)), tag
+        assert y == DenseReference(a, x.scale, x.mat).conj_transpose(), tag
 
 
 def compared_pairs(a):
@@ -454,12 +413,7 @@ def compared_pairs(a):
 
     Each pair comes with the number of rows that first_difference built for it.
     """
-    pairs, rows = [], [0]
-    row, first_difference = weil.WeilMatrix._row, weil.WeilMatrix.first_difference
-
-    def count(self, tab, i):
-        rows[0] += 1
-        return row(self, tab, i)
+    pairs, first_difference = [], weil.WeilMatrix.first_difference
 
     def spy(self, other):
         before = rows[0]
@@ -468,7 +422,7 @@ def compared_pairs(a):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weil.WeilMatrix, "_row", count)
+        rows = count_rows(mp)
         mp.setattr(weil.WeilMatrix, "first_difference", spy)
         report = weil.relation_report(a)
     assert all(report.values()) and len(pairs) == len(report), a.orders
@@ -490,7 +444,7 @@ def variants(x):
     n, mid = tab.n, tab.n // 2
 
     def tagged(data):
-        return weil.WeilMatrix._tagged(a, x.scale, x.tag, data)
+        return weil.WeilMatrix(a, x.scale, x.tag, data)
 
     def swapped(f):
         f = list(tab.as_list(f))
@@ -566,7 +520,7 @@ def test_constant_table_differences_match_row_walk_reference(make):
     n, mod, mid = tab.n, tab.mod, tab.n // 2
 
     def tagged(scale, alpha, beta, k):
-        return weil.WeilMatrix._tagged(a, scale, "quadratic", (alpha, beta, r, c, k, p, q))
+        return weil.WeilMatrix(a, scale, "quadratic", (alpha, beta, r, c, k, p, q))
 
     def bumped(v):
         return v[:mid] + [(v[mid] + 1) % mod] + v[mid + 1:]
@@ -621,15 +575,15 @@ def random_sl2(rng, bound=40):
 
 @EVERY_MODULE
 def test_rho_of_matches_word_reference(make):
-    # seeded random M: rho_of stays tagged for both branch bits, and equals the word
-    # folded by dense_matmul_reference for a seeded bit (one M above order 16, where
-    # the dense reference takes seconds)
+    # seeded random M: rho_of is monomial for both branch bits exactly when c = 0, and
+    # equals the word folded by dense_matmul_reference for a seeded bit (one M above
+    # order 16, where the dense reference takes seconds)
     a = make()
     rng = random.Random("rho_of:%s:%s" % (a.orders, a.signature()))
     for _ in range(3 if a.order() <= 16 else 1):
         m, bit = random_sl2(rng), rng.randrange(2)
         got = [weil.rho_of(a, weil.MetaplecticElement(m, b)) for b in (0, 1)]
-        assert "dense" not in {x.tag for x in got}, m
+        assert {x.tag for x in got} == {"monomial" if m[1][0] == 0 else "quadratic"}, m
         assert got[bit] == rho_of_reference(a, weil.MetaplecticElement(m, bit)), (m, bit)
         assert got[1 - bit] == got[bit].scaled(e_frac(F(-a.signature(), 2))), (m, bit)
 
