@@ -184,6 +184,8 @@ REFUSALS = {
         "matrices act on different modules"),
     "aut_matrix_unchecked": (lambda: weil.aut_matrix(_h(2), [[1, 0], [0, 1]]),
                              "expected a checked automorphism"),
+    "metaplectic_determinant": (lambda: weil.MetaplecticElement(((2, 1), (1, 2))),
+                                "matrix must have determinant one"),
 }
 
 

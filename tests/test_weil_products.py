@@ -291,7 +291,94 @@ def test_first_difference_on_tags():
                    for k in range(i * n + j)), (i, j)
 
 
-ALL_MODULES = [make() for _name, make in TEST_WEIL_MODULES] + \
+def _random_scale(rng, mod):
+    """A rational multiple of a root of unity at a random divisor of mod."""
+    d = rng.choice([d for d in range(1, mod + 1) if mod % d == 0])
+    return CyclotomicNumber(d, {rng.randrange(d): F(rng.randint(1, 6), rng.randint(1, 6))})
+
+
+def _random_word(rng, a, mats):
+    """A seeded product of one to three generators with a random scale, and its dense fold.
+
+    Letters whose product with the word so far has no rule are skipped.
+    """
+    letters = sorted(mats) + ["T^k"]
+    x = None
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(letters)
+        y = weil.rho_T(a, rng.randint(-5, 5)) if name == "T^k" else mats[name]
+        if x is None:
+            x, want = y, DenseReference(a, y.scale, y.mat)
+            continue
+        try:
+            x = x @ y
+        except PreconditionError:
+            continue
+        want = dense_matmul_reference(want, y)
+    c = _random_scale(rng, x.mod)
+    return x.scaled(c), want.scaled(c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_matrices_mixed_moduli(seed):
+    # modules at the moduli 8, 40 and 24, words with scales at random divisors of
+    # them: every entry of .mat lives at the module's modulus lcm(8, level), each
+    # word equals its dense fold, and each pair multiplies as the dense loop does,
+    # or is refused exactly when K is present on both sides
+    rng = random.Random(900 + seed)
+    shapes = set()
+    for a in (fqm.hyperbolic_module(2), fqm.cyclic_module(5, F(1, 5)),
+              fqm.hyperbolic_module(3)):
+        mats = generator_matrices(a)
+        for _ in range(6):
+            (x, want_x), (y, want_y) = _random_word(rng, a, mats), _random_word(rng, a, mats)
+            assert x.mod == y.mod == weil._modulus(a)
+            assert {v.mod for m in (x, y) for row in m.mat for v in row} == {x.mod}
+            assert x == want_x and want_x == x and y == want_y and want_y == y
+            for u, v in ((x, y), (x, x)):
+                shapes.add((u.shape(), v.shape()))
+                if u.shape() == v.shape() == PRESENT:
+                    assert_refused(u, v)
+                else:
+                    assert_same_product(u, v, (a.orders, u.shape(), v.shape()))
+    assert (PRESENT, PRESENT) in shapes and len(shapes) >= 6, shapes
+
+
+def _random_monomial(rng, a):
+    """A monomial matrix on a random permutation of the codes with random phases."""
+    tab = weil._tables(a)
+    src = list(range(tab.n))
+    rng.shuffle(src)
+    ph = [rng.randrange(tab.mod) for _ in range(tab.n)]
+    return weil.WeilMatrix(a, _random_scale(rng, tab.mod), "monomial",
+                           (src, tab.inverse(src), ph))
+
+
+def test_sparse_random_matrices():
+    # monomial matrices on random permutations, not additive in general: one root
+    # of unity per row and column, products with each other and with the
+    # generators as the dense loop, and the first difference of two of them as
+    # the row walk reference
+    rng = random.Random(31)
+    a = fqm.hyperbolic_module(3)
+    tab = weil._tables(a)
+    mats = generator_matrices(a)
+    for _ in range(8):
+        x, y = _random_monomial(rng, a), _random_monomial(rng, a)
+        src, _dst, ph = x.data
+        for i, row in enumerate(x.mat):
+            assert [j for j, v in enumerate(row) if not v.is_zero()] == [src[i]]
+            assert (row[src[i]] - e_frac(F(ph[i], tab.mod))).is_zero()
+        assert all(sum(not row[j].is_zero() for row in x.mat) == 1 for j in range(tab.n))
+        assert (x @ y).tag == "monomial"
+        for z in [y] + [mats[k] for k in sorted(mats)]:
+            assert_same_product(x, z, ("monomial", z.shape()))
+            assert_same_product(z, x, (z.shape(), "monomial"))
+        assert_same_difference(x, y, "random monomials")
+        assert x.first_difference(x.scaled(1)) is None
+
+
+ALL_MODULES =[make() for _name, make in TEST_WEIL_MODULES] + \
     [profile_module(p) for p in BENCH_PROFILES]
 
 
