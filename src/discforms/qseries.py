@@ -88,8 +88,9 @@ class VectorValuedQSeries:
 
     def __init__(self, module, weight, truncation):
         self.module = module
-        self.weight = Fraction(weight)
-        self.truncation = Fraction(truncation)
+        # series made from other series pass their Fractions on, which need no rewrap
+        self.weight = weight if type(weight) is Fraction else Fraction(weight)
+        self.truncation = truncation if type(truncation) is Fraction else Fraction(truncation)
         self.level = module.level()
         self.k_max = floor(self.level * self.truncation)
         self.components = {}

@@ -13,26 +13,25 @@ entries that carry a structure tag:
 - monomial: row x holds one root of unity e(ph(x)), in column src(x) (T^k, Z,
   the identity and automorphism matrices);
 - quadratic: entries e(alpha(x) + beta(y) + (Rx, Cy)) * K[Px + Qy], where K
-  holds n interned cyclotomic numbers, or is absent and reads 1 (S, T^k S,
-  S S^dagger, (S T)^3 and every rho(M) with c != 0). A Gaussian product such
-  as S T^c S, with c a unit, keeps one Gauss sum in every entry of K.
+  holds n interned cyclotomic numbers (S, T^k S, S S^dagger, (S T)^3 and every
+  rho(M) with c != 0). K is constant, as the 1 of S and the one Gauss sum of
+  S T^c S with c a unit, or it varies.
 
 R, C, P and Q are index maps: an integer k for x -> k*x, or a list of codes.
 Products, conjugate transposes and comparisons dispatch on the tags. A
 monomial factor re-indexes the other factor in O(n); a quadratic matrix times
-one without K is again quadratic (see _quadratic_product), so rho(M), a word
-in S and monomials, stays tagged. Its sum over the middle index is a closed
-form when the middle phase is c*Q with c a unit (one Gauss sum, the phases in
-alpha, beta and the cross pairing) or is 0 (one character sum per element
-order); otherwise it is one transform of n histograms. A constant K factors
-out of the sum. One without K times one with K is the conjugate transpose of
-that rule's product B^dagger A^dagger. Any other pair is refused: K on both
-sides, or a non-constant K whose column map is not a bijection left of a
-factor without K. Comparisons of two monomials, a quadratic matrix with K and
-a monomial, two quadratic matrices without K, or one without K and one with a
-constant K are proved from the tags; every other pair, and every pair not
-proved equal that way, walks the rows with one zero test per distinct
-(exponent difference, canonical entry, canonical entry) triple.
+one with a constant K is again quadratic (see _quadratic_product), so rho(M),
+a word in S and monomials, stays tagged. Constant K factor out of the sum
+over the middle index, a closed form when the middle phase is c*Q with c a
+unit (one Gauss sum, the phases in alpha, beta and the cross pairing) or 0
+(one character sum per element order), else one transform of n histograms.
+A constant K times a varying K is the conjugate transpose of that rule's
+product B^dagger A^dagger. Any other pair is refused: K varies on both sides,
+or a varying K on the left has a column map that is not a bijection.
+Comparisons of two monomials, a varying K and a monomial, or two constant K
+are proved from the tags; every other pair, and every pair not proved equal
+that way, walks the rows with one zero test per distinct (exponent
+difference, canonical entry, canonical entry) triple.
 """
 
 import cmath
@@ -150,6 +149,8 @@ def gen_Z():
 ORDER_BOUND = 2_500
 # The number of histogram transforms a module keeps, oldest evicted first.
 TRANSFORM_CACHE = 16
+# The shapes of a quadratic matrix: K holds one entry index n times, or several.
+CONSTANT, VARIES = "quadratic (K constant)", "quadratic (K varies)"
 
 
 def _order_in(v, d):
@@ -395,6 +396,8 @@ class _Tables:
 
     def times(self, k, k0):
         """The entry indices of the raw products objs[x] * objs[k0] for the entries x of k."""
+        if k0 == 1:
+            return k
         objs = self.objs
         out = {x: self.kid(objs[x] * objs[k0]) for x in set(k)}
         return list(map(out.__getitem__, k))
@@ -420,8 +423,8 @@ class WeilMatrix:
     - "monomial": data (src, dst, ph); row x holds e(ph[x]) in column src(x),
       and column y its entry in row dst(y);
     - "quadratic": data (alpha, beta, R, C, K, P, Q), entries
-      e(alpha[x] + beta[y] + (Rx, Cy)) * objs[K[Px + Qy]]; K = None reads 1
-      (with P = Q = 0), and R = C = 0 leaves the table alone.
+      e(alpha[x] + beta[y] + (Rx, Cy)) * objs[K[Px + Qy]], K a list of n entry
+      indices (see shape()); R = C = 0 leaves the table alone.
 
     .mat is a read-only view: the list of rows of CyclotomicNumbers, built
     from the data on first read. Products are structured only: a pair of
@@ -448,7 +451,10 @@ class WeilMatrix:
         return self.module.order()
 
     def entry(self, i, j):
-        return self.scale * self.mat[i][j]
+        """scale * .mat[i][j], from row i alone."""
+        tab = _tables(self.module)
+        exps, kids = self._row(tab, i)
+        return self.scale * _times_root(tab.objs[kids[j]], exps[j], tab.mod)
 
     def _row(self, tab, i):
         """Row i as (exponents, entry indices): entry j is e(exps[j]) * objs[kids[j]]."""
@@ -464,8 +470,6 @@ class WeilMatrix:
         if rmap != 0:
             beta = map(add, beta, tab.pull(tab.pair[tab.as_list(rmap)[i]], cmap))
         exps = list(map(fold, map(alpha[i].__add__, beta)))
-        if k is None:
-            return exps, tab.ones
         arow = tab.add[tab.as_list(pmap)[i]]
         return exps, list(map(k.__getitem__, map(arow.__getitem__, tab.as_list(qmap))))
 
@@ -491,9 +495,8 @@ class WeilMatrix:
             raise PreconditionError("matrices act on different modules")
         rule = _PRODUCTS[(self.tag, other.tag)]
         data = rule(_tables(self.module), self.data, other.data)
-        if data is None and (self.shape(), other.shape()) == ("quadratic (K absent)",
-                                                              "quadratic (K present)"):
-            # (AB)^dagger = B^dagger A^dagger has K on the left, where the rule applies
+        if data is None and (self.shape(), other.shape()) == (CONSTANT, VARIES):
+            # (AB)^dagger = B^dagger A^dagger has the varying K on the left, where the rule applies
             b, a = other.conj_transpose(), self.conj_transpose()
             data = rule(_tables(self.module), b.data, a.data)
             if data is not None:
@@ -506,10 +509,10 @@ class WeilMatrix:
         return WeilMatrix(self.module, self.scale * other.scale, tag, data)
 
     def shape(self):
-        """The tag, with "quadratic" split by whether K is present."""
+        """The tag, with "quadratic" split into CONSTANT and VARIES by the entries of K."""
         if self.tag != "quadratic":
             return self.tag
-        return "quadratic (K absent)" if self.data[4] is None else "quadratic (K present)"
+        return CONSTANT if len(set(self.data[4])) == 1 else VARIES
 
     def conj_transpose(self):
         scale = self.scale.conjugate()
@@ -521,7 +524,7 @@ class WeilMatrix:
             # -(Ry, Cx) = (-Cx, Ry), and K[Py + Qx] is read with the table maps swapped
             alpha, beta, rmap, cmap, k, pmap, qmap = self.data
             data = (tab.vneg(beta), tab.vneg(alpha), tab.compose(-1, cmap), rmap,
-                    k if k is None else tab.conjugate(k), qmap, pmap)
+                    tab.conjugate(k), qmap, pmap)
         return WeilMatrix(self.module, scale, self.tag, data)
 
     def scaled(self, c):
@@ -619,7 +622,7 @@ def _monomials_equal(tab, a, b, sa, sb):
 
 
 def _quadratic_equals_monomial(tab, a, b, sa, sb):
-    """A quadratic matrix with K against a monomial matrix, by the supports of the rows.
+    """A quadratic matrix with varying K against a monomial matrix, by the supports of the rows.
 
     With U the set of u where K[u] is nonzero, row x of the quadratic matrix is
     nonzero exactly at the columns y with Qy in U - Px. For a bijective Q that
@@ -643,15 +646,15 @@ def _quadratic_equals_monomial(tab, a, b, sa, sb):
 
 
 def _phases_equal(tab, a, b, sa, sb):
-    """Two quadratic matrices without K: the same pairing (Rx, Cy), and constant phase differences.
+    """Two quadratic matrices with constant K: one pairing (Rx, Cy), constant phase differences.
 
-    With additive index maps both pairings are bilinear, so they agree iff they
-    agree on the r^2 pairs of generators. Then the entries agree iff
-    alpha_b - alpha_a = c1 and beta_b - beta_a = c2 are constant and
-    sa = sb * e(c1 + c2).
+    The constants K_a and K_b join the scales. With additive index maps both
+    pairings are bilinear, so they agree iff they agree on the r^2 pairs of
+    generators. Then the entries agree iff alpha_b - alpha_a = c1 and
+    beta_b - beta_a = c2 are constant and sa K_a = sb K_b * e(c1 + c2).
     """
-    alpha_a, beta_a, ra, ca, _ka, _pa, _qa = a
-    alpha_b, beta_b, rb, cb, _kb, _pb, _qb = b
+    alpha_a, beta_a, ra, ca, ka, _pa, _qa = a
+    alpha_b, beta_b, rb, cb, kb, _pb, _qb = b
     images = list(map(tab.images, (ra, ca, rb, cb)))
     if None in images:
         return False
@@ -662,28 +665,15 @@ def _phases_equal(tab, a, b, sa, sb):
     fold = tab.fold.__getitem__
     c1 = set(map(fold, map(sub, alpha_b, alpha_a)))
     c2 = set(map(fold, map(sub, beta_b, beta_a)))
-    return (len(c1) == len(c2) == 1
-            and _equal_up_to_roots(tab, sa, sb, [c1.pop() + c2.pop()]))
-
-
-def _phases_equal_constant(tab, a, b, sa, sb):
-    """A quadratic matrix without K against one whose K is one entry k0 everywhere.
-
-    The entry objs[k0] joins the scale sb, and _phases_equal decides.
-    """
-    k = b[4]
-    return len(set(k)) == 1 and _phases_equal(tab, a, b, sa, sb * tab.objs[k[0]])
+    return len(c1) == len(c2) == 1 and _equal_up_to_roots(
+        tab, sa * tab.objs[ka[0]], sb * tab.objs[kb[0]], [c1.pop() + c2.pop()])
 
 
 _EQUALITIES = {
     ("monomial", "monomial"): _monomials_equal,
-    ("quadratic (K present)", "monomial"): _quadratic_equals_monomial,
-    ("monomial", "quadratic (K present)"):
-        lambda tab, a, b, sa, sb: _quadratic_equals_monomial(tab, b, a, sb, sa),
-    ("quadratic (K absent)", "quadratic (K absent)"): _phases_equal,
-    ("quadratic (K absent)", "quadratic (K present)"): _phases_equal_constant,
-    ("quadratic (K present)", "quadratic (K absent)"):
-        lambda tab, a, b, sa, sb: _phases_equal_constant(tab, b, a, sb, sa),
+    (VARIES, "monomial"): _quadratic_equals_monomial,
+    ("monomial", VARIES): lambda tab, a, b, sa, sb: _quadratic_equals_monomial(tab, b, a, sb, sa),
+    (CONSTANT, CONSTANT): _phases_equal,
 }
 
 
@@ -716,14 +706,13 @@ def _columns_reindexed(tab, a, b):
 
 
 def _quadratic_product(tab, a, b):
-    """Quadratic a times quadratic b without K, summed over the middle index t.
+    """Quadratic a times quadratic b with a constant K, summed over the middle index t.
 
     With gamma = beta_a + alpha_b, w = C_a* R_a x + R_b* C_b y and u = P_a x the
-    sum is sum_t e(gamma(t) + (t, w)) K[u + mu t], mu = Q_a. Without K, or with
-    a constant K that factors out of the sum, that is T(None, gamma)[w] (see
-    _gaussian_sum), times the constant. Otherwise, for a bijective mu (inverse
-    mu') and gamma(mu' s) = c Q(s), the substitution s = u + mu t and
-    c Q(s - u) = c Q(s) - c (s, u) + c Q(u) give
+    sum is sum_t e(gamma(t) + (t, w)) K[u + mu t], mu = Q_a, with K = K_a K_b.
+    A constant K factors out: T(None, gamma)[w] (see _gaussian_sum) times K.
+    Otherwise, for a bijective mu (inverse mu') and gamma(mu' s) = c Q(s), the
+    substitution s = u + mu t and c Q(s - u) = c Q(s) - c (s, u) + c Q(u) give
     e(c Q(u) - (u, mu'* w)) * T(K, c Q)[mu'* w - c u]: a cross term
     -(u, mu'* R_b* C_b y) times a table, so the product keeps the tag. Every
     entry is the raw sum that the dense loop over t would give.
@@ -731,13 +720,13 @@ def _quadratic_product(tab, a, b):
     alpha1, beta1, r1, c1, k, p1, mu = a
     alpha2, beta2, r2, c2, k2, _p2, _q2 = b
     left, right = tab.adjoint(c1), tab.adjoint(r2)
-    if k2 is not None or left is None or right is None:
+    if len(set(k2)) != 1 or left is None or right is None:
         return None
-    gamma = tab.vadd(beta1, alpha2)
+    gamma, k = tab.vadd(beta1, alpha2), tab.times(k, k2[0])
     w1, w2 = tab.compose(left, r1), tab.compose(right, c2)
-    if k is None or len(set(k)) == 1:
+    if len(set(k)) == 1:
         data = _gaussian_sum(tab, alpha1, beta2, gamma, w1, w2)
-        return data if k is None else data[:4] + (tab.times(data[4], k[0]),) + data[5:]
+        return data[:4] + (tab.times(data[4], k[0]),) + data[5:]
     if not tab.is_unit(mu):
         return None
     inv = tab.inverse(mu)
@@ -801,12 +790,13 @@ def rho_T(module, power=1):
 def rho_S(module):
     """The Fourier-transform generator: entries e(-(x, y)) scaled by the Gauss phase.
 
-    A quadratic matrix without K and with row map x -> -x, since -(x, y) = (-x, y).
+    A quadratic matrix with K = 1 and row map x -> -x, since -(x, y) = (-x, y).
     """
     tab = _tables(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    return WeilMatrix(module, scale, "quadratic", (tab.zeros, tab.zeros, -1, tab.one, None, 0, 0))
+    return WeilMatrix(module, scale, "quadratic",
+                      (tab.zeros, tab.zeros, -1, tab.one, tab.ones, 0, 0))
 
 
 def rho_Z(module):

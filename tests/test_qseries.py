@@ -409,6 +409,20 @@ def test_truncation_minimum_on_addition():
     assert out.get(a.zero(), 4) == 0
 
 
+def test_weight_and_truncation_are_fractions():
+    # a Fraction is kept as passed, through copies and arrows; anything else is wrapped
+    a = fqm.hyperbolic_module(2)
+    w, t = F(5, 2), F(3)
+    f = qs.VectorValuedQSeries(a, w, t)
+    assert f.weight is w and f.truncation is t
+    assert f.copy().weight is w and (f * 3).truncation is t
+    h = qs.up_arrow(f, a, fqm.Subgroup(a, [a.zero()]))
+    assert h.weight is w and h.truncation is t
+    g = qs.VectorValuedQSeries(a, 2, "7/2")
+    assert type(g.weight) is F and type(g.truncation) is F
+    assert (g.weight, g.truncation, g.k_max) == (2, F(7, 2), 7)
+
+
 def test_series_file_roundtrip(tmp_path):
     a = fqm.hyperbolic_module(3)
     f = qs.VectorValuedQSeries(a, F(5, 2), F(3))

@@ -45,6 +45,9 @@ BENCH_PROFILES = (
 )
 
 
+CONSTANT, VARIES = weil.CONSTANT, weil.VARIES
+
+
 def generator_matrices(a):
     """S, S^dagger, T, T^-1, Z and the negation and phi_r automorphism matrices."""
     s = weil.rho_S(a)
@@ -79,6 +82,24 @@ def test_generator_pairs_on_test_modules(name, make):
     check_all_pairs(make())
 
 
+@pytest.mark.parametrize("name,make", TEST_WEIL_MODULES, ids=[m[0] for m in TEST_WEIL_MODULES])
+def test_entry_reads_one_row(name, make):
+    # entry(i, j) is scale * .mat[i][j], raw-equal, on every generator product, and reading
+    # it builds no dense view (rows 0, n/2 and n - 1)
+    a = make()
+    n = a.order()
+    rows = sorted({0, n // 2, n - 1})
+    mats = generator_matrices(a)
+    for p, x in mats.items():
+        for q, y in mats.items():
+            xy = x @ y
+            got = [xy.entry(i, j) for i in rows for j in range(n)]
+            assert xy._mat is None, (p, q)
+            want = [xy.scale * xy.mat[i][j] for i in rows for j in range(n)]
+            assert [(v.mod, v.coeffs, v.den) for v in got] == \
+                [(v.mod, v.coeffs, v.den) for v in want], (name, p, q)
+
+
 @pytest.mark.parametrize("profile", BENCH_PROFILES,
                          ids=["".join("%s%d" % b for b in p) for p in BENCH_PROFILES])
 def test_generator_pairs_on_benchmark_profiles(profile):
@@ -107,9 +128,9 @@ def assert_refused(x, y):
 
 
 def test_kernel_choice():
-    # every pair has a product rule, K absent times K present by
+    # every pair has a product rule, a constant K times a varying K by
     # (AB)^dagger = B^dagger A^dagger, and the product is monomial exactly when both
-    # factors are; K on both sides is refused with both shapes named
+    # factors are; K varying on both sides is refused with both shapes named
     a = fqm.hyperbolic_module(3)
     m = generator_matrices(a)
     st = m["S"] @ m["T"]
@@ -117,34 +138,54 @@ def test_kernel_choice():
     structured = [(m[x], m[y]) for x in m for y in m]
     structured += [(table, m["Z"]), (m["T"] @ m["S"] @ m["T"], m["T_inv"]),
                    (m["S_dag"] @ m["Z"], m["T_inv"] @ m["S_dag"]), (st @ st, st),
-                   (m["S"], table), (m["T"] @ m["S"], st @ st)]
+                   (m["S"], table), (m["T"] @ m["S"], st @ st), (table, st @ st),
+                   (st @ st, table)]
     for x, y in structured:
         monomial = x.tag == y.tag == "monomial"
         assert ((x @ y).tag == "monomial") == monomial, (x.shape(), y.shape())
         assert_same_product(x, y, (x.shape(), y.shape()))
-    assert table.shape() == (st @ st).shape() == "quadratic (K present)"
-    for x, y in ((table, table), (table, st @ st)):
-        assert_refused(x, y)
-
-
-ABSENT, PRESENT = "quadratic (K absent)", "quadratic (K present)"
+    assert table.shape() == VARIES and (st @ st).shape() == CONSTANT
+    assert_refused(table, table)
 
 
 def test_structure_tags():
     for a in (fqm.hyperbolic_module(5), profile_module((("h", 2), ("c", 3))),
               fqm.cyclic_module(4, F(3, 8))):
         m = generator_matrices(a)
-        assert m["S"].shape() == m["S_dag"].shape() == ABSENT
+        assert m["S"].shape() == m["S_dag"].shape() == CONSTANT
         assert {m[x].tag for x in ("T", "T_inv", "Z", "neg")} == {"monomial"}
         assert weil.identity_matrix(a).tag == "monomial"
         st = m["S"] @ m["T"]
         cube = st @ st @ st
-        for prod, shape in ((m["S"] @ m["S_dag"], PRESENT),
-                            (m["T"] @ m["S"] @ m["T"], ABSENT),
-                            ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), PRESENT),
-                            (cube, PRESENT)):
+        for prod, shape in ((m["S"] @ m["S_dag"], VARIES),
+                            (m["T"] @ m["S"] @ m["T"], CONSTANT),
+                            ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), CONSTANT),
+                            (cube, VARIES)):
             assert prod.shape() == shape, (a.orders, shape)
         assert cube == m["Z"] and m["S"] @ m["S"] == m["Z"]
+
+
+def test_every_table_has_n_entries():
+    # K is a list of n entry indices on every quadratic matrix that relation_report and
+    # rho_of build; on S it is 1 everywhere
+    made, init = [], weil.WeilMatrix.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil.WeilMatrix, "__init__", spy)
+        for name, make in TEST_WEIL_MODULES:
+            a = make()
+            assert weil.rho_S(a).data[4] == [1] * a.order(), name
+            weil.relation_report(a)
+            rng = random.Random("tables:%s" % name)
+            for _ in range(3):
+                weil.rho_of(a, random_sl2(rng))
+    quadratic = [x for x in made if x.tag == "quadratic"]
+    assert len(quadratic) > 100
+    assert all(type(x.data[4]) is list and len(x.data[4]) == x.size for x in quadratic)
 
 
 @pytest.mark.parametrize("name,make", TEST_WEIL_MODULES, ids=[m[0] for m in TEST_WEIL_MODULES])
@@ -172,7 +213,7 @@ def test_gaussian_products_match_dense_reference(name, make):
             assert len(set(k)) == 1 and x.data[5:] == (0, 0), (name, c)
         else:
             assert k == transform_reference(tab, None, gamma), (name, c)
-    # (S T)^3 both ways round: a constant K on the left, and K absent times a constant K
+    # (S T)^3 both ways round: a Gauss sum K on the left, and K = 1 times a Gauss sum K
     st = s @ weil.rho_T(a)
     assert len(set((st @ st).data[4])) == 1
     assert_same_product(st @ st, st, name)
@@ -184,7 +225,7 @@ def test_gaussian_products_match_dense_reference(name, make):
                          ids=lambda p: "".join("%s%d" % b for b in p))
 def test_histogram_transforms_match_reference(profile):
     # every transform a product takes, gamma = 0 (character sums by element order) and
-    # K present included, raw-equal to one histogram per row
+    # a varying K included, raw-equal to one histogram per row
     a = profile_module(profile)
     tab = weil._tables(a)
     rng = random.Random("transform:%s" % (profile,))
@@ -216,8 +257,8 @@ def _bracketed_product(mats, tree):
     return _bracketed_product(mats, tree[0]) @ _bracketed_product(mats, tree[1])
 
 
-# The bracketing of S^4 with no product rule: K on both sides. (S (S S)) S and
-# S ((S S) S) are taken through the constant K of S (S S) and (S S) S.
+# The bracketing of S^4 with no product rule: K varies on both sides. (S (S S)) S
+# and S ((S S) S) are taken through the constant K of S (S S) and (S S) S.
 UNRULED_BRACKETINGS = {(("S", "S"), ("S", "S"))}
 
 
@@ -324,7 +365,7 @@ def test_random_matrices_mixed_moduli(seed):
     # modules at the moduli 8, 40 and 24, words with scales at random divisors of
     # them: every entry of .mat lives at the module's modulus lcm(8, level), each
     # word equals its dense fold, and each pair multiplies as the dense loop does,
-    # or is refused exactly when K is present on both sides
+    # or is refused exactly when K varies on both sides
     rng = random.Random(900 + seed)
     shapes = set()
     for a in (fqm.hyperbolic_module(2), fqm.cyclic_module(5, F(1, 5)),
@@ -337,11 +378,11 @@ def test_random_matrices_mixed_moduli(seed):
             assert x == want_x and want_x == x and y == want_y and want_y == y
             for u, v in ((x, y), (x, x)):
                 shapes.add((u.shape(), v.shape()))
-                if u.shape() == v.shape() == PRESENT:
+                if u.shape() == v.shape() == VARIES:
                     assert_refused(u, v)
                 else:
                     assert_same_product(u, v, (a.orders, u.shape(), v.shape()))
-    assert (PRESENT, PRESENT) in shapes and len(shapes) >= 6, shapes
+    assert (VARIES, VARIES) in shapes and len(shapes) >= 6, shapes
 
 
 def _random_monomial(rng, a):
@@ -447,8 +488,8 @@ def test_eq_detects_one_entry_and_scale_differences():
     doubled = weil.WeilMatrix(a, table.scale * F(1, 2), "quadratic",
                               (alpha, beta, r, c, tab.times(k, tab.kid(tab.objs[1] * 2)), p, q))
     equal = [(table, s_dag @ s), (s_dag @ s, table), (table, doubled), (doubled, table)]
-    assert {(x.shape(), y.shape()) for x, y in equal} == {(PRESENT, PRESENT)}
-    assert (PRESENT, PRESENT) not in weil._EQUALITIES
+    assert {(x.shape(), y.shape()) for x, y in equal} == {(VARIES, VARIES)}
+    assert (VARIES, VARIES) not in weil._EQUALITIES
     for got, rows in row_walks(equal):
         assert got is None and rows == 2 * n
     # one phase of T changed, located exactly
@@ -480,11 +521,11 @@ def test_conj_transpose_on_tags(profile):
     m = generator_matrices(a)
     st = m["S"] @ m["T"]
     cases = [(m["T"], "monomial"), (weil.rho_T(a, -3), "monomial"), (m["Z"], "monomial"),
-             (m["neg"], "monomial"), (m["S"], ABSENT), (m["S_dag"], ABSENT),
-             (m["T"] @ m["S"] @ m["T"], ABSENT), (m["S"] @ m["S_dag"], PRESENT),
-             (m["S"] @ m["S"], PRESENT),
-             ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), PRESENT),
-             (st @ st @ st, PRESENT)]
+             (m["neg"], "monomial"), (m["S"], CONSTANT), (m["S_dag"], CONSTANT),
+             (m["T"] @ m["S"] @ m["T"], CONSTANT), (m["S"] @ m["S_dag"], VARIES),
+             (m["S"] @ m["S"], VARIES),
+             ((m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"]), CONSTANT),
+             (st @ st @ st, VARIES)]
     n = a.order()
     for x, tag in cases:
         y = x.conj_transpose()
@@ -521,10 +562,9 @@ def variants(x):
 
     A monomial gets its maps as lists, one phase +1 and two src entries
     swapped; a quadratic matrix its cross maps as lists, one alpha +1, two
-    cross-row entries swapped (no longer additive) and its cross column map
-    negated (another pairing), and, when K is present, one K entry id
-    replaced and both table maps zero (one entry everywhere); every matrix
-    its scale times e(1/M).
+    cross-row entries swapped (no longer additive), its cross column map
+    negated (another pairing), one K entry id replaced and both table maps
+    zero (one entry everywhere); every matrix its scale times e(1/M).
     """
     a = x.module
     tab = weil._tables(a)
@@ -557,10 +597,9 @@ def variants(x):
         out += [tagged((alpha, beta, lists[0], lists[1], k, lists[2], lists[3])),
                 tagged((bumped, beta, r, c, k, p, q)), tagged((alpha, beta, swapped(r), c, k, p, q)),
                 tagged((alpha, beta, r, tab.compose(-1, c), k, p, q))]
-        if k is not None:
-            k2 = list(k)
-            k2[mid] = 1 if tab.canon(k2[mid]) != 1 else 0
-            out += [tagged((alpha, beta, r, c, k2, p, q)), tagged((alpha, beta, r, c, k, 0, 0))]
+        k2 = list(k)
+        k2[mid] = 1 if tab.canon(k2[mid]) != 1 else 0
+        out += [tagged((alpha, beta, r, c, k2, p, q)), tagged((alpha, beta, r, c, k, 0, 0))]
     return out
 
 
@@ -595,15 +634,17 @@ def test_first_difference_matches_row_walk_reference(make):
 
 @EVERY_MODULE
 def test_constant_table_differences_match_row_walk_reference(make):
-    # K absent against a constant K: equal pairs are proved from the tags, and a pair
-    # that differs by one scale or one phase gets the row walk's witness, both ways round
+    # K = 1 against a Gauss sum K (both 1 on the trivial module): equal pairs are proved
+    # from the tags, and a pair that differs by one scale or one phase gets the row
+    # walk's witness, both ways round
     a = make()
     tab = weil._tables(a)
     m = generator_matrices(a)
     lhs = m["T"] @ m["S"] @ m["T"]
     rhs = (m["S_dag"] @ m["Z"]) @ (m["T_inv"] @ m["S_dag"])
     alpha, beta, r, c, k, p, q = rhs.data
-    assert lhs.shape() == ABSENT and rhs.shape() == PRESENT and len(set(k)) == 1
+    assert lhs.shape() == rhs.shape() == CONSTANT and set(lhs.data[4]) == {1}
+    assert (set(k) == {1}) == (a.order() == 1)
     n, mod, mid = tab.n, tab.mod, tab.n // 2
 
     def tagged(scale, alpha, beta, k):
@@ -623,12 +664,12 @@ def test_constant_table_differences_match_row_walk_reference(make):
         for u, v in ((lhs, y), (y, lhs)):
             assert_same_difference(u, v, a.orders)
     for y in equal:
-        assert weil._EQUALITIES[(ABSENT, PRESENT)](tab, lhs.data, y.data, lhs.scale.reduce(),
-                                                   y.scale.reduce())
+        assert weil._EQUALITIES[(CONSTANT, CONSTANT)](tab, lhs.data, y.data, lhs.scale.reduce(),
+                                                      y.scale.reduce())
 
 
-STRUCTURED_PAIRS = {("monomial", "monomial"), (PRESENT, "monomial"), ("monomial", PRESENT),
-                    (ABSENT, ABSENT), (ABSENT, PRESENT)}
+STRUCTURED_PAIRS = {("monomial", "monomial"), (VARIES, "monomial"), ("monomial", VARIES),
+                    (CONSTANT, CONSTANT)}
 
 
 @pytest.mark.parametrize("make", [lambda: profile_module((("h", 2), ("c", 3))),
@@ -636,8 +677,8 @@ STRUCTURED_PAIRS = {("monomial", "monomial"), (PRESENT, "monomial"), ("monomial"
                                   lambda: fqm.hyperbolic_module(31)],
                          ids=["h2c3", "h8c2", "H(31)"])
 def test_structured_comparisons_build_no_rows(make):
-    # every relation is decided from the tags: the braid relation, K absent against
-    # a constant K, included
+    # every relation is decided from the tags: the braid relation, two constant K,
+    # included
     a = make()
     pairs = compared_pairs(a)
     assert [(x.shape(), y.shape(), rows) for x, y, rows in pairs if rows] == []
