@@ -260,6 +260,22 @@ def hermite_rows(rows, moduli):
     return tuple(tuple(row) for row in out)
 
 
+def solve_hermite(rows, x):
+    """The integer y with y*rows = x, or None when y is not integral.
+
+    rows is square and upper triangular with positive pivots (a Hermite form),
+    so y is found by forward substitution with exact division.
+    """
+    y = []
+    for j, xj in enumerate(x):
+        s = xj - sum(yk * row[j] for yk, row in zip(y, rows))
+        yj, rest = divmod(s, rows[j][j])
+        if rest:
+            return None
+        y.append(yj)
+    return y
+
+
 def image_basis(a):
     """Basis (list of column vectors) of the lattice spanned by the columns of a."""
     d, u, _v = smith_normal_form(a)

@@ -7,8 +7,11 @@ N = level(), from which Q values, pairings, the Q-value histogram and the
 Weil layer's index tables are computed. Construction is integer algebra; the
 histogram, Gauss sum and signature are built when first read.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
-integer lattice, so complements and subquotients are integer linear algebra;
-only isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND.
+integer lattice, so complements and subquotients are integer linear algebra:
+a subquotient solves against the Hermite rows of H^perp by forward substitution
+and reads its sections from a Smith form, with no Fraction matrix. Only
+isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND; its
+results are cached per module and order.
 """
 
 from fractions import Fraction
@@ -17,8 +20,8 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import cyclo
-from ._intmat import (even_gram, hermite_rows, identity, invert_rational, is_prime,
-                      kernel_basis, mat_mul, mat_vec, smith_normal_form, transpose)
+from ._intmat import (even_gram, hermite_rows, identity, is_prime, kernel_basis, mat_mul,
+                      mat_vec, smith_normal_form, solve_hermite, transpose)
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
@@ -123,6 +126,8 @@ class FiniteQuadraticModule:
         self._histogram = None
         self._signature = None
         self._gauss1 = None
+        # isotropic_subgroups by order, built on first use
+        self._isotropic = {}
         # the index tables of the Weil layer (weil._tables), built on first use
         self._weil_tables = None
         if self.order() > ORDER_BOUND:
@@ -365,10 +370,20 @@ class Subgroup:
         return hermite_rows(self.hnf + (x.coords,), self.module.orders) == self.hnf
 
     def is_isotropic(self):
-        """Q vanishes on the generators and they pair to 0 with each other."""
+        """Q vanishes on the generators and they pair to 0 with each other.
+
+        Read from the integer form: N*Q(g) and the pairing rows N*(g, g_j), N = level.
+        """
+        a = self.module
+        n = a.level()
         gens = self.generators
-        return all(g.q() == 0 and all(g.bil(h) == 0 for h in gens[:i])
-                   for i, g in enumerate(gens))
+        for i, g in enumerate(gens):
+            if a.nq_value(g):
+                return False
+            row = a._pairing_row(g.coords)
+            if any(sum(map(mul, row, k.coords)) % n for k in gens[:i]):
+                return False
+        return True
 
     def __add__(self, other):
         if self.module != other.module:
@@ -567,13 +582,22 @@ def isotropic_subgroups(a, order):
     A frontier walk from the trivial subgroup over the elements of A, guarded
     by BRUTE_FORCE_BOUND: H grows by each x with Q(x) = 0 that pairs to 0 with
     H's generators, which for isotropic H is exactly when H + <x> is
-    isotropic. Results are sorted lexicographically by their element lists.
+    isotropic. Results are sorted lexicographically by their element lists
+    and cached per order; each call returns a new list.
     """
     if a.order() > BRUTE_FORCE_BOUND:
         raise PreconditionError("isotropic subgroup enumeration limited to modules of order <= %d"
                                 % BRUTE_FORCE_BOUND)
     if a.order() % order:
         raise PreconditionError("order must divide the module order")
+    found = a._isotropic.get(order)
+    if found is None:
+        found = a._isotropic[order] = tuple(_isotropic_walk(a, order))
+    return list(found)
+
+
+def _isotropic_walk(a, order):
+    """The frontier walk of isotropic_subgroups, sorted."""
     n = a.level()
     iso = [(x, a._pairing_row(x.coords)) for x in a.elements() if a.nq_value(x) == 0]
     frontier = [Subgroup._spanned(a, [])]
@@ -598,8 +622,14 @@ def isotropic_subgroups(a, order):
     return found
 
 
+def _require_subgroup_of(a, h):
+    if h.module != a:
+        raise PreconditionError("subgroup does not belong to the module")
+
+
 def orthogonal_complement(a, g):
     """Subgroup of all x pairing integrally with every element of g."""
+    _require_subgroup_of(a, g)
     return Subgroup._spanned(a, _perp_rows(a, g.hnf))
 
 
@@ -618,42 +648,46 @@ def subquotient(a, h):
 
     Returns (b, proj, sect): proj maps elements of H^perp onto b, sect picks
     coset representatives, and proj(sect(x)) == x for all x in b. For the
-    trivial subgroup the module itself is returned with identity maps. With
-    H = T*P for the Hermite rows P of H^perp and u*T*v = diag(d), the rows of
-    v^-1*P are a basis of L_{H^perp} in which L_H has the basis d_i*(row i).
+    trivial subgroup the module itself is returned with identity maps.
+    Everything is integer algebra. With P the Hermite rows of H^perp, H = T*P
+    is solved by forward substitution, and u*T*v = diag(d) is T's Smith form.
+    The rows of v^-1*P are a basis of L_{H^perp} in which L_H has the basis
+    d_i*(row i); those with d_i > 1 are the sections. Since u*H = diag(d)*v^-1*P,
+    row i is row i of u*H divided exactly by d_i, and no inverse is formed.
+    proj(x) is (y*v)_i mod d_i for the integer y with y*P = x.
     """
+    _require_subgroup_of(a, h)
     if not h.is_isotropic():
         raise PreconditionError("subgroup is not isotropic")
     if h.order == 1:
         return a, (lambda x: x), (lambda x: x)
-    r = a.rank
-    perp = orthogonal_complement(a, h)
-    p_inv = invert_rational(perp.hnf)
-    t = mat_mul(h.hnf, p_inv)
-    t_int = [[int(x) for x in row] for row in t]
-    if t != t_int:
+    n, r = a.level(), a.rank
+    perp = orthogonal_complement(a, h).hnf
+    t = [solve_hermite(perp, row) for row in h.hnf]
+    if None in t:
         raise ConsistencyError("subgroup lattice is not contained in complement lattice")
-    d, _u, v = smith_normal_form(t_int)
-    basis = mat_mul([[int(x) for x in row] for row in invert_rational(v)], perp.hnf)
-    coords_of = mat_mul(p_inv, v)
+    d, u, v = smith_normal_form(t)
     kept = [i for i in range(r) if d[i] > 1]
-    sections = [a.element(basis[i]) for i in kept]
-    b = FiniteQuadraticModule([d[i] for i in kept], [x.q() for x in sections],
-                              [[x.bil(y) for y in sections] for x in sections])
+    uh = mat_mul(u, h.hnf)
+    sections = [a.element([x // d[i] for x in uh[i]]) for i in kept]
+    rows = [a._pairing_row(x.coords) for x in sections]
+    b = FiniteQuadraticModule([d[i] for i in kept],
+                              [Fraction(a.nq_value(x), n) for x in sections],
+                              [[Fraction(sum(map(mul, x.coords, row)) % n, n) for row in rows]
+                               for x in sections])
     if b.order() * h.order ** 2 != a.order():
         raise ConsistencyError("subquotient order bookkeeping failed")
+    proj_cols = [([row[i] for row in v], d[i]) for i in kept]
+    sect_cols = [[x.coords[j] for x in sections] for j in range(r)]
 
     def proj(x):
-        c = [sum(xi * row[i] for xi, row in zip(x.coords, coords_of)) for i in range(r)]
-        if any(ci.denominator != 1 for ci in c):
+        y = solve_hermite(perp, x.coords)
+        if y is None:
             raise PreconditionError("element is not in the orthogonal complement")
-        return b.element(tuple(int(c[i]) % d[i] for i in kept))
+        return b.element(tuple(sum(map(mul, y, col)) % di for col, di in proj_cols))
 
     def sect(x):
-        out = a.zero()
-        for c, s in zip(x.coords, sections):
-            out = out + c * s
-        return out
+        return a.element([sum(map(mul, x.coords, col)) for col in sect_cols])
 
     for x in b.generators():
         if proj(sect(x)) != x:
@@ -665,21 +699,24 @@ def subquotient(a, h):
 
 
 def content(a, e, lam):
-    """gcd(N*(e,lam), N) for an isotropic element e of exact order N."""
+    """gcd(N*(e,lam), N) for an isotropic element e of exact order N.
+
+    Read from the integer form at L = level(): L*(e, lam) is k, and N*(e, lam) = N*k/L.
+    """
     n = e.order()
-    if e.q() != 0:
+    if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")
-    b = e.bil(lam)
-    c = n * b
-    if c.denominator != 1:
+    level = a.level()
+    c, rest = divmod(n * (sum(map(mul, lam.coords, a._pairing_row(e.coords))) % level), level)
+    if rest:
         raise ConsistencyError("pairing with e must lie in (1/N)Z")
-    return gcd(int(c) % n, n) or n
+    return gcd(c % n, n) or n
 
 
 def cyclic_subgroup_id(a, e, d):
     """The isotropic subgroup generated by (N/d)*e, of order d."""
     n = e.order()
-    if e.q() != 0:
+    if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")
     if n % d:
         raise PreconditionError("d must divide the order of e")

@@ -5,7 +5,8 @@ never assumed. The transformation-derived properties the decompositions rely
 on (support and coset-translation invariance) are runtime-checked
 preconditions, so the combinatorics can be exercised on synthetic data.
 Everything the arrows and decompositions know about H^perp comes from the
-cached reduction: its fibers are the H-cosets sect(nu) + H, nu in H^perp/H.
+cached reduction: its fibers are the H-cosets sect(nu) + H, nu in H^perp/H,
+as sorted coordinate tuples.
 
 Storage: `components` maps the coords of mu to its component {k: c(k/N, mu)},
 with N = module.level() and the integer k = N*m (exact, since m = Q(mu) mod 1
@@ -21,8 +22,8 @@ _share(), which drops that ownership, so copy() copies the outer dict only.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import floor, gcd, lcm
-from operator import attrgetter
 
 from . import fqm
 from ._intmat import divisors, factorization, is_prime, parse_rational
@@ -247,17 +248,28 @@ REDUCTION_CACHE = 256
 def reduction(module, h):
     """Cached (B, proj, sect, fibers) for B = H^perp/H.
 
-    fibers maps the coords of each nu in B to its H-coset sect(nu) + H, sorted
-    by coords; the union of the fibers is H^perp. fqm.subquotient rejects a
-    subgroup that is not isotropic. The last REDUCTION_CACHE results are kept.
+    fibers maps the coords of each nu in B to the sorted coords of its H-coset
+    sect(nu) + H; the union of the fibers is H^perp. The cosets are built on
+    coordinate tuples: the sections of B's generators are combined and each
+    element of H added, mod the orders. fqm.subquotient rejects a subgroup
+    that is not isotropic. The last REDUCTION_CACHE results are kept.
     """
+    fqm._require_subgroup_of(module, h)
     key = (module, h.hnf)
     hit = _REDUCTIONS.get(key)
     if hit is not None:
         return hit
     b, proj, sect = fqm.subquotient(module, h)
-    fibers = {nu.coords: sorted((sect(nu) + x for x in h.elements), key=attrgetter("coords"))
-              for nu in b.elements()}
+    orders = module.orders
+    # sect(nu) for the nu in product order, which is the order of b.elements()
+    secs = [(0,) * module.rank]
+    for g, d in zip(b.generators(), b.orders):
+        row = sect(g).coords
+        secs = [tuple((s + c * x) % m for s, x, m in zip(sec, row, orders))
+                for sec in secs for c in range(d)]
+    hs = [x.coords for x in h.elements]
+    fibers = {nu: sorted(tuple((s + x) % m for s, x, m in zip(sec, hx, orders)) for hx in hs)
+              for nu, sec in zip(product(*(range(d) for d in b.orders)), secs)}
     if len(_REDUCTIONS) >= REDUCTION_CACHE:
         del _REDUCTIONS[next(iter(_REDUCTIONS))]
     _REDUCTIONS[key] = hit = (b, proj, sect, fibers)
@@ -266,7 +278,7 @@ def reduction(module, h):
 
 def _perp(module, h):
     """The coords of H^perp, as the union of the reduction fibers."""
-    return {mu.coords for mus in reduction(module, h)[3].values() for mu in mus}
+    return {mu for mus in reduction(module, h)[3].values() for mu in mus}
 
 
 def up_arrow(g, module, h):
@@ -280,7 +292,7 @@ def up_arrow(g, module, h):
         if scale != 1:
             comp = {k * scale: v for k, v in comp.items()}
         for mu in fibers[c]:
-            out.components[mu.coords] = comp
+            out.components[mu] = comp
     return out
 
 
@@ -292,7 +304,7 @@ def down_arrow(f, h):
     for nu, mus in fibers.items():
         sums = {}
         for mu in mus:
-            for k, v in comps.get(mu.coords, _EMPTY).items():
+            for k, v in comps.get(mu, _EMPTY).items():
                 sums[k] = sums[k] + v if k in sums else v
         if sums:
             out._put(b.element(nu), sums, f.level)
@@ -326,15 +338,14 @@ def is_supported_on(f, subgroup_or_elements):
 
 
 def _translation_invariant_on(f, mus, h):
-    """Check f_{mu+mu'} = f_mu for the given mus and all mu' in h."""
+    """Check f_{mu+mu'} = f_mu for the given coords mu and all mu' in h, on coordinate tuples."""
     comps = f.components
-    for mu_coords in mus:
-        mu = f.module.element(mu_coords)
-        base = comps.get(mu_coords)
-        for hp in h.elements:
-            if hp.is_zero():
-                continue
-            comp = comps.get((mu + hp).coords)
+    orders = f.module.orders
+    shifts = [x.coords for x in h.elements if not x.is_zero()]
+    for mu in mus:
+        base = comps.get(mu)
+        for hx in shifts:
+            comp = comps.get(tuple((c + x) % m for c, x, m in zip(mu, hx, orders)))
             if comp is not base and comp != base:
                 return False
     return True
@@ -451,12 +462,12 @@ def oldform_decompose(f, e, t):
             e_b = proj(e)
             new = [(b.element(c), mus[0]) for c, mus in fibers.items()
                    if fqm.content(b, e_b, b.element(c)) == 1]
-            if not _translation_invariant_on(cur, [mu.coords for _nu, mu in new], i_d):
+            if not _translation_invariant_on(cur, [mu for _nu, mu in new], i_d):
                 raise PreconditionError(
                     "coset-translation invariance fails at depth %d" % level)
             h = VectorValuedQSeries(b, f.weight, f.truncation)
             for nu, mu in new:
-                comp = cur.components.get(mu.coords)
+                comp = cur.components.get(mu)
                 if comp:
                     h._put(nu, comp, cur.level)
             result[d] = h

@@ -140,7 +140,7 @@ def fibers_reference(module, h):
     _b, proj, _sect = fqm.subquotient(module, h)
     fibers = {}
     for mu in fqm.orthogonal_complement(module, h).elements:
-        fibers.setdefault(proj(mu).coords, []).append(mu)
+        fibers.setdefault(proj(mu).coords, []).append(mu.coords)
     return fibers
 
 
@@ -874,6 +874,44 @@ def subquotient_reference(module, h_coords):
     return b, proj
 
 
+def subquotient_fraction_reference(a, h):
+    """(b, proj, sect) for H^perp/H through the rational inverses of P and v.
+
+    The route fqm.subquotient took before it became integer algebra: T = H*P^-1
+    for the Hermite rows P of H^perp, u*T*v = diag(d), sections the rows of
+    v^-1*P and proj(x) = x*P^-1*v. The presentation of b, and so proj and sect,
+    must agree exactly with fqm.subquotient. H must be isotropic and nontrivial.
+    """
+    r = a.rank
+    perp = fqm.orthogonal_complement(a, h)
+    p_inv = invert_rational(perp.hnf)
+    t = mat_mul(h.hnf, p_inv)
+    t_int = [[int(x) for x in row] for row in t]
+    if t != t_int:
+        raise ConsistencyError("subgroup lattice is not contained in complement lattice")
+    d, _u, v = smith_normal_form(t_int)
+    basis = mat_mul([[int(x) for x in row] for row in invert_rational(v)], perp.hnf)
+    coords_of = mat_mul(p_inv, v)
+    kept = [i for i in range(r) if d[i] > 1]
+    sections = [a.element(basis[i]) for i in kept]
+    b = fqm.FiniteQuadraticModule([d[i] for i in kept], [x.q() for x in sections],
+                                  [[x.bil(y) for y in sections] for x in sections])
+
+    def proj(x):
+        c = [sum(xi * row[i] for xi, row in zip(x.coords, coords_of)) for i in range(r)]
+        if any(ci.denominator != 1 for ci in c):
+            raise PreconditionError("element is not in the orthogonal complement")
+        return b.element(tuple(int(c[i]) % d[i] for i in kept))
+
+    def sect(x):
+        out = a.zero()
+        for c, s in zip(x.coords, sections):
+            out = out + c * s
+        return out
+
+    return b, proj, sect
+
+
 def fqm_from_gram_reference(gram):
     """(module, gen_vectors) with Q and the pairings summed in Fractions over the generators."""
     gram = [[int(x) for x in row] for row in gram]
@@ -978,14 +1016,14 @@ def flat_up_arrow_reference(g, module, h):
     out = FlatQSeriesReference(module, g.weight, g.truncation)
     for (c, m), v in g.coefficients.items():
         for mu in fibers[c]:
-            out.coefficients[mu.coords, m] = v
+            out.coefficients[mu, m] = v
     return out
 
 
 def flat_down_arrow_reference(f, h):
     """qseries.down_arrow on the flat dict: fiber sums stored through set."""
     b, _proj, _sect, fibers = reduction(f.module, h)
-    owner = {mu.coords: nu for nu, mus in fibers.items() for mu in mus}
+    owner = {mu: nu for nu, mus in fibers.items() for mu in mus}
     sums = {}
     for (c, m), v in f.coefficients.items():
         nu = owner.get(c)

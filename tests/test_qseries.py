@@ -87,8 +87,12 @@ def _fiber_cases():
 
 
 def test_reduction_fibers_are_the_cosets_of_the_reference():
+    # and on every isotropic subgroup of H(30) of order 2 to 30, not only the cyclic I_d
+    a30 = fqm.hyperbolic_module(30)
+    h30 = [h for n in range(2, 31) if 900 % n == 0 for h in fqm.isotropic_subgroups(a30, n)]
+    assert len(h30) == 26
     count = 0
-    for a, subs in _fiber_cases():
+    for a, subs in [*_fiber_cases(), (a30, h30)]:
         for h in subs:
             assert qs.reduction(a, h)[3] == fibers_reference(a, h), (a.orders, h)
             count += 1
@@ -121,7 +125,7 @@ def test_cached_reduction_needs_no_orthogonal_complement(monkeypatch):
     monkeypatch.setattr(qs, "_REDUCTIONS", {})
     c = fqm.direct_sum(fqm.cyclic_module(2, F(1, 4)), fqm.hyperbolic_module(3))
     b, _proj, _sect, fibers = qs.reduction(c, fqm.Subgroup(c, [c.zero()]))
-    assert b == c and fibers == {x.coords: [x] for x in c.elements()}
+    assert b == c and fibers == {x.coords: [x.coords] for x in c.elements()}
 
 
 def test_non_isotropic_subgroup_rejected_on_newform_path():
@@ -141,8 +145,8 @@ def test_down_arrow_checks_every_sum_it_sets():
     h = fqm.cyclic_subgroup_id(a, e, 2)
     mu, nu = qs.reduction(a, h)[3][(1, 0)]
     f = qs.VectorValuedQSeries(a, F(3), F(2))
-    f.components[mu.coords] = {3 * f.level: F(1)}
-    f.components[nu.coords] = {3 * f.level: F(-1)}
+    f.components[mu] = {3 * f.level: F(1)}
+    f.components[nu] = {3 * f.level: F(-1)}
     with pytest.raises(PreconditionError, match="truncation"):
         qs.down_arrow(f, h)
 
@@ -393,7 +397,7 @@ class TestOldforms:
             f = piece if f is None else f + piece
         b, proj, _sect, fibers = qs.reduction(a, fqm.cyclic_subgroup_id(a, e, 2))
         last = [mus for c, mus in fibers.items() if fqm.content(b, proj(e), b.element(c)) == 1][-1]
-        mu = last[1]
+        mu = a.element(last[1])
         f.set(mu, mu.q(), f.get(mu, mu.q()) + 1)
         with pytest.raises(PreconditionError, match="invariance fails at depth 1"):
             qs.oldform_decompose(f, e, 1)

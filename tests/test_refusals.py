@@ -46,6 +46,16 @@ def _proj_outside_perp():
     return proj(a.element((0, 1)))
 
 
+def _same_orders_other_form():
+    """H(4), <1/8> + <7/8> on the same orders (4, 4), and <(2, 0)> <= H(4).
+
+    (2, 0) is isotropic in H(4) but has Q = 1/2 in the other module.
+    """
+    a = _h(4)
+    b = fqm.direct_sum(fqm.cyclic_module(4, F(1, 8)), fqm.cyclic_module(4, F(7, 8)))
+    return a, b, _line(a, (2, 0))
+
+
 def _signature_four():
     c = fqm.cyclic_module(3, F(1, 3))
     return fqm.direct_sum(fqm.direct_sum(c, c), _h(3))
@@ -71,6 +81,11 @@ REFUSALS = {
                                 "elements belong to different modules"),
     "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
                                  "subgroups of different modules"),
+    "subquotient_other_module": (lambda: fqm.subquotient(*_same_orders_other_form()[1:]),
+                                 "subgroup does not belong to the module"),
+    "complement_other_module": (
+        lambda: fqm.orthogonal_complement(*_same_orders_other_form()[1:]),
+        "subgroup does not belong to the module"),
     "element_length": (lambda: _h(2).element((0,)), "coordinate length mismatch"),
     # every row length is checked before the symmetry check reads across rows
     "bilinear_short_last_row": (lambda: fqm.FiniteQuadraticModule((1, 1), (0, 0), ((0, 0), ())),
@@ -148,6 +163,8 @@ REFUSALS = {
     # qseries
     "add_weights": (lambda: _series(_h(2)) + _series(_h(2), weight=4),
                     "series are not compatible"),
+    "reduction_other_module": (lambda: qseries.reduction(*_same_orders_other_form()[1:]),
+                               "subgroup does not belong to the module"),
     "up_arrow_module": (lambda: qseries.up_arrow(_series(_h(2)), _h(2), _line(_h(2), (1, 0))),
                         "series does not live on the subquotient module"),
     "pairing_modules": (lambda: qseries.pairing_at(_series(_h(2)), _series(_h(3)), 1),
@@ -209,3 +226,14 @@ def test_rho_of_a_plain_matrix():
     a = _h(3)
     assert weil.rho_of(a, ((1, 1), (0, 1))) == weil.rho_T(a)
     assert weil.rho_of(a, ((0, -1), (1, 0))) == weil.rho_S(a)
+
+
+def test_cached_reduction_refuses_a_subgroup_of_another_module():
+    # the cache is keyed by (module, Hermite form); a subgroup with the same form
+    # in a module on the same orders must not be answered from it
+    a, b, ha = _same_orders_other_form()
+    qseries.reduction(a, ha)
+    hb = _line(b, (2, 0))
+    assert hb.hnf == ha.hnf
+    with pytest.raises(PreconditionError, match="^subgroup does not belong to the module$"):
+        qseries.reduction(a, hb)

@@ -2,7 +2,9 @@
 
 closure_reference, greedy_generators_reference, orthogonal_complement_reference,
 isotropic_subgroups_reference and subquotient_reference are the brute-force
-element-set constructions that fqm used before subgroups became Hermite forms.
+element-set constructions that fqm used before subgroups became Hermite forms;
+subquotient_fraction_reference is the rational-inverse route that fqm.subquotient
+took before it became integer algebra.
 """
 
 import random
@@ -14,9 +16,10 @@ import pytest
 from discforms import fqm
 from discforms._intmat import hermite_rows
 from discforms.errors import PreconditionError
-from helpers import (closure_reference, greedy_generators_reference,
+from helpers import (block, closure_reference, greedy_generators_reference,
                      isotropic_subgroups_reference, orthogonal_complement_reference,
-                     profile_module, random_module, subquotient_reference)
+                     profile_module, random_module, subquotient_fraction_reference,
+                     subquotient_reference, un)
 from test_qseries import NEWFORM_PROFILES
 from test_weil_products import BENCH_PROFILES
 
@@ -40,9 +43,15 @@ def coords(h):
 @pytest.mark.parametrize("a", MODULES, ids=repr)
 def test_isotropic_subgroups_match_reference(a):
     for n in isotropic_orders(a):
+        want = isotropic_subgroups_reference(a, n)
         found = fqm.isotropic_subgroups(a, n)
-        assert [coords(h) for h in found] == isotropic_subgroups_reference(a, n)
+        assert [coords(h) for h in found] == want
         assert all(h.order == n and h.is_isotropic() for h in found)
+        # the cached result comes back equal, in a new list each time
+        found.append(None)
+        again = fqm.isotropic_subgroups(a, n)
+        assert again is not fqm.isotropic_subgroups(a, n)
+        assert [coords(h) for h in again] == want
 
 
 def sample_subgroups(a, rng):
@@ -76,21 +85,57 @@ def test_subgroup_forms_against_element_sets(a):
         assert h.order * perp.order == a.order()
 
 
-@pytest.mark.parametrize("a", MODULES, ids=repr)
+# Gram-presented modules, whose generators come from a Smith form and whose
+# pairing matrices are not diagonal, each with a nontrivial isotropic subgroup
+GRAM_MODULES = [fqm.fqm_from_gram(g) for g in (
+    [[6, 3], [3, 6]], [[8, 4], [4, 8]], [[4, 2], [2, 10]], [[2, 1], [1, 32]],
+    [[4, 2, 0], [2, 4, 2], [0, 2, 4]], [[6, 3, 0], [3, 6, 0], [0, 0, 6]],
+    [[2, 1, 1], [1, 4, 1], [1, 1, 16]], block([[2, 1], [1, 4]], un(2)),
+    block([[2, 1], [1, 2]], [[2, 1], [1, 2]], [[6]]))]
+
+
+def _assert_subquotient_matches_fraction_route(a, h):
+    """The same presentation of b, proj on H^perp and its refusal off it, and sect on b."""
+    b, proj, sect = fqm.subquotient(a, h)
+    ref, ref_proj, ref_sect = subquotient_fraction_reference(a, h)
+    assert b._key == ref._key
+    perp = {x.coords for x in fqm.orthogonal_complement(a, h).elements}
+    for x in a.elements():
+        if x.coords in perp:
+            assert proj(x) == ref_proj(x)
+        else:
+            for p in (proj, ref_proj):
+                with pytest.raises(PreconditionError,
+                                   match="^element is not in the orthogonal complement$"):
+                    p(x)
+    assert all(sect(x) == ref_sect(x) for x in b.elements())
+
+
+@pytest.mark.parametrize("a", MODULES + GRAM_MODULES, ids=repr)
 def test_subquotients_match_reference(a):
-    for n in isotropic_orders(a)[1:]:
-        for h in fqm.isotropic_subgroups(a, n):
-            b, proj, sect = fqm.subquotient(a, h)
-            ref, ref_proj = subquotient_reference(a, set(coords(h)))
-            assert b.order() == ref.order() == a.order() // n ** 2
-            assert b.signature() == ref.signature()
-            assert b.q_histogram() == ref.q_histogram()
-            for x in b.elements():
-                assert proj(sect(x)) == x and sect(x).q() == x.q()
-            # the two projections induce the same partition of H^perp into cosets
-            perp = fqm.orthogonal_complement(a, h).elements
-            assert (len({(proj(y).coords, ref_proj(y).coords) for y in perp})
-                    == len({proj(y).coords for y in perp}) == b.order())
+    subs = [h for n in isotropic_orders(a)[1:] for h in fqm.isotropic_subgroups(a, n)]
+    assert subs or a not in GRAM_MODULES
+    for h in subs:
+        _assert_subquotient_matches_fraction_route(a, h)
+        b, proj, sect = fqm.subquotient(a, h)
+        ref, ref_proj = subquotient_reference(a, set(coords(h)))
+        assert b.order() == ref.order() == a.order() // h.order ** 2
+        assert b.signature() == ref.signature()
+        assert b.q_histogram() == ref.q_histogram()
+        for x in b.elements():
+            assert proj(sect(x)) == x and sect(x).q() == x.q()
+        # the two projections induce the same partition of H^perp into cosets
+        perp = fqm.orthogonal_complement(a, h).elements
+        assert (len({(proj(y).coords, ref_proj(y).coords) for y in perp})
+                == len({proj(y).coords for y in perp}) == b.order())
+
+
+def test_subquotients_of_h30_match_fraction_route():
+    a = fqm.hyperbolic_module(30)
+    subs = [h for n in range(2, 31) if a.order() % n == 0 for h in fqm.isotropic_subgroups(a, n)]
+    assert len(subs) == 26
+    for h in subs:
+        _assert_subquotient_matches_fraction_route(a, h)
 
 
 def test_subgroup_sum_is_span_of_union():
