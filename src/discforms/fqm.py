@@ -426,6 +426,7 @@ class Automorphism:
             raise PreconditionError("map is not bijective")
 
     def __call__(self, x):
+        _require_of(self.module, x, "element")
         return self.module.element(tuple(
             sum(self.matrix[i][j] * x.coords[j] for j in range(self.module.rank))
             for i in range(self.module.rank)))
@@ -622,14 +623,15 @@ def _isotropic_walk(a, order):
     return found
 
 
-def _require_subgroup_of(a, h):
-    if h.module != a:
-        raise PreconditionError("subgroup does not belong to the module")
+def _require_of(a, x, what):
+    """Refuse x, a subgroup, element or automorphism named by what, unless its module equals a."""
+    if x.module != a:
+        raise PreconditionError("%s does not belong to the module" % what)
 
 
 def orthogonal_complement(a, g):
     """Subgroup of all x pairing integrally with every element of g."""
-    _require_subgroup_of(a, g)
+    _require_of(a, g, "subgroup")
     return Subgroup._spanned(a, _perp_rows(a, g.hnf))
 
 
@@ -656,7 +658,7 @@ def subquotient(a, h):
     row i is row i of u*H divided exactly by d_i, and no inverse is formed.
     proj(x) is (y*v)_i mod d_i for the integer y with y*P = x.
     """
-    _require_subgroup_of(a, h)
+    _require_of(a, h, "subgroup")
     if not h.is_isotropic():
         raise PreconditionError("subgroup is not isotropic")
     if h.order == 1:
@@ -703,6 +705,8 @@ def content(a, e, lam):
 
     Read from the integer form at L = level(): L*(e, lam) is k, and N*(e, lam) = N*k/L.
     """
+    _require_of(a, e, "reference element")
+    _require_of(a, lam, "element")
     n = e.order()
     if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")
@@ -715,6 +719,7 @@ def content(a, e, lam):
 
 def cyclic_subgroup_id(a, e, d):
     """The isotropic subgroup generated by (N/d)*e, of order d."""
+    _require_of(a, e, "reference element")
     n = e.order()
     if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")

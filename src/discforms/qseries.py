@@ -254,7 +254,7 @@ def reduction(module, h):
     element of H added, mod the orders. fqm.subquotient rejects a subgroup
     that is not isotropic. The last REDUCTION_CACHE results are kept.
     """
-    fqm._require_subgroup_of(module, h)
+    fqm._require_of(module, h, "subgroup")
     key = (module, h.hnf)
     hit = _REDUCTIONS.get(key)
     if hit is not None:
@@ -426,6 +426,7 @@ def moebius_resum(f, e):
 
 def is_oldform(f, e):
     """True when every stored nonzero component pairs non-trivially with <e>."""
+    fqm._require_of(f.module, e, "reference element")
     n = e.order()
     if n < 2 or e.q() != 0:
         raise PreconditionError("reference element must be isotropic of order >= 2")

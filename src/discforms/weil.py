@@ -17,7 +17,8 @@ entries that carry a structure tag:
   rho(M) with c != 0). K is constant, as the 1 of S and the one Gauss sum of
   S T^c S with c a unit, or it varies.
 
-R, C, P and Q are index maps: an integer k for x -> k*x, or a list of codes.
+R, C, P and Q, like src and dst, are index maps: lists of n codes, the code of
+the image of each x (tab.mul(k) for x -> k*x, tab.ident for the identity).
 Products, conjugate transposes and comparisons dispatch on the tags. A
 monomial factor re-indexes the other factor in O(n); a quadratic matrix times
 one with a constant K is again quadratic (see _quadratic_product), so rho(M),
@@ -179,9 +180,10 @@ class _Tables:
 
     Exponents are taken at M = lcm(8, level) and kept in [0, M): q[x] = M*Q(x)
     and pair[x][y] = M*(x, y); add[x][y] is the code of x + y, and gens[i]
-    is the code of the i-th generator. The entries K of quadratic matrices are
-    interned by content: objs[k] is the k-th distinct cyclotomic number, with
-    objs[0] = 0 and objs[1] = 1.
+    is the code of the i-th generator. An index map is a list of n codes:
+    mul(k) is the map x -> k*x and ident = add[0] the identity. The entries K
+    of quadratic matrices are interned by content: objs[k] is the k-th
+    distinct cyclotomic number, with objs[0] = 0 and objs[1] = 1.
     """
 
     def __init__(self, module):
@@ -190,7 +192,6 @@ class _Tables:
         self.n = n = module.order()
         self.mod = m = _modulus(module)
         self.exponent = lcm(1, *orders)
-        self.one = 1 % self.exponent
         strides = [1] * r
         for i in range(r - 2, -1, -1):
             strides[i] = strides[i + 1] * orders[i + 1]
@@ -212,6 +213,7 @@ class _Tables:
         gen_pair = [[s * sum(map(mul, x, row)) % m for x in coords] for row in module._nb]
         self.q = [s * v for v in module.nq_values([range(d) for d in orders])]
         self.add = add_rows = [list(range(n))]
+        self.ident = add_rows[0]
         self.pair = pair = [[0] * n]
         for c in range(1, n):
             i, p = steps[c]
@@ -221,7 +223,7 @@ class _Tables:
         self._dual = {col: z for z, col in enumerate(zip(*(pair[g] for g in self.gens)))}
         self.zeros = [0] * n
         self.ones = [1] * n
-        self._mul = {self.one: add_rows[0]}
+        self._mul = {}
         normal = CyclotomicNumber._normalized
         self.roots = [normal(m, {e: 1}) for e in range(m)]
         self.objs = [normal(m, {}), self.roots[0]]
@@ -251,54 +253,27 @@ class _Tables:
             out[c] = add_rows[out[p]][images[i]]
         return out
 
-    def as_list(self, f):
-        return self.mul(f) if isinstance(f, int) else f
-
     def is_unit(self, f):
         """Whether the index map f is a bijection."""
-        if isinstance(f, int):
-            return gcd(f, self.exponent) == 1
         return len(set(f)) == self.n
 
     def images(self, f):
         """The codes of the generator images under f, or None when f is not additive.
 
-        An integer map is additive; a list is additive iff it is the linear map
-        of its generator images.
+        f is additive iff it is the linear map of its generator images.
         """
-        images = list(map(self.as_list(f).__getitem__, self.gens))
-        if isinstance(f, int) or self.linear_map(images) == f:
-            return images
-        return None
-
-    def compose(self, f, g):
-        """The index map x -> f(g(x))."""
-        if isinstance(f, int):
-            f %= self.exponent
-            if not f:
-                return 0
-            if isinstance(g, int):
-                return f * g % self.exponent
-            if f == self.one:
-                return g
-        elif isinstance(g, int) and g % self.exponent == self.one:
-            return f
-        return list(map(self.as_list(f).__getitem__, self.as_list(g)))
+        images = list(map(f.__getitem__, self.gens))
+        return images if self.linear_map(images) == f else None
 
     def inverse(self, f):
         """The inverse of a bijective index map f."""
-        if isinstance(f, int):
-            return pow(f, -1, self.exponent)
         return sorted(range(self.n), key=f.__getitem__)
 
     def adjoint(self, f):
         """The index map f* with (f x, y) = (x, f* y), or None when f is not additive.
 
-        An integer map is its own adjoint; else f*(g_j) is the z with
-        (g_i, z) = (f g_i, g_j) for every generator g_i.
+        f*(g_j) is the z with (g_i, z) = (f g_i, g_j) for every generator g_i.
         """
-        if isinstance(f, int):
-            return f
         images = self.images(f)
         if images is None:
             return None
@@ -306,13 +281,11 @@ class _Tables:
         return self.linear_map([self._dual[tuple(pair[y][g] for y in images)]
                                 for g in self.gens])
 
-    # -- exponent vectors --------------------------------------------------------
-
     def pull(self, vec, f):
-        """The vector x -> vec[f(x)]."""
-        if isinstance(f, int) and f % self.exponent == self.one:
-            return vec
-        return list(map(vec.__getitem__, self.as_list(f)))
+        """The list x -> vec[f(x)]; for an index map vec, the composite x -> vec(f(x))."""
+        return list(map(vec.__getitem__, f))
+
+    # -- exponent vectors --------------------------------------------------------
 
     def vadd(self, a, b):
         return list(map(self.fold.__getitem__, map(add, a, b)))
@@ -424,7 +397,9 @@ class WeilMatrix:
       and column y its entry in row dst(y);
     - "quadratic": data (alpha, beta, R, C, K, P, Q), entries
       e(alpha[x] + beta[y] + (Rx, Cy)) * objs[K[Px + Qy]], K a list of n entry
-      indices (see shape()); R = C = 0 leaves the table alone.
+      indices (see shape()).
+
+    Every index map (src, dst, R, C, P, Q) is a list of n codes.
 
     .mat is a read-only view: the list of rows of CyclotomicNumbers, built
     from the data on first read. Products are structured only: a pair of
@@ -463,15 +438,14 @@ class WeilMatrix:
         if tag == "monomial":
             src, _dst, ph = data
             exps, kids = list(tab.zeros), [0] * tab.n
-            j = tab.as_list(src)[i]
+            j = src[i]
             exps[j], kids[j] = ph[i], 1
             return exps, kids
         alpha, beta, rmap, cmap, k, pmap, qmap = data
-        if rmap != 0:
-            beta = map(add, beta, tab.pull(tab.pair[tab.as_list(rmap)[i]], cmap))
+        beta = map(add, beta, tab.pull(tab.pair[rmap[i]], cmap))
         exps = list(map(fold, map(alpha[i].__add__, beta)))
-        arow = tab.add[tab.as_list(pmap)[i]]
-        return exps, list(map(k.__getitem__, map(arow.__getitem__, tab.as_list(qmap))))
+        arow = tab.add[pmap[i]]
+        return exps, list(map(k.__getitem__, map(arow.__getitem__, qmap)))
 
     def _dense(self):
         tab = _tables(self.module)
@@ -523,7 +497,7 @@ class WeilMatrix:
         else:
             # -(Ry, Cx) = (-Cx, Ry), and K[Py + Qx] is read with the table maps swapped
             alpha, beta, rmap, cmap, k, pmap, qmap = self.data
-            data = (tab.vneg(beta), tab.vneg(alpha), tab.compose(-1, cmap), rmap,
+            data = (tab.vneg(beta), tab.vneg(alpha), tab.pull(tab.mul(-1), cmap), rmap,
                     tab.conjugate(k), qmap, pmap)
         return WeilMatrix(self.module, scale, self.tag, data)
 
@@ -617,7 +591,7 @@ def _monomials_equal(tab, a, b, sa, sb):
     """The same columns, and sa = sb * e(ph_b[x] - ph_a[x]) for every row x."""
     src_a, _dst_a, ph_a = a
     src_b, _dst_b, ph_b = b
-    return (tab.as_list(src_a) == tab.as_list(src_b)
+    return (src_a == src_b
             and _equal_up_to_roots(tab, sa, sb, map(sub, ph_b, ph_a)))
 
 
@@ -637,10 +611,10 @@ def _quadratic_equals_monomial(tab, a, b, sa, sb):
         return False
     (u,) = support
     neg, shift = tab.mul(-1), tab.add[u]
-    if tab.as_list(tab.compose(qmap, src)) != [shift[neg[x]] for x in tab.as_list(pmap)]:
+    if tab.pull(qmap, src) != [shift[neg[x]] for x in pmap]:
         return False
     pair = tab.pair
-    cross = [pair[x][y] for x, y in zip(tab.as_list(rmap), tab.as_list(tab.compose(cmap, src)))]
+    cross = [pair[x][y] for x, y in zip(rmap, tab.pull(cmap, src))]
     phases = tab.vadd(tab.vadd(alpha, tab.pull(beta, src)), cross)
     return _equal_up_to_roots(tab, sa * tab.objs[tab.canon(k[u])], sb, map(sub, ph, phases))
 
@@ -686,23 +660,23 @@ _EQUALITIES = {
 def _monomial_monomial(tab, a, b):
     src1, dst1, ph1 = a
     src2, dst2, ph2 = b
-    return tab.compose(src2, src1), tab.compose(dst1, dst2), tab.vadd(ph1, tab.pull(ph2, src1))
+    return tab.pull(src2, src1), tab.pull(dst1, dst2), tab.vadd(ph1, tab.pull(ph2, src1))
 
 
 def _rows_reindexed(tab, a, b):
     """Monomial a times quadratic b: row x of b moved to src(x), times e(ph[x])."""
     src, _dst, ph = a
     alpha, beta, rmap, cmap, k, pmap, qmap = b
-    return (tab.vadd(ph, tab.pull(alpha, src)), beta, tab.compose(rmap, src), cmap, k,
-            tab.compose(pmap, src), qmap)
+    return (tab.vadd(ph, tab.pull(alpha, src)), beta, tab.pull(rmap, src), cmap, k,
+            tab.pull(pmap, src), qmap)
 
 
 def _columns_reindexed(tab, a, b):
     """Quadratic a times monomial b: column y of a moved to dst(y)."""
     alpha, beta, rmap, cmap, k, pmap, qmap = a
     _src, dst, ph = b
-    return (alpha, tab.pull(tab.vadd(beta, ph), dst), rmap, tab.compose(cmap, dst), k, pmap,
-            tab.compose(qmap, dst))
+    return (alpha, tab.pull(tab.vadd(beta, ph), dst), rmap, tab.pull(cmap, dst), k, pmap,
+            tab.pull(qmap, dst))
 
 
 def _quadratic_product(tab, a, b):
@@ -723,7 +697,7 @@ def _quadratic_product(tab, a, b):
     if len(set(k2)) != 1 or left is None or right is None:
         return None
     gamma, k = tab.vadd(beta1, alpha2), tab.times(k, k2[0])
-    w1, w2 = tab.compose(left, r1), tab.compose(right, c2)
+    w1, w2 = tab.pull(left, r1), tab.pull(right, c2)
     if len(set(k)) == 1:
         data = _gaussian_sum(tab, alpha1, beta2, gamma, w1, w2)
         return data[:4] + (tab.times(data[4], k[0]),) + data[5:]
@@ -735,12 +709,12 @@ def _quadratic_product(tab, a, b):
     if adj is None or c is None:
         return None
     # v1 = mu'* C_a* R_a x; the phase c Q(u) - (u, v1) goes to alpha
-    v1, qmap = tab.as_list(tab.compose(adj, w1)), tab.compose(adj, w2)
+    v1, qmap = tab.pull(adj, w1), tab.pull(adj, w2)
     m, fold, pair, add_rows = tab.mod, tab.fold, tab.pair, tab.add
-    u = tab.as_list(p1)
-    alpha = [fold[x + gamma[ux] + m - pair[ux][vx]] for x, ux, vx in zip(alpha1, u, v1)]
-    pmap = [add_rows[vx][cu] for vx, cu in zip(v1, tab.as_list(tab.compose(-c, p1)))]
-    return alpha, beta2, tab.compose(-1, p1), qmap, tab.transform(k, gamma), pmap, qmap
+    alpha = [fold[x + gamma[ux] + m - pair[ux][vx]] for x, ux, vx in zip(alpha1, p1, v1)]
+    pmap = [add_rows[vx][cu] for vx, cu in zip(v1, tab.pull(tab.mul(-c), p1))]
+    return (alpha, beta2, tab.pull(tab.mul(-1), p1), qmap, tab.transform(k, gamma), pmap,
+            qmap)
 
 
 def _gaussian_sum(tab, alpha, beta, gamma, w1, w2):
@@ -756,12 +730,12 @@ def _gaussian_sum(tab, alpha, beta, gamma, w1, w2):
     """
     c = tab.q_multiple(gamma)
     if c is None or gcd(c, tab.exponent) != 1:
-        return alpha, beta, 0, 0, tab.transform(None, gamma), w1, w2
+        return alpha, beta, tab.zeros, tab.zeros, tab.transform(None, gamma), w1, w2
     inv = pow(c, -1, tab.exponent)
-    phi = tab.vneg(tab.pull(gamma, inv))
+    phi = tab.vneg(tab.pull(gamma, tab.mul(inv)))
     hist = tab.kid(CyclotomicNumber._normalized(tab.mod, dict(Counter(gamma))))
     return (tab.vadd(alpha, tab.pull(phi, w1)), tab.vadd(beta, tab.pull(phi, w2)),
-            tab.compose(-inv, w1), w2, [hist] * tab.n, 0, 0)
+            tab.pull(tab.mul(-inv), w1), w2, [hist] * tab.n, tab.zeros, tab.zeros)
 
 
 _PRODUCTS = {
@@ -777,14 +751,14 @@ _PRODUCTS = {
 
 def identity_matrix(module):
     tab = _tables(module)
-    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.one, tab.one, tab.zeros))
+    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, tab.zeros))
 
 
 def rho_T(module, power=1):
     """Diagonal action by e(Q(x)) (or its integer powers)."""
     tab = _tables(module)
     ph = [power * v % tab.mod for v in tab.q]
-    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.one, tab.one, ph))
+    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, ph))
 
 
 def rho_S(module):
@@ -796,13 +770,14 @@ def rho_S(module):
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
     return WeilMatrix(module, scale, "quadratic",
-                      (tab.zeros, tab.zeros, -1, tab.one, tab.ones, 0, 0))
+                      (tab.zeros, tab.zeros, tab.mul(-1), tab.ident, tab.ones, tab.zeros,
+                       tab.zeros))
 
 
 def rho_Z(module):
     """Action of the central element: e(-sig/4) times the negation permutation."""
     tab = _tables(module)
-    neg = -1 % tab.exponent
+    neg = tab.mul(-1)
     return WeilMatrix(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
                       (neg, neg, tab.zeros))
 
@@ -815,16 +790,12 @@ def aut_matrix(module, h):
     """Permutation matrix of a Q-preserving automorphism."""
     if not isinstance(h, fqm.Automorphism):
         raise PreconditionError("expected a checked automorphism")
+    fqm._require_of(module, h, "automorphism")
     tab = _tables(module)
     dst = tab.linear_map([tab.code(h(g).coords) for g in module.generators()])
-    for k in (1, -1):
-        if dst == tab.mul(k):
-            src = dst = k % tab.exponent
-            break
-    else:
-        # e_y goes to e_{dst[y]}, so row x reads column src[x] with dst[src[x]] = x
-        src = tab.inverse(dst)
-    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (src, dst, tab.zeros))
+    # e_y goes to e_{dst[y]}, so row x reads column src[x] with dst[src[x]] = x
+    return WeilMatrix(module, CyclotomicNumber.one(), "monomial",
+                      (tab.inverse(dst), dst, tab.zeros))
 
 
 def _word_in_generators(matrix):

@@ -56,6 +56,16 @@ def _same_orders_other_form():
     return a, b, _line(a, (2, 0))
 
 
+def _eighths(q1, q2):
+    """<q1> + <q2> on cyclic groups of order 4, q1 and q2 in (1/8)Z."""
+    return fqm.direct_sum(fqm.cyclic_module(4, q1), fqm.cyclic_module(4, q2))
+
+
+def _swap_on(a, b):
+    """The automorphism of a that swaps its two generators, applied to b."""
+    return weil.aut_matrix(b, fqm.Automorphism(a, [[0, 1], [1, 0]]))
+
+
 def _signature_four():
     c = fqm.cyclic_module(3, F(1, 3))
     return fqm.direct_sum(fqm.direct_sum(c, c), _h(3))
@@ -100,6 +110,19 @@ REFUSALS = {
     "cyclic_subgroup_reference": (
         lambda: fqm.cyclic_subgroup_id(_a1(), _a1().element((1,)), 2),
         "reference element must be isotropic"),
+    # an automorphism, or an element, of another module is refused before it is read
+    "aut_call_other_module": (
+        lambda: fqm.phi_r(_h(6), 5)(_eighths(F(1, 8), F(1, 8)).element((1, 0))),
+        "element does not belong to the module"),
+    "content_other_module": (
+        lambda: fqm.content(_h(6), _h(6).element((0, 1)), _h(4).element((1, 0))),
+        "element does not belong to the module"),
+    "content_reference_other_module": (
+        lambda: fqm.content(_h(6), _h(4).element((0, 1)), _h(6).element((1, 0))),
+        "reference element does not belong to the module"),
+    "cyclic_subgroup_other_module": (
+        lambda: fqm.cyclic_subgroup_id(_h(6), _h(4).element((0, 1)), 2),
+        "reference element does not belong to the module"),
     "phi_r_orders": (
         lambda: fqm.phi_r(fqm.direct_sum(_a1(), fqm.cyclic_module(4, F(1, 8))), 1, pair=(0, 1)),
         "selected generators have different orders"),
@@ -185,6 +208,13 @@ REFUSALS = {
     "oldform_reference": (
         lambda: qseries.oldform_decompose(_series(_a1()), _a1().element((1,)), 1),
         "reference element must be isotropic"),
+    # an empty series too, where no content is read
+    "is_oldform_other_module": (lambda: qseries.is_oldform(_series(_h(6)), _h(4).element((0, 1))),
+                                "reference element does not belong to the module"),
+    "oldform_other_module": (
+        lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
+                                          _h(4).element((0, 1)), 1),
+        "reference element does not belong to the module"),
     "oldform_support": (
         lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
                                           _h(6).element((1, 0)), 1),
@@ -201,6 +231,11 @@ REFUSALS = {
         "matrices act on different modules"),
     "aut_matrix_unchecked": (lambda: weil.aut_matrix(_h(2), [[1, 0], [0, 1]]),
                              "expected a checked automorphism"),
+    "aut_matrix_other_module": (lambda: weil.aut_matrix(_h(5), fqm.phi_r(_h(3), 2)),
+                                "automorphism does not belong to the module"),
+    "aut_matrix_same_orders": (
+        lambda: _swap_on(_eighths(F(1, 8), F(1, 8)), _eighths(F(1, 8), F(3, 8))),
+        "automorphism does not belong to the module"),
     "metaplectic_determinant": (lambda: weil.MetaplecticElement(((2, 1), (1, 2))),
                                 "matrix must have determinant one"),
 }

@@ -189,6 +189,26 @@ def test_every_table_has_n_entries():
 
 
 @pytest.mark.parametrize("name,make", TEST_WEIL_MODULES, ids=[m[0] for m in TEST_WEIL_MODULES])
+def test_index_maps_are_lists_of_codes(name, make):
+    # src and dst of a monomial matrix, R, C, P and Q of a quadratic one: a list of n codes
+    # on the generators, their pairwise products, the conjugate transposes of both and
+    # seeded rho(M), the trivial module included
+    a = make()
+    n = a.order()
+    gens = list(generator_matrices(a).values())
+    mats = gens + [x @ y for x in gens for y in gens]
+    mats += [x.conj_transpose() for x in mats]
+    rng = random.Random("maps:%s" % name)
+    mats += [weil.rho_of(a, weil.MetaplecticElement(random_sl2(rng), rng.randrange(2)))
+             for _ in range(4)]
+    for x in mats:
+        maps = x.data[:2] if x.tag == "monomial" else x.data[2:4] + x.data[5:]
+        for f in maps:
+            assert type(f) is list and len(f) == n, (name, x.tag)
+            assert all(type(c) is int and 0 <= c < n for c in f), (name, x.tag)
+
+
+@pytest.mark.parametrize("name,make", TEST_WEIL_MODULES, ids=[m[0] for m in TEST_WEIL_MODULES])
 def test_gaussian_products_match_dense_reference(name, make):
     # S T^c S for every c in [0, M), and S^dagger (S T^c S) through (B^dagger A^dagger)^dagger,
     # raw-equal to the dense loop. T^c depends on c only through gamma = c*q, so one c per
@@ -210,7 +230,7 @@ def test_gaussian_products_match_dense_reference(name, make):
         assert_same_product(s_dag, x, (name, c))
         k = x.data[4]
         if gcd(c, tab.exponent) == 1:
-            assert len(set(k)) == 1 and x.data[5:] == (0, 0), (name, c)
+            assert len(set(k)) == 1 and x.data[5:] == (tab.zeros, tab.zeros), (name, c)
         else:
             assert k == transform_reference(tab, None, gamma), (name, c)
     # (S T)^3 both ways round: a Gauss sum K on the left, and K = 1 times a Gauss sum K
@@ -558,13 +578,13 @@ def compared_pairs(a):
 
 
 def variants(x):
-    """Matrices next to x: copies with other index maps, and single changes that may differ.
+    """Matrices next to x: copies of its index maps, and single changes that may differ.
 
-    A monomial gets its maps as lists, one phase +1 and two src entries
-    swapped; a quadratic matrix its cross maps as lists, one alpha +1, two
-    cross-row entries swapped (no longer additive), its cross column map
-    negated (another pairing), one K entry id replaced and both table maps
-    zero (one entry everywhere); every matrix its scale times e(1/M).
+    A monomial gets fresh copies of its maps, one phase +1 and two src
+    entries swapped; a quadratic matrix fresh copies of its maps, one alpha
+    +1, two cross-row entries swapped (no longer additive), its cross column
+    map negated (another pairing), one K entry id replaced and both table
+    maps zero (one entry everywhere); every matrix its scale times e(1/M).
     """
     a = x.module
     tab = weil._tables(a)
@@ -574,7 +594,7 @@ def variants(x):
         return weil.WeilMatrix(a, x.scale, x.tag, data)
 
     def swapped(f):
-        f = list(tab.as_list(f))
+        f = list(f)
         f[0], f[-1] = f[-1], f[0]
         return f
 
@@ -587,19 +607,20 @@ def variants(x):
         dst2 = [0] * n
         for y, v in enumerate(src2):
             dst2[v] = y
-        out += [tagged((list(tab.as_list(src)), list(tab.as_list(dst)), ph)),
+        out += [tagged((list(src), list(dst), ph)),
                 tagged((src, dst, bumped)), tagged((src2, dst2, ph))]
     elif x.tag == "quadratic":
         alpha, beta, r, c, k, p, q = x.data
         bumped = list(alpha)
         bumped[mid] = (bumped[mid] + 1) % tab.mod
-        lists = [list(tab.as_list(f)) for f in (r, c, p, q)]
-        out += [tagged((alpha, beta, lists[0], lists[1], k, lists[2], lists[3])),
+        copies = [list(f) for f in (r, c, p, q)]
+        out += [tagged((alpha, beta, copies[0], copies[1], k, copies[2], copies[3])),
                 tagged((bumped, beta, r, c, k, p, q)), tagged((alpha, beta, swapped(r), c, k, p, q)),
-                tagged((alpha, beta, r, tab.compose(-1, c), k, p, q))]
+                tagged((alpha, beta, r, tab.pull(tab.mul(-1), c), k, p, q))]
         k2 = list(k)
         k2[mid] = 1 if tab.canon(k2[mid]) != 1 else 0
-        out += [tagged((alpha, beta, r, c, k2, p, q)), tagged((alpha, beta, r, c, k, 0, 0))]
+        out += [tagged((alpha, beta, r, c, k2, p, q)),
+                tagged((alpha, beta, r, c, k, tab.zeros, tab.zeros))]
     return out
 
 
@@ -738,15 +759,18 @@ def test_adjoint_and_q_multiple_against_brute_force(profile):
     # (f x, y) = (x, f* y) for additive index maps; q_multiple finds c*q and nothing else
     a = profile_module(profile)
     tab = weil._tables(a)
-    maps = [1, -1, 5, generator_matrices(a)["neg"].data[0]]
+    maps = [tab.mul(1), tab.mul(-1), tab.mul(5), generator_matrices(a)["neg"].data[0]]
     try:
         maps.append(generator_matrices(a)["phi_r"].data[0])
     except KeyError:
         pass
     for f in maps:
-        fl, adj = tab.as_list(f), tab.as_list(tab.adjoint(f))
-        assert all(tab.pair[fl[x]][y] == tab.pair[x][adj[y]]
+        adj = tab.adjoint(f)
+        assert all(tab.pair[f[x]][y] == tab.pair[x][adj[y]]
                    for x in range(tab.n) for y in range(tab.n)), f
+    # x -> k*x is its own adjoint
+    for k in (1, -1, 5):
+        assert tab.adjoint(tab.mul(k)) == tab.mul(k), k
     if tab.n > 2:
         # 1 and n - 1 swapped: not additive, so without an adjoint
         swapped = [0, tab.n - 1] + list(range(2, tab.n - 1)) + [1]
