@@ -9,8 +9,9 @@ the canonical basis of Q(zeta_M), the tensor product of the power bases of
 Q(zeta_q) over the prime powers q || M, happens for equality tests, zero tests
 and rational extraction, which keeps long generator-matrix products cheap. Gauss
 sums are the one place that canonicalizes at construction: a histogram sum of up
-to M terms, reduced once in O(M * omega(M)), usually has a value of a few terms,
-so the products of Gauss sums in fqm, dims and weil stay short.
+to M terms, or a product of the summands' Gauss sums for a direct sum, reduced
+once, usually has a value of a few terms, so the products of Gauss sums in fqm,
+dims and weil stay short.
 """
 
 from fractions import Fraction
@@ -292,11 +293,24 @@ def e_frac(q):
 def gauss_sum(module, c=1):
     """Sum of e(c*Q(x)) over all x in the module, exactly.
 
-    Read from the Q-value histogram: G(c) = sum_k counts[k] * e(c*k/N), with
-    integer coefficients, at the least modulus N/gcd(N, c*k) over the values
-    that occur, and returned in canonical form: the N-term sum usually has a
-    few-term value, and every product of Gauss sums then stays short.
+    The value is returned in canonical form at the least modulus N/gcd(N, c*k)
+    over the values k/N of Q that occur, N = level: a few-term number, so that
+    every product of Gauss sums stays short. Three routes give that one form:
+
+    - a direct sum multiplies the Gauss sums of its summands. The values of Q
+      on the sum are the sums of values on the summands, so the least modulus
+      of the sum is the lcm of theirs, the modulus of the raw product;
+    - H(n) has G(c) = n*gcd(c, n), a rational at the modulus n/gcd(c, n);
+    - any other module reads its Q-value histogram: G(c) = sum_k counts[k] *
+      e(c*k/N), with integer coefficients, reduced once.
     """
+    if module._summands:
+        a, b = module._summands
+        return (gauss_sum(a, c) * gauss_sum(b, c)).reduce()
+    if module._hyperbolic:
+        n = module.level()
+        g = gcd(c, n)
+        return CyclotomicNumber._normalized(n // g, {0: n * g})
     n, counts = module.q_histogram()
     exps = [(c * k % n, m) for k, m in enumerate(counts) if m]
     g = gcd(n, *(e for e, _m in exps))

@@ -7,17 +7,21 @@ V = e(k/6-turn) (ST)|W has order three, and alpha sums the eigenvalue
 exponents in [0, 1). The cusp subspace drops one dimension per isotropic
 orbit.
 
-Everything is read from the cached integer Q-value histograms of A and of its
+Everything is read from the integer Q-value histograms of A and of its
 2-torsion A[2] (fqm.q_histogram, fqm.two_torsion_q_histogram): d, alpha(T) and
 the isotropic orbit count directly, and the traces of U and V through the
-Gauss sums G(c) for c in {1, -1, 2, -2, 3}, each a sum over the N = level
-histogram bins. A trace times 2|A| has integer coefficients, so the exact
-rational extraction runs on integers and the division comes after it. No
-element and no matrix is materialized.
+Gauss sums G(c) for c in {1, -1, 2, -2, 3} (cyclo.gauss_sum). A module built by
+fqm.direct_sum reads these from its summands, and H(n) has closed forms, so a
+Picard table row <1/4> + H(n) convolves a 2-bin histogram with a closed form
+and multiplies Gauss sums, with no walk over its 2n^2 elements; any other
+module walks its elements once for its histogram. A trace times 2|A| has
+integer coefficients, so the exact rational extraction runs on integers and
+the division comes after it. No element and no matrix is materialized.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from . import cyclo, fqm
 from .cyclo import e_frac
@@ -121,13 +125,21 @@ def dim_S(module, k):
     return dim_M(module, k).dim_S
 
 
+@cache
+def _definite_block():
+    """<1/4>, the discriminant form of Z with Q(x) = x^2 (Gram matrix [[2]]), built once."""
+    return fqm.fqm_from_gram([[2]])
+
+
 def table_row_module(n):
     """Discriminant form of the signature (3,2) lattice with hyperbolic block n.
 
     The definite block is Z with Q(x) = x^2 (Gram matrix [[2]]); the rescaled
-    and unimodular hyperbolic planes contribute (Z/n)^2 and nothing.
+    and unimodular hyperbolic planes contribute (Z/n)^2 and nothing. The row
+    is the direct sum <1/4> + H(n), so its histograms and Gauss sums are read
+    from those of the two blocks (see fqm.direct_sum).
     """
-    return fqm.direct_sum(fqm.fqm_from_gram([[2]]), fqm.hyperbolic_module(n))
+    return fqm.direct_sum(_definite_block(), fqm.hyperbolic_module(n))
 
 
 def picard_rank(n):

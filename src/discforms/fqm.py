@@ -3,9 +3,13 @@
 A module is presented by generator orders, the form values Q(g_i), and the
 bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
 [0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
-N = level(), from which Q values, pairings, the Q-value histogram and the
-Weil layer's index tables are computed. Construction is integer algebra; the
-histogram, Gauss sum and signature are built when first read.
+N = level(), from which Q values, pairings and the Weil layer's index tables
+are computed. Construction is integer algebra; the histogram, Gauss sum and
+signature are built when first read, from the module's orthogonal structure
+where it has one: a direct_sum convolves its summands' Q-value histograms and
+multiplies their Gauss sums (cyclo.gauss_sum), and hyperbolic_module(n) has
+closed forms for both. Any other module (from a Gram matrix, a subquotient,
+negate) walks its coordinates once for its histogram.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra:
 a subquotient solves against the Hermite rows of H^perp by forward substitution
@@ -14,6 +18,7 @@ isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND; its
 results are cached per module and order.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -26,10 +31,11 @@ from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
 # Construction refuses larger modules, so that the first invariant read stays
-# bounded: the Q-value histogram is one pass over all elements, and the Gauss
-# sum read from it is reduced once to its canonical form, O(level * omega(level));
-# the signature's magnitude check then multiplies two few-term numbers. Picard
-# table rows n <= 1000 have order 2*n^2, level <= 4*n.
+# bounded: without orthogonal structure the Q-value histogram is one pass over all
+# elements, and the Gauss sum read from it is reduced once to its canonical form,
+# O(level * omega(level)); the signature's magnitude check then multiplies two
+# few-term numbers. Picard table rows n <= 1000 have order 2*n^2, level <= 4*n,
+# and read both invariants from their two summands.
 LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
 
@@ -51,13 +57,15 @@ def _order(d):
 class FqmElement:
     """Element of a finite quadratic module, in generator coordinates."""
 
-    # _nq is N*Q(x), kept by module.nq_value on its first read
-    __slots__ = ("module", "coords", "_nq")
+    # _nq is N*Q(x), kept by module.nq_value on its first read; _row is the
+    # pairing row N*(x, g_j), kept by content for its reference element
+    __slots__ = ("module", "coords", "_nq", "_row")
 
     def __init__(self, module, coords):
         self.module = module
         self.coords = tuple(c % d for c, d in zip(coords, module.orders))
         self._nq = None
+        self._row = None
 
     def __add__(self, other):
         self._same(other)
@@ -108,6 +116,11 @@ class FiniteQuadraticModule:
     """Finite abelian group with a non-degenerate quadratic form into Q/Z."""
 
     def __init__(self, orders, q_values, bilinear):
+        self._build(orders, q_values, bilinear)
+        self._validate()
+
+    def _build(self, orders, q_values, bilinear):
+        """Everything of construction but _validate: the data, the empty caches, the bounds."""
         orders = tuple(map(_order, orders))
         q_values = tuple(_mod1(q) for q in q_values)
         bilinear = tuple(tuple(_mod1(b) for b in row) for row in bilinear)
@@ -130,12 +143,15 @@ class FiniteQuadraticModule:
         self._isotropic = {}
         # the index tables of the Weil layer (weil._tables), built on first use
         self._weil_tables = None
+        # the orthogonal structure the invariants are read from: the two summands
+        # of a direct_sum, or that the module is a hyperbolic_module
+        self._summands = None
+        self._hyperbolic = False
         if self.order() > ORDER_BOUND:
             raise PreconditionError("module order %d exceeds the bound %d"
                                     % (self.order(), ORDER_BOUND))
         if n > LEVEL_BOUND:
             raise PreconditionError("module level %d exceeds the bound %d" % (n, LEVEL_BOUND))
-        self._validate()
 
     # -- construction checks -------------------------------------------------
 
@@ -238,11 +254,18 @@ class FiniteQuadraticModule:
     def q_histogram(self):
         """(N, counts) with N = level() and counts[k] = #{x : Q(x) = k/N} (cached).
 
-        One pass over the coordinates in integer arithmetic; no element is built.
+        A direct sum convolves the histograms of its summands, and H(n) has a
+        closed form; any other module takes one pass over the coordinates in
+        integer arithmetic. No element is built.
         """
         if self._histogram is None:
-            self._histogram = (self._level,
-                               self._count_q_values([range(d) for d in self.orders]))
+            if self._summands:
+                h = _convolve(*(s.q_histogram() for s in self._summands))
+            elif self._hyperbolic:
+                h = _hyperbolic_histogram(self._level)
+            else:
+                h = self._level, self._count_q_values([range(d) for d in self.orders])
+            self._histogram = h
         return self._histogram
 
     def nq_values(self, choices):
@@ -459,7 +482,9 @@ def hyperbolic_module(n):
     if n == 1:
         return trivial_module()
     h = Fraction(1, n)
-    return FiniteQuadraticModule((n, n), (0, 0), ((0, h), (h, 0)))
+    out = FiniteQuadraticModule((n, n), (0, 0), ((0, h), (h, 0)))
+    out._hyperbolic = True
+    return out
 
 
 def matrix_model_module(p):
@@ -509,10 +534,18 @@ def fqm_from_gram(gram):
 
 
 def direct_sum(a, b):
-    """Orthogonal direct sum, generators of a followed by generators of b."""
+    """Orthogonal direct sum, generators of a followed by generators of b.
+
+    The sum records its summands, and its histograms and Gauss sums are read
+    from theirs. Only the order and level bounds are checked: the sum of two
+    valid modules is consistent and non-degenerate.
+    """
     bil = (tuple(row + (0,) * b.rank for row in a.bilinear)
            + tuple((0,) * a.rank + row for row in b.bilinear))
-    return FiniteQuadraticModule(a.orders + b.orders, a.q_values + b.q_values, bil)
+    out = FiniteQuadraticModule.__new__(FiniteQuadraticModule)
+    out._build(a.orders + b.orders, a.q_values + b.q_values, bil)
+    out._summands = (a, b)
+    return out
 
 
 def negate(a):
@@ -564,9 +597,53 @@ def two_torsion_q_histogram(a):
     """(N, counts) as in q_histogram, over the 2-torsion A[2] = {x : 2x = 0}.
 
     A[2] has the coordinates x_i in {0, d_i/2}, with d_i/2 only for even d_i.
+    As in q_histogram, a direct sum convolves its summands' histograms and
+    H(n) has a closed form.
     """
-    return a.level(), a._count_q_values([(0, d // 2) if d % 2 == 0 else (0,)
-                                         for d in a.orders])
+    if a._summands:
+        return _convolve(*map(two_torsion_q_histogram, a._summands))
+    n = a.level()
+    if a._hyperbolic:
+        # (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2) for even n, with N*Q(x, y) = xy
+        counts = [0] * n
+        halves = (0, n // 2) if n % 2 == 0 else (0,)
+        for x in halves:
+            for y in halves:
+                counts[x * y % n] += 1
+        return n, tuple(counts)
+    return n, a._count_q_values([(0, d // 2) if d % 2 == 0 else (0,) for d in a.orders])
+
+
+def _convolve(ha, hb):
+    """The histogram of Q_a + Q_b at N = lcm(N_a, N_b), from (N_a, counts_a) and (N_b, counts_b).
+
+    Only the nonzero bins are paired.
+    """
+    (na, ca), (nb, cb) = ha, hb
+    n = lcm(na, nb)
+    fa, fb = n // na, n // nb
+    left = [(i * fa, x) for i, x in enumerate(ca) if x]
+    right = [(j * fb, y) for j, y in enumerate(cb) if y]
+    out = [0] * n
+    for i, x in left:
+        for j, y in right:
+            k = i + j
+            out[k - n if k >= n else k] += x * y
+    return n, tuple(out)
+
+
+def _hyperbolic_histogram(n):
+    """(n, counts) for H(n): counts[k] = #{(x, y) : xy = k mod n}.
+
+    For fixed x, y -> xy covers the multiples of g = gcd(x, n), g times each,
+    so counts[k] = sum of g * phi(n/g) over the g dividing gcd(k, n); phi(n/g)
+    is the number of x with gcd(x, n) = g.
+    """
+    counts = [0] * n
+    for g, m in Counter(gcd(x, n) for x in range(n)).items():
+        for k in range(0, n, g):
+            counts[k] += g * m
+    return n, tuple(counts)
 
 
 def orbit_representatives(a):
@@ -610,8 +687,11 @@ def _isotropic_walk(a, order):
             if h.order == order:
                 found.append(h)
                 continue
+            # an x in H gives H + <x> = H, which is seen
+            inside = {y.coords for y in h.elements}
             for x, row in iso:
-                if any(sum(map(mul, row, g.coords)) % n for g in h.generators):
+                if x.coords in inside or any(sum(map(mul, row, g.coords)) % n
+                                             for g in h.generators):
                     continue
                 k = Subgroup._spanned(a, h.hnf + (x.coords,))
                 if k.order > order or order % k.order or k in seen:
@@ -704,6 +784,7 @@ def content(a, e, lam):
     """gcd(N*(e,lam), N) for an isotropic element e of exact order N.
 
     Read from the integer form at L = level(): L*(e, lam) is k, and N*(e, lam) = N*k/L.
+    The pairing row of e is kept on e, so a loop over lam computes it once.
     """
     _require_of(a, e, "reference element")
     _require_of(a, lam, "element")
@@ -711,7 +792,9 @@ def content(a, e, lam):
     if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")
     level = a.level()
-    c, rest = divmod(n * (sum(map(mul, lam.coords, a._pairing_row(e.coords))) % level), level)
+    if e._row is None:
+        e._row = a._pairing_row(e.coords)
+    c, rest = divmod(n * (sum(map(mul, lam.coords, e._row)) % level), level)
     if rest:
         raise ConsistencyError("pairing with e must lie in (1/N)Z")
     return gcd(c % n, n) or n

@@ -257,24 +257,30 @@ class _Tables:
         """Whether the index map f is a bijection."""
         return len(set(f)) == self.n
 
-    def images(self, f):
+    def images(self, f, additive=False):
         """The codes of the generator images under f, or None when f is not additive.
 
-        f is additive iff it is the linear map of its generator images.
+        f is additive iff it is the linear map of its generator images. That is
+        proved unless additive vouches for f, as it does for every map built by
+        mul, pull, inverse, adjoint and linear_map from additive maps.
         """
         images = list(map(f.__getitem__, self.gens))
-        return images if self.linear_map(images) == f else None
+        return images if additive or self.linear_map(images) == f else None
 
     def inverse(self, f):
         """The inverse of a bijective index map f."""
         return sorted(range(self.n), key=f.__getitem__)
 
-    def adjoint(self, f):
+    def adjoint(self, f, additive=False):
         """The index map f* with (f x, y) = (x, f* y), or None when f is not additive.
 
         f*(g_j) is the z with (g_i, z) = (f g_i, g_j) for every generator g_i.
+        additive vouches for f as in images. The maps x -> k*x of mul, and the
+        identity, are their own adjoints.
         """
-        images = self.images(f)
+        if f is self.ident or any(f is g for g in self._mul.values()):
+            return f
+        images = self.images(f, additive)
         if images is None:
             return None
         pair = self.pair
@@ -399,7 +405,11 @@ class WeilMatrix:
       e(alpha[x] + beta[y] + (Rx, Cy)) * objs[K[Px + Qy]], K a list of n entry
       indices (see shape()).
 
-    Every index map (src, dst, R, C, P, Q) is a list of n codes.
+    Every index map (src, dst, R, C, P, Q) is a list of n codes. A matrix
+    built by this module (the generators, their products, conjugate
+    transposes and multiples) has additive maps by construction, and carries
+    that fact as _additive; the product and comparison rules then skip the
+    proof, which they keep for a matrix made by calling WeilMatrix directly.
 
     .mat is a read-only view: the list of rows of CyclotomicNumbers, built
     from the data on first read. Products are structured only: a pair of
@@ -414,6 +424,7 @@ class WeilMatrix:
         self.tag = tag
         self.data = data
         self._mat = None
+        self._additive = False
 
     @property
     def mat(self):
@@ -468,19 +479,20 @@ class WeilMatrix:
         if other.module != self.module:
             raise PreconditionError("matrices act on different modules")
         rule = _PRODUCTS[(self.tag, other.tag)]
-        data = rule(_tables(self.module), self.data, other.data)
+        additive = self._additive and other._additive
+        data = rule(_tables(self.module), self.data, other.data, additive)
         if data is None and (self.shape(), other.shape()) == (CONSTANT, VARIES):
             # (AB)^dagger = B^dagger A^dagger has the varying K on the left, where the rule applies
             b, a = other.conj_transpose(), self.conj_transpose()
-            data = rule(_tables(self.module), b.data, a.data)
+            data = rule(_tables(self.module), b.data, a.data, additive)
             if data is not None:
-                return WeilMatrix(self.module, b.scale * a.scale, "quadratic",
-                                  data).conj_transpose()
+                return _built(self.module, b.scale * a.scale, "quadratic", data,
+                              additive).conj_transpose()
         if data is None:
             raise PreconditionError("no structured product of a %s and a %s matrix"
                                     % (self.shape(), other.shape()))
         tag = other.tag if self.tag == "monomial" else self.tag
-        return WeilMatrix(self.module, self.scale * other.scale, tag, data)
+        return _built(self.module, self.scale * other.scale, tag, data, additive)
 
     def shape(self):
         """The tag, with "quadratic" split into CONSTANT and VARIES by the entries of K."""
@@ -499,10 +511,10 @@ class WeilMatrix:
             alpha, beta, rmap, cmap, k, pmap, qmap = self.data
             data = (tab.vneg(beta), tab.vneg(alpha), tab.pull(tab.mul(-1), cmap), rmap,
                     tab.conjugate(k), qmap, pmap)
-        return WeilMatrix(self.module, scale, self.tag, data)
+        return _built(self.module, scale, self.tag, data, self._additive)
 
     def scaled(self, c):
-        return WeilMatrix(self.module, self.scale * c, self.tag, self.data)
+        return _built(self.module, self.scale * c, self.tag, self.data, self._additive)
 
     def first_difference(self, other):
         """None when the matrices are equal, else the first differing entry.
@@ -520,7 +532,8 @@ class WeilMatrix:
         # canonical scales: a product's scale is an unreduced product of canonical factors
         sa, sb = self.scale.reduce(), other.scale.reduce()
         rule = _EQUALITIES.get((self.shape(), other.shape()))
-        if rule and rule(tab, self.data, other.data, sa, sb):
+        if rule and rule(tab, self.data, other.data, sa, sb,
+                         additive=self._additive and other._additive):
             return None
         same_scale = sa.mod == sb.mod and sa.den == sb.den and sa.coeffs == sb.coeffs
         memo, left, right = {}, {}, {}
@@ -565,6 +578,13 @@ class WeilMatrix:
         return self == identity_matrix(self.module)
 
 
+def _built(module, scale, tag, data, additive=True):
+    """A WeilMatrix with _additive set: its index maps are known additive, or not known."""
+    out = WeilMatrix(module, scale, tag, data)
+    out._additive = additive
+    return out
+
+
 def _times_root(x, d, m):
     """x * e(d/m), for x at a multiple of the modulus m."""
     n, f = x.mod, x.mod // m
@@ -575,9 +595,9 @@ def _times_root(x, d, m):
 # -- structured comparisons -----------------------------------------------------------
 #
 # Each rule is keyed by the shapes of the two matrices and gets the tables, their
-# data and their reduced scales sa and sb. It returns True only when it has proved
-# sa * A = sb * B; anything else leaves the comparison to the row walk of
-# first_difference.
+# data, their reduced scales sa and sb, and whether every index map of both is
+# known to be additive. It returns True only when it has proved sa * A = sb * B;
+# anything else leaves the comparison to the row walk of first_difference.
 
 
 def _equal_up_to_roots(tab, x, y, diffs):
@@ -587,7 +607,7 @@ def _equal_up_to_roots(tab, x, y, diffs):
                for d in set(map(tab.fold.__getitem__, diffs)))
 
 
-def _monomials_equal(tab, a, b, sa, sb):
+def _monomials_equal(tab, a, b, sa, sb, additive=False):
     """The same columns, and sa = sb * e(ph_b[x] - ph_a[x]) for every row x."""
     src_a, _dst_a, ph_a = a
     src_b, _dst_b, ph_b = b
@@ -595,7 +615,7 @@ def _monomials_equal(tab, a, b, sa, sb):
             and _equal_up_to_roots(tab, sa, sb, map(sub, ph_b, ph_a)))
 
 
-def _quadratic_equals_monomial(tab, a, b, sa, sb):
+def _quadratic_equals_monomial(tab, a, b, sa, sb, additive=False):
     """A quadratic matrix with varying K against a monomial matrix, by the supports of the rows.
 
     With U the set of u where K[u] is nonzero, row x of the quadratic matrix is
@@ -619,7 +639,7 @@ def _quadratic_equals_monomial(tab, a, b, sa, sb):
     return _equal_up_to_roots(tab, sa * tab.objs[tab.canon(k[u])], sb, map(sub, ph, phases))
 
 
-def _phases_equal(tab, a, b, sa, sb):
+def _phases_equal(tab, a, b, sa, sb, additive=False):
     """Two quadratic matrices with constant K: one pairing (Rx, Cy), constant phase differences.
 
     The constants K_a and K_b join the scales. With additive index maps both
@@ -629,7 +649,7 @@ def _phases_equal(tab, a, b, sa, sb):
     """
     alpha_a, beta_a, ra, ca, ka, _pa, _qa = a
     alpha_b, beta_b, rb, cb, kb, _pb, _qb = b
-    images = list(map(tab.images, (ra, ca, rb, cb)))
+    images = [tab.images(f, additive) for f in (ra, ca, rb, cb)]
     if None in images:
         return False
     ra, ca, rb, cb = images
@@ -646,24 +666,26 @@ def _phases_equal(tab, a, b, sa, sb):
 _EQUALITIES = {
     ("monomial", "monomial"): _monomials_equal,
     (VARIES, "monomial"): _quadratic_equals_monomial,
-    ("monomial", VARIES): lambda tab, a, b, sa, sb: _quadratic_equals_monomial(tab, b, a, sb, sa),
+    ("monomial", VARIES): lambda tab, a, b, sa, sb, additive=False:
+        _quadratic_equals_monomial(tab, b, a, sb, sa),
     (CONSTANT, CONSTANT): _phases_equal,
 }
 
 
 # -- structured products --------------------------------------------------------------
 #
-# Each rule gets the tables and the data of both factors, and returns the data
-# of the product, or None when the pair has no structured product.
+# Each rule gets the tables, the data of both factors and whether every index map
+# of both is known to be additive, and returns the data of the product, or None
+# when the pair has no structured product.
 
 
-def _monomial_monomial(tab, a, b):
+def _monomial_monomial(tab, a, b, additive):
     src1, dst1, ph1 = a
     src2, dst2, ph2 = b
     return tab.pull(src2, src1), tab.pull(dst1, dst2), tab.vadd(ph1, tab.pull(ph2, src1))
 
 
-def _rows_reindexed(tab, a, b):
+def _rows_reindexed(tab, a, b, additive):
     """Monomial a times quadratic b: row x of b moved to src(x), times e(ph[x])."""
     src, _dst, ph = a
     alpha, beta, rmap, cmap, k, pmap, qmap = b
@@ -671,7 +693,7 @@ def _rows_reindexed(tab, a, b):
             tab.pull(pmap, src), qmap)
 
 
-def _columns_reindexed(tab, a, b):
+def _columns_reindexed(tab, a, b, additive):
     """Quadratic a times monomial b: column y of a moved to dst(y)."""
     alpha, beta, rmap, cmap, k, pmap, qmap = a
     _src, dst, ph = b
@@ -679,7 +701,7 @@ def _columns_reindexed(tab, a, b):
             tab.pull(qmap, dst))
 
 
-def _quadratic_product(tab, a, b):
+def _quadratic_product(tab, a, b, additive):
     """Quadratic a times quadratic b with a constant K, summed over the middle index t.
 
     With gamma = beta_a + alpha_b, w = C_a* R_a x + R_b* C_b y and u = P_a x the
@@ -693,7 +715,7 @@ def _quadratic_product(tab, a, b):
     """
     alpha1, beta1, r1, c1, k, p1, mu = a
     alpha2, beta2, r2, c2, k2, _p2, _q2 = b
-    left, right = tab.adjoint(c1), tab.adjoint(r2)
+    left, right = tab.adjoint(c1, additive), tab.adjoint(r2, additive)
     if len(set(k2)) != 1 or left is None or right is None:
         return None
     gamma, k = tab.vadd(beta1, alpha2), tab.times(k, k2[0])
@@ -704,7 +726,7 @@ def _quadratic_product(tab, a, b):
     if not tab.is_unit(mu):
         return None
     inv = tab.inverse(mu)
-    gamma, adj = tab.pull(gamma, inv), tab.adjoint(inv)  # gamma(mu' s), to be c Q(s)
+    gamma, adj = tab.pull(gamma, inv), tab.adjoint(inv, additive)  # gamma(mu' s), to be c Q(s)
     c = tab.q_multiple(gamma)
     if adj is None or c is None:
         return None
@@ -751,14 +773,14 @@ _PRODUCTS = {
 
 def identity_matrix(module):
     tab = _tables(module)
-    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, tab.zeros))
+    return _built(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, tab.zeros))
 
 
 def rho_T(module, power=1):
     """Diagonal action by e(Q(x)) (or its integer powers)."""
     tab = _tables(module)
     ph = [power * v % tab.mod for v in tab.q]
-    return WeilMatrix(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, ph))
+    return _built(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, ph))
 
 
 def rho_S(module):
@@ -769,16 +791,15 @@ def rho_S(module):
     tab = _tables(module)
     scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
-    return WeilMatrix(module, scale, "quadratic",
-                      (tab.zeros, tab.zeros, tab.mul(-1), tab.ident, tab.ones, tab.zeros,
-                       tab.zeros))
+    return _built(module, scale, "quadratic",
+                  (tab.zeros, tab.zeros, tab.mul(-1), tab.ident, tab.ones, tab.zeros, tab.zeros))
 
 
 def rho_Z(module):
     """Action of the central element: e(-sig/4) times the negation permutation."""
     tab = _tables(module)
     neg = tab.mul(-1)
-    return WeilMatrix(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
+    return _built(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
                       (neg, neg, tab.zeros))
 
 
@@ -794,8 +815,8 @@ def aut_matrix(module, h):
     tab = _tables(module)
     dst = tab.linear_map([tab.code(h(g).coords) for g in module.generators()])
     # e_y goes to e_{dst[y]}, so row x reads column src[x] with dst[src[x]] = x
-    return WeilMatrix(module, CyclotomicNumber.one(), "monomial",
-                      (tab.inverse(dst), dst, tab.zeros))
+    return _built(module, CyclotomicNumber.one(), "monomial",
+                  (tab.inverse(dst), dst, tab.zeros))
 
 
 def _word_in_generators(matrix):

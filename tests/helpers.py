@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from discforms import fqm, weil
@@ -665,6 +665,39 @@ def gauss_sum_reference(module, c):
     return CyclotomicNumber(mod, out)
 
 
+@lru_cache(maxsize=64)
+def q_histogram_walk(module):
+    """(N, counts) of fqm.q_histogram by one pass over all coordinates, whatever the structure.
+
+    The element walk that the library keeps only for modules with no recorded
+    orthogonal structure; here it is the oracle of the summand and closed-form
+    routes. Kept for the last 64 modules, so that each Gauss sum does not walk again.
+    """
+    return module.level(), module._count_q_values([range(d) for d in module.orders])
+
+
+def two_torsion_walk(module):
+    """(N, counts) of fqm.two_torsion_q_histogram by one pass over the 2-torsion coordinates."""
+    return module.level(), module._count_q_values([(0, d // 2) if d % 2 == 0 else (0,)
+                                                   for d in module.orders])
+
+
+def gauss_sum_walk(module, c):
+    """cyclo.gauss_sum read from the walked histogram: sum_k counts[k] * e(c*k/N).
+
+    Integer coefficients at the least modulus N/gcd(N, c*k) over the values
+    that occur, reduced to canonical form, so it is raw-equal (mod, coeffs,
+    den) to every route of cyclo.gauss_sum.
+    """
+    n, counts = q_histogram_walk(module)
+    exps = [(c * k % n, m) for k, m in enumerate(counts) if m]
+    g = gcd(n, *(e for e, _m in exps))
+    out = {}
+    for e, m in exps:
+        out[e // g] = out.get(e // g, 0) + m
+    return CyclotomicNumber._normalized(n // g, out).reduce()
+
+
 def validate_reference(orders, q_values, bilinear):
     """The presentation checks of FiniteQuadraticModule, in Fraction arithmetic.
 
@@ -701,15 +734,37 @@ def degenerate_reference(orders, q_values, bilinear):
 
     Q is summed in Fractions over all coordinate tuples of a presentation that
     passes the shape checks of FiniteQuadraticModule, so no module is built.
+    A prefix recursion keeps Q(y) and the pairings (y, g_j) of the prefix y,
+    and the last generator g steps by Q(y + (c+1)g) - Q(y + cg) = (y, g) + (2c+1)Q(g),
+    every value kept in [0, 1).
     """
     r = len(orders)
-    counts = {}
-    for c in product(*(range(d) for d in orders)):
-        q = sum(c[i] * c[i] * Fraction(q_values[i]) for i in range(r))
-        q += sum(c[i] * c[j] * Fraction(bilinear[i][j]) for i in range(r) for j in range(i + 1, r))
-        counts[q % 1] = counts.get(q % 1, 0) + 1
-    mod = lcm(*(q.denominator for q in counts))
-    g = CyclotomicNumber(mod, {q.numerator * (mod // q.denominator): n for q, n in counts.items()})
+    q = [Fraction(x) % 1 for x in q_values]
+    b = [[Fraction(x) % 1 for x in row] for row in bilinear]
+    counts = Counter()
+
+    def walk(i, value, pair):
+        if i == r:
+            counts[value.numerator, value.denominator] += 1
+            return
+        if i == r - 1:
+            step, bump = (pair[i] + q[i]) % 1, 2 * q[i] % 1
+            for _ in range(orders[i]):
+                counts[value.numerator, value.denominator] += 1
+                value += step
+                if value >= 1:
+                    value -= 1
+                step += bump
+                if step >= 1:
+                    step -= 1
+            return
+        for c in range(orders[i]):
+            walk(i + 1, (value + c * c * q[i] + c * pair[i]) % 1,
+                 [(p + c * x) % 1 for p, x in zip(pair, b[i])])
+
+    walk(0, Fraction(0), [Fraction(0)] * r)
+    mod = lcm(*(d for _n, d in counts))
+    g = CyclotomicNumber(mod, {n * (mod // d): k for (n, d), k in counts.items()})
     return (g * g.conjugate()).rational_value() != prod(orders)
 
 

@@ -3,21 +3,24 @@
 The oracles in helpers.py walk module.elements(): gauss_sum_reference sums
 e(c*Q(x)), compared with the canonical gauss_sum after reduce();
 orbit_data_reference reads the {x, -x} orbit representatives and
-dim_M_reference takes its traces in Fraction coefficients.
+dim_M_reference takes its traces in Fraction coefficients. Direct sums and
+H(n) read their invariants from summands and closed forms; q_histogram_walk,
+two_torsion_walk and gauss_sum_walk walk every coordinate instead.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
 from discforms import cyclo, dims, fqm
-from helpers import (block, dim_M_reference, gauss_sum_reference, orbit_data_reference,
-                     orbit_representatives_reference, q_value_reference, random_even_gram,
-                     random_module, un)
+from helpers import (block, dim_M_reference, gauss_sum_reference, gauss_sum_walk,
+                     orbit_data_reference, orbit_representatives_reference, q_histogram_walk,
+                     q_value_reference, random_even_gram, random_module, two_torsion_walk, un,
+                     validate_reference)
 
 C_VALUES = (1, -1, 2, -2, 3)
 
@@ -253,3 +256,91 @@ def test_dims_never_materializes_elements(monkeypatch):
     monkeypatch.setattr(fqm.FiniteQuadraticModule, "elements", refuse)
     assert dims.picard_rank(12) == expected == 7
     assert dims.dim_M(fqm.fqm_from_gram(block([[4]], un(5), un(1))), F(5, 2)).dim_S >= 0
+
+
+# -- the summand route against the walk -----------------------------------------------
+
+C_RANGE = range(-6, 7)
+# dims.picard_rank on rows 990..999, computed by the full-A histogram walk
+PICARD_PINS = {990: 119557, 991: 122266, 992: 120329, 993: 122431, 994: 122131,
+               995: 122862, 996: 121941, 997: 124003, 998: 123754, 999: 123355}
+
+
+def _check_against_walk(module):
+    """Both histograms bin for bin and every Gauss sum raw-equal to the element walk."""
+    assert module.q_histogram() == q_histogram_walk(module), module
+    assert fqm.two_torsion_q_histogram(module) == two_torsion_walk(module), module
+    for c in C_RANGE:
+        fast, slow = cyclo.gauss_sum(module, c), gauss_sum_walk(module, c)
+        assert _same_cyclotomic(fast, slow), (module, c, fast, slow)
+
+
+def _random_sum(rng, with_hyperbolic):
+    """A direct sum of 2 to 4 random modules, nested on either side, maybe with an H(m).
+
+    The order stays at most 2000, so that validate_reference walks it in Fractions quickly.
+    """
+    while True:
+        parts = [random_module(rng, max_order=12) for _ in range(rng.randint(2, 4))]
+        if with_hyperbolic:
+            parts[rng.randrange(len(parts))] = fqm.hyperbolic_module(rng.randint(2, 7))
+        if prod(p.order() for p in parts) <= 2000:
+            break
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [fqm.direct_sum(*parts[i:i + 2])]
+    return parts[0]
+
+
+def test_summand_route_matches_the_walk_on_table_rows():
+    a1 = dims.table_row_module(1)
+    assert a1._summands and a1._summands[0] is dims.table_row_module(80)._summands[0]
+    for n in range(1, 81):
+        a = dims.table_row_module(n)
+        _check_against_walk(a)
+        assert validate_reference(a.orders, a.q_values, a.bilinear) is None, n
+
+
+def test_closed_forms_match_the_walk_on_hyperbolic_planes():
+    for n in range(2, 201):
+        a = fqm.hyperbolic_module(n)
+        assert a._hyperbolic
+        _check_against_walk(a)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_summand_route_matches_the_walk_on_random_sums(seed):
+    rng = random.Random(9100 + seed)
+    for i in range(12):
+        a = _random_sum(rng, with_hyperbolic=i % 2 == 1)
+        assert a._summands
+        _check_against_walk(a)
+        assert validate_reference(a.orders, a.q_values, a.bilinear) is None, a
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_convolution_matches_the_dense_one(seed):
+    rng = random.Random(9200 + seed)
+    for _ in range(10):
+        a, b = random_module(rng, max_order=30), fqm.hyperbolic_module(rng.randint(2, 9))
+        for x, y in ((a, b), (b, a), (a, a)):
+            for hist in (q_histogram_walk, two_torsion_walk):
+                assert fqm._convolve(hist(x), hist(y)) == _convolve(hist(x), hist(y))
+
+
+def test_picard_rows_near_1000_match_the_walk_values():
+    assert {n: dims.picard_rank(n) for n in PICARD_PINS} == PICARD_PINS
+
+
+def test_picard_row_997_walks_no_module_above_order_2(monkeypatch):
+    walked = []
+    count = fqm.FiniteQuadraticModule._count_q_values
+
+    def spy(self, choices):
+        walked.append(self.order())
+        return count(self, choices)
+
+    monkeypatch.setattr(fqm.FiniteQuadraticModule, "_count_q_values", spy)
+    dims._definite_block.cache_clear()
+    assert dims.picard_rank(997) == PICARD_PINS[997]
+    assert walked and max(walked) <= 2, walked
