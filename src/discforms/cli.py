@@ -81,6 +81,7 @@ def _cmd_vvmf_check(args):
 
 
 def _cmd_dims_table1(args):
+    dims.check_table(args.nmax)
     for n in range(1, args.nmax + 1):
         print("%d\t%d" % (n, dims.picard_rank(n)))
     return 0

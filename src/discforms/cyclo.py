@@ -295,7 +295,10 @@ def gauss_sum(module, c=1):
 
     The value is returned in canonical form at the least modulus N/gcd(N, c*k)
     over the values k/N of Q that occur, N = level: a few-term number, so that
-    every product of Gauss sums stays short. Three routes give that one form:
+    every product of Gauss sums stays short. It depends on c mod N only, and is
+    kept on the module under that key, so a module holds at most N of them and
+    callers share one object, which they must not mutate. Three routes give
+    that one form:
 
     - a direct sum multiplies the Gauss sums of its summands. The values of Q
       on the sum are the sums of values on the summands, so the least modulus
@@ -304,6 +307,16 @@ def gauss_sum(module, c=1):
     - any other module reads its Q-value histogram: G(c) = sum_k counts[k] *
       e(c*k/N), with integer coefficients, reduced once.
     """
+    c %= module.level()
+    memo = module._gauss
+    g = memo.get(c)
+    if g is None:
+        g = memo[c] = _gauss_sum(module, c)
+    return g
+
+
+def _gauss_sum(module, c):
+    """The value of gauss_sum, for 0 <= c < level, by the route of the module's structure."""
     if module._summands:
         a, b = module._summands
         return (gauss_sum(a, c) * gauss_sum(b, c)).reduce()
@@ -323,8 +336,11 @@ def gauss_sum(module, c=1):
 def sqrt_card(module):
     """The positive square root of |A| as an exact cyclotomic number.
 
-    It is x = e(-sig/8) * G(1), from the same cached G(1) and signature at which
-    fqm.milgram_signature stopped. That pass proved x real, so x^2 = |G(1)|^2 = |A|
-    by its exact magnitude check, and x > 0 by its float test; nothing is rechecked.
+    It is x = e(-sig/8) * G(1), from the kept G(1) and the module's signature;
+    nothing is rechecked. For a module with no orthogonal structure,
+    fqm.milgram_signature proved x real with x^2 = |G(1)|^2 = |A| by its exact
+    magnitude check, and x > 0 by its float test. A direct sum inherits the
+    proof: its G(1) and e(-sig/8) are the products of its summands', so x is
+    the product of their positive square roots. H(n) has sig = 0 and G(1) = n.
     """
-    return e_frac(Fraction(-module.signature(), 8)) * module.gauss_sum_one()
+    return e_frac(Fraction(-module.signature(), 8)) * gauss_sum(module, 1)

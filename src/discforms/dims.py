@@ -10,13 +10,17 @@ orbit.
 Everything is read from the integer Q-value histograms of A and of its
 2-torsion A[2] (fqm.q_histogram, fqm.two_torsion_q_histogram): d, alpha(T) and
 the isotropic orbit count directly, and the traces of U and V through the
-Gauss sums G(c) for c in {1, -1, 2, -2, 3} (cyclo.gauss_sum). A module built by
-fqm.direct_sum reads these from its summands, and H(n) has closed forms, so a
-Picard table row <1/4> + H(n) convolves a 2-bin histogram with a closed form
-and multiplies Gauss sums, with no walk over its 2n^2 elements; any other
-module walks its elements once for its histogram. A trace times 2|A| has
-integer coefficients, so the exact rational extraction runs on integers and
-the division comes after it. No element and no matrix is materialized.
+signature and the Gauss sums G(c) for c in {1, -1, 2, -2, 3} (cyclo.gauss_sum,
+kept on the module). A module built by fqm.direct_sum reads all of these from
+its summands, and H(n) has closed forms, so a Picard table row <1/4> + H(n)
+convolves a 2-bin histogram with a closed form, adds signatures and multiplies
+Gauss sums, with no walk over its 2n^2 elements and no Milgram pass; the <1/4>
+block is built once, with its Gauss sums. Any other module walks its elements
+once for its histogram. A trace times 2|A| has integer coefficients, so the
+exact rational extraction runs on integers and the division comes after it;
+each trace is one product of a scale e(r - sig/4) G(1) with a sum of two Gauss
+sums, and the ST multiplicities read x + conj(x), x = e(-j/3) tr V. No element
+and no matrix is materialized.
 """
 
 from collections import namedtuple
@@ -73,17 +77,20 @@ def dim_M(module, k):
 
     d, alpha_t, iso = _orbit_data(module)
     order = module.order()
-    # 2|A| times a trace on the symmetrized subspace has integer coefficients;
-    # divide only after the rational value is extracted
-    scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module)
+    sig = Fraction(module.signature())
+    g1 = cyclo.gauss_sum(module, 1)
 
-    def trace_times_2a(c_plain, c_flipped):
-        # 2|A| * (tr rho(g) + tr rho(g)P)/2 with P the negation permutation,
-        # where tr rho(g) = e(-sig/8) G(c) / sqrt|A|
-        return scale * (cyclo.gauss_sum(module, c_plain) + cyclo.gauss_sum(module, c_flipped))
+    def trace_times_2a(turn, c_plain, c_flipped):
+        # 2|A| * e(turn) * (tr rho(g) + tr rho(g)P)/2, with P the negation
+        # permutation and tr rho(g) = e(-sig/8) G(c) / sqrt|A|; since
+        # sqrt|A| = e(-sig/8) G(1), the scale is e(turn - sig/4) G(1). The value
+        # has integer coefficients, so the division comes after the rational
+        # value is extracted
+        return (e_frac(turn - sig / 4) * g1) * (cyclo.gauss_sum(module, c_plain)
+                                               + cyclo.gauss_sum(module, c_flipped))
 
     # S: diagonal entries e(-(x,x)) = e(-2Q); with negation e(+2Q)
-    tr_u = e_frac(k / 4) * trace_times_2a(-2, 2)
+    tr_u = trace_times_2a(k / 4, -2, 2)
     t_int = _integer(tr_u.rational_value() / (2 * order), "trace of the normalized S matrix")
     m_plus = _integer(Fraction(d + t_int, 2), "multiplicity of +1 for S")
     m_minus = _integer(Fraction(d - t_int, 2), "multiplicity of -1 for S")
@@ -92,12 +99,12 @@ def dim_M(module, k):
     alpha_s = Fraction(m_minus, 2)
 
     # ST: diagonal entries e(Q - 2Q) = e(-Q); with negation e(3Q)
-    tr_v = e_frac(k / 6) * trace_times_2a(-1, 3)
-    tr_v2 = tr_v.conjugate()
+    tr_v = trace_times_2a(k / 6, -1, 3)
     mult = []
     for j in range(3):
-        val = (2 * order * d + e_frac(Fraction(-j, 3)) * tr_v
-               + e_frac(Fraction(-2 * j, 3)) * tr_v2)
+        # x + conj(x) with x = e(-j/3) tr_v sums e(-j/3) tr_v and e(-2j/3) tr_v^2 = conj(x)
+        x = e_frac(Fraction(-j, 3)) * tr_v
+        val = 2 * order * d + x + x.conjugate()
         mj = _integer(val.rational_value() / (6 * order), "multiplicity %d for ST" % j)
         if mj < 0:
             raise ConsistencyError("negative eigenvalue multiplicity for ST")
@@ -140,6 +147,19 @@ def table_row_module(n):
     from those of the two blocks (see fqm.direct_sum).
     """
     return fqm.direct_sum(_definite_block(), fqm.hyperbolic_module(n))
+
+
+def check_table(nmax):
+    """Refuse the table to row nmax unless nmax >= 1 and every row is within fqm's bounds.
+
+    Row n has order 2n^2 and level lcm(4, n), so row nmax has the largest order
+    and the largest odd row, of level 4n, the largest level. Building those
+    two rows runs fqm's bound checks for all of them.
+    """
+    if nmax < 1:
+        raise PreconditionError("the table needs nmax >= 1, not %d" % nmax)
+    table_row_module(nmax)
+    table_row_module(nmax - 1 + nmax % 2)
 
 
 def picard_rank(n):

@@ -4,12 +4,13 @@ A module is presented by generator orders, the form values Q(g_i), and the
 bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
 [0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
 N = level(), from which Q values, pairings and the Weil layer's index tables
-are computed. Construction is integer algebra; the histogram, Gauss sum and
+are computed. Construction is integer algebra; the histogram, Gauss sums and
 signature are built when first read, from the module's orthogonal structure
-where it has one: a direct_sum convolves its summands' Q-value histograms and
-multiplies their Gauss sums (cyclo.gauss_sum), and hyperbolic_module(n) has
-closed forms for both. Any other module (from a Gram matrix, a subquotient,
-negate) walks its coordinates once for its histogram.
+where it has one: a direct_sum convolves its summands' Q-value histograms,
+multiplies their Gauss sums (cyclo.gauss_sum) and adds their signatures, and
+hyperbolic_module(n) has closed forms for all three; negate keeps both kinds of
+structure. Any other module (from a Gram matrix, a subquotient) walks its
+coordinates once for its histogram and runs milgram_signature.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra:
 a subquotient solves against the Hermite rows of H^perp by forward substitution
@@ -38,6 +39,7 @@ BRUTE_FORCE_BOUND = 10_000
 # and read both invariants from their two summands.
 LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
+_ZERO = Fraction(0)
 
 
 def _mod1(x):
@@ -116,42 +118,56 @@ class FiniteQuadraticModule:
     """Finite abelian group with a non-degenerate quadratic form into Q/Z."""
 
     def __init__(self, orders, q_values, bilinear):
-        self._build(orders, q_values, bilinear)
-        self._validate()
-
-    def _build(self, orders, q_values, bilinear):
-        """Everything of construction but _validate: the data, the empty caches, the bounds."""
         orders = tuple(map(_order, orders))
         q_values = tuple(_mod1(q) for q in q_values)
         bilinear = tuple(tuple(_mod1(b) for b in row) for row in bilinear)
+        # the integer form: N = level, N*Q(g_i) and N*(g_i, g_j)
+        n = lcm(*(q.denominator for q in q_values),
+                *(b.denominator for row in bilinear for b in row))
+        self._install(orders, q_values, bilinear, n, tuple(int(n * q) for q in q_values),
+                      tuple(tuple(int(n * b) for b in row) for row in bilinear))
+        self._validate()
+
+    @classmethod
+    def _from_forms(cls, orders, q_values, bilinear, level, nq, nb):
+        """A module from a presentation that is already canonical, unvalidated.
+
+        The caller vouches for a valid module, with int orders, Fractions in
+        [0, 1), level N the lcm of their denominators, and N times them as nq and nb.
+        """
+        out = cls.__new__(cls)
+        out._install(orders, q_values, bilinear, level, nq, nb)
+        return out
+
+    def _install(self, orders, q_values, bilinear, level, nq, nb):
+        """The data of a canonical presentation, the empty caches, the bounds."""
         self.orders = orders
         self.q_values = q_values
         self.bilinear = bilinear
         self._key = (orders, q_values, bilinear)
         self._hash = hash(self._key)
-        # the integer form: N = level, N*Q(g_i) and N*(g_i, g_j)
-        n = lcm(*(q.denominator for q in q_values),
-                *(b.denominator for row in bilinear for b in row))
-        self._level = n
-        self._nq = tuple(int(n * q) for q in q_values)
-        self._nb = tuple(tuple(int(n * b) for b in row) for row in bilinear)
+        self._level = level
+        self._nq = nq
+        self._nb = nb
         self._elements = None
         self._histogram = None
         self._signature = None
-        self._gauss1 = None
+        # cyclo.gauss_sum's values G(c), keyed by c mod level
+        self._gauss = {}
         # isotropic_subgroups by order, built on first use
         self._isotropic = {}
         # the index tables of the Weil layer (weil._tables), built on first use
         self._weil_tables = None
         # the orthogonal structure the invariants are read from: the two summands
-        # of a direct_sum, or that the module is a hyperbolic_module
+        # of a direct_sum, or that the module is isometric to H(level), as
+        # hyperbolic_module(n) and its negation are
         self._summands = None
         self._hyperbolic = False
         if self.order() > ORDER_BOUND:
             raise PreconditionError("module order %d exceeds the bound %d"
                                     % (self.order(), ORDER_BOUND))
-        if n > LEVEL_BOUND:
-            raise PreconditionError("module level %d exceeds the bound %d" % (n, LEVEL_BOUND))
+        if level > LEVEL_BOUND:
+            raise PreconditionError("module level %d exceeds the bound %d" % (level, LEVEL_BOUND))
 
     # -- construction checks -------------------------------------------------
 
@@ -178,11 +194,6 @@ class FiniteQuadraticModule:
         if any(c % d for x in _perp_rows(self, identity(r)) for c, d in zip(x, self.orders)):
             raise PreconditionError("quadratic form is degenerate")
 
-    def gauss_sum_one(self):
-        if self._gauss1 is None:
-            self._gauss1 = cyclo.gauss_sum(self, 1)
-        return self._gauss1
-
     # -- basic data -----------------------------------------------------------
 
     @property
@@ -202,8 +213,20 @@ class FiniteQuadraticModule:
         return tuple(x for x in sorted(d) if x > 1)
 
     def signature(self):
+        """Signature mod 8 (cached), read from the orthogonal structure where there is one.
+
+        G(1) = e(sig/8)*sqrt|A| is multiplicative over direct sums, so a sum's
+        signature is the sum of its summands', and H(n) has G(1) = n, signature 0.
+        Any other module runs milgram_signature.
+        """
         if self._signature is None:
-            self._signature = milgram_signature(self)
+            if self._summands:
+                a, b = self._summands
+                self._signature = (a.signature() + b.signature()) % 8
+            elif self._hyperbolic:
+                self._signature = 0
+            else:
+                self._signature = milgram_signature(self)
         return self._signature
 
     # -- elements --------------------------------------------------------------
@@ -468,7 +491,10 @@ def negation_automorphism(module):
 
 
 def trivial_module():
-    return FiniteQuadraticModule((), (), ())
+    """The module of order 1. It is H(1), and reads its invariants from H(n)'s closed forms."""
+    out = FiniteQuadraticModule._from_forms((), (), (), 1, (), ())
+    out._hyperbolic = True
+    return out
 
 
 def cyclic_module(n, q):
@@ -481,8 +507,10 @@ def hyperbolic_module(n):
     n = _order(n)
     if n == 1:
         return trivial_module()
+    # valid by construction: Q(a, b) = ab/n pairs a with b perfectly, so only the bounds are checked
     h = Fraction(1, n)
-    out = FiniteQuadraticModule((n, n), (0, 0), ((0, h), (h, 0)))
+    out = FiniteQuadraticModule._from_forms((n, n), (_ZERO, _ZERO), ((_ZERO, h), (h, _ZERO)),
+                                            n, (0, 0), ((0, 1), (1, 0)))
     out._hyperbolic = True
     return out
 
@@ -536,24 +564,43 @@ def fqm_from_gram(gram):
 def direct_sum(a, b):
     """Orthogonal direct sum, generators of a followed by generators of b.
 
-    The sum records its summands, and its histograms and Gauss sums are read
-    from theirs. Only the order and level bounds are checked: the sum of two
-    valid modules is consistent and non-degenerate.
+    The sum records its summands, and its histograms, Gauss sums and signature
+    are read from theirs. It takes their canonical Fractions as they are and
+    their integer forms scaled to the level N = lcm(N_a, N_b). Only the order
+    and level bounds are checked: the sum of two valid modules is consistent
+    and non-degenerate.
     """
-    bil = (tuple(row + (0,) * b.rank for row in a.bilinear)
-           + tuple((0,) * a.rank + row for row in b.bilinear))
-    out = FiniteQuadraticModule.__new__(FiniteQuadraticModule)
-    out._build(a.orders + b.orders, a.q_values + b.q_values, bil)
+    n = lcm(a._level, b._level)
+    fa, fb = n // a._level, n // b._level
+    za, zb = (_ZERO,) * a.rank, (_ZERO,) * b.rank
+    ia, ib = (0,) * a.rank, (0,) * b.rank
+    out = FiniteQuadraticModule._from_forms(
+        a.orders + b.orders, a.q_values + b.q_values,
+        tuple(row + zb for row in a.bilinear) + tuple(za + row for row in b.bilinear),
+        n, tuple(x * fa for x in a._nq) + tuple(x * fb for x in b._nq),
+        tuple(tuple(x * fa for x in row) + ib for row in a._nb)
+        + tuple(ia + tuple(x * fb for x in row) for row in b._nb))
     out._summands = (a, b)
     return out
 
 
 def negate(a):
-    """Same group with the quadratic form -Q."""
-    return FiniteQuadraticModule(
-        a.orders,
-        tuple(-q % 1 for q in a.q_values),
-        tuple(tuple(-x % 1 for x in row) for row in a.bilinear))
+    """Same group with the quadratic form -Q, keeping the orthogonal structure of a.
+
+    The negation of a direct sum is the sum of the negated summands, on the same
+    presentation. -H(n) is isometric to H(n) by (x, y) -> (x, -y), so it keeps
+    H(n)'s closed forms. The negation of a valid module is valid; only the bounds
+    are checked.
+    """
+    if a._summands:
+        return direct_sum(*map(negate, a._summands))
+    n = a._level
+    out = FiniteQuadraticModule._from_forms(
+        a.orders, tuple(-q % 1 for q in a.q_values),
+        tuple(tuple(-x % 1 for x in row) for row in a.bilinear),
+        n, tuple(-x % n for x in a._nq), tuple(tuple(-x % n for x in row) for row in a._nb))
+    out._hyperbolic = a._hyperbolic
+    return out
 
 
 # -- invariants -------------------------------------------------------------------
@@ -564,9 +611,11 @@ def milgram_signature(a):
 
     The sum over the module of e(Q(x)) must have squared magnitude equal to the
     order; the phase, an exact eighth root of unity, is the signature.
-    cyclo.sqrt_card returns the x proved real and positive here, unchecked.
+    FiniteQuadraticModule.signature runs this pass only on a module with no
+    orthogonal structure; the summands of a direct sum and H(n) carry the
+    proof, so this stays the oracle of their route.
     """
-    g = a.gauss_sum_one()
+    g = cyclo.gauss_sum(a, 1)
     if (g * g.conjugate()).rational_value() != a.order():
         raise ConsistencyError("Gauss sum magnitude check failed: degenerate module?")
     for s in range(8):

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from discforms import cli, dims, fqm, lattice, lifts, qseries as qs, specfun, weil
+from discforms import cli, cyclo, dims, fqm, lattice, lifts, qseries as qs, specfun, weil
 from discforms._intmat import signature_pair
 from helpers import (newpart_series, random_even_gram, random_isotropic_subgroup,
                      random_module, random_series)
@@ -81,7 +81,7 @@ def test_criterion_4_milgram(capsys):
     for i in range(100):
         gram = random_even_gram(rng, max_rank=6, max_det=1000)
         a = fqm.fqm_from_gram(gram)
-        g = a.gauss_sum_one()
+        g = cyclo.gauss_sum(a, 1)
         assert (g * g.conjugate()).rational_value() == a.order(), (i, gram)
         bp, bm = signature_pair(gram)
         assert a.signature() == (bp - bm) % 8, (i, gram)

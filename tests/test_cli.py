@@ -66,6 +66,16 @@ def test_dims_table1_matches_function(tmp_path, capsys):
     assert out == "1\t1\n2\t1\n3\t1\n4\t1\n5\t3\n6\t2\n"
 
 
+@pytest.mark.parametrize("nmax", ["1251", "1252", "1414", "0", "-3"])
+def test_dims_table1_refuses_rows_beyond_the_bounds_before_printing(capsys, nmax):
+    # row 1251 has level lcm(4, 1251) = 5004, above fqm.LEVEL_BOUND, while row 1252 has 1252
+    code = cli.main(["dims", "table1", "--nmax", nmax])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("precondition failure: ")
+    assert dims.check_table(1250) is None
+
+
 def test_dims_table1_deterministic(capsys):
     _c1, out1 = run(capsys, ["dims", "table1", "--nmax", "5"])
     _c2, out2 = run(capsys, ["dims", "table1", "--nmax", "5"])

@@ -283,7 +283,7 @@ def test_gauss_sum_magnitude_on_random_modules():
     rng = random.Random(2024)
     for _ in range(50):
         a = random_module(rng)
-        g = a.gauss_sum_one()
+        g = cyclo.gauss_sum(a, 1)
         assert (g * g.conjugate()).rational_value() == a.order()
         assert abs(abs(g.to_complex()) ** 2 - a.order()) < 1e-10 * a.order()
 

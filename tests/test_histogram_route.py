@@ -135,16 +135,8 @@ def test_dimension_reports_on_kohnen_weights():
     assert dims.dim_M(t, 12)._asdict() == dim_M_reference(t, 12, _reference_gauss)
 
 
-def _check_milgram_is_read_once(module, weights, monkeypatch):
-    """sqrt_card only reads the Milgram pass, and dim_M pays two large products.
-
-    With the signature cached, sqrt_card runs with reduce and rational_value
-    made to raise and multiplies no two multi-term numbers; dim_M multiplies
-    two multi-term numbers once per trace (S and ST), and its report matches
-    the element-loop oracle.
-    """
-    module.signature()
-    big_products = []
+def _big_product_spy(big_products):
+    """CyclotomicNumber.__mul__, recording the moduli of each product of two multi-term numbers."""
     mul = cyclo.CyclotomicNumber.__mul__
 
     def spy(x, y):
@@ -152,20 +144,35 @@ def _check_milgram_is_read_once(module, weights, monkeypatch):
             big_products.append((x.mod, y.mod))
         return mul(x, y)
 
+    return spy
+
+
+def _check_kept_invariants_are_read(module, weights, monkeypatch):
+    """sqrt_card only reads the kept signature and G(1), and dim_M pays two large products.
+
+    With both read once, sqrt_card runs with reduce and rational_value made
+    to raise and multiplies no two multi-term numbers, and it is raw-equal to
+    e(-sig/8) * G(1); dim_M multiplies two multi-term numbers once per trace
+    (S and ST), and its report matches the element-loop oracle.
+    """
+    module.signature()
+    cyclo.gauss_sum(module, 1)
+    big_products = []
+
     def refuse(self):
         raise AssertionError("sqrt_card reduced a cyclotomic number")
 
     with monkeypatch.context() as m:
-        m.setattr(cyclo.CyclotomicNumber, "__mul__", spy)
+        m.setattr(cyclo.CyclotomicNumber, "__mul__", _big_product_spy(big_products))
         m.setattr(cyclo.CyclotomicNumber, "reduce", refuse)
         m.setattr(cyclo.CyclotomicNumber, "rational_value", refuse)
         s = cyclo.sqrt_card(module)
     assert big_products == []
-    want = cyclo.e_frac(F(-module.signature(), 8)) * module.gauss_sum_one()
+    want = cyclo.e_frac(F(-module.signature(), 8)) * gauss_sum_walk(module, 1)
     assert _same_cyclotomic(s, want)
     for k in weights:
         with monkeypatch.context() as m:
-            m.setattr(cyclo.CyclotomicNumber, "__mul__", spy)
+            m.setattr(cyclo.CyclotomicNumber, "__mul__", _big_product_spy(big_products))
             report = dims.dim_M(module, k)
         assert len(big_products) <= 2, (k, big_products)
         big_products.clear()
@@ -174,13 +181,27 @@ def _check_milgram_is_read_once(module, weights, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_sqrt_card_reads_the_milgram_pass_on_named_modules(name, monkeypatch):
+    # the kept signature is the Milgram pass's on a module with no structure, and
+    # is read from the summands or the closed form on a sum or H(n)
     a = NAMED[name]
-    _check_milgram_is_read_once(a, _weights(a), monkeypatch)
+    _check_kept_invariants_are_read(a, _weights(a), monkeypatch)
 
 
-def test_sqrt_card_reads_the_milgram_pass_on_table_rows(monkeypatch):
+def test_milgram_signature_never_runs_on_table_rows(monkeypatch):
+    # the <1/4> block is built once per process and runs its one pass first
+    dims._definite_block().signature()
+
+    def refuse(a):
+        raise AssertionError("milgram_signature ran on %r" % (a,))
+
     for n in TABLE_NS:
-        _check_milgram_is_read_once(dims.table_row_module(n), (F(5, 2),), monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(fqm, "milgram_signature", refuse)
+            a = dims.table_row_module(n)
+            rank = dims.picard_rank(n)
+            _check_kept_invariants_are_read(a, (F(5, 2),), monkeypatch)
+        assert rank == 1 + dims.dim_S(a, F(5, 2)), n
+        assert a.signature() == fqm.milgram_signature(a) == 1, n
 
 
 def _element_histogram(module):
@@ -267,12 +288,22 @@ PICARD_PINS = {990: 119557, 991: 122266, 992: 120329, 993: 122431, 994: 122131,
 
 
 def _check_against_walk(module):
-    """Both histograms bin for bin and every Gauss sum raw-equal to the element walk."""
+    """Both histograms bin for bin, every Gauss sum raw-equal to the element walk,
+    and the signature equal to the Milgram pass.
+
+    Every G(c) kept on the module, under c mod level, is compared with a fresh
+    walk too, and there are at most level of them.
+    """
     assert module.q_histogram() == q_histogram_walk(module), module
     assert fqm.two_torsion_q_histogram(module) == two_torsion_walk(module), module
     for c in C_RANGE:
         fast, slow = cyclo.gauss_sum(module, c), gauss_sum_walk(module, c)
         assert _same_cyclotomic(fast, slow), (module, c, fast, slow)
+    n = module.level()
+    assert len(module._gauss) <= n and all(0 <= c < n for c in module._gauss), module
+    for c, kept in module._gauss.items():
+        assert _same_cyclotomic(kept, gauss_sum_walk(module, c)), (module, c)
+    assert module.signature() == fqm.milgram_signature(module), module
 
 
 def _random_sum(rng, with_hyperbolic):
@@ -292,6 +323,17 @@ def _random_sum(rng, with_hyperbolic):
     return parts[0]
 
 
+def _check_negation(a):
+    """negate(a) keeps a's structure on the presentation of the plain negation."""
+    b = fqm.negate(a)
+    assert b._key == (a.orders, tuple(-q % 1 for q in a.q_values),
+                      tuple(tuple(-x % 1 for x in row) for row in a.bilinear)), a
+    assert bool(b._summands) == bool(a._summands) and b._hyperbolic == a._hyperbolic, a
+    assert fqm.negate(b) == a
+    _check_presentation(b)
+    _check_against_walk(b)
+
+
 def test_summand_route_matches_the_walk_on_table_rows():
     a1 = dims.table_row_module(1)
     assert a1._summands and a1._summands[0] is dims.table_row_module(80)._summands[0]
@@ -299,6 +341,8 @@ def test_summand_route_matches_the_walk_on_table_rows():
         a = dims.table_row_module(n)
         _check_against_walk(a)
         assert validate_reference(a.orders, a.q_values, a.bilinear) is None, n
+        if n <= 40:
+            _check_negation(a)
 
 
 def test_closed_forms_match_the_walk_on_hyperbolic_planes():
@@ -306,6 +350,23 @@ def test_closed_forms_match_the_walk_on_hyperbolic_planes():
         a = fqm.hyperbolic_module(n)
         assert a._hyperbolic
         _check_against_walk(a)
+        if n <= 40:
+            _check_negation(a)
+
+
+def _check_presentation(a):
+    """a, built unvalidated, passes _validate and matches the validated build of its presentation."""
+    assert a._validate() is None, a
+    b = fqm.FiniteQuadraticModule(a.orders, a.q_values, a.bilinear)
+    assert (a._key, a._hash, a._level, a._nq, a._nb) == (b._key, b._hash, b._level, b._nq,
+                                                         b._nb), a
+
+
+def test_hyperbolic_planes_pass_the_construction_checks():
+    for n in range(1, 301):
+        a = fqm.hyperbolic_module(n)
+        assert a._hyperbolic and a.level() == n, n
+        _check_presentation(a)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -316,6 +377,8 @@ def test_summand_route_matches_the_walk_on_random_sums(seed):
         assert a._summands
         _check_against_walk(a)
         assert validate_reference(a.orders, a.q_values, a.bilinear) is None, a
+        _check_presentation(a)
+        _check_negation(a)
 
 
 @pytest.mark.parametrize("seed", range(3))

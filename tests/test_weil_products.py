@@ -443,6 +443,12 @@ ALL_MODULES =[make() for _name, make in TEST_WEIL_MODULES] + \
     [profile_module(p) for p in BENCH_PROFILES]
 
 
+def test_signature_matches_the_milgram_pass():
+    # direct sums add their summands' signatures and H(n) has 0, with no Milgram pass
+    for a in ALL_MODULES:
+        assert a.signature() == fqm.milgram_signature(a), a.orders
+
+
 def test_integer_rho_S_matches_fraction_reference():
     for a in ALL_MODULES:
         s = weil.rho_S(a)
