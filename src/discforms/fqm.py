@@ -1,16 +1,16 @@
 """Finite quadratic modules: finite abelian groups with a Q/Z-valued quadratic form.
 
-A module is presented by generator orders, the form values Q(g_i), and the
-bilinear pairings (g_i, g_j); every value is an exact Fraction reduced to
-[0, 1). Each module also keeps the integer form N*Q(g_i), N*(g_i, g_j) with
-N = level(), from which Q values, pairings and the Weil layer's index tables
-are computed. Construction is integer algebra; the histogram, Gauss sums and
-signature are built when first read, from the module's orthogonal structure
-where it has one: a direct_sum convolves its summands' Q-value histograms,
-multiplies their Gauss sums (cyclo.gauss_sum) and adds their signatures, and
-hyperbolic_module(n) has closed forms for all three; negate keeps both kinds of
-structure. Any other module (from a Gram matrix, a subquotient) walks its
-coordinates once for its histogram and runs milgram_signature.
+A module is presented by generator orders and stores one form, the integer
+form: the level N and N*Q(g_i), N*(g_i, g_j) in [0, N). Equality, hashing, Q
+values, pairings and the Weil layer's index tables all read it; q_values and
+bilinear are Fraction views in [0, 1), built on each read. Construction is
+integer algebra; the histogram, Gauss sums and signature are built when first
+read, from the module's orthogonal structure where it has one: a direct_sum
+convolves its summands' Q-value histograms, multiplies their Gauss sums
+(cyclo.gauss_sum) and adds their signatures, and hyperbolic_module(n) has
+closed forms for all three; negate keeps both kinds of structure. Any other
+module (from a Gram matrix, a subquotient) walks its coordinates once for its
+histogram and runs milgram_signature.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra:
 a subquotient solves against the Hermite rows of H^perp by forward substitution
@@ -39,7 +39,6 @@ BRUTE_FORCE_BOUND = 10_000
 # and read both invariants from their two summands.
 LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
-_ZERO = Fraction(0)
 
 
 def _mod1(x):
@@ -124,27 +123,25 @@ class FiniteQuadraticModule:
         # the integer form: N = level, N*Q(g_i) and N*(g_i, g_j)
         n = lcm(*(q.denominator for q in q_values),
                 *(b.denominator for row in bilinear for b in row))
-        self._install(orders, q_values, bilinear, n, tuple(int(n * q) for q in q_values),
+        self._install(orders, n, tuple(int(n * q) for q in q_values),
                       tuple(tuple(int(n * b) for b in row) for row in bilinear))
         self._validate()
 
     @classmethod
-    def _from_forms(cls, orders, q_values, bilinear, level, nq, nb):
-        """A module from a presentation that is already canonical, unvalidated.
+    def _from_forms(cls, orders, level, nq, nb):
+        """A module from an integer form that is already canonical, unvalidated.
 
-        The caller vouches for a valid module, with int orders, Fractions in
-        [0, 1), level N the lcm of their denominators, and N times them as nq and nb.
+        The caller vouches for a valid module, with int orders and nq, nb in
+        [0, N), where the level N is the lcm of the denominators of their x/N.
         """
         out = cls.__new__(cls)
-        out._install(orders, q_values, bilinear, level, nq, nb)
+        out._install(orders, level, nq, nb)
         return out
 
-    def _install(self, orders, q_values, bilinear, level, nq, nb):
-        """The data of a canonical presentation, the empty caches, the bounds."""
+    def _install(self, orders, level, nq, nb):
+        """The integer form of a canonical presentation, the empty caches, the bounds."""
         self.orders = orders
-        self.q_values = q_values
-        self.bilinear = bilinear
-        self._key = (orders, q_values, bilinear)
+        self._key = (orders, level, nq, nb)
         self._hash = hash(self._key)
         self._level = level
         self._nq = nq
@@ -205,6 +202,18 @@ class FiniteQuadraticModule:
 
     def level(self):
         return self._level
+
+    @property
+    def q_values(self):
+        """The Q(g_i) as Fractions in [0, 1), read from the integer form."""
+        n = self._level
+        return tuple(Fraction(x, n) for x in self._nq)
+
+    @property
+    def bilinear(self):
+        """The pairings (g_i, g_j) as Fractions in [0, 1), read from the integer form."""
+        n = self._level
+        return tuple(tuple(Fraction(x, n) for x in row) for row in self._nb)
 
     def elementary_divisors(self):
         """Invariant factors d_1 | d_2 | ... of the underlying group."""
@@ -373,7 +382,7 @@ class Subgroup:
     """
 
     def __init__(self, module, elements):
-        elts = tuple(module.element(c) for c in sorted(set(x.coords for x in elements)))
+        elts = tuple(module.element(c) for c in sorted(set(_coords_of(module, elements))))
         self._span(module, [x.coords for x in elts])
         if self.order != len(elts):
             raise PreconditionError("element set is not closed under addition")
@@ -397,7 +406,7 @@ class Subgroup:
 
     @staticmethod
     def from_generators(module, generators):
-        return Subgroup._spanned(module, [g.coords for g in generators])
+        return Subgroup._spanned(module, _coords_of(module, generators))
 
     @property
     def elements(self):
@@ -413,6 +422,7 @@ class Subgroup:
 
     def contains(self, x):
         """x is in H exactly when adding it leaves the Hermite form unchanged."""
+        _require_of(self.module, x, "element")
         return hermite_rows(self.hnf + (x.coords,), self.module.orders) == self.hnf
 
     def is_isotropic(self):
@@ -492,7 +502,7 @@ def negation_automorphism(module):
 
 def trivial_module():
     """The module of order 1. It is H(1), and reads its invariants from H(n)'s closed forms."""
-    out = FiniteQuadraticModule._from_forms((), (), (), 1, (), ())
+    out = FiniteQuadraticModule._from_forms((), 1, (), ())
     out._hyperbolic = True
     return out
 
@@ -508,9 +518,7 @@ def hyperbolic_module(n):
     if n == 1:
         return trivial_module()
     # valid by construction: Q(a, b) = ab/n pairs a with b perfectly, so only the bounds are checked
-    h = Fraction(1, n)
-    out = FiniteQuadraticModule._from_forms((n, n), (_ZERO, _ZERO), ((_ZERO, h), (h, _ZERO)),
-                                            n, (0, 0), ((0, 1), (1, 0)))
+    out = FiniteQuadraticModule._from_forms((n, n), n, (0, 0), ((0, 1), (1, 0)))
     out._hyperbolic = True
     return out
 
@@ -565,19 +573,15 @@ def direct_sum(a, b):
     """Orthogonal direct sum, generators of a followed by generators of b.
 
     The sum records its summands, and its histograms, Gauss sums and signature
-    are read from theirs. It takes their canonical Fractions as they are and
-    their integer forms scaled to the level N = lcm(N_a, N_b). Only the order
-    and level bounds are checked: the sum of two valid modules is consistent
-    and non-degenerate.
+    are read from theirs. Its integer form is theirs scaled to the level
+    N = lcm(N_a, N_b), which is canonical again. Only the order and level bounds
+    are checked: the sum of two valid modules is consistent and non-degenerate.
     """
     n = lcm(a._level, b._level)
     fa, fb = n // a._level, n // b._level
-    za, zb = (_ZERO,) * a.rank, (_ZERO,) * b.rank
     ia, ib = (0,) * a.rank, (0,) * b.rank
     out = FiniteQuadraticModule._from_forms(
-        a.orders + b.orders, a.q_values + b.q_values,
-        tuple(row + zb for row in a.bilinear) + tuple(za + row for row in b.bilinear),
-        n, tuple(x * fa for x in a._nq) + tuple(x * fb for x in b._nq),
+        a.orders + b.orders, n, tuple(x * fa for x in a._nq) + tuple(x * fb for x in b._nq),
         tuple(tuple(x * fa for x in row) + ib for row in a._nb)
         + tuple(ia + tuple(x * fb for x in row) for row in b._nb))
     out._summands = (a, b)
@@ -596,9 +600,8 @@ def negate(a):
         return direct_sum(*map(negate, a._summands))
     n = a._level
     out = FiniteQuadraticModule._from_forms(
-        a.orders, tuple(-q % 1 for q in a.q_values),
-        tuple(tuple(-x % 1 for x in row) for row in a.bilinear),
-        n, tuple(-x % n for x in a._nq), tuple(tuple(-x % n for x in row) for row in a._nb))
+        a.orders, n, tuple(-x % n for x in a._nq),
+        tuple(tuple(-x % n for x in row) for row in a._nb))
     out._hyperbolic = a._hyperbolic
     return out
 
@@ -715,6 +718,8 @@ def isotropic_subgroups(a, order):
     if a.order() > BRUTE_FORCE_BOUND:
         raise PreconditionError("isotropic subgroup enumeration limited to modules of order <= %d"
                                 % BRUTE_FORCE_BOUND)
+    if not isinstance(order, int) or order < 1:
+        raise PreconditionError("order must be a positive integer")
     if a.order() % order:
         raise PreconditionError("order must divide the module order")
     found = a._isotropic.get(order)
@@ -753,9 +758,21 @@ def _isotropic_walk(a, order):
 
 
 def _require_of(a, x, what):
-    """Refuse x, a subgroup, element or automorphism named by what, unless its module equals a."""
-    if x.module != a:
+    """Refuse x, a subgroup, element or automorphism named by what, unless its module equals a.
+
+    The identity test comes first, so an object of a itself costs no key compare.
+    """
+    if x.module is not a and x.module != a:
         raise PreconditionError("%s does not belong to the module" % what)
+
+
+def _coords_of(a, xs):
+    """The coordinate tuples of the elements xs, refusing an element of another module."""
+    out = []
+    for x in xs:
+        _require_of(a, x, "element")
+        out.append(x.coords)
+    return out
 
 
 def orthogonal_complement(a, g):
@@ -855,6 +872,8 @@ def cyclic_subgroup_id(a, e, d):
     n = e.order()
     if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")
+    if not isinstance(d, int) or d < 1:
+        raise PreconditionError("d must be a positive integer")
     if n % d:
         raise PreconditionError("d must divide the order of e")
     h = Subgroup.from_generators(a, ((n // d) * e,))
@@ -886,16 +905,13 @@ def phi_r(a, r, pair=None):
 
 
 def _find_hyperbolic_pair(a):
+    nq, nb, level = a._nq, a._nb, a._level
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             n = a.orders[i]
-            if a.orders[j] != n or a.q_values[i] != 0 or a.q_values[j] != 0:
+            if a.orders[j] != n or nq[i] or nq[j] or nb[i][j] * n != level:
                 continue
-            if a.bilinear[i][j] != Fraction(1, n):
-                continue
-            ok = all(a.bilinear[i][k] == 0 and a.bilinear[j][k] == 0
-                     for k in range(a.rank) if k not in (i, j))
-            if ok:
+            if not any(nb[i][k] or nb[j][k] for k in range(a.rank) if k not in (i, j)):
                 return i, j
     raise PreconditionError("no distinguished hyperbolic block found")
 

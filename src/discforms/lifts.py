@@ -151,6 +151,8 @@ def eta_quotient(exponents, truncation):
 
 def u_p(f, p):
     """The coefficient-extraction operator: output coefficient at l is a(p*l)."""
+    if not isinstance(p, int) or p < 1:
+        raise PreconditionError("p must be a positive integer")
     if not f.has_integral_support():
         raise PreconditionError("U_p is implemented for integral exponents")
     out = ScalarQSeries(f.weight, f.level, f.truncation / p)

@@ -138,6 +138,7 @@ class VectorValuedQSeries:
         lifts) is copied once, and the copy is owned from then on, so repeated
         sets into one component take amortized constant time.
         """
+        fqm._require_of(self.module, mu, "element")
         if not isinstance(m, (int, Fraction)):
             m = Fraction(m)
         k = self._exponent(mu, m.numerator, m.denominator)
@@ -157,6 +158,7 @@ class VectorValuedQSeries:
             self.components.pop(c, None)
 
     def get(self, mu, m):
+        fqm._require_of(self.module, mu, "element")
         k = Fraction(m) * self.level
         if k.denominator != 1:
             return 0
@@ -164,6 +166,7 @@ class VectorValuedQSeries:
 
     def component(self, mu):
         """The coefficient map m -> c(m, mu) of one basis component."""
+        fqm._require_of(self.module, mu, "element")
         n = self.level
         return {Fraction(k, n): v for k, v in self.components.get(mu.coords, _EMPTY).items()}
 
@@ -332,8 +335,11 @@ def pairing_at(f, g, m):
 
 
 def is_supported_on(f, subgroup_or_elements):
-    elems = getattr(subgroup_or_elements, "elements", subgroup_or_elements)
-    allowed = set(x.coords for x in elems)
+    elems = subgroup_or_elements
+    if isinstance(elems, fqm.Subgroup):
+        fqm._require_of(f.module, elems, "subgroup")
+        elems = elems.elements
+    allowed = set(fqm._coords_of(f.module, elems))
     return all(c in allowed for c in f.support())
 
 
@@ -442,6 +448,9 @@ def oldform_decompose(f, e, t):
     uniquely (exact content d) and pushes the remainder one layer down;
     the support and coset-invariance preconditions are checked stepwise.
     """
+    fqm._require_of(f.module, e, "reference element")
+    if not isinstance(t, int) or t < 0:
+        raise PreconditionError("depth must be a non-negative integer")
     a = f.module
     n = e.order()
     if e.q() != 0:

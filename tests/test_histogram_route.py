@@ -326,8 +326,9 @@ def _random_sum(rng, with_hyperbolic):
 def _check_negation(a):
     """negate(a) keeps a's structure on the presentation of the plain negation."""
     b = fqm.negate(a)
-    assert b._key == (a.orders, tuple(-q % 1 for q in a.q_values),
-                      tuple(tuple(-x % 1 for x in row) for row in a.bilinear)), a
+    assert (b.orders, b.q_values, b.bilinear) == (
+        a.orders, tuple(-q % 1 for q in a.q_values),
+        tuple(tuple(-x % 1 for x in row) for row in a.bilinear)), a
     assert bool(b._summands) == bool(a._summands) and b._hyperbolic == a._hyperbolic, a
     assert fqm.negate(b) == a
     _check_presentation(b)

@@ -56,6 +56,11 @@ def _same_orders_other_form():
     return a, b, _line(a, (2, 0))
 
 
+def _foreign(coords):
+    """An element of <1/8> + <7/8>, refused by H(4) although the orders agree."""
+    return _same_orders_other_form()[1].element(coords)
+
+
 def _eighths(q1, q2):
     """<q1> + <q2> on cyclic groups of order 4, q1 and q2 in (1/8)Z."""
     return fqm.direct_sum(fqm.cyclic_module(4, q1), fqm.cyclic_module(4, q2))
@@ -123,6 +128,28 @@ REFUSALS = {
     "cyclic_subgroup_other_module": (
         lambda: fqm.cyclic_subgroup_id(_h(6), _h(4).element((0, 1)), 2),
         "reference element does not belong to the module"),
+    # an element of another module on the same orders is refused before its coordinates are read
+    "subgroup_elements_other_module": (
+        lambda: fqm.Subgroup(_h(4), [_foreign((0, 0)), _foreign((2, 0))]),
+        "element does not belong to the module"),
+    "subgroup_generators_other_module": (
+        lambda: fqm.Subgroup.from_generators(_h(4), [_foreign((2, 0))]),
+        "element does not belong to the module"),
+    "contains_other_module": (lambda: _same_orders_other_form()[2].contains(_foreign((2, 0))),
+                              "element does not belong to the module"),
+    # non-positive orders are refused before they divide anything
+    "cyclic_subgroup_order_zero": (lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), 0),
+                                   "d must be a positive integer"),
+    "cyclic_subgroup_order_negative": (
+        lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), -2),
+        "d must be a positive integer"),
+    "isotropic_order_zero": (lambda: fqm.isotropic_subgroups(_h(6), 0),
+                             "order must be a positive integer"),
+    "isotropic_order_negative": (lambda: fqm.isotropic_subgroups(_h(6), -2),
+                                 "order must be a positive integer"),
+    "cyclic_subgroup_order_float": (
+        lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), 2.0),
+        "d must be a positive integer"),
     "phi_r_orders": (
         lambda: fqm.phi_r(fqm.direct_sum(_a1(), fqm.cyclic_module(4, F(1, 8))), 1, pair=(0, 1)),
         "selected generators have different orders"),
@@ -162,6 +189,13 @@ REFUSALS = {
                                "exponent exceeds the truncation bound"),
     "eta_argument": (lambda: lifts.eta_quotient({0: 1}, 3),
                      "eta arguments must be positive integers"),
+    "u_p_zero": (lambda: lifts.u_p(lifts.eta_quotient({1: 24}, 3), 0),
+                 "p must be a positive integer"),
+    "u_p_negative": (lambda: lifts.u_p(lifts.eta_quotient({1: 24}, 3), -2),
+                     "p must be a positive integer"),
+    # a float p gave float exponents
+    "u_p_float": (lambda: lifts.u_p(lifts.eta_quotient({1: 24}, 3), 1.5),
+                  "p must be a positive integer"),
     "u_p_fractional": (lambda: lifts.u_p(lifts.eta_quotient({1: 1}, 3), 2),
                        "U_p is implemented for integral exponents"),
     "newform_eps": (lambda: lifts.NewformData(_scalar(11, [(1, 1)]), 2, 2, 11),
@@ -215,6 +249,26 @@ REFUSALS = {
         lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
                                           _h(4).element((0, 1)), 1),
         "reference element does not belong to the module"),
+    "oldform_depth_negative": (
+        lambda: qseries.oldform_decompose(_series(_h(6)), _h(6).element((0, 1)), -1),
+        "depth must be a non-negative integer"),
+    "oldform_depth_zero_other_module": (
+        lambda: qseries.oldform_decompose(_series(_h(6)), _h(4).element((0, 1)), 0),
+        "reference element does not belong to the module"),
+    # Q = 1/8 on the foreign element, so at H(4)'s Q = 0 the exponent 0 would pass
+    "set_other_module": (
+        lambda: qseries.VectorValuedQSeries(_h(4), 3, 6).set(_foreign((1, 0)), 0, 5),
+        "element does not belong to the module"),
+    "get_other_module": (lambda: _series(_h(4)).get(_foreign((1, 0)), 0),
+                         "element does not belong to the module"),
+    "component_other_module": (lambda: _series(_h(4)).component(_foreign((1, 0))),
+                               "element does not belong to the module"),
+    "supported_on_other_subgroup": (
+        lambda: qseries.is_supported_on(_series(_h(4)), _line(_h(2), (1, 0))),
+        "subgroup does not belong to the module"),
+    "supported_on_other_elements": (
+        lambda: qseries.is_supported_on(_series(_h(4)), [_foreign((0, 0))]),
+        "element does not belong to the module"),
     "oldform_support": (
         lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
                                           _h(6).element((1, 0)), 1),

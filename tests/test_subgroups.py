@@ -87,11 +87,11 @@ def test_subgroup_forms_against_element_sets(a):
 
 # Gram-presented modules, whose generators come from a Smith form and whose
 # pairing matrices are not diagonal, each with a nontrivial isotropic subgroup
-GRAM_MODULES = [fqm.fqm_from_gram(g) for g in (
-    [[6, 3], [3, 6]], [[8, 4], [4, 8]], [[4, 2], [2, 10]], [[2, 1], [1, 32]],
-    [[4, 2, 0], [2, 4, 2], [0, 2, 4]], [[6, 3, 0], [3, 6, 0], [0, 0, 6]],
-    [[2, 1, 1], [1, 4, 1], [1, 1, 16]], block([[2, 1], [1, 4]], un(2)),
-    block([[2, 1], [1, 2]], [[2, 1], [1, 2]], [[6]]))]
+GRAMS = ([[6, 3], [3, 6]], [[8, 4], [4, 8]], [[4, 2], [2, 10]], [[2, 1], [1, 32]],
+         [[4, 2, 0], [2, 4, 2], [0, 2, 4]], [[6, 3, 0], [3, 6, 0], [0, 0, 6]],
+         [[2, 1, 1], [1, 4, 1], [1, 1, 16]], block([[2, 1], [1, 4]], un(2)),
+         block([[2, 1], [1, 2]], [[2, 1], [1, 2]], [[6]]))
+GRAM_MODULES = [fqm.fqm_from_gram(g) for g in GRAMS]
 
 
 def _assert_subquotient_matches_fraction_route(a, h):
