@@ -4,24 +4,25 @@ A module is presented by generator orders and stores one form, the integer
 form: the level N and N*Q(g_i), N*(g_i, g_j) in [0, N). Equality, hashing, Q
 values, pairings and the Weil layer's index tables all read it; q_values and
 bilinear are Fraction views in [0, 1), built on each read. Construction is
-integer algebra; the histogram, Gauss sums and signature are built when first
-read, from the module's orthogonal structure where it has one: a direct_sum
-convolves its summands' Q-value histograms, multiplies their Gauss sums
-(cyclo.gauss_sum) and adds their signatures, and hyperbolic_module(n) has
-closed forms for all three; negate keeps both kinds of structure. Any other
-module (from a Gram matrix, a subquotient) walks its coordinates once for its
-histogram and runs milgram_signature.
+integer algebra, made canonical in one place, _from_forms; the histogram, Gauss
+sums and signature are built when first read, from the module's orthogonal
+structure where it has one: a direct_sum convolves its summands' Q-value
+histograms, multiplies their Gauss sums (cyclo.gauss_sum) and adds their
+signatures, and hyperbolic_module(n) has closed forms for all three; negate
+keeps both kinds of structure. Any other module (from a Gram matrix, a
+subquotient) walks its coordinates once for its histogram and runs
+milgram_signature.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra:
 a subquotient solves against the Hermite rows of H^perp by forward substitution
-and reads its sections from a Smith form, with no Fraction matrix. Only
+and reads its sections from a Smith form, with no Fraction. Only
 isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND; its
 results are cached per module and order.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -41,15 +42,17 @@ LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
 
 
-def _mod1(x):
-    return Fraction(x) % 1
+def _integer(x, what):
+    """x as an int; what names it in the refusal of a non-integral x."""
+    n = int(x)
+    if n != x:
+        raise PreconditionError("%s must be integers" % what)
+    return n
 
 
 def _order(d):
     """A generator order as an int; it must be a positive integer."""
-    n = int(d)
-    if n != d:
-        raise PreconditionError("generator orders must be integers")
+    n = _integer(d, "generator orders")
     if n < 1:
         raise PreconditionError("generator orders must be positive")
     return n
@@ -118,9 +121,9 @@ class FiniteQuadraticModule:
 
     def __init__(self, orders, q_values, bilinear):
         orders = tuple(map(_order, orders))
-        q_values = tuple(_mod1(q) for q in q_values)
-        bilinear = tuple(tuple(_mod1(b) for b in row) for row in bilinear)
-        # the integer form: N = level, N*Q(g_i) and N*(g_i, g_j)
+        q_values = [Fraction(q) for q in q_values]
+        bilinear = [[Fraction(b) for b in row] for row in bilinear]
+        # the integer form at the lcm N of the denominators: N*Q(g_i) and N*(g_i, g_j)
         n = lcm(*(q.denominator for q in q_values),
                 *(b.denominator for row in bilinear for b in row))
         self._install(orders, n, tuple(int(n * q) for q in q_values),
@@ -129,17 +132,21 @@ class FiniteQuadraticModule:
 
     @classmethod
     def _from_forms(cls, orders, level, nq, nb):
-        """A module from an integer form that is already canonical, unvalidated.
+        """A module from an integer form, unvalidated; the caller vouches for int orders.
 
-        The caller vouches for a valid module, with int orders and nq, nb in
-        [0, N), where the level N is the lcm of the denominators of their x/N.
+        level may be any common multiple N of the denominators, and nq, nb any ints
+        congruent to N*Q(g_i), N*(g_i, g_j) mod N: _install makes the form canonical.
         """
         out = cls.__new__(cls)
         out._install(orders, level, nq, nb)
         return out
 
     def _install(self, orders, level, nq, nb):
-        """The integer form of a canonical presentation, the empty caches, the bounds."""
+        """The form divided by g = gcd(level, nq, nb) and reduced mod level/g, caches, bounds."""
+        g = gcd(level, *nq, *chain.from_iterable(nb))
+        level //= g
+        nq = tuple([x // g % level for x in nq])
+        nb = tuple([tuple([x // g % level for x in row]) for row in nb])
         self.orders = orders
         self._key = (orders, level, nq, nb)
         self._hash = hash(self._key)
@@ -462,7 +469,7 @@ class Automorphism:
 
     def __init__(self, module, matrix):
         self.module = module
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(tuple(_integer(x, "matrix entries") for x in row) for row in matrix)
         r = module.rank
         for i in range(r):
             for j in range(r):
@@ -509,7 +516,7 @@ def trivial_module():
 
 def cyclic_module(n, q):
     """Z/n with Q(generator) = q; requires the induced pairing non-degenerate."""
-    return FiniteQuadraticModule((n,), (q,), ((_mod1(2 * Fraction(q)),),))
+    return FiniteQuadraticModule((n,), (q,), ((2 * Fraction(q),),))
 
 
 def hyperbolic_module(n):
@@ -529,10 +536,10 @@ def matrix_model_module(p):
     Coordinates (c11, c12, c21, c22) stand for the class of (1/p)*[[c11,c12],[c21,c22]].
     """
     p = _order(p)
-    h = Fraction(1, p)
-    z = Fraction(0)
-    bil = ((z, z, z, h), (z, z, -h % 1, z), (z, -h % 1, z, z), (h, z, z, z))
-    return FiniteQuadraticModule((p, p, p, p), (0, 0, 0, 0), bil)
+    out = FiniteQuadraticModule._from_forms((p, p, p, p), p, (0, 0, 0, 0), (
+        (0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0)))
+    out._validate()
+    return out
 
 
 def fqm_from_gram_with_maps(gram):
@@ -540,19 +547,20 @@ def fqm_from_gram_with_maps(gram):
 
     Returns (module, to_coords, gen_vectors): to_coords sends a rational vector
     in the dual lattice to module coordinates; gen_vectors are dual-lattice
-    representatives of the module generators.
+    representatives of the module generators. The form is built from integers.
     """
     gram = even_gram(gram)
     n = len(gram)
     d, u, v = smith_normal_form(gram)
     kept = [i for i in range(n) if d[i] > 1]
-    # generator i is column i of v over d[i], so its pairings are read from v^T G v
+    # generator i is column i of v over d[i]: Q(g_i) = w_ii/(2 d_i^2), (g_i, g_j) = w_ij/(d_i d_j)
     gens = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in kept]
     w = mat_mul(mat_mul(transpose(v), gram), v)
-    module = FiniteQuadraticModule(tuple(d[i] for i in kept),
-                                   tuple(Fraction(w[i][i], 2 * d[i] ** 2) for i in kept),
-                                   tuple(tuple(Fraction(w[i][j], d[i] * d[j]) for j in kept)
-                                         for i in kept))
+    top = max(d, default=1)  # every d_i divides it, and the form is read at the level 2*top^2
+    module = FiniteQuadraticModule._from_forms(
+        tuple(d[i] for i in kept), 2 * top * top, tuple(w[i][i] * (top // d[i]) ** 2 for i in kept),
+        tuple(tuple(2 * w[i][j] * (top // d[i]) * (top // d[j]) for j in kept) for i in kept))
+    module._validate()
 
     def to_coords(vec):
         gv = [sum(gram[r][s] * Fraction(vec[s]) for s in range(n)) for r in range(n)]
@@ -572,18 +580,15 @@ def fqm_from_gram(gram):
 def direct_sum(a, b):
     """Orthogonal direct sum, generators of a followed by generators of b.
 
-    The sum records its summands, and its histograms, Gauss sums and signature
-    are read from theirs. Its integer form is theirs scaled to the level
-    N = lcm(N_a, N_b), which is canonical again. Only the order and level bounds
-    are checked: the sum of two valid modules is consistent and non-degenerate.
+    The sum records its summands and reads its histograms, Gauss sums and
+    signature from theirs. Its integer form is theirs at the level N_a*N_b. Only
+    the order and level bounds are checked: the sum of two valid modules is valid.
     """
-    n = lcm(a._level, b._level)
-    fa, fb = n // a._level, n // b._level
-    ia, ib = (0,) * a.rank, (0,) * b.rank
+    fa, fb = b._level, a._level
+    ia, ib = [0] * a.rank, [0] * b.rank
     out = FiniteQuadraticModule._from_forms(
-        a.orders + b.orders, n, tuple(x * fa for x in a._nq) + tuple(x * fb for x in b._nq),
-        tuple(tuple(x * fa for x in row) + ib for row in a._nb)
-        + tuple(ia + tuple(x * fb for x in row) for row in b._nb))
+        a.orders + b.orders, fa * fb, [x * fa for x in a._nq] + [x * fb for x in b._nq],
+        [[x * fa for x in row] + ib for row in a._nb] + [ia + [x * fb for x in row] for row in b._nb])
     out._summands = (a, b)
     return out
 
@@ -598,10 +603,9 @@ def negate(a):
     """
     if a._summands:
         return direct_sum(*map(negate, a._summands))
-    n = a._level
     out = FiniteQuadraticModule._from_forms(
-        a.orders, n, tuple(-x % n for x in a._nq),
-        tuple(tuple(-x % n for x in row) for row in a._nb))
+        a.orders, a._level, tuple(-x for x in a._nq),
+        tuple(tuple(-x for x in row) for row in a._nb))
     out._hyperbolic = a._hyperbolic
     return out
 
@@ -802,6 +806,7 @@ def subquotient(a, h):
     The rows of v^-1*P are a basis of L_{H^perp} in which L_H has the basis
     d_i*(row i); those with d_i > 1 are the sections. Since u*H = diag(d)*v^-1*P,
     row i is row i of u*H divided exactly by d_i, and no inverse is formed.
+    b's form is the parent's N*Q and N*(x, y) on the sections, with no Fraction.
     proj(x) is (y*v)_i mod d_i for the integer y with y*P = x.
     """
     _require_of(a, h, "subgroup")
@@ -819,10 +824,10 @@ def subquotient(a, h):
     uh = mat_mul(u, h.hnf)
     sections = [a.element([x // d[i] for x in uh[i]]) for i in kept]
     rows = [a._pairing_row(x.coords) for x in sections]
-    b = FiniteQuadraticModule([d[i] for i in kept],
-                              [Fraction(a.nq_value(x), n) for x in sections],
-                              [[Fraction(sum(map(mul, x.coords, row)) % n, n) for row in rows]
-                               for x in sections])
+    b = FiniteQuadraticModule._from_forms(
+        tuple(d[i] for i in kept), n, tuple(a.nq_value(x) for x in sections),
+        tuple(tuple(sum(map(mul, x.coords, row)) for row in rows) for x in sections))
+    b._validate()
     if b.order() * h.order ** 2 != a.order():
         raise ConsistencyError("subquotient order bookkeeping failed")
     proj_cols = [([row[i] for row in v], d[i]) for i in kept]

@@ -339,6 +339,9 @@ def count_norm_vectors(lat, m, mu, search_bound=10):
         return 0, True
     bp, bm = lat.signature()
     if bm == 0 and bp == lat.rank:
+        if m < 0:
+            # a positive-definite lattice has no vector of negative norm
+            return 0, True
         d, u = _ldl([list(r) for r in lat.gram])
         n = lat.rank
         count = 0

@@ -136,9 +136,13 @@ class VectorValuedQSeries:
 
         A component that may be shared (made by copy, the arrows, a sum or the
         lifts) is copied once, and the copy is owned from then on, so repeated
-        sets into one component take amortized constant time.
+        sets into one component take amortized constant time. The value must be
+        an int, a Fraction or a CyclotomicNumber.
         """
         fqm._require_of(self.module, mu, "element")
+        # the int test first: isinstance against Fraction is an ABC check
+        if type(value) is not int and not isinstance(value, (Fraction, CyclotomicNumber)):
+            raise PreconditionError("coefficient must be an int, Fraction or CyclotomicNumber")
         if not isinstance(m, (int, Fraction)):
             m = Fraction(m)
         k = self._exponent(mu, m.numerator, m.denominator)
@@ -417,6 +421,7 @@ def _omega(n):
 def moebius_resum(f, e):
     """The alternating-sum reconstruction -sum_{1<d|N} mu(d)/d f down up along I_d."""
     a = f.module
+    fqm._require_of(a, e, "reference element")
     n = e.order()
     out = VectorValuedQSeries(a, f.weight, f.truncation)
     for d in divisors(n)[1:]:

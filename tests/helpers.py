@@ -6,11 +6,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from discforms import fqm, weil
-from discforms._intmat import (DECIMAL_EXPONENT_BOUND, image_basis, invert_rational, is_prime,
-                               mat_mul, mat_vec, smith_normal_form, transpose)
+from discforms._intmat import (DECIMAL_EXPONENT_BOUND, even_gram, image_basis, invert_rational,
+                               is_prime, mat_mul, mat_vec, smith_normal_form, solve_hermite,
+                               transpose)
 from discforms.cyclo import CyclotomicNumber, _basis_plan, e_frac
 from discforms.errors import ConsistencyError, PreconditionError
 from discforms.qseries import (ROOT_ORDER_BOUND, VectorValuedQSeries, _conj, _is_zero_value,
@@ -982,6 +983,50 @@ def fqm_from_gram_reference(gram):
         tuple(d[i] for i in kept), [b_of(g, g) / 2 for g in gens],
         [[b_of(g, h) for h in gens] for g in gens])
     return module, gens
+
+
+def gram_form_reference(gram):
+    """(orders, Q(g_i), (g_i, g_j)) in Fractions, as fqm_from_gram_with_maps built them.
+
+    Generator i is column i of v over d_i, and the Fractions are read from v^T G v
+    before they are reduced mod 1: Q(g_i) = w_ii/(2 d_i^2), (g_i, g_j) = w_ij/(d_i d_j).
+    """
+    gram = even_gram(gram)
+    n = len(gram)
+    d, _u, v = smith_normal_form(gram)
+    kept = [i for i in range(n) if d[i] > 1]
+    w = mat_mul(mat_mul(transpose(v), gram), v)
+    return (tuple(d[i] for i in kept), tuple(Fraction(w[i][i], 2 * d[i] ** 2) for i in kept),
+            tuple(tuple(Fraction(w[i][j], d[i] * d[j]) for j in kept) for i in kept))
+
+
+def subquotient_form_reference(a, h):
+    """(orders, Q(s_i), (s_i, s_j)) in Fractions, as fqm.subquotient built them.
+
+    The sections s_i are read from the Smith form of H solved against the Hermite
+    rows of H^perp, and their Q values and pairings are the parent's N*Q and
+    N*(s_i, s_j) over N = a.level(). H must be isotropic and nontrivial.
+    """
+    n, r = a.level(), a.rank
+    perp = fqm.orthogonal_complement(a, h).hnf
+    d, u, _v = smith_normal_form([solve_hermite(perp, row) for row in h.hnf])
+    kept = [i for i in range(r) if d[i] > 1]
+    uh = mat_mul(u, h.hnf)
+    sections = [a.element([x // d[i] for x in uh[i]]) for i in kept]
+    rows = [a._pairing_row(x.coords) for x in sections]
+    return ([d[i] for i in kept], [Fraction(a.nq_value(x), n) for x in sections],
+            [[Fraction(sum(map(mul, x.coords, row)) % n, n) for row in rows] for x in sections])
+
+
+def matrix_model_form_reference(p):
+    """(orders, Q(g_i), (g_i, g_j)) of fqm.matrix_model_module(p), in Fractions.
+
+    Q vanishes on the generators; p*det pairs c11 with c22 to 1/p and c12 with c21 to -1/p.
+    """
+    h = Fraction(1, p)
+    z = Fraction(0)
+    return (p, p, p, p), (z, z, z, z), ((z, z, z, h), (z, z, -h % 1, z), (z, -h % 1, z, z),
+                                        (h, z, z, z))
 
 
 # -- the flat-dict q-series, kept as the oracle for the component store --------

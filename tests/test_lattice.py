@@ -205,6 +205,13 @@ class TestCountNormVectors:
         d4ish = lattice.EvenLattice(block([[2]], [[2]]))
         assert lattice.count_norm_vectors(d4ish, 1, [0, 0]) == (4, True)
 
+    def test_negative_norm_has_no_vectors(self):
+        # the definite enumeration took the square root of the negative norm
+        a2 = lattice.EvenLattice([[2, 1], [1, 2]])
+        assert lattice.count_norm_vectors(a2, -2, [0, 0]) == (0, True)
+        lat = lattice.EvenLattice([[2]])
+        assert lattice.count_norm_vectors(lat, F(-3, 4), [F(1, 2)]) == (0, True)
+
     def test_symmetry_under_negation(self):
         rng = random.Random(44)
         checked = 0

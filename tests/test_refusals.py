@@ -92,6 +92,9 @@ REFUSALS = {
                     "map does not preserve the quadratic form"),
     "aut_moves_pairing": (lambda: fqm.Automorphism(_h(3), [[1, 0], [0, 2]]),
                           "map does not preserve the pairing"),
+    # a non-integral entry is refused, not truncated to int
+    "aut_entry_not_integral": (lambda: fqm.Automorphism(_h(6), [[1.5, 0], [0, 1]]),
+                               "matrix entries must be integers"),
     "elements_of_two_modules": (lambda: _h(2).zero() + _h(3).zero(),
                                 "elements belong to different modules"),
     "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
@@ -249,6 +252,10 @@ REFUSALS = {
         lambda: qseries.oldform_decompose(_series(_h(6), coeffs=[((0, 1), 1, 1)]),
                                           _h(4).element((0, 1)), 1),
         "reference element does not belong to the module"),
+    # the subgroups I_d were read along an element of H(2), and the zero series came back
+    "moebius_resum_other_module": (
+        lambda: qseries.moebius_resum(_series(_h(6), coeffs=[((0, 1), 1, 1)]), _h(2).zero()),
+        "reference element does not belong to the module"),
     "oldform_depth_negative": (
         lambda: qseries.oldform_decompose(_series(_h(6)), _h(6).element((0, 1)), -1),
         "depth must be a non-negative integer"),
@@ -259,6 +266,11 @@ REFUSALS = {
     "set_other_module": (
         lambda: qseries.VectorValuedQSeries(_h(4), 3, 6).set(_foreign((1, 0)), 0, 5),
         "element does not belong to the module"),
+    # a float was stored as its binary Fraction, a string broke write_series
+    "set_float": (lambda: qseries.VectorValuedQSeries(_h(6), 3, 6).set(_h(6).zero(), 1, 0.1),
+                  "coefficient must be an int, Fraction or CyclotomicNumber"),
+    "set_string": (lambda: qseries.VectorValuedQSeries(_h(6), 3, 6).set(_h(6).zero(), 2, "x"),
+                   "coefficient must be an int, Fraction or CyclotomicNumber"),
     "get_other_module": (lambda: _series(_h(4)).get(_foreign((1, 0)), 0),
                          "element does not belong to the module"),
     "component_other_module": (lambda: _series(_h(4)).component(_foreign((1, 0))),
