@@ -1,11 +1,11 @@
 """Exact integer arithmetic shared by the package.
 
 Owns Gram-matrix validation (even_gram), the parsing of rational input text
-(parse_rational), the extended gcd (ext_gcd), the Smith and Hermite forms,
-lattice bases, signatures, and the one trial-division factorization with its
-divisors and primality test (factorization, divisors, is_prime). All matrices
-are lists of lists (or tuples of tuples). Functions never mutate their
-arguments.
+(parse_rational), the check of integer arguments (integer), the extended gcd
+(ext_gcd), the Smith and Hermite forms, lattice bases, signatures, and the one
+trial-division factorization with its divisors and primality test
+(factorization, divisors, is_prime). All matrices are lists of lists (or tuples
+of tuples). Functions never mutate their arguments.
 """
 
 from fractions import Fraction
@@ -77,6 +77,23 @@ def parse_rational(x):
                 raise ValueError("decimal exponent of %r exceeds %d"
                                  % (x, DECIMAL_EXPONENT_BOUND))
     return Fraction(x)
+
+
+def integer(x, what):
+    """x as an int; what (a plural noun) names it in the refusal of a non-integer x.
+
+    An int, or a float or Fraction of integral value, is read as its int; 1.5,
+    "3" or None is refused, never truncated.
+    """
+    if type(x) is int:
+        return x
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise PreconditionError("%s must be integers" % what)
+    return n
 
 
 def _integer_entry(x):
@@ -277,17 +294,14 @@ def solve_hermite(rows, x):
 
 
 def image_basis(a):
-    """Basis (list of column vectors) of the lattice spanned by the columns of a."""
-    d, u, _v = smith_normal_form(a)
-    uinv = invert_rational(u)
-    basis = []
-    for i, di in enumerate(d):
-        if di:
-            col = [uinv[r][i] * di for r in range(len(uinv))]
-            if any(x.denominator != 1 for x in col):
-                raise AssertionError("image basis must be integral")
-            basis.append([int(x) for x in col])
-    return basis
+    """Basis (list of column vectors) of the lattice spanned by the columns of a.
+
+    From u*a*v = diag(d) with v unimodular, column i of a*v is d_i times column
+    i of u^-1, so the columns of a*v with d_i != 0 span the image.
+    """
+    d, _u, v = smith_normal_form(a)
+    av = mat_mul(a, v)
+    return [[row[i] for row in av] for i, di in enumerate(d) if di]
 
 
 def kernel_basis(a):

@@ -27,8 +27,8 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import cyclo
-from ._intmat import (even_gram, hermite_rows, identity, is_prime, kernel_basis, mat_mul,
-                      mat_vec, smith_normal_form, solve_hermite, transpose)
+from ._intmat import (even_gram, hermite_rows, identity, integer, is_prime, kernel_basis,
+                      mat_mul, mat_vec, smith_normal_form, solve_hermite, transpose)
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
@@ -42,17 +42,9 @@ LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
 
 
-def _integer(x, what):
-    """x as an int; what names it in the refusal of a non-integral x."""
-    n = int(x)
-    if n != x:
-        raise PreconditionError("%s must be integers" % what)
-    return n
-
-
 def _order(d):
     """A generator order as an int; it must be a positive integer."""
-    n = _integer(d, "generator orders")
+    n = integer(d, "generator orders")
     if n < 1:
         raise PreconditionError("generator orders must be positive")
     return n
@@ -469,8 +461,10 @@ class Automorphism:
 
     def __init__(self, module, matrix):
         self.module = module
-        self.matrix = tuple(tuple(_integer(x, "matrix entries") for x in row) for row in matrix)
+        self.matrix = tuple(tuple(integer(x, "matrix entries") for x in row) for row in matrix)
         r = module.rank
+        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
+            raise PreconditionError("matrix must be %d x %d, the rank of the module" % (r, r))
         for i in range(r):
             for j in range(r):
                 if (self.matrix[i][j] * module.orders[j]) % module.orders[i]:

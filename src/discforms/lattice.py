@@ -10,7 +10,7 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from . import fqm
-from ._intmat import (determinant, even_gram, ext_gcd, image_basis, invert_rational,
+from ._intmat import (determinant, even_gram, ext_gcd, image_basis, integer, invert_rational,
                       kernel_basis, mat_mul, mat_vec, signature_pair, smith_normal_form,
                       transpose)
 from .errors import ConsistencyError, PreconditionError, SearchExhausted
@@ -152,7 +152,7 @@ def find_isotropic_with_ideal(lat, n, search_bound):
 
 def _primitive_isotropic(lat, ell):
     """ell as a list of ints, checked to be a primitive isotropic vector of lat."""
-    ell = [int(x) for x in ell]
+    ell = [integer(x, "ell entries") for x in ell]
     if len(ell) != lat.rank:
         raise PreconditionError("ell has %d entries, the lattice has rank %d"
                                 % (len(ell), lat.rank))

@@ -14,11 +14,11 @@ lies in (1/N)Z). Only nonzero values are stored and no component is empty. A
 rational value is stored as an int when it is integral and as a Fraction
 otherwise (_stored), so the arrows, sums and comparisons of integral series run
 in int arithmetic; an int equals the Fraction it replaces.
-A component dict may be shared by several mu and by several series (up_arrow
-stores one dict for a whole fiber, lifts one dict per Q value). set mutates in
-place only a component dict that it made for this series (_owned); a shared one
-is copied once first. copy(), __add__ and up_arrow share components through
-_share(), which drops that ownership, so copy() copies the outer dict only.
+A component dict is immutable once stored: no code writes into a dict held in
+`components`. So one dict may be shared by several mu and by several series
+(up_arrow stores one dict for a whole fiber, lifts one dict per Q value, copy()
+copies the outer dict only, a sum keeps the untouched components), and set
+stores a new dict for the component it changes.
 """
 
 from fractions import Fraction
@@ -41,6 +41,17 @@ def _is_zero_value(v):
     if isinstance(v, CyclotomicNumber):
         return v.is_zero()
     return not v
+
+
+def _rational(m):
+    """An exponent as an int or a Fraction; any other input is read by parse_rational."""
+    # the int test first: isinstance against Fraction is an ABC check
+    if type(m) is int or isinstance(m, Fraction):
+        return m
+    try:
+        return parse_rational(m)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise PreconditionError("exponent must be a rational number, not %r" % (m,)) from None
 
 
 def _stored(v):
@@ -95,17 +106,10 @@ class VectorValuedQSeries:
         self.level = module.level()
         self.k_max = floor(self.level * self.truncation)
         self.components = {}
-        # the coords whose component dict set made for this series alone
-        self._owned = set()
-
-    def _share(self):
-        """The components, for another series to share: set copies them again first."""
-        self._owned.clear()
-        return self.components
 
     def copy(self):
         out = VectorValuedQSeries(self.module, self.weight, self.truncation)
-        out.components = dict(self._share())
+        out.components = dict(self.components)
         return out
 
     def _exponent(self, mu, k, n):
@@ -132,25 +136,21 @@ class VectorValuedQSeries:
             self.components.pop(mu.coords, None)
 
     def set(self, mu, m, value):
-        """Set c(m, mu), in place in a component dict that this series owns.
+        """Set c(m, mu) by storing a new component dict for mu.
 
-        A component that may be shared (made by copy, the arrows, a sum or the
-        lifts) is copied once, and the copy is owned from then on, so repeated
-        sets into one component take amortized constant time. The value must be
-        an int, a Fraction or a CyclotomicNumber.
+        A stored dict is never written to, so set costs O(size of mu's
+        component); in the newform_roundtrip benchmark that component holds at
+        most 6 entries. The value must be an int, a Fraction or a
+        CyclotomicNumber.
         """
         fqm._require_of(self.module, mu, "element")
         # the int test first: isinstance against Fraction is an ABC check
         if type(value) is not int and not isinstance(value, (Fraction, CyclotomicNumber)):
             raise PreconditionError("coefficient must be an int, Fraction or CyclotomicNumber")
-        if not isinstance(m, (int, Fraction)):
-            m = Fraction(m)
+        m = _rational(m)
         k = self._exponent(mu, m.numerator, m.denominator)
         c = mu.coords
-        comp = self.components.get(c)
-        if comp is None or c not in self._owned:
-            comp = dict(comp or _EMPTY)
-            self._owned.add(c)
+        comp = dict(self.components.get(c, _EMPTY))
         value = _stored(value)
         if _is_zero_value(value):
             comp.pop(k, None)
@@ -163,10 +163,11 @@ class VectorValuedQSeries:
 
     def get(self, mu, m):
         fqm._require_of(self.module, mu, "element")
-        k = Fraction(m) * self.level
-        if k.denominator != 1:
+        m = _rational(m)
+        k, rest = divmod(m.numerator * self.level, m.denominator)
+        if rest:
             return 0
-        return self.components.get(mu.coords, _EMPTY).get(k.numerator, 0)
+        return self.components.get(mu.coords, _EMPTY).get(k, 0)
 
     def component(self, mu):
         """The coefficient map m -> c(m, mu) of one basis component."""
@@ -196,11 +197,11 @@ class VectorValuedQSeries:
                                   min(self.truncation, other.truncation))
         k_max = out.k_max
         comps = out.components
-        for c, comp in self._share().items():
+        for c, comp in self.components.items():
             comp = _truncated(comp, k_max)
             if comp:
                 comps[c] = comp
-        for c, comp in other._share().items():
+        for c, comp in other.components.items():
             comp = _truncated(comp, k_max)
             if c in comps:
                 comp = _summed(comps[c], comp)
@@ -295,7 +296,7 @@ def up_arrow(g, module, h):
         raise PreconditionError("series does not live on the subquotient module")
     out = VectorValuedQSeries(module, g.weight, g.truncation)
     scale = out.level // g.level
-    for c, comp in g._share().items():
+    for c, comp in g.components.items():
         if scale != 1:
             comp = {k * scale: v for k, v in comp.items()}
         for mu in fibers[c]:
@@ -322,8 +323,7 @@ def pairing_at(f, g, m):
     """Hermitian coefficient pairing sum_mu f(m, mu) * conj(g(m, mu))."""
     if f.module != g.module:
         raise PreconditionError("series on different modules")
-    if not isinstance(m, (int, Fraction)):
-        m = Fraction(m)
+    m = _rational(m)
     k, rest = divmod(m.numerator * f.level, m.denominator)
     if rest:
         return 0

@@ -43,6 +43,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from . import cyclo, fqm
+from ._intmat import integer
 from .cyclo import CyclotomicNumber, e_frac
 from .errors import ConsistencyError, PreconditionError
 
@@ -85,7 +86,8 @@ class MetaplecticElement:
     __slots__ = ("a", "b", "c", "d", "bit")
 
     def __init__(self, matrix, bit=0):
-        (self.a, self.b), (self.c, self.d) = matrix
+        (a, b), (c, d) = matrix
+        self.a, self.b, self.c, self.d = (integer(x, "matrix entries") for x in (a, b, c, d))
         if self.a * self.d - self.b * self.c != 1:
             raise PreconditionError("matrix must have determinant one")
         self.bit = bit & 1
@@ -778,6 +780,7 @@ def identity_matrix(module):
 
 def rho_T(module, power=1):
     """Diagonal action by e(Q(x)) (or its integer powers)."""
+    power = integer(power, "T powers")
     tab = _tables(module)
     ph = [power * v % tab.mod for v in tab.q]
     return _built(module, CyclotomicNumber.one(), "monomial", (tab.ident, tab.ident, ph))

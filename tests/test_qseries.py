@@ -804,17 +804,49 @@ def test_set_never_writes_through_a_shared_component():
         assert scalar.coefficients == scalar_before
 
 
-def test_set_mutates_its_own_component_in_place():
-    # the first set copies mu's component once; later sets keep that dict object
-    a = fqm.hyperbolic_module(3)
-    mu = a.element((1, 1))  # Q = 1/3
-    f = qs.VectorValuedQSeries(a, F(3), F(20))
-    f.set(mu, F(1, 3), 1)
-    comp = f.components[mu.coords]
-    for k in range(1, 50):
-        f.set(mu, F(1, 3) + k % 19, k)
-    assert f.components[mu.coords] is comp
-    assert f.get(mu, F(1, 3) + 11) == 49 and f.nonzero_count() == 19
+def test_no_operation_writes_into_a_stored_component():
+    """Component dicts are immutable once stored: sets, copy, +, *, the arrows and
+    oldform_decompose leave every dict that some series held as it was."""
+    rng = random.Random(930)
+    a, e = u_with_line(6)
+    kept = {}
+
+    def keep(*series):
+        # the reference keeps each dict alive, so its id is never reused
+        for s in series:
+            for comp in s.components.values():
+                kept.setdefault(id(comp), (comp, dict(comp)))
+
+    def sets(*series):
+        # two passes, so the second set into a component finds the dict of the first
+        for _ in range(2):
+            for s in series:
+                for mu in s.module.elements():
+                    m = mu.q() + rng.randint(0, 1)
+                    s.set(mu, m, s.get(mu, m) + rng.randint(-1, 1))
+                keep(s)
+
+    # an oldform sum, as in the oldform tests: up_arrow shares one dict per fiber
+    f = None
+    for d in (2, 3, 6):
+        i_d = fqm.cyclic_subgroup_id(a, e, d)
+        b, proj, _s, _fib = qs.reduction(a, i_d)
+        g = newpart_series(b, proj(e), F(3), F(2), rng) if d != 6 \
+            else random_series(b, F(3), F(2), rng)
+        piece = qs.up_arrow(g, a, i_d)
+        f = piece if f is None else f + piece
+        keep(g, piece, f)
+    parts = qs.oldform_decompose(f, e, 1)
+    keep(*parts.values())
+    holders = Counter(id(comp) for s in (f, *parts.values()) for comp in s.components.values())
+    assert max(holders.values()) > 1
+    h = fqm.cyclic_subgroup_id(a, e, 3)
+    down = qs.down_arrow(f, h)
+    derived = [f.copy(), f + f, f * 1, f * F(1, 2), down, qs.up_arrow(down, a, h)]
+    keep(*derived)
+    sets(f, *derived, *parts.values())
+    assert len(kept) > 100
+    assert all(comp == snapshot for comp, snapshot in kept.values())
 
 
 def test_set_after_sharing_leaves_the_sharer_unchanged():

@@ -95,6 +95,15 @@ REFUSALS = {
     # a non-integral entry is refused, not truncated to int
     "aut_entry_not_integral": (lambda: fqm.Automorphism(_h(6), [[1.5, 0], [0, 1]]),
                                "matrix entries must be integers"),
+    # a matrix that is not rank x rank is refused before any entry is read as a map
+    "aut_short_matrix": (lambda: fqm.Automorphism(_h(6), [[1, 0]]),
+                         "matrix must be 2 x 2, the rank of the module"),
+    "aut_ragged_matrix": (lambda: fqm.Automorphism(_h(6), [[1], [0, 1]]),
+                          "matrix must be 2 x 2, the rank of the module"),
+    "aut_wide_matrix": (lambda: fqm.Automorphism(_h(6), [[1, 0, 0], [0, 1, 0]]),
+                        "matrix must be 2 x 2, the rank of the module"),
+    "aut_entry_text": (lambda: fqm.Automorphism(_h(6), [["x", 0], [0, 1]]),
+                       "matrix entries must be integers"),
     "elements_of_two_modules": (lambda: _h(2).zero() + _h(3).zero(),
                                 "elements belong to different modules"),
     "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
@@ -179,6 +188,12 @@ REFUSALS = {
                           "ell must be primitive"),
     "ell_not_isotropic": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 3], [3, 0]]), [1, 1]),
                           "ell must be isotropic"),
+    # a non-integral entry of ell is refused, not truncated to int
+    "ell_not_integral": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 1], [1, 0]]), [1.5, 0]),
+                         "ell entries must be integers"),
+    "k0_ell_not_integral": (
+        lambda: lattice.sublattice_K0(lattice.EvenLattice([[0, 1], [1, 0]]), [1.5, 0]),
+        "ell entries must be integers"),
     "express_outside": (lambda: lattice.express_in_basis([[2, 0], [0, 2]], [1, 0]),
                         "vector does not lie in the sublattice"),
     "express_singular_basis": (lambda: lattice.express_in_basis([[1, 0], [2, 0]], [1, 0]),
@@ -271,6 +286,17 @@ REFUSALS = {
                   "coefficient must be an int, Fraction or CyclotomicNumber"),
     "set_string": (lambda: qseries.VectorValuedQSeries(_h(6), 3, 6).set(_h(6).zero(), 2, "x"),
                    "coefficient must be an int, Fraction or CyclotomicNumber"),
+    # an exponent that is not a rational number is refused, and a decimal
+    # exponent past the bound is refused before its integer is built
+    "set_exponent_text": (lambda: _series(_h(6)).set(_h(6).zero(), "x", 1),
+                          "exponent must be a rational number, not 'x'"),
+    "get_exponent_text": (lambda: _series(_h(6)).get(_h(6).zero(), "x"),
+                          "exponent must be a rational number, not 'x'"),
+    "get_exponent_huge_decimal": (
+        lambda: _series(_h(6)).get(_h(6).zero(), "1e999999999"),
+        "exponent must be a rational number, not '1e999999999'"),
+    "pairing_exponent_text": (lambda: qseries.pairing_at(_series(_h(6)), _series(_h(6)), "x"),
+                              "exponent must be a rational number, not 'x'"),
     "get_other_module": (lambda: _series(_h(4)).get(_foreign((1, 0)), 0),
                          "element does not belong to the module"),
     "component_other_module": (lambda: _series(_h(4)).component(_foreign((1, 0))),
@@ -302,6 +328,10 @@ REFUSALS = {
     "aut_matrix_same_orders": (
         lambda: _swap_on(_eighths(F(1, 8), F(1, 8)), _eighths(F(1, 8), F(3, 8))),
         "automorphism does not belong to the module"),
+    # a float power or entry gave float phases, which the matrix products refused
+    "rho_T_power_not_integral": (lambda: weil.rho_T(_h(6), 1.5), "T powers must be integers"),
+    "metaplectic_entry_not_integral": (lambda: weil.MetaplecticElement(((1, 0.5), (0, 1))),
+                                       "matrix entries must be integers"),
     "metaplectic_determinant": (lambda: weil.MetaplecticElement(((2, 1), (1, 2))),
                                 "matrix must have determinant one"),
 }
