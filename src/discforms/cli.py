@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 precondition failure, 3 internal consistency failure.
+A reader that closes stdout early (`| head -1`) ends the command quietly with 0.
 All reports are plain text and byte-deterministic for identical inputs.
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -235,7 +237,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head -1` does: stdout goes to devnull, so that
+        # the flush at exit writes nowhere, and the command ends quietly with 0
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except PreconditionError as exc:
         print("precondition failure: %s" % exc, file=sys.stderr)
         return 2

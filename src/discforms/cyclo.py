@@ -259,11 +259,15 @@ class CyclotomicNumber:
 
     __hash__ = None
 
-    def rational_value(self):
+    def rational_parts(self):
+        """(num, den) with the value num/den in lowest terms, den >= 1; refuses irrationals."""
         r = self.reduce()
         if any(e != 0 for e in r.coeffs):
             raise ConsistencyError("value is not rational: %s" % self)
-        return Fraction(r.coeffs.get(0, 0), r.den)
+        return r.coeffs.get(0, 0), r.den
+
+    def rational_value(self):
+        return Fraction(*self.rational_parts())
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -286,8 +290,15 @@ class CyclotomicNumber:
 
 def e_frac(q):
     """The root of unity e(q) = exp(2*pi*i*q) for rational q."""
-    q = Fraction(q) % 1
-    return CyclotomicNumber._normalized(q.denominator, {q.numerator: 1})
+    q = Fraction(q)
+    return root_of_unity(q.numerator, q.denominator)
+
+
+def root_of_unity(a, m):
+    """e(a/m) for ints a and m >= 1, at the least modulus m/gcd(a, m)."""
+    a %= m
+    g = gcd(a, m)
+    return CyclotomicNumber._normalized(m // g, {a // g: 1})
 
 
 def gauss_sum(module, c=1):
@@ -343,4 +354,4 @@ def sqrt_card(module):
     proof: its G(1) and e(-sig/8) are the products of its summands', so x is
     the product of their positive square roots. H(n) has sig = 0 and G(1) = n.
     """
-    return e_frac(Fraction(-module.signature(), 8)) * gauss_sum(module, 1)
+    return root_of_unity(-module.signature(), 8) * gauss_sum(module, 1)

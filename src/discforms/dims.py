@@ -7,20 +7,25 @@ V = e(k/6-turn) (ST)|W has order three, and alpha sums the eigenvalue
 exponents in [0, 1). The cusp subspace drops one dimension per isotropic
 orbit.
 
-Everything is read from the integer Q-value histograms of A and of its
-2-torsion A[2] (fqm.q_histogram, fqm.two_torsion_q_histogram): d, alpha(T) and
-the isotropic orbit count directly, and the traces of U and V through the
+Everything is read from three integer moments of A and of its 2-torsion A[2]
+(fqm.q_moments, fqm.two_torsion_q_moments): the order, the sum of N*Q(x) over
+N*Q(x) in [0, N) at the level N, and the count of Q(x) = 0, which give d,
+alpha(T) and the isotropic orbit count; and the traces of U and V through the
 signature and the Gauss sums G(c) for c in {1, -1, 2, -2, 3} (cyclo.gauss_sum,
 kept on the module). A module built by fqm.direct_sum reads all of these from
 its summands, and H(n) has closed forms, so a Picard table row <1/4> + H(n)
-convolves a 2-bin histogram with a closed form, adds signatures and multiplies
-Gauss sums, with no walk over its 2n^2 elements and no Milgram pass; the <1/4>
-block is built once, with its Gauss sums. Any other module walks its elements
-once for its histogram. A trace times 2|A| has integer coefficients, so the
-exact rational extraction runs on integers and the division comes after it;
-each trace is one product of a scale e(r - sig/4) G(1) with a sum of two Gauss
-sums, and the ST multiplicities read x + conj(x), x = e(-j/3) tr V. No element
-and no matrix is materialized.
+shifts the divisor sums of H(n) by the two values of <1/4>, reads the at most
+8 elements of A[2], adds signatures and multiplies Gauss sums, with no
+histogram, no walk over its 2n^2 elements and no Milgram pass; the <1/4> block
+is built once, with its Gauss sums. Any other module reads its moments from
+its histogram, one walk over its elements. A trace times 2|A| has integer
+coefficients, and the roots e(k/4 - sig/4), e(k/6 - sig/4) are built from the
+integers 2k and sig, so each trace or multiplicity is an integer num/den taken
+after one exact rational extraction. Each trace is one product of a scale
+e(r - sig/4) G(1) with a sum of two Gauss sums. The ST trace lies in Q(e(1/3)),
+so its three multiplicities, which read x + conj(x) with x = e(-j/3) tr V, come
+from its canonical form with no further cyclotomic product. No element and no
+matrix is materialized.
 """
 
 from collections import namedtuple
@@ -28,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import cyclo, fqm
-from .cyclo import e_frac
+from .cyclo import root_of_unity
 from .errors import ConsistencyError, PreconditionError
 
 
@@ -52,20 +57,42 @@ def _orbit_data(module):
     """(d, alpha_T, isotropic orbit count) over the {x, -x} orbits.
 
     An orbit has two elements unless it lies in A[2], so each orbit sum is half
-    the sum over A plus the sum over A[2]; Q values are k/N.
+    the sum over A plus the sum over A[2]; Q values are k/N, and each side
+    gives its order, the sum of its k and its count of k = 0.
     """
-    n, h = module.q_histogram()
-    h2 = fqm.two_torsion_q_histogram(module)[1]
-    d = (module.order() + sum(h2)) // 2
-    alpha_t = Fraction(sum(k * (a + b) for k, (a, b) in enumerate(zip(h, h2))), 2 * n)
-    return d, alpha_t, (h[0] + h2[0]) // 2
+    order, total, zeros = module.q_moments()
+    order2, total2, zeros2 = fqm.two_torsion_q_moments(module)
+    return ((order + order2) // 2, Fraction(total + total2, 2 * module.level()),
+            (zeros + zeros2) // 2)
 
 
-def _integer(value, what):
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise ConsistencyError("%s is not an integer: %s" % (what, value))
-    return int(value)
+def _integer(num, den, what):
+    """num/den as an int, for ints num and den >= 1; refuses a value that is not an integer."""
+    if num % den:
+        raise ConsistencyError("%s is not an integer: %s" % (what, Fraction(num, den)))
+    return num // den
+
+
+def _st_values(tr_v, base):
+    """(num, den) of base + x + conj(x) with x = e(-j/3) tr_v, for j = 0, 1, 2 in turn.
+
+    tr_v is 2|A| tr(ST) = 2|A| (m0 + m1 w + m2 w^2), w = e(1/3), so it lies in
+    Q(w): its canonical form is (c0 + c1 w^s)/den, with w^s the one of w, w^2
+    in the basis, and 2 Re(w^i) is 2 for i = 0 mod 3 and -1 otherwise. Any
+    other value takes the cyclotomic route, whose rational extraction refuses it.
+    """
+    r = tr_v.reduce()
+    if any(3 * e % r.mod for e in r.coeffs):
+        for j in range(3):
+            x = root_of_unity(-j, 3) * tr_v
+            yield (base + x + x.conjugate()).rational_parts()
+        return
+    c0, s, c1 = r.coeffs.get(0, 0), 0, 0
+    for e, c in r.coeffs.items():
+        if e:
+            s, c1 = 3 * e // r.mod, c
+    for j in range(3):
+        yield base * r.den + c0 * (2 if j == 0 else -1) + c1 * (2 if j == s else -1), r.den
 
 
 def dim_M(module, k):
@@ -74,49 +101,48 @@ def dim_M(module, k):
     if k <= 2:
         raise PreconditionError("the trace formula is implemented for weights k > 2 only")
     fqm.check_weight_parity(module, k)
+    two_k = 2 * k.numerator // k.denominator
 
     d, alpha_t, iso = _orbit_data(module)
     order = module.order()
-    sig = Fraction(module.signature())
+    sig = module.signature()
     g1 = cyclo.gauss_sum(module, 1)
 
-    def trace_times_2a(turn, c_plain, c_flipped):
+    def trace_times_2a(root, c_plain, c_flipped):
         # 2|A| * e(turn) * (tr rho(g) + tr rho(g)P)/2, with P the negation
         # permutation and tr rho(g) = e(-sig/8) G(c) / sqrt|A|; since
-        # sqrt|A| = e(-sig/8) G(1), the scale is e(turn - sig/4) G(1). The value
-        # has integer coefficients, so the division comes after the rational
-        # value is extracted
-        return (e_frac(turn - sig / 4) * g1) * (cyclo.gauss_sum(module, c_plain)
-                                               + cyclo.gauss_sum(module, c_flipped))
+        # sqrt|A| = e(-sig/8) G(1), the scale is root = e(turn - sig/4) times
+        # G(1). The value has integer coefficients, so the division comes after
+        # the rational value is extracted
+        return (root * g1) * (cyclo.gauss_sum(module, c_plain)
+                              + cyclo.gauss_sum(module, c_flipped))
 
-    # S: diagonal entries e(-(x,x)) = e(-2Q); with negation e(+2Q)
-    tr_u = trace_times_2a(k / 4, -2, 2)
-    t_int = _integer(tr_u.rational_value() / (2 * order), "trace of the normalized S matrix")
-    m_plus = _integer(Fraction(d + t_int, 2), "multiplicity of +1 for S")
-    m_minus = _integer(Fraction(d - t_int, 2), "multiplicity of -1 for S")
+    # S: diagonal entries e(-(x,x)) = e(-2Q); with negation e(+2Q); the turn is k/4
+    num, den = trace_times_2a(root_of_unity(two_k - 2 * sig, 8), -2, 2).rational_parts()
+    t_int = _integer(num, 2 * order * den, "trace of the normalized S matrix")
+    m_plus = _integer(d + t_int, 2, "multiplicity of +1 for S")
+    m_minus = _integer(d - t_int, 2, "multiplicity of -1 for S")
     if m_plus < 0 or m_minus < 0:
         raise ConsistencyError("negative eigenvalue multiplicity for S")
-    alpha_s = Fraction(m_minus, 2)
 
-    # ST: diagonal entries e(Q - 2Q) = e(-Q); with negation e(3Q)
-    tr_v = trace_times_2a(k / 6, -1, 3)
+    # ST: diagonal entries e(Q - 2Q) = e(-Q); with negation e(3Q); the turn is k/6
+    tr_v = trace_times_2a(root_of_unity(two_k - 3 * sig, 12), -1, 3)
     mult = []
-    for j in range(3):
-        # x + conj(x) with x = e(-j/3) tr_v sums e(-j/3) tr_v and e(-2j/3) tr_v^2 = conj(x)
-        x = e_frac(Fraction(-j, 3)) * tr_v
-        val = 2 * order * d + x + x.conjugate()
-        mj = _integer(val.rational_value() / (6 * order), "multiplicity %d for ST" % j)
+    for j, (num, den) in enumerate(_st_values(tr_v, 2 * order * d)):
+        # 2|A| d + x + conj(x), x = e(-j/3) tr_v, sums e(-j/3) tr_v and e(-2j/3) tr_v^2 = conj(x)
+        mj = _integer(num, 6 * order * den, "multiplicity %d for ST" % j)
         if mj < 0:
             raise ConsistencyError("negative eigenvalue multiplicity for ST")
         mult.append(mj)
     m0, m1, m2 = mult
     if m0 + m1 + m2 != d:
         raise ConsistencyError("eigenvalue multiplicities do not sum to d")
-    # alpha of the inverse: eigenvalue e(1/3) contributes 2/3 and vice versa
-    alpha_st = Fraction(2 * m1 + m2, 3)
 
-    total = d + Fraction(d) * k / 12 - alpha_s - alpha_st - alpha_t
-    dim_m = _integer(total, "dimension of the holomorphic space")
+    # d + d*k/12 - alpha(S) - alpha(ST^-1) - alpha_T over 48q, alpha_T = p/q: alpha(S) is
+    # m_minus/2, and eigenvalue e(1/3) of ST contributes 2/3 to the inverse and vice versa
+    p, q = alpha_t.numerator, alpha_t.denominator
+    dim_m = _integer(q * (2 * d * (24 + two_k) - 24 * m_minus - 16 * (2 * m1 + m2)) - 48 * p,
+                     48 * q, "dimension of the holomorphic space")
     if dim_m < 0:
         raise ConsistencyError("negative dimension")
     dim_s = dim_m - iso

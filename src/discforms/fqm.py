@@ -11,7 +11,9 @@ histograms, multiplies their Gauss sums (cyclo.gauss_sum) and adds their
 signatures, and hyperbolic_module(n) has closed forms for all three; negate
 keeps both kinds of structure. Any other module (from a Gram matrix, a
 subquotient) walks its coordinates once for its histogram and runs
-milgram_signature.
+milgram_signature. q_moments reads |A|, the sum of Q and the isotropic count
+by the same dispatch, with no histogram for H(n) or for a sum with a small
+summand such as <1/4> + H(n).
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra:
 a subquotient solves against the Hermite rows of H^perp by forward substitution
@@ -20,15 +22,15 @@ isotropic_subgroups enumerates elements, guarded by BRUTE_FORCE_BOUND; its
 results are cached per module and order.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
 
 from . import cyclo
-from ._intmat import (even_gram, hermite_rows, identity, integer, is_prime, kernel_basis,
-                      mat_mul, mat_vec, smith_normal_form, solve_hermite, transpose)
+from ._intmat import (even_gram, factorization, hermite_rows, identity, integer, is_prime,
+                      kernel_basis, mat_mul, mat_vec, smith_normal_form, solve_hermite,
+                      transpose)
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
@@ -299,6 +301,17 @@ class FiniteQuadraticModule:
             self._histogram = h
         return self._histogram
 
+    def q_moments(self):
+        """(|A|, the sum of N*Q(x) over A, #{x : Q(x) = 0}) with N = level(), N*Q(x) in [0, N).
+
+        The structure dispatch of q_histogram for the three numbers dims reads
+        (see _value_counts): H(n) answers in closed form, a direct sum with a
+        summand of level at most SMALL_LEVEL from that summand's values and the
+        other summand's counts, and any other module from its cached histogram.
+        """
+        v = _value_counts(self, self._level)
+        return v.order, v.total, v.count(0)
+
     def nq_values(self, choices):
         """N*Q(x) mod N, with N = level(), for the x with x_i in choices[i].
 
@@ -461,10 +474,14 @@ class Automorphism:
 
     def __init__(self, module, matrix):
         self.module = module
-        self.matrix = tuple(tuple(integer(x, "matrix entries") for x in row) for row in matrix)
         r = module.rank
+        shape = "matrix must be %d x %d, the rank of the module" % (r, r)
+        try:
+            self.matrix = tuple(tuple(integer(x, "matrix entries") for x in row) for row in matrix)
+        except TypeError:  # matrix or a row is not iterable
+            raise PreconditionError(shape) from None
         if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise PreconditionError("matrix must be %d x %d, the rank of the module" % (r, r))
+            raise PreconditionError(shape)
         for i in range(r):
             for j in range(r):
                 if (self.matrix[i][j] * module.orders[j]) % module.orders[i]:
@@ -643,25 +660,15 @@ def check_weight_parity(a, k):
         raise PreconditionError("weight fails the parity condition 2k = sig mod 4")
 
 
-def two_torsion_q_histogram(a):
-    """(N, counts) as in q_histogram, over the 2-torsion A[2] = {x : 2x = 0}.
+def two_torsion_q_moments(a):
+    """(|A[2]|, the sum of N*Q(x) over A[2], #{x in A[2] : Q(x) = 0}) as in q_moments.
 
-    A[2] has the coordinates x_i in {0, d_i/2}, with d_i/2 only for even d_i.
-    As in q_histogram, a direct sum convolves its summands' histograms and
-    H(n) has a closed form.
+    A[2] = {x : 2x = 0} has the coordinates x_i in {0, d_i/2}, with d_i/2 only
+    for even d_i, so it has at most 2^rank elements; their values are read
+    directly, whatever the structure of the module.
     """
-    if a._summands:
-        return _convolve(*map(two_torsion_q_histogram, a._summands))
-    n = a.level()
-    if a._hyperbolic:
-        # (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2) for even n, with N*Q(x, y) = xy
-        counts = [0] * n
-        halves = (0, n // 2) if n % 2 == 0 else (0,)
-        for x in halves:
-            for y in halves:
-                counts[x * y % n] += 1
-        return n, tuple(counts)
-    return n, a._count_q_values([(0, d // 2) if d % 2 == 0 else (0,) for d in a.orders])
+    nq = a.nq_values([(0, d // 2) if d % 2 == 0 else (0,) for d in a.orders])
+    return len(nq), sum(nq), nq.count(0)
 
 
 def _convolve(ha, hb):
@@ -682,18 +689,122 @@ def _convolve(ha, hb):
     return n, tuple(out)
 
 
+def _hyperbolic_weights(n):
+    """The pairs (g, w_g) with w_g = g * phi(n/g), over the divisors g of n.
+
+    phi(n/g) is the number of x mod n with gcd(x, n) = g, and for such an x,
+    y -> xy covers the multiples of g, g times each; w_g is multiplicative, so
+    the pairs are built prime by prime from the factorization of n.
+    """
+    out = [(1, 1)]
+    for p, e in factorization(n):
+        # the exponent of p in g is i, so that phi(p^(e-i)) = p^(e-i) - p^(e-i-1) for i < e
+        out = [(g * p ** i, w * p ** i * (p ** (e - i) - p ** (e - i - 1) if i < e else 1))
+               for g, w in out for i in range(e + 1)]
+    return out
+
+
 def _hyperbolic_histogram(n):
     """(n, counts) for H(n): counts[k] = #{(x, y) : xy = k mod n}.
 
-    For fixed x, y -> xy covers the multiples of g = gcd(x, n), g times each,
-    so counts[k] = sum of g * phi(n/g) over the g dividing gcd(k, n); phi(n/g)
-    is the number of x with gcd(x, n) = g.
+    counts[k] is the sum of w_g over the g dividing gcd(k, n). Read by
+    q_histogram of H(n), and of a sum with H(n); q_moments needs no histogram.
     """
     counts = [0] * n
-    for g, m in Counter(gcd(x, n) for x in range(n)).items():
+    for g, w in _hyperbolic_weights(n):
         for k in range(0, n, g):
-            counts[k] += g * m
+            counts[k] += w
     return n, tuple(counts)
+
+
+# A direct sum with a summand of level at most this reads its value counts from
+# that summand's at most SMALL_LEVEL values (see _value_counts)
+SMALL_LEVEL = 8
+
+
+def _value_counts(a, m):
+    """The counts of Q on a at the scale m, a multiple of level(), by the route of its structure.
+
+    With m*Q(x) read in [0, m), the result has order = |A|, total = the sum of
+    m*Q(x), count(k) = #{x : m*Q(x) = k} for 0 <= k < m and tail(k) =
+    #{x : m*Q(x) >= k} for 0 <= k <= m. H(n) answers by divisor sums; a direct
+    sum with a summand of level at most SMALL_LEVEL answers from that summand's
+    values and the other's counts; any other module answers from its histogram,
+    kept on it.
+    """
+    if a._summands:
+        small, other = a._summands
+        if small.level() > SMALL_LEVEL:
+            small, other = other, small
+        if small.level() <= SMALL_LEVEL:
+            return _SmallSumCounts(small, _value_counts(other, m), m)
+    elif a._hyperbolic:
+        return _HyperbolicCounts(a.level(), m)
+    return _HistogramCounts(a.q_histogram(), m)
+
+
+class _HistogramCounts:
+    """Counts of Q read from a histogram (n, counts): n*Q(x) = j is m*Q(x) = j*m/n."""
+
+    def __init__(self, hist, m):
+        n, self.counts = hist
+        self.f = m // n
+        self.order = sum(self.counts)
+        self.total = self.f * sum(j * c for j, c in enumerate(self.counts))
+
+    def count(self, k):
+        return 0 if k % self.f else self.counts[k // self.f]
+
+    def tail(self, k):
+        # j*f >= k exactly when j >= ceil(k/f)
+        return sum(self.counts[-(-k // self.f):])
+
+
+class _HyperbolicCounts:
+    """Counts of Q on H(n): the x with gcd(x, n) = g give w_g pairs on each multiple of g mod n."""
+
+    def __init__(self, n, m):
+        self.n, self.f = n, m // n
+        self.weights = _hyperbolic_weights(n)
+        self.order = n * n
+        # the multiples i*g, i < n/g, sum to g*(n/g)*(n/g - 1)/2
+        self.total = self.f * sum(w * g * (n // g) * (n // g - 1) // 2 for g, w in self.weights)
+
+    def count(self, k):
+        if k % self.f:
+            return 0
+        k //= self.f
+        return sum(w for g, w in self.weights if k % g == 0)
+
+    def tail(self, k):
+        # the multiples of g in [ceil(k/f), n)
+        j = -(-k // self.f)
+        return sum(w * (self.n // g + (-j // g)) for g, w in self.weights)
+
+
+class _SmallSumCounts:
+    """Counts of Q on B + C from the values of B and the counts of C, at the scale m.
+
+    For v, q in [0, m), (v + q) mod m is v + q, or v + q - m when q >= m - v, so
+    each value v of B shifts C's counts and tails by v, with a wrap at m - v.
+    """
+
+    def __init__(self, small, other, m):
+        nb, counts = small.q_histogram()
+        self.m, self.other = m, other
+        self.values = [(j * (m // nb), x) for j, x in enumerate(counts) if x]
+        self.order = small.order() * other.order
+        self.total = sum(x * (other.order * v + other.total - m * other.tail(m - v))
+                         for v, x in self.values)
+
+    def count(self, k):
+        return sum(x * self.other.count((k - v) % self.m) for v, x in self.values)
+
+    def tail(self, k):
+        m, c = self.m, self.other
+        # (v + q) mod m >= k: q in [k - v, m - v) before the wrap, or q >= m + k - v after it
+        return sum(x * (c.order - c.tail(m - v) + c.tail(m + k - v) if k <= v
+                        else c.tail(k - v) - c.tail(m - v)) for v, x in self.values)
 
 
 def orbit_representatives(a):

@@ -152,7 +152,10 @@ def find_isotropic_with_ideal(lat, n, search_bound):
 
 def _primitive_isotropic(lat, ell):
     """ell as a list of ints, checked to be a primitive isotropic vector of lat."""
-    ell = [integer(x, "ell entries") for x in ell]
+    try:
+        ell = [integer(x, "ell entries") for x in ell]
+    except TypeError:
+        raise PreconditionError("ell must be a list of integers") from None
     if len(ell) != lat.rank:
         raise PreconditionError("ell has %d entries, the lattice has rank %d"
                                 % (len(ell), lat.rank))

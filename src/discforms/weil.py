@@ -86,11 +86,16 @@ class MetaplecticElement:
     __slots__ = ("a", "b", "c", "d", "bit")
 
     def __init__(self, matrix, bit=0):
-        (a, b), (c, d) = matrix
+        try:
+            (a, b), (c, d) = matrix
+        except (TypeError, ValueError):
+            raise PreconditionError("matrix must be 2 x 2") from None
         self.a, self.b, self.c, self.d = (integer(x, "matrix entries") for x in (a, b, c, d))
         if self.a * self.d - self.b * self.c != 1:
             raise PreconditionError("matrix must have determinant one")
-        self.bit = bit & 1
+        if not isinstance(bit, int) or bit not in (0, 1):
+            raise PreconditionError("the branch bit must be the int 0 or 1")
+        self.bit = bit
 
     @property
     def matrix(self):

@@ -677,8 +677,43 @@ def q_histogram_walk(module):
     return module.level(), module._count_q_values([range(d) for d in module.orders])
 
 
+def two_torsion_histogram(a):
+    """(N, counts) as in q_histogram, over the 2-torsion A[2] = {x : 2x = 0}.
+
+    A[2] has the coordinates x_i in {0, d_i/2}, with d_i/2 only for even d_i.
+    As in q_histogram, a direct sum convolves its summands' histograms and
+    H(n) has a closed form. The histogram route of the 2-torsion, the oracle
+    of fqm.two_torsion_q_moments.
+    """
+    if a._summands:
+        return fqm._convolve(*map(two_torsion_histogram, a._summands))
+    n = a.level()
+    if a._hyperbolic:
+        # (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2) for even n, with N*Q(x, y) = xy
+        counts = [0] * n
+        halves = (0, n // 2) if n % 2 == 0 else (0,)
+        for x in halves:
+            for y in halves:
+                counts[x * y % n] += 1
+        return n, tuple(counts)
+    return n, a._count_q_values([(0, d // 2) if d % 2 == 0 else (0,) for d in a.orders])
+
+
+def orbit_data_histogram(module):
+    """dims._orbit_data read from the Q-value histograms of A and A[2], the oracle of the moments.
+
+    An orbit has two elements unless it lies in A[2], so each orbit sum is half
+    the sum over A plus the sum over A[2]; Q values are k/N.
+    """
+    n, h = module.q_histogram()
+    h2 = two_torsion_histogram(module)[1]
+    d = (module.order() + sum(h2)) // 2
+    alpha_t = Fraction(sum(k * (a + b) for k, (a, b) in enumerate(zip(h, h2))), 2 * n)
+    return d, alpha_t, (h[0] + h2[0]) // 2
+
+
 def two_torsion_walk(module):
-    """(N, counts) of fqm.two_torsion_q_histogram by one pass over the 2-torsion coordinates."""
+    """(N, counts) of two_torsion_histogram by one pass over the 2-torsion coordinates."""
     return module.level(), module._count_q_values([(0, d // 2) if d % 2 == 0 else (0,)
                                                    for d in module.orders])
 

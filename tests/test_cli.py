@@ -283,3 +283,27 @@ def test_weil_check_refuses_a_module_above_the_order_bound(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("precondition failure: module order 2601 exceeds the Weil "
                             "representation bound %d\n" % weil.ORDER_BOUND)
+
+
+@pytest.mark.parametrize("unbuffered", (True, False))
+def test_closed_stdout_exits_0_quietly(unbuffered):
+    # `discforms dims table1 | head -1`: the reader closes the pipe after one line; the
+    # next write (a print when unbuffered, the final flush when buffered) hit a broken
+    # pipe, which printed a BrokenPipeError traceback and exited 1
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "discforms.cli", "dims", "table1",
+                             "--nmax", "1250"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"1\t1\n"
+    assert (code, err) == (0, b"")

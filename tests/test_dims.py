@@ -1,12 +1,14 @@
 import cmath
 import random
+import re
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
 
-from discforms import dims, fqm
-from discforms.errors import PreconditionError
+from discforms import cyclo, dims, fqm
+from discforms.errors import ConsistencyError, PreconditionError
 from helpers import plus_subspace_reference, random_module
 
 
@@ -114,3 +116,64 @@ def test_multiplicities_sum_to_d():
         rep = dims.dim_M(dims.table_row_module(n), F(5, 2))
         assert sum(rep.mult_S) == rep.d
         assert sum(rep.mult_ST) == rep.d
+
+
+def _slow_st_values(tr_v, base):
+    out = []
+    for j in range(3):
+        x = cyclo.e_frac(F(-j, 3)) * tr_v
+        out.append((base + x + x.conjugate()).rational_value())
+    return out
+
+
+def test_st_values_in_q_omega_match_the_cyclotomic_route():
+    # a + b w^s at moduli with and without the prime 3, and unreduced presentations of it
+    rng = random.Random(33)
+    w = cyclo.e_frac(F(1, 3))
+    for _ in range(200):
+        a, b, den = rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(1, 12)
+        mod = rng.choice((1, 2, 4, 8, 3, 6, 12, 24, 84, 168, 360))
+        t = (cyclo.CyclotomicNumber.from_rational(a) + w ** rng.randint(1, 2) * b) * F(1, den)
+        if mod % 3:
+            t = cyclo.CyclotomicNumber.from_rational(F(a, den))
+        t = t._promoted(lcm(t.mod, mod))
+        base = rng.randint(0, 1000)
+        got = [F(num, d) for num, d in dims._st_values(t, base)]
+        assert got == _slow_st_values(t, base), (t, base)
+
+
+def test_st_values_outside_q_omega_are_refused():
+    for t in (cyclo.e_frac(F(1, 8)), cyclo.e_frac(F(1, 12)) + 1, cyclo.e_frac(F(1, 5)) * 7):
+        with pytest.raises(ConsistencyError, match="^value is not rational: "):
+            list(dims._st_values(t, 10))
+
+
+# inconsistent orbit data for row 5 (d = 26, alpha_T = 37/4, 5 isotropic orbits), and the check
+# of dims.dim_M that refuses it
+CORRUPT_ORBIT_DATA = {
+    (27, F(37, 4), 5): "multiplicity of +1 for S is not an integer: 27/2",
+    (28, F(37, 4), 5): "multiplicity 0 for ST is not an integer: 29/3",
+    (-4, F(37, 4), 5): "negative eigenvalue multiplicity for S",
+    (26, F(37, 4) + F(1, 3), 5): "dimension of the holomorphic space is not an integer: 20/3",
+    (26, F(37, 4) + 100, 5): "negative dimension",
+    (26, F(37, 4), 1005): "cusp dimension is negative",
+}
+
+
+def test_inconsistent_orbit_data_and_gauss_sums_are_refused(monkeypatch):
+    a = dims.table_row_module(5)
+    assert dims._orbit_data(a) == (26, F(37, 4), 5)
+    for data, message in CORRUPT_ORBIT_DATA.items():
+        with monkeypatch.context() as m:
+            m.setattr(dims, "_orbit_data", lambda module, data=data: data)
+            with pytest.raises(ConsistencyError, match="^%s$" % re.escape(message)):
+                dims.dim_M(a, F(5, 2))
+    # a kept Gauss sum turned by e(1/8) takes the ST trace out of Q(e(1/3)); G(2) is 0 on a
+    # table row, and e(1/8) in its place takes the S trace out of Q
+    eighth = cyclo.e_frac(F(1, 8))
+    for c, message in ((3, "value is not rational: 9800 + 49 * z168^28 + -49 * z168^35 + "),
+                       (2, "value is not rational: -7 * z56^14 + 7 * z56^28")):
+        b = dims.table_row_module(7)
+        b._gauss[c] = cyclo.gauss_sum(b, c) * eighth if c == 3 else eighth
+        with pytest.raises(ConsistencyError, match="^" + re.escape(message)):
+            dims.dim_M(b, F(5, 2))

@@ -5,7 +5,9 @@ e(c*Q(x)), compared with the canonical gauss_sum after reduce();
 orbit_data_reference reads the {x, -x} orbit representatives and
 dim_M_reference takes its traces in Fraction coefficients. Direct sums and
 H(n) read their invariants from summands and closed forms; q_histogram_walk,
-two_torsion_walk and gauss_sum_walk walk every coordinate instead.
+two_torsion_walk and gauss_sum_walk walk every coordinate instead. The
+moments that dims reads (fqm.q_moments, fqm.two_torsion_q_moments) are checked
+against orbit_data_histogram, which reads the histograms of A and A[2].
 """
 
 import random
@@ -18,9 +20,9 @@ import pytest
 
 from discforms import cyclo, dims, fqm
 from helpers import (block, dim_M_reference, gauss_sum_reference, gauss_sum_walk,
-                     orbit_data_reference, orbit_representatives_reference, q_histogram_walk,
-                     q_value_reference, random_even_gram, random_module, two_torsion_walk, un,
-                     validate_reference)
+                     orbit_data_histogram, orbit_data_reference, orbit_representatives_reference,
+                     q_histogram_walk, q_value_reference, random_even_gram, random_module,
+                     two_torsion_histogram, two_torsion_walk, un, validate_reference)
 
 C_VALUES = (1, -1, 2, -2, 3)
 
@@ -218,7 +220,7 @@ def test_histogram_counts_the_elements(name):
     assert sum(counts) == a.order()
     assert counts == _element_histogram(a)
     assert all(a.q_value(x) == q_value_reference(a, x) for x in a.elements())
-    n2, counts2 = fqm.two_torsion_q_histogram(a)
+    n2, counts2 = two_torsion_histogram(a)
     two_torsion = [x for x in a.elements() if (x + x).is_zero()]
     assert n2 == n and sum(counts2) == len(two_torsion)
     assert counts2 == tuple(sum(1 for x in two_torsion if x.q() * n == k) for k in range(n))
@@ -295,7 +297,7 @@ def _check_against_walk(module):
     walk too, and there are at most level of them.
     """
     assert module.q_histogram() == q_histogram_walk(module), module
-    assert fqm.two_torsion_q_histogram(module) == two_torsion_walk(module), module
+    assert two_torsion_histogram(module) == two_torsion_walk(module), module
     for c in C_RANGE:
         fast, slow = cyclo.gauss_sum(module, c), gauss_sum_walk(module, c)
         assert _same_cyclotomic(fast, slow), (module, c, fast, slow)
@@ -408,3 +410,104 @@ def test_picard_row_997_walks_no_module_above_order_2(monkeypatch):
     dims._definite_block.cache_clear()
     assert dims.picard_rank(997) == PICARD_PINS[997]
     assert walked and max(walked) <= 2, walked
+
+
+# -- the moments route against the histograms ------------------------------------------
+
+
+def _moments(hist):
+    """(|A|, the sum of N*Q(x), #{x : Q(x) = 0}) read from a histogram (N, counts)."""
+    _n, counts = hist
+    return sum(counts), sum(k * c for k, c in enumerate(counts)), counts[0]
+
+
+def _check_moments(module):
+    """Both moments and the orbit data equal the walked histograms' and the histogram oracle's."""
+    assert module.q_moments() == _moments(q_histogram_walk(module)), module
+    assert fqm.two_torsion_q_moments(module) == _moments(two_torsion_walk(module)), module
+    assert dims._orbit_data(module) == orbit_data_histogram(module), module
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_moments_match_the_histograms_on_named_modules(name):
+    _check_moments(NAMED[name])
+    _check_moments(fqm.negate(NAMED[name]))
+
+
+def test_moments_match_the_histogram_oracle_on_table_rows_to_1250():
+    # the oracle convolves the two blocks' histograms, O(n) a row
+    for n in range(1, 1251):
+        a = dims.table_row_module(n)
+        assert dims._orbit_data(a) == orbit_data_histogram(a), n
+        b = fqm.negate(a)
+        assert dims._orbit_data(b) == orbit_data_histogram(b), n
+    for n in TABLE_NS:
+        _check_moments(dims.table_row_module(n))
+
+
+def _large_level_module(rng):
+    """A random module or H(m) of level above fqm.SMALL_LEVEL, order at most 150."""
+    while True:
+        a = (fqm.hyperbolic_module(rng.randint(9, 12)) if rng.random() < 0.3
+             else random_module(rng, max_order=40))
+        if a.level() > fqm.SMALL_LEVEL:
+            return a
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_moments_of_a_sum_without_a_small_summand_read_its_histogram(seed):
+    rng = random.Random(9300 + seed)
+    for _ in range(6):
+        a = fqm.direct_sum(_large_level_module(rng), _large_level_module(rng))
+        assert type(fqm._value_counts(a, a.level())) is fqm._HistogramCounts, a
+        _check_moments(a)
+        # a small summand over that sum reads the sum's counts from its histogram
+        b = fqm.direct_sum(NAMED["cyclic2"], a)
+        counts = fqm._value_counts(b, b.level())
+        assert type(counts) is fqm._SmallSumCounts and type(counts.other) is fqm._HistogramCounts
+        _check_moments(b)
+
+
+def _check_value_counts(module):
+    """Every count and tail and the total of the module's route, against the walked histogram."""
+    n, counts = q_histogram_walk(module)
+    for f in (1, 2, 3):
+        route = fqm._value_counts(module, f * n)
+        assert route.order == module.order(), module
+        assert route.total == f * sum(k * c for k, c in enumerate(counts)), (module, f)
+        for k in range(f * n + 1):
+            if k < f * n:
+                assert route.count(k) == (0 if k % f else counts[k // f]), (module, k, f)
+            assert route.tail(k) == sum(counts[-(-k // f):]), (module, k, f)
+
+
+def test_value_counts_answer_every_query():
+    modules = [fqm.hyperbolic_module(n) for n in range(1, 61)]
+    modules += [dims.table_row_module(n) for n in range(1, 41)]
+    modules += [NAMED[name] for name in sorted(NAMED)]
+    rng = random.Random(9400)
+    for _ in range(12):
+        modules.append(fqm.direct_sum(random_module(rng, max_order=12),
+                                      _random_sum(rng, with_hyperbolic=True)))
+    kinds = set()
+    for a in modules:
+        for b in (a, fqm.negate(a)):
+            kinds.add(type(fqm._value_counts(b, b.level())).__name__)
+            _check_value_counts(b)
+    assert kinds == {"_HistogramCounts", "_HyperbolicCounts", "_SmallSumCounts"}, kinds
+
+
+def test_picard_rows_build_no_histogram_beyond_the_definite_block(monkeypatch):
+    # the <1/4> block walks its 2 elements once per process; H(n) and the row answer
+    # by divisor sums and the sparse 2-torsion, so neither histogram builder runs
+    dims._definite_block().q_histogram()
+    rows = tuple(range(1, 61)) + tuple(PICARD_PINS)
+    want = {n: 1 + dims.dim_S(dims.table_row_module(n), F(5, 2)) for n in rows}
+
+    def refuse(*args):
+        raise AssertionError("a histogram was built: %r" % (args[:1],))
+
+    monkeypatch.setattr(fqm, "_hyperbolic_histogram", refuse)
+    monkeypatch.setattr(fqm, "_convolve", refuse)
+    assert {n: dims.picard_rank(n) for n in rows} == want
+    assert {n: want[n] for n in PICARD_PINS} == PICARD_PINS

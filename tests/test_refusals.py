@@ -104,6 +104,11 @@ REFUSALS = {
                         "matrix must be 2 x 2, the rank of the module"),
     "aut_entry_text": (lambda: fqm.Automorphism(_h(6), [["x", 0], [0, 1]]),
                        "matrix entries must be integers"),
+    # a bare int is not a matrix; iterating it raised TypeError
+    "aut_bare_int": (lambda: fqm.Automorphism(_h(3), 5),
+                     "matrix must be 2 x 2, the rank of the module"),
+    "aut_bare_int_row": (lambda: fqm.Automorphism(_h(3), [[1, 0], 5]),
+                         "matrix must be 2 x 2, the rank of the module"),
     "elements_of_two_modules": (lambda: _h(2).zero() + _h(3).zero(),
                                 "elements belong to different modules"),
     "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
@@ -191,6 +196,11 @@ REFUSALS = {
     # a non-integral entry of ell is refused, not truncated to int
     "ell_not_integral": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 1], [1, 0]]), [1.5, 0]),
                          "ell entries must be integers"),
+    # a bare int is not a vector; iterating it raised TypeError
+    "ell_bare_int": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 1], [1, 0]]), 5),
+                     "ell must be a list of integers"),
+    "k0_ell_bare_int": (lambda: lattice.sublattice_K0(lattice.EvenLattice([[0, 1], [1, 0]]), 5),
+                        "ell must be a list of integers"),
     "k0_ell_not_integral": (
         lambda: lattice.sublattice_K0(lattice.EvenLattice([[0, 1], [1, 0]]), [1.5, 0]),
         "ell entries must be integers"),
@@ -334,6 +344,18 @@ REFUSALS = {
                                        "matrix entries must be integers"),
     "metaplectic_determinant": (lambda: weil.MetaplecticElement(((2, 1), (1, 2))),
                                 "matrix must have determinant one"),
+    # a matrix that is not 2 x 2 failed to unpack with ValueError, and a float bit
+    # failed in `bit & 1` with TypeError; a bit of 2 or 3 was read mod 2
+    "metaplectic_wide_row": (lambda: weil.MetaplecticElement(((1, 0, 0), (0, 1))),
+                             "matrix must be 2 x 2"),
+    "metaplectic_three_rows": (lambda: weil.MetaplecticElement(((1, 0), (0, 1), (1, 1))),
+                               "matrix must be 2 x 2"),
+    "metaplectic_not_a_matrix": (lambda: weil.MetaplecticElement(None), "matrix must be 2 x 2"),
+    "rho_of_short_matrix": (lambda: weil.rho_of(_h(3), [[1, 0]]), "matrix must be 2 x 2"),
+    "metaplectic_float_bit": (lambda: weil.MetaplecticElement(((1, 0), (0, 1)), 0.5),
+                              "the branch bit must be the int 0 or 1"),
+    "metaplectic_bit_two": (lambda: weil.MetaplecticElement(((1, 0), (0, 1)), 2),
+                            "the branch bit must be the int 0 or 1"),
 }
 
 
