@@ -1,11 +1,11 @@
 """Exact integer arithmetic shared by the package.
 
 Owns Gram-matrix validation (even_gram), the parsing of rational input text
-(parse_rational), the check of integer arguments (integer), the extended gcd
-(ext_gcd), the Smith and Hermite forms, lattice bases, signatures, and the one
-trial-division factorization with its divisors and primality test
-(factorization, divisors, is_prime). All matrices are lists of lists (or tuples
-of tuples). Functions never mutate their arguments.
+(parse_rational), the checks of integer and rational arguments (integer,
+rational), the extended gcd (ext_gcd), the Smith and Hermite forms, lattice
+bases, signatures, and the one trial-division factorization with its divisors
+and primality test (factorization, divisors, is_prime). All matrices are lists
+of lists (or tuples of tuples). Functions never mutate their arguments.
 """
 
 from fractions import Fraction
@@ -94,6 +94,21 @@ def integer(x, what):
     if n is None or n != x:
         raise PreconditionError("%s must be integers" % what)
     return n
+
+
+def rational(x, what):
+    """x as an int or a Fraction; what (a singular noun) names it in the refusal of other input.
+
+    Any other x is read by parse_rational, so "5/2" and 2.5 are 5/2, and "x" or
+    None is refused.
+    """
+    # the int test first: isinstance against Fraction is an ABC check
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    try:
+        return parse_rational(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise PreconditionError("%s must be a rational number, not %r" % (what, x)) from None
 
 
 def _integer_entry(x):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 import cmath
 
-from ._intmat import factorization
+from ._intmat import factorization, integer, rational
 from .errors import ConsistencyError
 
 
@@ -290,7 +290,7 @@ class CyclotomicNumber:
 
 def e_frac(q):
     """The root of unity e(q) = exp(2*pi*i*q) for rational q."""
-    q = Fraction(q)
+    q = rational(q, "phase")
     return root_of_unity(q.numerator, q.denominator)
 
 
@@ -302,56 +302,32 @@ def root_of_unity(a, m):
 
 
 def gauss_sum(module, c=1):
-    """Sum of e(c*Q(x)) over all x in the module, exactly.
+    """Sum of e(c*Q(x)) over all x in the module, exactly, for an integer c.
 
     The value is returned in canonical form at the least modulus N/gcd(N, c*k)
     over the values k/N of Q that occur, N = level: a few-term number, so that
     every product of Gauss sums stays short. It depends on c mod N only, and is
     kept on the module under that key, so a module holds at most N of them and
-    callers share one object, which they must not mutate. Three routes give
-    that one form:
-
-    - a direct sum multiplies the Gauss sums of its summands. The values of Q
-      on the sum are the sums of values on the summands, so the least modulus
-      of the sum is the lcm of theirs, the modulus of the raw product;
-    - H(n) has G(c) = n*gcd(c, n), a rational at the modulus n/gcd(c, n);
-    - any other module reads its Q-value histogram: G(c) = sum_k counts[k] *
-      e(c*k/N), with integer coefficients, reduced once.
+    callers share one object, which they must not mutate. The module's structure
+    kind builds it (see fqm): a _Walk from its Q-value histogram, a _Hyperbolic
+    H(n) as n*gcd(c, n), and a _Sum as the product of its summands' Gauss sums.
     """
-    c %= module.level()
+    c = (c if type(c) is int else integer(c, "Gauss sum multipliers")) % module.level()
     memo = module._gauss
     g = memo.get(c)
     if g is None:
-        g = memo[c] = _gauss_sum(module, c)
+        g = memo[c] = module._structure.gauss(module, c)
     return g
-
-
-def _gauss_sum(module, c):
-    """The value of gauss_sum, for 0 <= c < level, by the route of the module's structure."""
-    if module._summands:
-        a, b = module._summands
-        return (gauss_sum(a, c) * gauss_sum(b, c)).reduce()
-    if module._hyperbolic:
-        n = module.level()
-        g = gcd(c, n)
-        return CyclotomicNumber._normalized(n // g, {0: n * g})
-    n, counts = module.q_histogram()
-    exps = [(c * k % n, m) for k, m in enumerate(counts) if m]
-    g = gcd(n, *(e for e, _m in exps))
-    out = {}
-    for e, m in exps:
-        out[e // g] = out.get(e // g, 0) + m
-    return CyclotomicNumber._normalized(n // g, out).reduce()
 
 
 def sqrt_card(module):
     """The positive square root of |A| as an exact cyclotomic number.
 
     It is x = e(-sig/8) * G(1), from the kept G(1) and the module's signature;
-    nothing is rechecked. For a module with no orthogonal structure,
-    fqm.milgram_signature proved x real with x^2 = |G(1)|^2 = |A| by its exact
-    magnitude check, and x > 0 by its float test. A direct sum inherits the
-    proof: its G(1) and e(-sig/8) are the products of its summands', so x is
-    the product of their positive square roots. H(n) has sig = 0 and G(1) = n.
+    nothing is rechecked. For a module of the kind _Walk, fqm.milgram_signature
+    proved x real with x^2 = |G(1)|^2 = |A| by its exact magnitude check, and
+    x > 0 by its float test. A _Sum inherits the proof: its G(1) and e(-sig/8)
+    are the products of its summands', so x is the product of their positive
+    square roots. A _Hyperbolic H(n) has sig = 0 and G(1) = n.
     """
     return root_of_unity(-module.signature(), 8) * gauss_sum(module, 1)

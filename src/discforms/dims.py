@@ -12,19 +12,21 @@ Everything is read from three integer moments of A and of its 2-torsion A[2]
 N*Q(x) in [0, N) at the level N, and the count of Q(x) = 0, which give d,
 alpha(T) and the isotropic orbit count; and the traces of U and V through the
 signature and the Gauss sums G(c) for c in {1, -1, 2, -2, 3} (cyclo.gauss_sum,
-kept on the module). A module built by fqm.direct_sum reads all of these from
-its summands, and H(n) has closed forms, so a Picard table row <1/4> + H(n)
-shifts the divisor sums of H(n) by the two values of <1/4>, reads the at most
-8 elements of A[2], adds signatures and multiplies Gauss sums, with no
-histogram, no walk over its 2n^2 elements and no Milgram pass; the <1/4> block
-is built once, with its Gauss sums. Any other module reads its moments from
-its histogram, one walk over its elements. A trace times 2|A| has integer
-coefficients, and the roots e(k/4 - sig/4), e(k/6 - sig/4) are built from the
-integers 2k and sig, so each trace or multiplicity is an integer num/den taken
-after one exact rational extraction. Each trace is one product of a scale
-e(r - sig/4) G(1) with a sum of two Gauss sums. The ST trace lies in Q(e(1/3)),
-so its three multiplicities, which read x + conj(x) with x = e(-j/3) tr V, come
-from its canonical form with no further cyclotomic product. No element and no
+kept on the module). All of these are read from the module's structure kind
+(see fqm): a direct sum, of the kind _Sum, reads them from its summands, and
+H(n), of the kind _Hyperbolic, has closed forms, so a Picard table row
+<1/4> + H(n) shifts the divisor sums of H(n) by the two values of <1/4>, reads
+the at most 8 elements of A[2], adds signatures and multiplies Gauss sums, with
+no histogram, no walk over its 2n^2 elements and no Milgram pass; the <1/4>
+block is built once, with its Gauss sums. Any other module, of the kind _Walk,
+reads its moments from its histogram, one walk over its elements. A trace
+times 2|A| has integer coefficients, and the roots e(k/4 - sig/4),
+e(k/6 - sig/4) are built from the integers 2k and sig, so each trace or
+multiplicity is an integer num/den taken after one exact rational extraction.
+Each trace is one product of a scale e(r - sig/4) G(1) with a sum of two Gauss
+sums. The ST trace lies in Q(e(1/3)), so its three multiplicities, which read
+x + conj(x) with x = e(-j/3) tr V, come from its canonical form with no further
+cyclotomic product. No element and no
 matrix is materialized.
 """
 
@@ -33,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import cyclo, fqm
+from ._intmat import integer, rational
 from .cyclo import root_of_unity
 from .errors import ConsistencyError, PreconditionError
 
@@ -97,7 +100,7 @@ def _st_values(tr_v, base):
 
 def dim_M(module, k):
     """Dimension report for the holomorphic space of weight k, k > 2."""
-    k = Fraction(k)
+    k = rational(k, "weight")
     if k <= 2:
         raise PreconditionError("the trace formula is implemented for weights k > 2 only")
     fqm.check_weight_parity(module, k)
@@ -169,8 +172,8 @@ def table_row_module(n):
 
     The definite block is Z with Q(x) = x^2 (Gram matrix [[2]]); the rescaled
     and unimodular hyperbolic planes contribute (Z/n)^2 and nothing. The row
-    is the direct sum <1/4> + H(n), so its histograms and Gauss sums are read
-    from those of the two blocks (see fqm.direct_sum).
+    is the direct sum <1/4> + H(n), of the kind fqm._Sum, so its histograms and
+    Gauss sums are read from those of the two blocks.
     """
     return fqm.direct_sum(_definite_block(), fqm.hyperbolic_module(n))
 
@@ -182,6 +185,7 @@ def check_table(nmax):
     and the largest odd row, of level 4n, the largest level. Building those
     two rows runs fqm's bound checks for all of them.
     """
+    nmax = integer(nmax, "row numbers")
     if nmax < 1:
         raise PreconditionError("the table needs nmax >= 1, not %d" % nmax)
     table_row_module(nmax)

@@ -4,16 +4,12 @@ A module is presented by generator orders and stores one form, the integer
 form: the level N and N*Q(g_i), N*(g_i, g_j) in [0, N). Equality, hashing, Q
 values, pairings and the Weil layer's index tables all read it; q_values and
 bilinear are Fraction views in [0, 1), built on each read. Construction is
-integer algebra, made canonical in one place, _from_forms; the histogram, Gauss
-sums and signature are built when first read, from the module's orthogonal
-structure where it has one: a direct_sum convolves its summands' Q-value
-histograms, multiplies their Gauss sums (cyclo.gauss_sum) and adds their
-signatures, and hyperbolic_module(n) has closed forms for all three; negate
-keeps both kinds of structure. Any other module (from a Gram matrix, a
-subquotient) walks its coordinates once for its histogram and runs
-milgram_signature. q_moments reads |A|, the sum of Q and the isotropic count
-by the same dispatch, with no histogram for H(n) or for a sum with a small
-summand such as <1/4> + H(n).
+integer algebra, made canonical in one place, _from_forms. The histogram, the
+moments of q_moments, the Gauss sums (cyclo.gauss_sum) and the signature are
+read from the module's one structure kind: a direct_sum is a _Sum, read from
+its summands; hyperbolic_module(n) is a _Hyperbolic, with closed forms; any
+other module (a Gram matrix, a subquotient) is a _Walk, which walks its
+coordinates once and runs milgram_signature. negate keeps the kind.
 Elements are coordinate tuples. A subgroup is the Hermite normal form of its
 integer lattice, so complements and subquotients are integer linear algebra:
 a subquotient solves against the Hermite rows of H^perp by forward substitution
@@ -23,14 +19,15 @@ results are cached per module and order.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
 
 from . import cyclo
 from ._intmat import (even_gram, factorization, hermite_rows, identity, integer, is_prime,
-                      kernel_basis, mat_mul, mat_vec, smith_normal_form, solve_hermite,
-                      transpose)
+                      kernel_basis, mat_mul, mat_vec, rational, smith_normal_form,
+                      solve_hermite, transpose)
 from .errors import ConsistencyError, PreconditionError
 
 BRUTE_FORCE_BOUND = 10_000
@@ -125,17 +122,18 @@ class FiniteQuadraticModule:
         self._validate()
 
     @classmethod
-    def _from_forms(cls, orders, level, nq, nb):
+    def _from_forms(cls, orders, level, nq, nb, structure=None):
         """A module from an integer form, unvalidated; the caller vouches for int orders.
 
         level may be any common multiple N of the denominators, and nq, nb any ints
         congruent to N*Q(g_i), N*(g_i, g_j) mod N: _install makes the form canonical.
+        structure is the module's kind, _Walk when omitted.
         """
         out = cls.__new__(cls)
-        out._install(orders, level, nq, nb)
+        out._install(orders, level, nq, nb, structure)
         return out
 
-    def _install(self, orders, level, nq, nb):
+    def _install(self, orders, level, nq, nb, structure=None):
         """The form divided by g = gcd(level, nq, nb) and reduced mod level/g, caches, bounds."""
         g = gcd(level, *nq, *chain.from_iterable(nb))
         level //= g
@@ -156,11 +154,9 @@ class FiniteQuadraticModule:
         self._isotropic = {}
         # the index tables of the Weil layer (weil._tables), built on first use
         self._weil_tables = None
-        # the orthogonal structure the invariants are read from: the two summands
-        # of a direct_sum, or that the module is isometric to H(level), as
-        # hyperbolic_module(n) and its negation are
-        self._summands = None
-        self._hyperbolic = False
+        # the structure kind the invariants are read from, and negate's result
+        self._structure = structure or _WALK
+        self._negation = None
         if self.order() > ORDER_BOUND:
             raise PreconditionError("module order %d exceeds the bound %d"
                                     % (self.order(), ORDER_BOUND))
@@ -223,20 +219,9 @@ class FiniteQuadraticModule:
         return tuple(x for x in sorted(d) if x > 1)
 
     def signature(self):
-        """Signature mod 8 (cached), read from the orthogonal structure where there is one.
-
-        G(1) = e(sig/8)*sqrt|A| is multiplicative over direct sums, so a sum's
-        signature is the sum of its summands', and H(n) has G(1) = n, signature 0.
-        Any other module runs milgram_signature.
-        """
+        """Signature mod 8 (cached), read from the structure kind."""
         if self._signature is None:
-            if self._summands:
-                a, b = self._summands
-                self._signature = (a.signature() + b.signature()) % 8
-            elif self._hyperbolic:
-                self._signature = 0
-            else:
-                self._signature = milgram_signature(self)
+            self._signature = self._structure.signature(self)
         return self._signature
 
     # -- elements --------------------------------------------------------------
@@ -287,30 +272,20 @@ class FiniteQuadraticModule:
     def q_histogram(self):
         """(N, counts) with N = level() and counts[k] = #{x : Q(x) = k/N} (cached).
 
-        A direct sum convolves the histograms of its summands, and H(n) has a
-        closed form; any other module takes one pass over the coordinates in
-        integer arithmetic. No element is built.
+        Read from the structure kind; no element is built.
         """
         if self._histogram is None:
-            if self._summands:
-                h = _convolve(*(s.q_histogram() for s in self._summands))
-            elif self._hyperbolic:
-                h = _hyperbolic_histogram(self._level)
-            else:
-                h = self._level, self._count_q_values([range(d) for d in self.orders])
-            self._histogram = h
+            self._histogram = self._structure.histogram(self)
         return self._histogram
 
     def q_moments(self):
         """(|A|, the sum of N*Q(x) over A, #{x : Q(x) = 0}) with N = level(), N*Q(x) in [0, N).
 
-        The structure dispatch of q_histogram for the three numbers dims reads
-        (see _value_counts): H(n) answers in closed form, a direct sum with a
-        summand of level at most SMALL_LEVEL from that summand's values and the
-        other summand's counts, and any other module from its cached histogram.
+        Read from the structure kind, with no histogram for H(n) or for a sum
+        with a small summand such as <1/4> + H(n).
         """
-        v = _value_counts(self, self._level)
-        return v.order, v.total, v.count(0)
+        kind = self._structure
+        return self.order(), kind.total(self), kind.count(self, 0)
 
     def nq_values(self, choices):
         """N*Q(x) mod N, with N = level(), for the x with x_i in choices[i].
@@ -520,9 +495,7 @@ def negation_automorphism(module):
 
 def trivial_module():
     """The module of order 1. It is H(1), and reads its invariants from H(n)'s closed forms."""
-    out = FiniteQuadraticModule._from_forms((), 1, (), ())
-    out._hyperbolic = True
-    return out
+    return FiniteQuadraticModule._from_forms((), 1, (), (), _HYPERBOLIC)
 
 
 def cyclic_module(n, q):
@@ -536,9 +509,7 @@ def hyperbolic_module(n):
     if n == 1:
         return trivial_module()
     # valid by construction: Q(a, b) = ab/n pairs a with b perfectly, so only the bounds are checked
-    out = FiniteQuadraticModule._from_forms((n, n), n, (0, 0), ((0, 1), (1, 0)))
-    out._hyperbolic = True
-    return out
+    return FiniteQuadraticModule._from_forms((n, n), n, (0, 0), ((0, 1), (1, 0)), _HYPERBOLIC)
 
 
 def matrix_model_module(p):
@@ -591,34 +562,28 @@ def fqm_from_gram(gram):
 def direct_sum(a, b):
     """Orthogonal direct sum, generators of a followed by generators of b.
 
-    The sum records its summands and reads its histograms, Gauss sums and
-    signature from theirs. Its integer form is theirs at the level N_a*N_b. Only
-    the order and level bounds are checked: the sum of two valid modules is valid.
+    The sum's kind is _Sum(a, b), and its integer form is theirs at the level
+    N_a*N_b. Only the order and level bounds are checked: the sum of two valid
+    modules is valid.
     """
     fa, fb = b._level, a._level
     ia, ib = [0] * a.rank, [0] * b.rank
-    out = FiniteQuadraticModule._from_forms(
+    return FiniteQuadraticModule._from_forms(
         a.orders + b.orders, fa * fb, [x * fa for x in a._nq] + [x * fb for x in b._nq],
-        [[x * fa for x in row] + ib for row in a._nb] + [ia + [x * fb for x in row] for row in b._nb])
-    out._summands = (a, b)
-    return out
+        [[x * fa for x in row] + ib for row in a._nb] + [ia + [x * fb for x in row] for row in b._nb],
+        _Sum(a, b))
 
 
 def negate(a):
-    """Same group with the quadratic form -Q, keeping the orthogonal structure of a.
+    """Same group with the quadratic form -Q, of the kind a._structure.negated() (cached).
 
-    The negation of a direct sum is the sum of the negated summands, on the same
-    presentation. -H(n) is isometric to H(n) by (x, y) -> (x, -y), so it keeps
-    H(n)'s closed forms. The negation of a valid module is valid; only the bounds
-    are checked.
+    The negation of a valid module is valid; only the bounds are checked.
     """
-    if a._summands:
-        return direct_sum(*map(negate, a._summands))
-    out = FiniteQuadraticModule._from_forms(
-        a.orders, a._level, tuple(-x for x in a._nq),
-        tuple(tuple(-x for x in row) for row in a._nb))
-    out._hyperbolic = a._hyperbolic
-    return out
+    if a._negation is None:
+        a._negation = FiniteQuadraticModule._from_forms(
+            a.orders, a._level, tuple(-x for x in a._nq),
+            tuple(tuple(-x for x in row) for row in a._nb), a._structure.negated())
+    return a._negation
 
 
 # -- invariants -------------------------------------------------------------------
@@ -629,9 +594,8 @@ def milgram_signature(a):
 
     The sum over the module of e(Q(x)) must have squared magnitude equal to the
     order; the phase, an exact eighth root of unity, is the signature.
-    FiniteQuadraticModule.signature runs this pass only on a module with no
-    orthogonal structure; the summands of a direct sum and H(n) carry the
-    proof, so this stays the oracle of their route.
+    FiniteQuadraticModule.signature runs this pass only for the _Walk kind;
+    _Sum and _Hyperbolic carry the proof, so this stays the oracle of their route.
     """
     g = cyclo.gauss_sum(a, 1)
     if (g * g.conjugate()).rational_value() != a.order():
@@ -655,7 +619,7 @@ def check_weight_parity(a, k):
     Under this condition the central element acts on the symmetrized
     subspace spanned by e_x + e_{-x} by a scalar.
     """
-    two_k = 2 * Fraction(k)
+    two_k = 2 * rational(k, "weight")
     if two_k.denominator != 1 or (int(two_k) - a.signature()) % 4:
         raise PreconditionError("weight fails the parity condition 2k = sig mod 4")
 
@@ -689,8 +653,9 @@ def _convolve(ha, hb):
     return n, tuple(out)
 
 
+@cache
 def _hyperbolic_weights(n):
-    """The pairs (g, w_g) with w_g = g * phi(n/g), over the divisors g of n.
+    """The pairs (g, w_g) with w_g = g * phi(n/g), over the divisors g of n (cached).
 
     phi(n/g) is the number of x mod n with gcd(x, n) = g, and for such an x,
     y -> xy covers the multiples of g, g times each; w_g is multiplicative, so
@@ -701,14 +666,13 @@ def _hyperbolic_weights(n):
         # the exponent of p in g is i, so that phi(p^(e-i)) = p^(e-i) - p^(e-i-1) for i < e
         out = [(g * p ** i, w * p ** i * (p ** (e - i) - p ** (e - i - 1) if i < e else 1))
                for g, w in out for i in range(e + 1)]
-    return out
+    return tuple(out)
 
 
 def _hyperbolic_histogram(n):
     """(n, counts) for H(n): counts[k] = #{(x, y) : xy = k mod n}.
 
-    counts[k] is the sum of w_g over the g dividing gcd(k, n). Read by
-    q_histogram of H(n), and of a sum with H(n); q_moments needs no histogram.
+    counts[k] is the sum of w_g over the g dividing gcd(k, n).
     """
     counts = [0] * n
     for g, w in _hyperbolic_weights(n):
@@ -717,94 +681,148 @@ def _hyperbolic_histogram(n):
     return n, tuple(counts)
 
 
-# A direct sum with a summand of level at most this reads its value counts from
-# that summand's at most SMALL_LEVEL values (see _value_counts)
+# -- structure kinds ------------------------------------------------------------------
+# A module's _structure reads, at its level N: the histogram; total, the sum of
+# N*Q(x) in [0, N), count(k) = #{x : N*Q(x) = k} and tail(k) = #{x : N*Q(x) >= k};
+# G(c) for 0 <= c < N, canonical (see cyclo.gauss_sum); the signature; and, by
+# negated(), the kind of negate(a). The module keeps the histogram, G(c) and signature.
+
+
+class _Walk:
+    """The default kind: one pass over the coordinates, and milgram_signature."""
+
+    def histogram(self, a):
+        return a._level, a._count_q_values([range(d) for d in a.orders])
+
+    def total(self, a):
+        return sum(k * x for k, x in enumerate(a.q_histogram()[1]))
+
+    def count(self, a, k):
+        return a.q_histogram()[1][k]
+
+    def tail(self, a, k):
+        return sum(a.q_histogram()[1][k:])
+
+    def gauss(self, a, c):
+        # sum_k counts[k] * e(c*k/N), with integer coefficients, reduced once
+        n, counts = a.q_histogram()
+        exps = [(c * k % n, x) for k, x in enumerate(counts) if x]
+        g = gcd(n, *(e for e, _x in exps))
+        out = {}
+        for e, x in exps:
+            out[e // g] = out.get(e // g, 0) + x
+        return cyclo.CyclotomicNumber._normalized(n // g, out).reduce()
+
+    def signature(self, a):
+        return milgram_signature(a)
+
+    def negated(self):
+        return self
+
+
+class _Hyperbolic(_Walk):
+    """H(n) by closed forms: the x with gcd(x, n) = g give w_g pairs (x, y) on each
+    multiple of g mod n. -H(n) is isometric to H(n) by (x, y) -> (x, -y).
+    """
+
+    def histogram(self, a):
+        return _hyperbolic_histogram(a._level)
+
+    def total(self, a):
+        # the multiples i*g, i < n/g, sum to g*(n/g)*(n/g - 1)/2
+        n = a._level
+        return sum(w * g * (n // g) * (n // g - 1) // 2 for g, w in _hyperbolic_weights(n))
+
+    def count(self, a, k):
+        return sum(w for g, w in _hyperbolic_weights(a._level) if k % g == 0)
+
+    def tail(self, a, k):
+        # the multiples of g in [k, n)
+        n = a._level
+        return sum(w * (n // g + (-k // g)) for g, w in _hyperbolic_weights(n))
+
+    def gauss(self, a, c):
+        # G(c) = n*gcd(c, n), a rational at the modulus n/gcd(c, n)
+        n = a._level
+        g = gcd(c, n)
+        return cyclo.CyclotomicNumber._normalized(n // g, {0: n * g})
+
+    def signature(self, a):
+        return 0
+
+
+_WALK, _HYPERBOLIC = _Walk(), _Hyperbolic()
+# A sum with a summand of level at most this reads its counts from that summand's values
 SMALL_LEVEL = 8
 
 
-def _value_counts(a, m):
-    """The counts of Q on a at the scale m, a multiple of level(), by the route of its structure.
+class _Sum(_Walk):
+    """A direct sum of its summands (a, b), kept nested; its invariants are read from theirs.
 
-    With m*Q(x) read in [0, m), the result has order = |A|, total = the sum of
-    m*Q(x), count(k) = #{x : m*Q(x) = k} for 0 <= k < m and tail(k) =
-    #{x : m*Q(x) >= k} for 0 <= k <= m. H(n) answers by divisor sums; a direct
-    sum with a summand of level at most SMALL_LEVEL answers from that summand's
-    values and the other's counts; any other module answers from its histogram,
-    kept on it.
-    """
-    if a._summands:
-        small, other = a._summands
-        if small.level() > SMALL_LEVEL:
-            small, other = other, small
-        if small.level() <= SMALL_LEVEL:
-            return _SmallSumCounts(small, _value_counts(other, m), m)
-    elif a._hyperbolic:
-        return _HyperbolicCounts(a.level(), m)
-    return _HistogramCounts(a.q_histogram(), m)
-
-
-class _HistogramCounts:
-    """Counts of Q read from a histogram (n, counts): n*Q(x) = j is m*Q(x) = j*m/n."""
-
-    def __init__(self, hist, m):
-        n, self.counts = hist
-        self.f = m // n
-        self.order = sum(self.counts)
-        self.total = self.f * sum(j * c for j, c in enumerate(self.counts))
-
-    def count(self, k):
-        return 0 if k % self.f else self.counts[k // self.f]
-
-    def tail(self, k):
-        # j*f >= k exactly when j >= ceil(k/f)
-        return sum(self.counts[-(-k // self.f):])
-
-
-class _HyperbolicCounts:
-    """Counts of Q on H(n): the x with gcd(x, n) = g give w_g pairs on each multiple of g mod n."""
-
-    def __init__(self, n, m):
-        self.n, self.f = n, m // n
-        self.weights = _hyperbolic_weights(n)
-        self.order = n * n
-        # the multiples i*g, i < n/g, sum to g*(n/g)*(n/g - 1)/2
-        self.total = self.f * sum(w * g * (n // g) * (n // g - 1) // 2 for g, w in self.weights)
-
-    def count(self, k):
-        if k % self.f:
-            return 0
-        k //= self.f
-        return sum(w for g, w in self.weights if k % g == 0)
-
-    def tail(self, k):
-        # the multiples of g in [ceil(k/f), n)
-        j = -(-k // self.f)
-        return sum(w * (self.n // g + (-j // g)) for g, w in self.weights)
-
-
-class _SmallSumCounts:
-    """Counts of Q on B + C from the values of B and the counts of C, at the scale m.
-
-    For v, q in [0, m), (v + q) mod m is v + q, or v + q - m when q >= m - v, so
-    each value v of B shifts C's counts and tails by v, with a wrap at m - v.
+    The histogram convolves theirs and the signature adds theirs. G(c) is
+    their product, reduced: the values of Q on the sum are sums of theirs, so
+    its least modulus is the lcm of theirs, the product's. The small summand,
+    a if its level is at most SMALL_LEVEL, else b if b's is, shifts the
+    other's counts by its values; without one, the histogram answers.
     """
 
-    def __init__(self, small, other, m):
-        nb, counts = small.q_histogram()
-        self.m, self.other = m, other
-        self.values = [(j * (m // nb), x) for j, x in enumerate(counts) if x]
-        self.order = small.order() * other.order
-        self.total = sum(x * (other.order * v + other.total - m * other.tail(m - v))
-                         for v, x in self.values)
+    def __init__(self, a, b):
+        self.summands = (a, b)
+        self.split = ((a, b) if a._level <= SMALL_LEVEL
+                      else (b, a) if b._level <= SMALL_LEVEL else None)
 
-    def count(self, k):
-        return sum(x * self.other.count((k - v) % self.m) for v, x in self.values)
+    def histogram(self, a):
+        return _convolve(*(s.q_histogram() for s in self.summands))
 
-    def tail(self, k):
-        m, c = self.m, self.other
+    def gauss(self, a, c):
+        x, y = self.summands
+        return (cyclo.gauss_sum(x, c) * cyclo.gauss_sum(y, c)).reduce()
+
+    def signature(self, a):
+        x, y = self.summands
+        return (x.signature() + y.signature()) % 8
+
+    def negated(self):
+        return _Sum(*map(negate, self.summands))
+
+    def _shifts(self, m):
+        """(values, other, count, tail) at the sum's level m, from self.split = (small, other).
+
+        values holds the pairs (v, #{x : m*Q(x) = v}) over the small summand. The
+        other answers at its level N = m/f, so count and tail convert: m*Q(y) = k
+        when f | k and N*Q(y) = k/f, and m*Q(y) >= k when N*Q(y) >= ceil(k/f).
+        """
+        small, other = self.split
+        (n, counts), f, kind = small.q_histogram(), m // other._level, other._structure
+        return ([(j * (m // n), x) for j, x in enumerate(counts) if x], other,
+                lambda k: 0 if k % f else kind.count(other, k // f),
+                lambda k: kind.tail(other, -(-k // f)))
+
+    def total(self, a):
+        if self.split is None:
+            return super().total(a)
+        m = a._level
+        values, other, _count, tail = self._shifts(m)
+        order, t = other.order(), m // other._level * other._structure.total(other)
+        # (v + q) mod m is v + q, or v + q - m when q >= m - v
+        return sum(x * (order * v + t - m * tail(m - v)) for v, x in values)
+
+    def count(self, a, k):
+        if self.split is None:
+            return super().count(a, k)
+        m = a._level
+        values, _other, count, _tail = self._shifts(m)
+        return sum(x * count((k - v) % m) for v, x in values)
+
+    def tail(self, a, k):
+        if self.split is None:
+            return super().tail(a, k)
+        m = a._level
+        values, other, _count, tail = self._shifts(m)
+        order = other.order()
         # (v + q) mod m >= k: q in [k - v, m - v) before the wrap, or q >= m + k - v after it
-        return sum(x * (c.order - c.tail(m - v) + c.tail(m + k - v) if k <= v
-                        else c.tail(k - v) - c.tail(m - v)) for v, x in self.values)
+        return sum(x * (order - tail(m - v) + tail(m + k - v) if k <= v
+                        else tail(k - v) - tail(m - v)) for v, x in values)
 
 
 def orbit_representatives(a):

@@ -26,7 +26,7 @@ from itertools import product
 from math import floor, gcd, lcm
 
 from . import fqm
-from ._intmat import divisors, factorization, is_prime, parse_rational
+from ._intmat import divisors, factorization, is_prime, parse_rational, rational
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
 
@@ -41,17 +41,6 @@ def _is_zero_value(v):
     if isinstance(v, CyclotomicNumber):
         return v.is_zero()
     return not v
-
-
-def _rational(m):
-    """An exponent as an int or a Fraction; any other input is read by parse_rational."""
-    # the int test first: isinstance against Fraction is an ABC check
-    if type(m) is int or isinstance(m, Fraction):
-        return m
-    try:
-        return parse_rational(m)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise PreconditionError("exponent must be a rational number, not %r" % (m,)) from None
 
 
 def _stored(v):
@@ -147,7 +136,7 @@ class VectorValuedQSeries:
         # the int test first: isinstance against Fraction is an ABC check
         if type(value) is not int and not isinstance(value, (Fraction, CyclotomicNumber)):
             raise PreconditionError("coefficient must be an int, Fraction or CyclotomicNumber")
-        m = _rational(m)
+        m = rational(m, "exponent")
         k = self._exponent(mu, m.numerator, m.denominator)
         c = mu.coords
         comp = dict(self.components.get(c, _EMPTY))
@@ -163,7 +152,7 @@ class VectorValuedQSeries:
 
     def get(self, mu, m):
         fqm._require_of(self.module, mu, "element")
-        m = _rational(m)
+        m = rational(m, "exponent")
         k, rest = divmod(m.numerator * self.level, m.denominator)
         if rest:
             return 0
@@ -323,7 +312,7 @@ def pairing_at(f, g, m):
     """Hermitian coefficient pairing sum_mu f(m, mu) * conj(g(m, mu))."""
     if f.module != g.module:
         raise PreconditionError("series on different modules")
-    m = _rational(m)
+    m = rational(m, "exponent")
     k, rest = divmod(m.numerator * f.level, m.denominator)
     if rest:
         return 0

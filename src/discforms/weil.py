@@ -117,6 +117,7 @@ class MetaplecticElement:
         return MetaplecticElement(m, self.bit ^ _branch_flip((self.c, self.d), m[1], (0, 1)))
 
     def __pow__(self, n):
+        n = integer(n, "metaplectic powers")
         out = MetaplecticElement(((1, 0), (0, 1)))
         base = self if n >= 0 else self.inverse()
         n = abs(n)

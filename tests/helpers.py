@@ -670,9 +670,9 @@ def gauss_sum_reference(module, c):
 def q_histogram_walk(module):
     """(N, counts) of fqm.q_histogram by one pass over all coordinates, whatever the structure.
 
-    The element walk that the library keeps only for modules with no recorded
-    orthogonal structure; here it is the oracle of the summand and closed-form
-    routes. Kept for the last 64 modules, so that each Gauss sum does not walk again.
+    The coordinate walk of the kind fqm._Walk; here it is the oracle of the
+    fqm._Sum and fqm._Hyperbolic routes. Kept for the last 64 modules, so that
+    each Gauss sum does not walk again.
     """
     return module.level(), module._count_q_values([range(d) for d in module.orders])
 
@@ -681,14 +681,15 @@ def two_torsion_histogram(a):
     """(N, counts) as in q_histogram, over the 2-torsion A[2] = {x : 2x = 0}.
 
     A[2] has the coordinates x_i in {0, d_i/2}, with d_i/2 only for even d_i.
-    As in q_histogram, a direct sum convolves its summands' histograms and
-    H(n) has a closed form. The histogram route of the 2-torsion, the oracle
-    of fqm.two_torsion_q_moments.
+    As in q_histogram, a module of the kind fqm._Sum convolves its summands'
+    histograms and one of the kind fqm._Hyperbolic, H(n), has a closed form.
+    The histogram route of the 2-torsion, the oracle of fqm.two_torsion_q_moments.
     """
-    if a._summands:
-        return fqm._convolve(*map(two_torsion_histogram, a._summands))
+    kind = a._structure
+    if isinstance(kind, fqm._Sum):
+        return fqm._convolve(*map(two_torsion_histogram, kind.summands))
     n = a.level()
-    if a._hyperbolic:
+    if isinstance(kind, fqm._Hyperbolic):
         # (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2) for even n, with N*Q(x, y) = xy
         counts = [0] * n
         halves = (0, n // 2) if n % 2 == 0 else (0,)

@@ -326,20 +326,23 @@ def _random_sum(rng, with_hyperbolic):
 
 
 def _check_negation(a):
-    """negate(a) keeps a's structure on the presentation of the plain negation."""
+    """negate(a) keeps a's kind, with the negated summands, on the plain negation's presentation."""
     b = fqm.negate(a)
     assert (b.orders, b.q_values, b.bilinear) == (
         a.orders, tuple(-q % 1 for q in a.q_values),
         tuple(tuple(-x % 1 for x in row) for row in a.bilinear)), a
-    assert bool(b._summands) == bool(a._summands) and b._hyperbolic == a._hyperbolic, a
+    assert type(b._structure) is type(a._structure), a
+    if type(a._structure) is fqm._Sum:
+        assert b._structure.summands == tuple(map(fqm.negate, a._structure.summands)), a
     assert fqm.negate(b) == a
     _check_presentation(b)
     _check_against_walk(b)
 
 
 def test_summand_route_matches_the_walk_on_table_rows():
-    a1 = dims.table_row_module(1)
-    assert a1._summands and a1._summands[0] is dims.table_row_module(80)._summands[0]
+    a1, a80 = dims.table_row_module(1), dims.table_row_module(80)
+    assert type(a1._structure) is fqm._Sum
+    assert a1._structure.summands[0] is a80._structure.summands[0]
     for n in range(1, 81):
         a = dims.table_row_module(n)
         _check_against_walk(a)
@@ -351,7 +354,7 @@ def test_summand_route_matches_the_walk_on_table_rows():
 def test_closed_forms_match_the_walk_on_hyperbolic_planes():
     for n in range(2, 201):
         a = fqm.hyperbolic_module(n)
-        assert a._hyperbolic
+        assert type(a._structure) is fqm._Hyperbolic
         _check_against_walk(a)
         if n <= 40:
             _check_negation(a)
@@ -368,7 +371,7 @@ def _check_presentation(a):
 def test_hyperbolic_planes_pass_the_construction_checks():
     for n in range(1, 301):
         a = fqm.hyperbolic_module(n)
-        assert a._hyperbolic and a.level() == n, n
+        assert type(a._structure) is fqm._Hyperbolic and a.level() == n, n
         _check_presentation(a)
 
 
@@ -377,7 +380,7 @@ def test_summand_route_matches_the_walk_on_random_sums(seed):
     rng = random.Random(9100 + seed)
     for i in range(12):
         a = _random_sum(rng, with_hyperbolic=i % 2 == 1)
-        assert a._summands
+        assert type(a._structure) is fqm._Sum
         _check_against_walk(a)
         assert validate_reference(a.orders, a.q_values, a.bilinear) is None, a
         _check_presentation(a)
@@ -459,30 +462,35 @@ def test_moments_of_a_sum_without_a_small_summand_read_its_histogram(seed):
     rng = random.Random(9300 + seed)
     for _ in range(6):
         a = fqm.direct_sum(_large_level_module(rng), _large_level_module(rng))
-        assert type(fqm._value_counts(a, a.level())) is fqm._HistogramCounts, a
-        _check_moments(a)
-        # a small summand over that sum reads the sum's counts from its histogram
+        # a small summand over that sum reads the sum's counts, which come from its histogram
         b = fqm.direct_sum(NAMED["cyclic2"], a)
-        counts = fqm._value_counts(b, b.level())
-        assert type(counts) is fqm._SmallSumCounts and type(counts.other) is fqm._HistogramCounts
+        assert a._histogram is None and b._histogram is None, a
+        b.q_moments()
+        assert a._histogram is not None and b._histogram is None, a
+        _check_moments(a)
         _check_moments(b)
 
 
-def _check_value_counts(module):
-    """Every count and tail and the total of the module's route, against the walked histogram."""
+def _check_counts(module):
+    """Every count and tail and the total of the module's kind, against the walked histogram."""
     n, counts = q_histogram_walk(module)
-    for f in (1, 2, 3):
-        route = fqm._value_counts(module, f * n)
-        assert route.order == module.order(), module
-        assert route.total == f * sum(k * c for k, c in enumerate(counts)), (module, f)
-        for k in range(f * n + 1):
-            if k < f * n:
-                assert route.count(k) == (0 if k % f else counts[k // f]), (module, k, f)
-            assert route.tail(k) == sum(counts[-(-k // f):]), (module, k, f)
+    kind = module._structure
+    assert kind.total(module) == sum(k * c for k, c in enumerate(counts)), module
+    for k in range(n + 1):
+        if k < n:
+            assert kind.count(module, k) == counts[k], (module, k)
+        assert kind.tail(module, k) == sum(counts[k:]), (module, k)
 
 
-def test_value_counts_answer_every_query():
-    modules = [fqm.hyperbolic_module(n) for n in range(1, 61)]
+def test_kinds_answer_every_count_query():
+    # a sum converts the other summand's counts from its level to the sum's: by the
+    # factor 4 on the odd table rows, and by 2 and 3 on nested sums with H(2) or A2
+    h, a2 = fqm.hyperbolic_module, NAMED["A2"]
+    nested = [fqm.direct_sum(h(2), fqm.direct_sum(a2, h(5))), fqm.direct_sum(h(2), h(3)),
+              fqm.direct_sum(fqm.direct_sum(h(2), NAMED["cyclic2"]), h(9)),
+              fqm.direct_sum(a2, dims.table_row_module(5))]
+    assert all(a.level() > max(s.level() for s in a._structure.summands) for a in nested)
+    modules = [h(n) for n in range(1, 61)] + nested
     modules += [dims.table_row_module(n) for n in range(1, 41)]
     modules += [NAMED[name] for name in sorted(NAMED)]
     rng = random.Random(9400)
@@ -492,9 +500,9 @@ def test_value_counts_answer_every_query():
     kinds = set()
     for a in modules:
         for b in (a, fqm.negate(a)):
-            kinds.add(type(fqm._value_counts(b, b.level())).__name__)
-            _check_value_counts(b)
-    assert kinds == {"_HistogramCounts", "_HyperbolicCounts", "_SmallSumCounts"}, kinds
+            kinds.add(type(b._structure).__name__)
+            _check_counts(b)
+    assert kinds == {"_Walk", "_Hyperbolic", "_Sum"}, kinds
 
 
 def test_picard_rows_build_no_histogram_beyond_the_definite_block(monkeypatch):
@@ -511,3 +519,28 @@ def test_picard_rows_build_no_histogram_beyond_the_definite_block(monkeypatch):
     monkeypatch.setattr(fqm, "_convolve", refuse)
     assert {n: dims.picard_rank(n) for n in rows} == want
     assert {n: want[n] for n in PICARD_PINS} == PICARD_PINS
+
+
+def test_negated_picard_rows_build_no_histogram_and_one_milgram_pass(monkeypatch):
+    # negate builds the row's kinds on the negated blocks: the negated <1/4> block is
+    # built once, and runs the one Milgram pass; H(n) and the row answer by divisor sums
+    rows = tuple(range(1, 61)) + tuple(PICARD_PINS)
+    want = {n: dim_M_reference(fqm.negate(dims.table_row_module(n)), F(7, 2), _reference_gauss)
+            for n in range(1, 13)}
+    dims._definite_block.cache_clear()
+    calls = []
+    milgram = fqm.milgram_signature
+
+    def refuse(*args):
+        raise AssertionError("a histogram was built: %r" % (args[:1],))
+
+    def counted(a):
+        calls.append(a.orders)
+        return milgram(a)
+
+    monkeypatch.setattr(fqm, "_hyperbolic_histogram", refuse)
+    monkeypatch.setattr(fqm, "_convolve", refuse)
+    monkeypatch.setattr(fqm, "milgram_signature", counted)
+    reports = {n: dims.dim_M(fqm.negate(dims.table_row_module(n)), F(7, 2)) for n in rows}
+    assert calls == [(2,)], calls
+    assert {n: reports[n]._asdict() for n in want} == want

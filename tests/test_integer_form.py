@@ -81,11 +81,11 @@ def _fractions(a, recorded):
     """The canonical Fractions of a's construction; a is no negation of an unrecorded module."""
     if id(a) in recorded:
         return recorded[id(a)][1]
-    if a._summands:
-        (oa, qa, ba), (ob, qb, bb) = (_fractions(s, recorded) for s in a._summands)
+    if type(a._structure) is fqm._Sum:
+        (oa, qa, ba), (ob, qb, bb) = (_fractions(s, recorded) for s in a._structure.summands)
         za, zb = (F(0),) * len(oa), (F(0),) * len(ob)
         return oa + ob, qa + qb, tuple(r + zb for r in ba) + tuple(za + r for r in bb)
-    assert a._hyperbolic, a
+    assert type(a._structure) is fqm._Hyperbolic, a
     if not a.orders:
         return (), (), ()
     h = F(1, a.orders[0])
@@ -109,10 +109,10 @@ def _describe(fractions):
 
 
 def _holds_fraction(x):
-    """A Fraction anywhere in x, through containers and the attributes of modules."""
+    """A Fraction anywhere in x, through containers and the attributes of modules and sums."""
     if isinstance(x, F):
         return True
-    if isinstance(x, fqm.FiniteQuadraticModule):
+    if isinstance(x, (fqm.FiniteQuadraticModule, fqm._Sum)):
         x = vars(x)
     if isinstance(x, dict):
         return any(map(_holds_fraction, x)) or any(map(_holds_fraction, x.values()))

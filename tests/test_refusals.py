@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from discforms import dims, fqm, lattice, lifts, qseries, weil
+from discforms import cyclo, dims, fqm, lattice, lifts, qseries, weil
 from discforms.errors import PreconditionError
 
 
@@ -185,6 +185,22 @@ REFUSALS = {
                                   "generator orders must be integers"),
     "hyperbolic_order_not_integral": (lambda: fqm.hyperbolic_module(2.5),
                                       "generator orders must be integers"),
+    # cyclo: the multiplier c of a Gauss sum and the phase q of e(q); "x" and 1.5
+    # raised TypeError from c % level, and "x" ValueError from Fraction(q)
+    "gauss_sum_multiplier_text": (lambda: cyclo.gauss_sum(_h(3), "x"),
+                                  "Gauss sum multipliers must be integers"),
+    "gauss_sum_multiplier_float": (lambda: cyclo.gauss_sum(_h(3), 1.5),
+                                   "Gauss sum multipliers must be integers"),
+    "e_frac_text": (lambda: cyclo.e_frac("x"), "phase must be a rational number, not 'x'"),
+    # dims: the weight and the table's nmax raised TypeError or ValueError
+    "dim_M_weight_none": (lambda: dims.dim_M(_h(3), None),
+                          "weight must be a rational number, not None"),
+    "dim_M_weight_text": (lambda: dims.dim_M(_h(3), "x"),
+                          "weight must be a rational number, not 'x'"),
+    "weight_parity_text": (lambda: fqm.check_weight_parity(_h(3), "x"),
+                           "weight must be a rational number, not 'x'"),
+    "check_table_text": (lambda: dims.check_table("x"), "row numbers must be integers"),
+    "check_table_float": (lambda: dims.check_table(2.5), "row numbers must be integers"),
     # lattice
     "coset_representative_foreign": (
         lambda: lattice.EvenLattice([[2]]).coset_representative(_h(2).zero()),
@@ -356,6 +372,10 @@ REFUSALS = {
                               "the branch bit must be the int 0 or 1"),
     "metaplectic_bit_two": (lambda: weil.MetaplecticElement(((1, 0), (0, 1)), 2),
                             "the branch bit must be the int 0 or 1"),
+    # a float, text or None power raised TypeError from n & 1 or n >= 0
+    "metaplectic_power_float": (lambda: weil.gen_T() ** 1.5, "metaplectic powers must be integers"),
+    "metaplectic_power_text": (lambda: weil.gen_T() ** "2", "metaplectic powers must be integers"),
+    "metaplectic_power_none": (lambda: weil.gen_T() ** None, "metaplectic powers must be integers"),
 }
 
 
