@@ -1,11 +1,12 @@
 """Exact integer arithmetic shared by the package.
 
 Owns Gram-matrix validation (even_gram), the parsing of rational input text
-(parse_rational), the checks of integer and rational arguments (integer,
-rational), the extended gcd (ext_gcd), the Smith and Hermite forms, lattice
-bases, signatures, and the one trial-division factorization with its divisors
-and primality test (factorization, divisors, is_prime). All matrices are lists
-of lists (or tuples of tuples). Functions never mutate their arguments.
+(parse_rational_pair, and parse_rational on it), the checks of integer and
+rational arguments (integer, rational), the extended gcd (ext_gcd), the Smith
+and Hermite forms, lattice bases, signatures, and the one trial-division
+factorization with its divisors and primality test (factorization, divisors,
+is_prime). All matrices are lists of lists (or tuples of tuples). Functions
+never mutate their arguments.
 """
 
 from fractions import Fraction
@@ -52,30 +53,38 @@ def even_gram(gram):
     return out
 
 
-# Fraction("1e999999999") builds 10**999999999; parse_rational refuses a decimal
-# exponent above this before any integer is built (it matches the default limit
-# on the digits of int(str)).
+# Fraction("1e999999999") builds 10**999999999; parse_rational_pair refuses a
+# decimal exponent above this before any integer is built (it matches the
+# default limit on the digits of int(str)).
 DECIMAL_EXPONENT_BOUND = 4300
 
 
-def parse_rational(x):
-    """Fraction(x), with ValueError for text whose decimal exponent exceeds the bound.
+def parse_rational_pair(text):
+    """The ints (a, b) with text = a/b and b >= 1, not reduced to lowest terms.
 
     ASCII text [-]a/b or [-]a with digits a, b and b != 0 is read with int();
     every other text (spaces, signs, underscores, decimals, exponents, other
-    digits) goes through Fraction(text), the one route that reads decimals.
+    digits) goes through Fraction(text), the one route that reads decimals,
+    with ValueError for a decimal exponent above the bound.
     """
-    if isinstance(x, str):
-        a, slash, b = x.partition("/")
+    a, slash, b = text.partition("/")
+    if text.isascii() and (a[1:] if a[:1] == "-" else a).isdigit():
         if not slash:
-            b = "1"
-        if ((a[1:] if a[:1] == "-" else a).isdigit() and b.isdigit() and x.isascii()
-                and b.strip("0")):
-            return Fraction(int(a), int(b))
-        if "e" in x or "E" in x:
-            if abs(int(x.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
-                raise ValueError("decimal exponent of %r exceeds %d"
-                                 % (x, DECIMAL_EXPONENT_BOUND))
+            return int(a), 1
+        if b.isdigit() and b.strip("0"):
+            return int(a), int(b)
+    if "e" in text or "E" in text:
+        if abs(int(text.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
+            raise ValueError("decimal exponent of %r exceeds %d"
+                             % (text, DECIMAL_EXPONENT_BOUND))
+    x = Fraction(text)
+    return x.numerator, x.denominator
+
+
+def parse_rational(x):
+    """Fraction(x); text is read by parse_rational_pair."""
+    if isinstance(x, str):
+        return Fraction(*parse_rational_pair(x))
     return Fraction(x)
 
 
@@ -102,8 +111,8 @@ def rational(x, what):
     Any other x is read by parse_rational, so "5/2" and 2.5 are 5/2, and "x" or
     None is refused.
     """
-    # the int test first: isinstance against Fraction is an ABC check
-    if type(x) is int or isinstance(x, Fraction):
+    # the exact types first: isinstance against Fraction is an ABC check
+    if type(x) is int or type(x) is Fraction or isinstance(x, Fraction):
         return x
     try:
         return parse_rational(x)

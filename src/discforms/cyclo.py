@@ -20,7 +20,7 @@ from math import gcd, lcm
 import cmath
 
 from ._intmat import factorization, integer, rational
-from .errors import ConsistencyError
+from .errors import ConsistencyError, PreconditionError
 
 
 @lru_cache(maxsize=None)
@@ -152,11 +152,25 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, CyclotomicNumber):
-            a, b = (self, other) if self.mod == other.mod else CyclotomicNumber._pair(self, other)
+            a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+            if len(a.coeffs) == 1:
+                # a one-term factor c * zeta^e (a root of unity, or a rational at any
+                # modulus) re-maps b's exponents at the lcm: distinct exponents stay
+                # distinct, so no term is promoted or collected
+                (e1, c1), = a.coeffs.items()
+                mod = a.mod if a.mod == b.mod else lcm(a.mod, b.mod)
+                fb, shift = mod // b.mod, e1 * (mod // a.mod)
+                out = {}
+                for e2, c2 in b.coeffs.items():
+                    e = e2 * fb + shift
+                    if e >= mod:
+                        e -= mod
+                    out[e] = c1 * c2
+                return CyclotomicNumber._over(mod, out, a.den * b.den)
+            if a.mod != b.mod:
+                a, b = CyclotomicNumber._pair(a, b)
             mod = a.mod
             out = {}
-            if len(a.coeffs) > len(b.coeffs):
-                a, b = b, a
             for e1, c1 in a.coeffs.items():
                 for e2, c2 in b.coeffs.items():
                     e = e1 + e2
@@ -296,6 +310,13 @@ def e_frac(q):
 
 def root_of_unity(a, m):
     """e(a/m) for ints a and m >= 1, at the least modulus m/gcd(a, m)."""
+    # the exact type first: dims asks for a root on every table row
+    if type(a) is not int:
+        a = integer(a, "root of unity exponents")
+    if type(m) is not int:
+        m = integer(m, "root of unity orders")
+    if m < 1:
+        raise PreconditionError("root of unity order must be positive, not %d" % m)
     a %= m
     g = gcd(a, m)
     return CyclotomicNumber._normalized(m // g, {a // g: 1})

@@ -150,6 +150,8 @@ class FiniteQuadraticModule:
         self._signature = None
         # cyclo.gauss_sum's values G(c), keyed by c mod level
         self._gauss = {}
+        # the Fractions k/N that q_value returns, by k, built on first use
+        self._q_values = {}
         # isotropic_subgroups by order, built on first use
         self._isotropic = {}
         # the index tables of the Weil layer (weil._tables), built on first use
@@ -266,8 +268,16 @@ class FiniteQuadraticModule:
         return v
 
     def q_value(self, x):
-        """Q(x) in [0, 1), read from the integer form N*Q with N = level()."""
-        return Fraction(self.nq_value(x), self._level)
+        """Q(x) in [0, 1), read from the integer form N*Q with N = level().
+
+        Each value k/N is built once per module, and every x with that value
+        gets the same Fraction.
+        """
+        k = self.nq_value(x)
+        q = self._q_values.get(k)
+        if q is None:
+            q = self._q_values[k] = Fraction(k, self._level)
+        return q
 
     def q_histogram(self):
         """(N, counts) with N = level() and counts[k] = #{x : Q(x) = k/N} (cached).
@@ -500,7 +510,8 @@ def trivial_module():
 
 def cyclic_module(n, q):
     """Z/n with Q(generator) = q; requires the induced pairing non-degenerate."""
-    return FiniteQuadraticModule((n,), (q,), ((2 * Fraction(q),),))
+    q = rational(q, "quadratic value")
+    return FiniteQuadraticModule((n,), (q,), ((2 * q,),))
 
 
 def hyperbolic_module(n):
@@ -1017,6 +1028,7 @@ def phi_r(a, r, pair=None):
     first pair of generators with orders (n, n), vanishing Q, pairing 1/n, and
     orthogonal to everything else is used.
     """
+    r = integer(r, "multipliers")
     if pair is None:
         pair = _find_hyperbolic_pair(a)
     i, j = pair

@@ -13,7 +13,10 @@ with N = module.level() and the integer k = N*m (exact, since m = Q(mu) mod 1
 lies in (1/N)Z). Only nonzero values are stored and no component is empty. A
 rational value is stored as an int when it is integral and as a Fraction
 otherwise (_stored), so the arrows, sums and comparisons of integral series run
-in int arithmetic; an int equals the Fraction it replaces.
+in int arithmetic; an int equals the Fraction it replaces. read_series reads
+each m and rational coeff text as an integer pair a/b (parse_rational_pair), so
+a file of integral coefficients is read to k = a*N/b and ints, with no Fraction
+per record.
 A component dict is immutable once stored: no code writes into a dict held in
 `components`. So one dict may be shared by several mu and by several series
 (up_arrow stores one dict for a whole fiber, lifts one dict per Q value, copy()
@@ -23,10 +26,11 @@ stores a new dict for the component it changes.
 
 from fractions import Fraction
 from itertools import product
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from . import fqm
-from ._intmat import divisors, factorization, is_prime, parse_rational, rational
+from ._intmat import (divisors, factorization, is_prime, parse_rational, parse_rational_pair,
+                      rational)
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
 
@@ -45,19 +49,36 @@ def _is_zero_value(v):
 
 def _stored(v):
     """v as a series stores it: an integral Fraction becomes its int."""
-    # the int test first: isinstance(v, Fraction) is an ABC check
-    if type(v) is not int and isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
+    # the exact types first: isinstance(v, Fraction) is an ABC check
+    t = type(v)
+    if t is Fraction or (t is not int and t is not CyclotomicNumber and isinstance(v, Fraction)):
+        return v.numerator if v.denominator == 1 else v
     return v
 
 
 def _scaled(comp, scalar):
-    """{k: v * scalar} without the zero products."""
+    """{k: v * scalar} without the zero products.
+
+    An int or Fraction scalar p/q multiplies an int value in ints, so the
+    product is a Fraction only when q does not divide v*p.
+    """
+    t = type(scalar)
+    if t is int:
+        p, q = scalar, 1
+    elif t is Fraction:
+        p, q = scalar.numerator, scalar.denominator
+    else:
+        p = None
     out = {}
     for k, v in comp.items():
-        w = v * scalar
+        if p is not None and type(v) is int:
+            w, rest = divmod(v * p, q)
+            if rest:
+                w = Fraction(v * p, q)
+        else:
+            w = _stored(v * scalar)
         if not _is_zero_value(w):
-            out[k] = _stored(w)
+            out[k] = w
     return out
 
 
@@ -93,7 +114,8 @@ class VectorValuedQSeries:
         self.weight = weight if type(weight) is Fraction else Fraction(weight)
         self.truncation = truncation if type(truncation) is Fraction else Fraction(truncation)
         self.level = module.level()
-        self.k_max = floor(self.level * self.truncation)
+        # floor(level * truncation): the denominator is positive
+        self.k_max = self.level * self.truncation.numerator // self.truncation.denominator
         self.components = {}
 
     def copy(self):
@@ -133,8 +155,10 @@ class VectorValuedQSeries:
         CyclotomicNumber.
         """
         fqm._require_of(self.module, mu, "element")
-        # the int test first: isinstance against Fraction is an ABC check
-        if type(value) is not int and not isinstance(value, (Fraction, CyclotomicNumber)):
+        # the exact types first: isinstance against Fraction is an ABC check
+        t = type(value)
+        if (t is not int and t is not Fraction and t is not CyclotomicNumber
+                and not isinstance(value, (Fraction, CyclotomicNumber))):
             raise PreconditionError("coefficient must be an int, Fraction or CyclotomicNumber")
         m = rational(m, "exponent")
         k = self._exponent(mu, m.numerator, m.denominator)
@@ -514,6 +538,8 @@ def write_series(f):
     n = f.level
     # id(comp) is stable: every component stays alive in f.components
     records = {}
+    # the " m=a/b coeff=" text of each exponent k, built once
+    heads = {}
     for c in sorted(f.components):
         comp = f.components[c]
         tails = records.get(id(comp))
@@ -528,8 +554,11 @@ def write_series(f):
                 else:
                     v = Fraction(v)
                     text = "%d/%d" % (v.numerator, v.denominator)
-                g = gcd(k, n)
-                tails.append(" m=%d/%d coeff=%s" % (k // g, n // g, text))
+                head = heads.get(k)
+                if head is None:
+                    g = gcd(k, n)
+                    head = heads[k] = " m=%d/%d coeff=" % (k // g, n // g)
+                tails.append(head + text)
         if tails:
             mu = "mu=(%s)" % ",".join(map(str, c))
             lines.append(mu + ("\n" + mu).join(tails))
@@ -538,7 +567,7 @@ def write_series(f):
 
 def read_series(text, module):
     """Parse the line-based format; the module must match the header divisors."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if len(lines) < 3:
         raise PreconditionError("series file is too short")
     divisors, weight, truncation = (_header_value(ln) for ln in lines[:3])
@@ -551,33 +580,47 @@ def read_series(text, module):
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed weight or truncation in header %r"
                                 % "; ".join(lines[1:3])) from None
-    # each distinct field text is parsed once: mu to its element, which keeps
-    # its N*Q, m to a Fraction and coeff to (value, is zero)
+    # each distinct field text is read once: mu to (the element, its N*Q, its
+    # record dict), m to (k, rest, a, b) with a*N/b = k + rest/b, and coeff to
+    # its value, None for zero
+    level, k_max = out.level, out.k_max
     mus, ms, values = {}, {}, {}
     records = {}
     for ln in lines[3:]:
         try:
-            fields = dict(part.split("=", 1) for part in ln.split(" ", 2))
-            mu_text, m_text, coeff = fields["mu"], fields["m"], fields["coeff"]
-            mu = mus.get(mu_text)
-            if mu is None:
+            parts = ln.split(" ", 2)
+            if (len(parts) == 3 and parts[0][:3] == "mu=" and parts[1][:2] == "m="
+                    and parts[2][:6] == "coeff="):
+                mu_text, m_text, coeff = parts[0][3:], parts[1][2:], parts[2][6:]
+            else:  # the fields in another order than write_series puts them
+                fields = dict(part.split("=", 1) for part in parts)
+                mu_text, m_text, coeff = fields["mu"], fields["m"], fields["coeff"]
+            slot = mus.get(mu_text)
+            if slot is None:
                 coords = tuple(int(x) for x in mu_text.strip("()").split(",") if x != "")
             m = ms.get(m_text)
             if m is None:
-                m = ms[m_text] = parse_rational(m_text)
+                a, b = parse_rational_pair(m_text)
+                m = ms[m_text] = (*divmod(a * level, b), a, b)
         except (KeyError, ValueError, ZeroDivisionError):
             raise PreconditionError("malformed series record %r" % ln) from None
-        if mu is None:
-            mu = mus[mu_text] = module.element(coords)
-        entry = values.get(coeff)
-        if entry is None:
+        if slot is None:
+            mu = module.element(coords)
+            slot = mus[mu_text] = (mu, module.nq_value(mu), records.setdefault(mu.coords, {}))
+        if coeff in values:
+            value = values[coeff]
+        else:
             value = _parse_value(coeff)
-            entry = values[coeff] = (value, _is_zero_value(value))
+            value = values[coeff] = None if _is_zero_value(value) else value
         # the checks of set, record by record; a later record of the same
         # (mu, m) wins, and each component is stored once at the end
-        records.setdefault(mu.coords, {})[out._exponent(mu, m.numerator, m.denominator)] = entry
+        mu, nq, comp = slot
+        k, rest, a, b = m
+        if rest or (k - nq) % level or k > k_max:
+            out._exponent(mu, a, b)  # raises the refusal of set
+        comp[k] = value
     for coords, comp in records.items():
-        comp = {k: v for k, (v, zero) in comp.items() if not zero}
+        comp = {k: v for k, v in comp.items() if v is not None}
         if comp:
             out.components[coords] = comp
     return out
@@ -590,11 +633,17 @@ def _header_value(line):
 
 
 def _parse_value(text):
-    """A rational, or one CyclotomicNumber at the lcm of the root orders of its terms."""
+    """An int or a Fraction, or one CyclotomicNumber at the lcm of the root orders of its terms.
+
+    Every rational text is read as an integer pair a/b, and the terms of a
+    cyclotomic text are summed as integer numerators over the lcm of their b.
+    """
     try:
         text = text.strip()
         if "z" not in text:
-            return _stored(parse_rational(text))
+            a, b = parse_rational_pair(text)
+            q, rest = divmod(a, b)
+            return Fraction(a, b) if rest else q
         terms = []
         for part in text.split("+"):
             part = part.strip()
@@ -604,15 +653,16 @@ def _parse_value(text):
                 modulus = int(modulus)
                 if not 1 <= modulus <= ROOT_ORDER_BOUND:
                     raise ValueError("root of unity order out of range")
-                terms.append((modulus, int(exponent), parse_rational(coeff)))
+                # Fraction(text) ignores surrounding spaces, so the strip keeps the value
+                terms.append((modulus, int(exponent), *parse_rational_pair(coeff.strip())))
             else:
-                terms.append((1, 0, parse_rational(part)))
+                terms.append((1, 0, *parse_rational_pair(part)))
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed coefficient %r" % text) from None
     mod = lcm(*(t[0] for t in terms))
-    den = lcm(*(t[2].denominator for t in terms))
+    den = lcm(*(t[3] for t in terms))
     coeffs = {}
-    for modulus, exponent, c in terms:
+    for modulus, exponent, a, b in terms:
         e = exponent % modulus * (mod // modulus)
-        coeffs[e] = coeffs.get(e, 0) + c.numerator * (den // c.denominator)
+        coeffs[e] = coeffs.get(e, 0) + a * (den // b)
     return CyclotomicNumber._over(mod, coeffs, den)

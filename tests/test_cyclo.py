@@ -152,6 +152,25 @@ def test_ring_operations_match_the_fraction_oracle():
             assert x.rational_value() == xr.rational_value()
 
 
+def test_one_term_products_match_the_fraction_oracle():
+    """A factor with one term, a scaled root of unity or a rational held at a
+    modulus above 1 (as H(n)'s Gauss sums are), times a number at another
+    modulus: the raw (mod, coeffs, den) are the oracle's, in either order."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        m, n = rng.randint(1, 60), rng.randint(1, 60)
+        x, xr = _with_oracle(rng, m, rng.randint(0, 7))
+        j = rng.randrange(n) if rng.random() < 0.7 else 0
+        r = rng.choice([rng.choice([-1, 1]) * rng.randint(1, 40),
+                        F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))])
+        u = CyclotomicNumber(n, {j: r})
+        ur = FractionCyclotomicReference(n, {j: r})
+        assert len(u.coeffs) == 1 and u.mod == n
+        for got, want in ((u * x, ur * xr), (x * u, xr * ur), (u * u, ur * ur),
+                          ((u * x).reduce(), (ur * xr).reduce())):
+            _agrees(got, want)
+
+
 def test_inexact_coefficients_are_refused():
     for bad in (0.5, 1.0, complex(1, 1)):
         with pytest.raises(TypeError, match="must be int or Fraction"):

@@ -559,3 +559,14 @@ def test_automorphism_checks_the_form_in_integers():
     assert min(seen[m] for m in (None, "matrix does not define an endomorphism",
                                  "map does not preserve the quadratic form",
                                  "map does not preserve the pairing")) >= 20, seen
+
+
+def test_q_value_shares_one_fraction_per_value():
+    a = fqm.direct_sum(fqm.hyperbolic_module(6), fqm.cyclic_module(4, F(1, 8)))
+    first = {}
+    for x in a.elements():
+        q = a.q_value(x)
+        assert q == q_value_reference(a, x) and type(q) is F
+        assert first.setdefault(q, q) is q
+    assert x.q() is a.q_value(a.element(x.coords))
+    assert len(first) == len({a.nq_value(x) for x in a.elements()}) == 12

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discforms import cli, fqm, qseries as qs
-from discforms._intmat import DECIMAL_EXPONENT_BOUND, parse_rational
+from discforms._intmat import DECIMAL_EXPONENT_BOUND, parse_rational, parse_rational_pair
 from discforms.cyclo import CyclotomicNumber
 from discforms.errors import PreconditionError
 from helpers import parse_rational_reference, parse_value_reference
@@ -130,6 +130,14 @@ def rational_outcome(parse, text):
         return type(exc)
 
 
+def pair_value(text):
+    """a/b for the (a, b) of parse_rational_pair, which must be ints with b >= 1."""
+    a, b = parse_rational_pair(text)
+    if not (type(a) is int and type(b) is int and b >= 1):
+        raise AssertionError("not an integer pair with b >= 1: %r" % ((a, b),))
+    return F(a, b)
+
+
 # texts at the edge of the int() route: spaces, signs, zeros, underscores,
 # non-ASCII digits, decimals and exponents all take the Fraction(text) route.
 # Fraction reads "3 /4" and "1_000/3" from Python 3.12 and 3.11 on, and int()
@@ -144,14 +152,17 @@ RATIONAL_PINNED = {
 
 
 def test_parse_rational_matches_the_fraction_route():
-    """parse_rational reads [-]a/b and [-]a with int(); every text gives the
-    value, or the exception class, of Fraction(text) with the exponent bound."""
+    """parse_rational and parse_rational_pair read [-]a/b and [-]a with int();
+    every text gives the value, or the exception class, of Fraction(text) with
+    the exponent bound."""
+    assert parse_rational_pair("2/4") == (2, 4) and parse_rational_pair("-7") == (-7, 1)
     for text, want in RATIONAL_PINNED.items():
         assert rational_outcome(parse_rational, text) == want, text
+        assert rational_outcome(pair_value, text) == want, text
         assert rational_outcome(parse_rational_reference, text) == want, text
     for text in RATIONAL_EDGES:
         assert rational_outcome(parse_rational, text) == rational_outcome(
-            parse_rational_reference, text), text
+            parse_rational_reference, text) == rational_outcome(pair_value, text), text
     rng = random.Random(20)
     alphabet = "0123456789-+/ ._eE\u0663"
     for _ in range(3000):
@@ -164,6 +175,7 @@ def test_parse_rational_matches_the_fraction_route():
             got = rational_outcome(parse_rational, text)
             want = rational_outcome(parse_rational_reference, text)
             assert got == want and type(got) is type(want), text
+            assert rational_outcome(pair_value, text) == want, text
 
 
 @FUZZ

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -523,6 +524,10 @@ def _oracle_pair(module, rng, truncation):
     return f, r
 
 
+# Rational texts that int() alone does not read, or reads to a non-reduced pair
+NON_CANONICAL = ("2/4", "+1", " 3", "1e2", "0/5", "-0", "1_0")
+
+
 def _oracle_round(a, h, rng):
     b = qs.reduction(a, h)[0]
     pools = {}
@@ -575,7 +580,8 @@ def _oracle_round(a, h, rng):
     head, records = lines[:3], lines[3:]
     mu = rng.choice(a.elements())
     m = mu.q() + rng.randint(0, 2)
-    records += [rec.rsplit("=", 1)[0] + "=" + rng.choice(("0", "-2/3", "1 * z4^1"))
+    records += [rec.rsplit("=", 1)[0] + "=" + rng.choice(("0", "-2/3", "1 * z4^1")
+                                                       + NON_CANONICAL)
                 for rec in rng.sample(records, len(records) // 3)]
     records.append("mu=(%s) m=%s coeff=5" % (",".join(map(str, mu.coords)), m))
     rng.shuffle(records)
@@ -631,6 +637,62 @@ def test_read_series_with_repeated_fields_matches_the_oracle():
     assert got.get(nu, F(1, 2)) == e_frac(F(1, 4)) + F(1, 2)
     assert got.support() == [(0, 0), (1, 1), (1, 2), (2, 1)]
     assert qs.read_series(qs.write_series(got), a) == got
+    # lines are read stripped, and blank lines are skipped
+    padded = "\n\n".join(" \t%s  " % ln for ln in REPEATED_FIELDS.splitlines())
+    assert qs.read_series(padded, a) == got
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+def test_read_series_of_non_canonical_field_texts_matches_the_oracle(text):
+    """The text as an exponent on three mu, as a coefficient, and as the
+    coefficient of a root of unity, in records with their fields in either
+    order: read, or refused, as the oracle does. Fields are split at spaces,
+    so an exponent's space is a tab."""
+    a = fqm.hyperbolic_module(4)
+    m_text = text.replace(" ", "\t")
+    records = ["mu=(%s) m=%s coeff=5" % (mu, m_text) for mu in ("0,0", "1,2", "1,1")]
+    records += ["mu=(0,0) m=1 coeff=%s" % text, "mu=(1,1) m=5/4 coeff=%s * z8^3 + 1" % text,
+                "mu=(1,1) m=1/4 coeff=1 + %s * z4^1" % text]
+    # fields in another order than write_series uses
+    records += ["m=1 mu=(0,0) coeff=%s" % text, "coeff=7 mu=(0,0) m=%s" % m_text]
+    for rec in records:
+        for at in (3, None):
+            lines = REPEATED_FIELDS.splitlines()
+            lines.insert(len(lines) if at is None else at, rec)
+            doc = "\n".join(lines) + "\n"
+            both = _same_call(lambda: qs.read_series(doc, a),
+                              lambda: flat_read_series_reference(doc, a))
+            if both:
+                _agree(*both)
+
+
+def test_reading_an_integral_file_builds_no_fraction_per_record():
+    """Only the header's weight and truncation become Fractions: exponent and
+    coefficient texts are read as integer pairs, integral values as ints."""
+    a = fqm.hyperbolic_module(6)
+    f = qs.VectorValuedQSeries(a, F(3), F(3))
+    rng = random.Random(33)
+    for mu in a.elements():
+        for j in range(3):
+            f.set(mu, mu.q() + j, rng.randint(-9, 9))
+    # integral coefficients spelt as fractions, exponents not in lowest terms
+    text = qs.write_series(f) + "mu=(1,1) m=14/12 coeff=8/4\nmu=(0,0) m=2/1 coeff=-6/3\n"
+    f.set(a.element((1, 1)), F(7, 6), 2)
+    f.set(a.zero(), 2, -2)
+    built = []
+    new = F.__new__.__code__
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is new:
+            built.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        got = qs.read_series(text, a)
+    finally:
+        sys.setprofile(None)
+    assert got == f and got.nonzero_count() > 60
+    assert built == ["parse_rational", "parse_rational"]
 
 
 def _flat(f):

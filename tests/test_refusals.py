@@ -167,6 +167,10 @@ REFUSALS = {
     "cyclic_subgroup_order_float": (
         lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), 2.0),
         "d must be a positive integer"),
+    # a text or None multiplier raised TypeError from gcd(r, n)
+    "phi_r_multiplier_text": (lambda: fqm.phi_r(_h(3), "x"), "multipliers must be integers"),
+    "phi_r_multiplier_none": (lambda: fqm.phi_r(_h(3), None), "multipliers must be integers"),
+    "phi_r_multiplier_float": (lambda: fqm.phi_r(_h(3), 2.5), "multipliers must be integers"),
     "phi_r_orders": (
         lambda: fqm.phi_r(fqm.direct_sum(_a1(), fqm.cyclic_module(4, F(1, 8))), 1, pair=(0, 1)),
         "selected generators have different orders"),
@@ -183,6 +187,11 @@ REFUSALS = {
     # a non-integral order is refused, not truncated to int
     "cyclic_order_not_integral": (lambda: fqm.cyclic_module(2.5, F(1, 4)),
                                   "generator orders must be integers"),
+    # Q(generator) is read as a rational: "x" raised ValueError and None TypeError
+    "cyclic_q_text": (lambda: fqm.cyclic_module(4, "x"),
+                      "quadratic value must be a rational number, not 'x'"),
+    "cyclic_q_none": (lambda: fqm.cyclic_module(4, None),
+                      "quadratic value must be a rational number, not None"),
     "hyperbolic_order_not_integral": (lambda: fqm.hyperbolic_module(2.5),
                                       "generator orders must be integers"),
     # cyclo: the multiplier c of a Gauss sum and the phase q of e(q); "x" and 1.5
@@ -192,6 +201,16 @@ REFUSALS = {
     "gauss_sum_multiplier_float": (lambda: cyclo.gauss_sum(_h(3), 1.5),
                                    "Gauss sum multipliers must be integers"),
     "e_frac_text": (lambda: cyclo.e_frac("x"), "phase must be a rational number, not 'x'"),
+    # e(a/m): "x" raised TypeError from a % m, and m = 0 ZeroDivisionError
+    "root_exponent_text": (lambda: cyclo.root_of_unity("x", 3),
+                           "root of unity exponents must be integers"),
+    "root_exponent_float": (lambda: cyclo.root_of_unity(1.5, 3),
+                            "root of unity exponents must be integers"),
+    "root_order_text": (lambda: cyclo.root_of_unity(1, "3"), "root of unity orders must be integers"),
+    "root_order_zero": (lambda: cyclo.root_of_unity(1, 0),
+                        "root of unity order must be positive, not 0"),
+    "root_order_negative": (lambda: cyclo.root_of_unity(1, -4),
+                            "root of unity order must be positive, not -4"),
     # dims: the weight and the table's nmax raised TypeError or ValueError
     "dim_M_weight_none": (lambda: dims.dim_M(_h(3), None),
                           "weight must be a rational number, not None"),
@@ -410,3 +429,11 @@ def test_cached_reduction_refuses_a_subgroup_of_another_module():
     assert hb.hnf == ha.hnf
     with pytest.raises(PreconditionError, match="^subgroup does not belong to the module$"):
         qseries.reduction(a, hb)
+
+
+def test_integral_floats_are_read_as_ints():
+    # the refusals above read r, q, a and m through _intmat; an integral float is its int
+    assert fqm.phi_r(_h(3), 2.0).matrix == fqm.phi_r(_h(3), 2).matrix
+    assert fqm.cyclic_module(4, 0.125) == fqm.cyclic_module(4, F(1, 8))
+    assert fqm.cyclic_module(4, "1/8") == fqm.cyclic_module(4, F(1, 8))
+    assert cyclo.root_of_unity(2.0, 6.0) == cyclo.root_of_unity(2, 6) == cyclo.e_frac(F(1, 3))
