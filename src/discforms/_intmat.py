@@ -1,12 +1,12 @@
 """Exact integer arithmetic shared by the package.
 
 Owns Gram-matrix validation (even_gram), the parsing of rational input text
-(parse_rational_pair, and parse_rational on it), the checks of integer and
-rational arguments (integer, rational), the extended gcd (ext_gcd), the Smith
-and Hermite forms, lattice bases, signatures, and the one trial-division
-factorization with its divisors and primality test (factorization, divisors,
-is_prime). All matrices are lists of lists (or tuples of tuples). Functions
-never mutate their arguments.
+(parse_rational_pair, parse_rational), the argument readers of the public API
+(integer, rational, and shape for vectors and matrices), the extended gcd
+(ext_gcd), the Smith and Hermite forms, lattice bases, signatures, and the one
+trial-division factorization with its divisors and primality test
+(factorization, divisors, is_prime). All matrices are lists of lists (or
+tuples of tuples). Functions never mutate their arguments.
 """
 
 from fractions import Fraction
@@ -38,10 +38,10 @@ def even_gram(gram):
     but must have integral values; the matrix must be square, symmetric, with
     even diagonal and nonzero determinant.
     """
-    n = len(gram)
-    if any(len(row) != n for row in gram):
-        raise PreconditionError("gram matrix must be square")
-    out = tuple(tuple(_integer_entry(x) for x in row) for row in gram)
+    out = shape(gram, "gram matrix",
+                lambda x: integer(rational(x, "gram matrix entry"), "gram matrix entries"),
+                None, None)
+    n = len(out)
     for i in range(n):
         if out[i][i] % 2:
             raise PreconditionError("gram matrix must have even diagonal")
@@ -53,19 +53,32 @@ def even_gram(gram):
     return out
 
 
-# Fraction("1e999999999") builds 10**999999999; parse_rational_pair refuses a
+# Fraction("1e999999999") builds 10**999999999; the text readers refuse a
 # decimal exponent above this before any integer is built (it matches the
 # default limit on the digits of int(str)).
 DECIMAL_EXPONENT_BOUND = 4300
 
 
 def parse_rational_pair(text):
-    """The ints (a, b) with text = a/b and b >= 1, not reduced to lowest terms.
+    """The ints (a, b) with text = a/b and b >= 1, not reduced to lowest terms (see _read_text)."""
+    x = _read_text(text)
+    return x if type(x) is tuple else (x.numerator, x.denominator)
 
-    ASCII text [-]a/b or [-]a with digits a, b and b != 0 is read with int();
-    every other text (spaces, signs, underscores, decimals, exponents, other
-    digits) goes through Fraction(text), the one route that reads decimals,
-    with ValueError for a decimal exponent above the bound.
+
+def parse_rational(x):
+    """Fraction(x), built once; text is read by _read_text."""
+    if isinstance(x, str):
+        x = _read_text(x)
+        return Fraction(*x) if type(x) is tuple else x
+    return Fraction(x)
+
+
+def _read_text(text):
+    """The ints (a, b) of ASCII text [-]a/b or [-]a (digits a, b and b != 0), read with int().
+
+    Every other text (spaces, signs, underscores, decimals, exponents, other
+    digits) is read to Fraction(text), the one route that reads decimals, with
+    ValueError for a decimal exponent above the bound.
     """
     a, slash, b = text.partition("/")
     if text.isascii() and (a[1:] if a[:1] == "-" else a).isdigit():
@@ -77,32 +90,26 @@ def parse_rational_pair(text):
         if abs(int(text.lower().partition("e")[2])) > DECIMAL_EXPONENT_BOUND:
             raise ValueError("decimal exponent of %r exceeds %d"
                              % (text, DECIMAL_EXPONENT_BOUND))
-    x = Fraction(text)
-    return x.numerator, x.denominator
+    return Fraction(text)
 
 
-def parse_rational(x):
-    """Fraction(x); text is read by parse_rational_pair."""
-    if isinstance(x, str):
-        return Fraction(*parse_rational_pair(x))
-    return Fraction(x)
-
-
-def integer(x, what):
-    """x as an int; what (a plural noun) names it in the refusal of a non-integer x.
+def integer(x, what, least=None):
+    """x as an int, refused below least when given; what (a plural noun) names it in a refusal.
 
     An int, or a float or Fraction of integral value, is read as its int; 1.5,
     "3" or None is refused, never truncated.
     """
-    if type(x) is int:
-        return x
-    try:
-        n = int(x)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x:
-        raise PreconditionError("%s must be integers" % what)
-    return n
+    if type(x) is not int:
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != x:
+            raise PreconditionError("%s must be integers" % what)
+        x = n
+    if least is not None and x < least:
+        raise PreconditionError("%s must be at least %d, not %d" % (what, least, x))
+    return x
 
 
 def rational(x, what):
@@ -120,14 +127,30 @@ def rational(x, what):
         raise PreconditionError("%s must be a rational number, not %r" % (what, x)) from None
 
 
-def _integer_entry(x):
+def shape(x, what, read, *dims):
+    """x as a tuple of entries read by read (which refuses a bad entry), or as a tuple of rows.
+
+    dims is (n,) for a vector of length n and (r, c) for an r x c matrix; n =
+    None takes any length and (None, None) any square matrix. Anything else,
+    an int or None in place of the sequence included, is refused by what
+    before an entry is read.
+    """
     try:
-        v = parse_rational(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        v = None
-    if v is None or v.denominator != 1:
-        raise PreconditionError("gram matrix entries must be integers, not %s" % (x,))
-    return int(v)
+        rows = tuple(x) if len(dims) == 1 else tuple(map(tuple, x))
+    except TypeError:
+        rows = None
+    if rows is not None:
+        n = len(rows) if dims[0] is None else dims[0]
+        c = n if dims[-1] is None else dims[-1]
+        if len(rows) == n and (len(dims) == 1 or all(len(row) == c for row in rows)):
+            if len(dims) == 1:
+                return tuple(map(read, rows))
+            return tuple(tuple(map(read, row)) for row in rows)
+    if len(dims) == 1:
+        form = "a list" if dims[0] is None else "a list of length %d" % dims[0]
+    else:
+        form = "square" if dims[0] is None else "%d x %d" % dims
+    raise PreconditionError("%s must be %s" % (what, form))
 
 
 def determinant(a):

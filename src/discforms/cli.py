@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import dims, fqm, lattice, lifts, qseries, specfun, weil
-from ._intmat import even_gram, parse_rational
+from ._intmat import even_gram, rational
 from .errors import ConsistencyError, PreconditionError
 
 
@@ -38,14 +38,6 @@ def read_gram(path):
     if len(vals) != r * r:
         raise PreconditionError("gram file does not contain %d x %d entries" % (r, r))
     return even_gram([vals[i * r:(i + 1) * r] for i in range(r)])
-
-
-def _fraction(text, what):
-    """A rational command-line value; a malformed one is a precondition failure."""
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError("malformed %s %r" % (what, text)) from None
 
 
 def _cmd_fqm_info(args):
@@ -91,7 +83,7 @@ def _cmd_dims_table1(args):
 
 def _cmd_dims_report(args):
     module = fqm.fqm_from_gram(read_gram(args.gram))
-    report = dims.dim_M(module, _fraction(args.weight, "weight"))
+    report = dims.dim_M(module, rational(args.weight, "weight"))
     for line in report.lines():
         print(line)
     return 0
@@ -135,8 +127,8 @@ def _parse_eta(text):
 
 def _cmd_lifts_kernel(args):
     scalar, exps = _parse_eta(args.eta)
-    kappa = _fraction(args.kappa, "kappa")
-    truncation = _fraction(args.truncation, "truncation")
+    kappa = rational(args.kappa, "kappa")
+    truncation = rational(args.truncation, "truncation")
     bound = Fraction(args.qbound)
     series = lifts.eta_quotient(exps, args.p * bound) * scalar
     eps = None

@@ -42,18 +42,19 @@ class CyclotomicNumber:
     __slots__ = ("mod", "coeffs", "den")
 
     def __init__(self, mod, coeffs):
-        """The number sum c * zeta_mod^e over {e: c}, with int or Fraction values c."""
+        """The number sum c * zeta_mod^e over a dict {e: c} of integers e and int or Fraction c."""
+        mod = mod if type(mod) is int and mod > 0 else integer(mod, "cyclotomic moduli", 1)
+        if not isinstance(coeffs, dict):
+            raise PreconditionError("cyclotomic coefficients must be a dict {exponent: value}")
         out = {}
         for e, c in coeffs.items():
             if c:
-                e %= mod
+                if not hasattr(c, "denominator"):
+                    raise PreconditionError("cyclotomic coefficients must be int or Fraction")
+                e = (e if type(e) is int else integer(e, "cyclotomic exponents")) % mod
                 out[e] = out.get(e, 0) + c
-        try:
-            den = lcm(*(c.denominator for c in out.values()))
-        except (AttributeError, TypeError):
-            raise TypeError("cyclotomic coefficients must be int or Fraction") from None
         self.mod = mod
-        self.den = den
+        self.den = den = lcm(*(c.denominator for c in out.values()))
         self.coeffs = {e: c.numerator * (den // c.denominator) for e, c in out.items() if c}
 
     # -- constructors ------------------------------------------------------
@@ -310,13 +311,11 @@ def e_frac(q):
 
 def root_of_unity(a, m):
     """e(a/m) for ints a and m >= 1, at the least modulus m/gcd(a, m)."""
-    # the exact type first: dims asks for a root on every table row
+    # the exact types first: dims asks for a root on every table row
     if type(a) is not int:
         a = integer(a, "root of unity exponents")
-    if type(m) is not int:
-        m = integer(m, "root of unity orders")
-    if m < 1:
-        raise PreconditionError("root of unity order must be positive, not %d" % m)
+    if type(m) is not int or m < 1:
+        m = integer(m, "root of unity orders", 1)
     a %= m
     g = gcd(a, m)
     return CyclotomicNumber._normalized(m // g, {a // g: 1})

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import cyclo, fqm
-from ._intmat import integer, rational
+from ._intmat import integer, rational, shape
 from .cyclo import root_of_unity
 from .errors import ConsistencyError, PreconditionError
 
@@ -185,9 +185,7 @@ def check_table(nmax):
     and the largest odd row, of level 4n, the largest level. Building those
     two rows runs fqm's bound checks for all of them.
     """
-    nmax = integer(nmax, "row numbers")
-    if nmax < 1:
-        raise PreconditionError("the table needs nmax >= 1, not %d" % nmax)
+    nmax = integer(nmax, "row numbers", 1)
     table_row_module(nmax)
     table_row_module(nmax - 1 + nmax % 2)
 
@@ -199,4 +197,5 @@ def picard_rank(n):
 
 def picard_rank_table(n_values):
     """Rows (n, rank) for the given block sizes."""
+    n_values = shape(n_values, "row numbers", lambda n: integer(n, "row numbers", 1), None)
     return [(n, picard_rank(n)) for n in n_values]

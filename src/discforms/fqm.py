@@ -26,7 +26,7 @@ from operator import mul
 
 from . import cyclo
 from ._intmat import (even_gram, factorization, hermite_rows, identity, integer, is_prime,
-                      kernel_basis, mat_mul, mat_vec, rational, smith_normal_form,
+                      kernel_basis, mat_mul, mat_vec, rational, shape, smith_normal_form,
                       solve_hermite, transpose)
 from .errors import ConsistencyError, PreconditionError
 
@@ -39,14 +39,6 @@ BRUTE_FORCE_BOUND = 10_000
 # and read both invariants from their two summands.
 LEVEL_BOUND = 5_000
 ORDER_BOUND = 4_000_000
-
-
-def _order(d):
-    """A generator order as an int; it must be a positive integer."""
-    n = integer(d, "generator orders")
-    if n < 1:
-        raise PreconditionError("generator orders must be positive")
-    return n
 
 
 class FqmElement:
@@ -111,9 +103,10 @@ class FiniteQuadraticModule:
     """Finite abelian group with a non-degenerate quadratic form into Q/Z."""
 
     def __init__(self, orders, q_values, bilinear):
-        orders = tuple(map(_order, orders))
-        q_values = [Fraction(q) for q in q_values]
-        bilinear = [[Fraction(b) for b in row] for row in bilinear]
+        orders = shape(orders, "generator orders", lambda d: integer(d, "generator orders", 1),
+                       None)
+        q_values = shape(q_values, "Q values", lambda q: rational(q, "Q value"), None)
+        bilinear = shape(bilinear, "bilinear matrix", lambda b: rational(b, "pairing"), None, None)
         # the integer form at the lcm N of the denominators: N*Q(g_i) and N*(g_i, g_j)
         n = lcm(*(q.denominator for q in q_values),
                 *(b.denominator for row in bilinear for b in row))
@@ -174,8 +167,6 @@ class FiniteQuadraticModule:
         r = len(orders)
         if len(nq) != r or len(nb) != r:
             raise PreconditionError("inconsistent presentation sizes")
-        if any(len(row) != r for row in nb):
-            raise PreconditionError("bilinear matrix is not square")
         for i in range(r):
             if (nb[i][i] - 2 * nq[i]) % n:
                 raise PreconditionError("diagonal pairing must equal 2*Q on generators")
@@ -460,13 +451,7 @@ class Automorphism:
     def __init__(self, module, matrix):
         self.module = module
         r = module.rank
-        shape = "matrix must be %d x %d, the rank of the module" % (r, r)
-        try:
-            self.matrix = tuple(tuple(integer(x, "matrix entries") for x in row) for row in matrix)
-        except TypeError:  # matrix or a row is not iterable
-            raise PreconditionError(shape) from None
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise PreconditionError(shape)
+        self.matrix = shape(matrix, "matrix", lambda x: integer(x, "matrix entries"), r, r)
         for i in range(r):
             for j in range(r):
                 if (self.matrix[i][j] * module.orders[j]) % module.orders[i]:
@@ -516,7 +501,7 @@ def cyclic_module(n, q):
 
 def hyperbolic_module(n):
     """Discriminant form of the hyperbolic plane rescaled by n: (Z/n)^2 with Q(a,b)=ab/n."""
-    n = _order(n)
+    n = integer(n, "generator orders", 1)
     if n == 1:
         return trivial_module()
     # valid by construction: Q(a, b) = ab/n pairs a with b perfectly, so only the bounds are checked
@@ -528,7 +513,7 @@ def matrix_model_module(p):
 
     Coordinates (c11, c12, c21, c22) stand for the class of (1/p)*[[c11,c12],[c21,c22]].
     """
-    p = _order(p)
+    p = integer(p, "generator orders", 1)
     out = FiniteQuadraticModule._from_forms((p, p, p, p), p, (0, 0, 0, 0), (
         (0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0)))
     out._validate()
@@ -612,7 +597,7 @@ def milgram_signature(a):
     if (g * g.conjugate()).rational_value() != a.order():
         raise ConsistencyError("Gauss sum magnitude check failed: degenerate module?")
     for s in range(8):
-        x = g * cyclo.e_frac(Fraction(-s, 8))
+        x = g * cyclo.root_of_unity(-s, 8)
         if (x - x.conjugate()).is_zero():
             # x is real with x^2 = |A| >= 1; its float sums M = lcm(8, level) terms at most, of
             # total size |A|: error < M*|A|*2^-52 < 10^-4 under the bounds, far below 1/2
@@ -856,8 +841,7 @@ def isotropic_subgroups(a, order):
     if a.order() > BRUTE_FORCE_BOUND:
         raise PreconditionError("isotropic subgroup enumeration limited to modules of order <= %d"
                                 % BRUTE_FORCE_BOUND)
-    if not isinstance(order, int) or order < 1:
-        raise PreconditionError("order must be a positive integer")
+    order = integer(order, "subgroup orders", 1)
     if a.order() % order:
         raise PreconditionError("order must divide the module order")
     found = a._isotropic.get(order)
@@ -1011,8 +995,7 @@ def cyclic_subgroup_id(a, e, d):
     n = e.order()
     if a.nq_value(e):
         raise PreconditionError("reference element must be isotropic")
-    if not isinstance(d, int) or d < 1:
-        raise PreconditionError("d must be a positive integer")
+    d = integer(d, "values of d", 1)
     if n % d:
         raise PreconditionError("d must divide the order of e")
     h = Subgroup.from_generators(a, ((n // d) * e,))
@@ -1031,7 +1014,9 @@ def phi_r(a, r, pair=None):
     r = integer(r, "multipliers")
     if pair is None:
         pair = _find_hyperbolic_pair(a)
-    i, j = pair
+    i, j = shape(pair, "pair", lambda i: integer(i, "generator indices", 0), 2)
+    if max(i, j) >= a.rank:
+        raise PreconditionError("generator indices must be below the rank %d" % a.rank)
     n = a.orders[i]
     if a.orders[j] != n:
         raise PreconditionError("selected generators have different orders")
@@ -1067,6 +1052,7 @@ class MatrixModelSplit:
     """
 
     def __init__(self, p, definite_block=None):
+        p = integer(p, "levels")
         if not is_prime(p):
             raise PreconditionError("level must be prime")
         self.p = p

@@ -11,8 +11,8 @@ from math import gcd, isqrt, lcm
 
 from . import fqm
 from ._intmat import (determinant, even_gram, ext_gcd, image_basis, integer, invert_rational,
-                      kernel_basis, mat_mul, mat_vec, signature_pair, smith_normal_form,
-                      transpose)
+                      kernel_basis, mat_mul, mat_vec, rational, shape, signature_pair,
+                      smith_normal_form, transpose)
 from .errors import ConsistencyError, PreconditionError, SearchExhausted
 
 
@@ -82,11 +82,10 @@ class LatticeMap:
 
     def __init__(self, lat, matrix):
         self.lattice = lat
-        self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        self.matrix = shape(matrix, "matrix", lambda x: Fraction(rational(x, "matrix entry")),
+                            lat.rank, lat.rank)
         g = [list(r) for r in lat.gram]
-        m = [list(r) for r in self.matrix]
-        self.preserves_q = mat_mul(mat_mul(transpose(m), g), m) == [
-            [Fraction(x) for x in row] for row in g]
+        self.preserves_q = mat_mul(mat_mul(transpose(self.matrix), g), self.matrix) == g
         self.preserves_lattice = all(
             all(x.denominator == 1 for x in col)
             for col in ([row[j] for row in self.matrix] for j in range(lat.rank)))
@@ -102,8 +101,7 @@ class LatticeMap:
                 for i in range(len(self.matrix))]
 
     def compose(self, other):
-        return LatticeMap(self.lattice, mat_mul(
-            [list(r) for r in self.matrix], [list(r) for r in other.matrix]))
+        return LatticeMap(self.lattice, mat_mul(self.matrix, other.matrix))
 
     def is_identity(self):
         n = len(self.matrix)
@@ -118,6 +116,8 @@ def eichler(lat, u, v):
     the map lies in the discriminant kernel; when u spans the level ideal and
     v is a dual vector orthogonal to u it still preserves the lattice.
     """
+    u = shape(u, "u", lambda x: rational(x, "entry of u"), lat.rank)
+    v = shape(v, "v", lambda x: rational(x, "entry of v"), lat.rank)
     if lat.q_value(u) != 0:
         raise PreconditionError("u must be isotropic")
     if lat.bilinear(u, v) != 0:
@@ -137,6 +137,8 @@ def eichler(lat, u, v):
 
 def find_isotropic_with_ideal(lat, n, search_bound):
     """First primitive isotropic vector with pairing ideal nZ, in box order."""
+    n = integer(n, "pairing ideals", 1)
+    search_bound = integer(search_bound, "search bounds", 0)
     rng = range(-search_bound, search_bound + 1)
     for x in product(rng, repeat=lat.rank):
         if not any(x):
@@ -152,13 +154,7 @@ def find_isotropic_with_ideal(lat, n, search_bound):
 
 def _primitive_isotropic(lat, ell):
     """ell as a list of ints, checked to be a primitive isotropic vector of lat."""
-    try:
-        ell = [integer(x, "ell entries") for x in ell]
-    except TypeError:
-        raise PreconditionError("ell must be a list of integers") from None
-    if len(ell) != lat.rank:
-        raise PreconditionError("ell has %d entries, the lattice has rank %d"
-                                % (len(ell), lat.rank))
+    ell = list(shape(ell, "ell", lambda x: integer(x, "ell entries"), lat.rank))
     if gcd(*ell) != 1:
         raise PreconditionError("ell must be primitive")
     if lat.q_value(ell) != 0:
@@ -299,8 +295,10 @@ def _solve_scaled_pairing(c, g):
 
 def express_in_basis(basis_rows, v):
     """Coordinates of v in the row basis; raises if not integral."""
-    inv = invert_rational(transpose([list(r) for r in basis_rows]))
-    y = mat_vec(inv, [Fraction(x) for x in v])
+    v = shape(v, "v", lambda x: rational(x, "entry of v"), None)
+    basis_rows = shape(basis_rows, "basis", lambda x: rational(x, "basis entry"), len(v), len(v))
+    inv = invert_rational(transpose(basis_rows))
+    y = mat_vec(inv, v)
     if any(c.denominator != 1 for c in y):
         raise PreconditionError("vector does not lie in the sublattice")
     return [int(c) for c in y]
@@ -335,8 +333,9 @@ def count_norm_vectors(lat, m, mu, search_bound=10):
     otherwise a box search of the stated radius produces a lower bound and
     the flag comes back False.
     """
-    m = Fraction(m)
-    mu = [Fraction(x) for x in mu]
+    m = rational(m, "norm")
+    mu = shape(mu, "mu", lambda x: rational(x, "entry of mu"), lat.rank)
+    search_bound = integer(search_bound, "search bounds", 0)
     q_mu = lat.q_value(mu) % 1
     if (m - q_mu) % 1 != 0:
         return 0, True
@@ -382,11 +381,13 @@ def count_norm_vectors(lat, m, mu, search_bound=10):
 
 def matrix_model_gram(p):
     """Gram matrix of the 2x2 integer matrices with p*det, basis E11 E12 E21 E22."""
+    p = integer(p, "values of p")
     return [[0, 0, 0, p], [0, 0, -p, 0], [0, -p, 0, 0], [p, 0, 0, 0]]
 
 
 def prime_split_lattice(d_gram, p):
     """The lattice (definite block) + (matrix model), as one Gram matrix."""
+    d_gram = shape(d_gram, "d_gram", lambda x: integer(x, "d_gram entries"), None, None)
     nd = len(d_gram)
     mm = matrix_model_gram(p)
     n = nd + 4
@@ -424,9 +425,10 @@ def represent_norm_split(d_gram, p, m, lam0):
     by p; the output shares its definite part in suitable coordinates.
     """
     lat = EvenLattice(prime_split_lattice(d_gram, p))
-    nd = len(d_gram)
-    lam0 = [int(x) for x in lam0]
-    m = Fraction(m)
+    p = integer(p, "values of p")
+    nd = lat.rank - 4
+    lam0 = list(shape(lam0, "lam0", lambda x: integer(x, "lam0 entries"), lat.rank))
+    m = rational(m, "norm")
     m0 = lat.q_value(lam0)
     if m0 % p != 0 or m % p != 0:
         raise PreconditionError("norms must lie in pZ")

@@ -12,6 +12,7 @@ from math import floor
 from operator import add, sub
 
 from . import fqm
+from ._intmat import integer, rational
 from .errors import ConsistencyError, PreconditionError
 from .qseries import VectorValuedQSeries, _stored
 
@@ -28,22 +29,23 @@ class ScalarQSeries:
     """
 
     def __init__(self, weight, level, truncation):
-        self.weight = Fraction(weight)
-        self.level = int(level)
-        self.truncation = Fraction(truncation)
+        self.weight = Fraction(rational(weight, "weight"))
+        self.level = integer(level, "levels", 1)
+        self.truncation = Fraction(rational(truncation, "truncation"))
         self.coefficients = {}
 
     def set(self, l, value):
-        l = Fraction(l)
+        l = Fraction(rational(l, "exponent"))
         if l > self.truncation:
             raise PreconditionError("exponent exceeds the truncation bound")
+        value = rational(value, "coefficient")
         if value:
             self.coefficients[l] = Fraction(value)
         else:
             self.coefficients.pop(l, None)
 
     def get(self, l):
-        return self.coefficients.get(Fraction(l), Fraction(0))
+        return self.coefficients.get(rational(l, "exponent"), Fraction(0))
 
     def is_zero(self):
         return not self.coefficients
@@ -109,11 +111,13 @@ def eta_quotient(exponents, truncation):
     cost O(|r| n^1.5) operations. The weight is sum(r_d)/2 and the level the
     largest d. More than TERM_BOUND terms are refused before any list is built.
     """
+    if not isinstance(exponents, dict):
+        raise PreconditionError("eta exponents must be a dict {d: r}")
     if not exponents:
         raise PreconditionError("an eta quotient needs at least one d:r factor")
-    if min(exponents) < 1:
-        raise PreconditionError("eta arguments must be positive integers")
-    truncation = Fraction(truncation)
+    exponents = {integer(d, "eta arguments", 1): integer(r, "eta exponents")
+                 for d, r in exponents.items()}
+    truncation = rational(truncation, "truncation")
     prefix = sum(Fraction(d * r, 24) for d, r in exponents.items())
     n_terms = floor(truncation - prefix)
     if n_terms < 0:
@@ -151,8 +155,7 @@ def eta_quotient(exponents, truncation):
 
 def u_p(f, p):
     """The coefficient-extraction operator: output coefficient at l is a(p*l)."""
-    if not isinstance(p, int) or p < 1:
-        raise PreconditionError("p must be a positive integer")
+    p = integer(p, "values of p", 1)
     if not f.has_integral_support():
         raise PreconditionError("U_p is implemented for integral exponents")
     out = ScalarQSeries(f.weight, f.level, f.truncation / p)
@@ -172,8 +175,8 @@ class NewformData:
     def __init__(self, series, eps, weight, p):
         if eps not in (1, -1):
             raise PreconditionError("eigenvalue must be +1 or -1")
-        weight = Fraction(weight)
-        if weight.denominator != 1 or int(weight) % 2:
+        weight = rational(weight, "weight")
+        if weight.denominator != 1 or weight <= 0 or int(weight) % 2:
             raise PreconditionError("weight must be a positive even integer")
         if series.is_zero():
             raise PreconditionError("the zero series is not a newform")
@@ -184,10 +187,10 @@ class NewformData:
         if series.get(1) == 0:
             raise PreconditionError("newforms are normalized at the first coefficient")
         self.series = series
-        self.eps = eps
+        self.eps = int(eps)
         self.weight = int(weight)
-        self.p = int(p)
-        factor = -eps * Fraction(p) ** ((self.weight - 2) // 2)
+        self.p = integer(p, "levels", 1)
+        factor = -self.eps * Fraction(self.p) ** ((self.weight - 2) // 2)
         bound = int(series.truncation)
         for l in range(bound // self.p + 1):
             if series.get(self.p * l) != factor * series.get(l):
@@ -197,6 +200,7 @@ class NewformData:
 
 def lift_module(p, n):
     """Discriminant form of the p-rescaled even unimodular lattice of signature (n, 2)."""
+    n = integer(n, "values of n")
     if n % 8 != 2:
         raise PreconditionError("the construction needs n = 2 mod 8")
     out = fqm.trivial_module()
@@ -214,7 +218,8 @@ def vector_lift_closed(a, a_tilde, module, k, p, n, truncation=None):
     the lift up to min(a.truncation, a_tilde.truncation / p); a larger
     truncation is refused.
     """
-    k = Fraction(k)
+    k = Fraction(rational(k, "weight"))
+    p, n = integer(p, "levels", 1), integer(n, "values of n")
     if n % 8 != 2:
         raise PreconditionError("the construction needs n = 2 mod 8")
     if any(d != p for d in module.orders) or module.rank != n + 2:
@@ -226,9 +231,7 @@ def vector_lift_closed(a, a_tilde, module, k, p, n, truncation=None):
         raise PreconditionError("k + n must be even for a rational rescaling")
     scale = Fraction(1, p ** int(expo))
     known = min(a.truncation, a_tilde.truncation / p)
-    if truncation is None:
-        truncation = known
-    truncation = Fraction(truncation)
+    truncation = known if truncation is None else rational(truncation, "truncation")
     if truncation > known:
         raise PreconditionError(
             "truncation %s exceeds %s, the bound the input expansions determine"
@@ -272,10 +275,10 @@ def kernel_element(nf, n, kappa, truncation=Fraction(3)):
     returned and certified nonzero: a(1) != 0 gives it a nonzero coefficient
     at m = 1/p, so a truncation below 1/p is refused.
     """
-    if nf.weight != Fraction(kappa):
+    if nf.weight != rational(kappa, "weight"):
         raise PreconditionError("newform weight does not match the lift weight")
     p = nf.p
-    truncation = Fraction(truncation)
+    truncation = rational(truncation, "truncation")
     if truncation < Fraction(1, p):
         raise PreconditionError("truncation %s is below 1/p = 1/%d" % (truncation, p))
     report = {"condition": True, "first_violation": None}

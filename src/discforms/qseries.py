@@ -29,8 +29,8 @@ from itertools import product
 from math import gcd, lcm
 
 from . import fqm
-from ._intmat import (divisors, factorization, is_prime, parse_rational, parse_rational_pair,
-                      rational)
+from ._intmat import (divisors, factorization, integer, is_prime, parse_rational,
+                      parse_rational_pair, rational)
 from .cyclo import CyclotomicNumber
 from .errors import ConsistencyError, PreconditionError
 
@@ -111,8 +111,9 @@ class VectorValuedQSeries:
     def __init__(self, module, weight, truncation):
         self.module = module
         # series made from other series pass their Fractions on, which need no rewrap
-        self.weight = weight if type(weight) is Fraction else Fraction(weight)
-        self.truncation = truncation if type(truncation) is Fraction else Fraction(truncation)
+        self.weight = weight if type(weight) is Fraction else Fraction(rational(weight, "weight"))
+        self.truncation = (truncation if type(truncation) is Fraction
+                           else Fraction(rational(truncation, "truncation")))
         self.level = module.level()
         # floor(level * truncation): the denominator is positive
         self.k_max = self.level * self.truncation.numerator // self.truncation.denominator
@@ -467,8 +468,7 @@ def oldform_decompose(f, e, t):
     the support and coset-invariance preconditions are checked stepwise.
     """
     fqm._require_of(f.module, e, "reference element")
-    if not isinstance(t, int) or t < 0:
-        raise PreconditionError("depth must be a non-negative integer")
+    t = integer(t, "depths", 0)
     a = f.module
     n = e.order()
     if e.q() != 0:
@@ -538,8 +538,6 @@ def write_series(f):
     n = f.level
     # id(comp) is stable: every component stays alive in f.components
     records = {}
-    # the " m=a/b coeff=" text of each exponent k, built once
-    heads = {}
     for c in sorted(f.components):
         comp = f.components[c]
         tails = records.get(id(comp))
@@ -554,11 +552,8 @@ def write_series(f):
                 else:
                     v = Fraction(v)
                     text = "%d/%d" % (v.numerator, v.denominator)
-                head = heads.get(k)
-                if head is None:
-                    g = gcd(k, n)
-                    head = heads[k] = " m=%d/%d coeff=" % (k // g, n // g)
-                tails.append(head + text)
+                g = gcd(k, n)
+                tails.append(" m=%d/%d coeff=%s" % (k // g, n // g, text))
         if tails:
             mu = "mu=(%s)" % ",".join(map(str, c))
             lines.append(mu + ("\n" + mu).join(tails))
@@ -567,6 +562,8 @@ def write_series(f):
 
 def read_series(text, module):
     """Parse the line-based format; the module must match the header divisors."""
+    if not isinstance(text, str):
+        raise PreconditionError("series text must be a str, not %s" % type(text).__name__)
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if len(lines) < 3:
         raise PreconditionError("series file is too short")

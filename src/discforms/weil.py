@@ -43,8 +43,8 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from . import cyclo, fqm
-from ._intmat import integer
-from .cyclo import CyclotomicNumber, e_frac
+from ._intmat import integer, shape
+from .cyclo import CyclotomicNumber, root_of_unity
 from .errors import ConsistencyError, PreconditionError
 
 
@@ -86,16 +86,13 @@ class MetaplecticElement:
     __slots__ = ("a", "b", "c", "d", "bit")
 
     def __init__(self, matrix, bit=0):
-        try:
-            (a, b), (c, d) = matrix
-        except (TypeError, ValueError):
-            raise PreconditionError("matrix must be 2 x 2") from None
-        self.a, self.b, self.c, self.d = (integer(x, "matrix entries") for x in (a, b, c, d))
+        (self.a, self.b), (self.c, self.d) = shape(
+            matrix, "matrix", lambda x: integer(x, "matrix entries"), 2, 2)
         if self.a * self.d - self.b * self.c != 1:
             raise PreconditionError("matrix must have determinant one")
-        if not isinstance(bit, int) or bit not in (0, 1):
-            raise PreconditionError("the branch bit must be the int 0 or 1")
-        self.bit = bit
+        if bit not in (0, 1):
+            raise PreconditionError("the branch bit must be 0 or 1")
+        self.bit = int(bit)
 
     @property
     def matrix(self):
@@ -798,7 +795,7 @@ def rho_S(module):
     A quadratic matrix with K = 1 and row map x -> -x, since -(x, y) = (-x, y).
     """
     tab = _tables(module)
-    scale = e_frac(Fraction(-module.signature(), 8)) * cyclo.sqrt_card(module) \
+    scale = root_of_unity(-module.signature(), 8) * cyclo.sqrt_card(module) \
         * Fraction(1, module.order())
     return _built(module, scale, "quadratic",
                   (tab.zeros, tab.zeros, tab.mul(-1), tab.ident, tab.ones, tab.zeros, tab.zeros))
@@ -808,7 +805,7 @@ def rho_Z(module):
     """Action of the central element: e(-sig/4) times the negation permutation."""
     tab = _tables(module)
     neg = tab.mul(-1)
-    return _built(module, e_frac(Fraction(-module.signature(), 4)), "monomial",
+    return _built(module, root_of_unity(-module.signature(), 4), "monomial",
                       (neg, neg, tab.zeros))
 
 
@@ -865,7 +862,7 @@ def rho_of(module, g):
                                % (g.matrix, module.orders, module.level()))
     if acc.bit != g.bit:
         # the two lifts differ by the order-two central element Z^2
-        out = out.scaled(e_frac(Fraction(-module.signature(), 2)))
+        out = out.scaled(root_of_unity(-module.signature(), 2))
     return out
 
 
@@ -906,10 +903,10 @@ def relation_report(module, witnesses=None):
         st = s @ t
         check("braid_direct", st @ st @ st, z)
     # Z acts by e(-sig/4) on e_{-x}
-    check("Z_squared_scalar", z @ z, ident.scaled(e_frac(Fraction(-module.signature(), 2))))
+    check("Z_squared_scalar", z @ z, ident.scaled(root_of_unity(-module.signature(), 2)))
     neg = fqm.negation_automorphism(module)
     p = aut_matrix(module, neg)
-    check("negation_is_unit_times_Z", p, z.scaled(e_frac(Fraction(module.signature(), 4))))
+    check("negation_is_unit_times_Z", p, z.scaled(root_of_unity(module.signature(), 4)))
     check("aut_commutes_S", p @ s, s @ p)
     check("aut_commutes_T", p @ t, t @ p)
     try:

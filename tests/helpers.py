@@ -747,10 +747,10 @@ def validate_reference(orders, q_values, bilinear):
     q_values = tuple(Fraction(q) % 1 for q in q_values)
     bilinear = tuple(tuple(Fraction(b) % 1 for b in row) for row in bilinear)
     r = len(orders)
+    if any(len(row) != len(bilinear) for row in bilinear):
+        raise PreconditionError("bilinear matrix must be square")
     if len(q_values) != r or len(bilinear) != r:
         raise PreconditionError("inconsistent presentation sizes")
-    if any(len(row) != r for row in bilinear):
-        raise PreconditionError("bilinear matrix is not square")
     for i in range(r):
         if bilinear[i][i] != 2 * q_values[i] % 1:
             raise PreconditionError("diagonal pairing must equal 2*Q on generators")

@@ -7,7 +7,7 @@ import pytest
 from discforms import cyclo, fqm
 from discforms.cyclo import CyclotomicNumber, e_frac
 from discforms._intmat import is_prime
-from discforms.errors import ConsistencyError
+from discforms.errors import ConsistencyError, PreconditionError
 from helpers import (FractionCyclotomicReference, cyclotomic_polynomial_radical,
                      cyclotomic_polynomial_reference, phi_remainder_reference, random_module)
 
@@ -173,7 +173,7 @@ def test_one_term_products_match_the_fraction_oracle():
 
 def test_inexact_coefficients_are_refused():
     for bad in (0.5, 1.0, complex(1, 1)):
-        with pytest.raises(TypeError, match="must be int or Fraction"):
+        with pytest.raises(PreconditionError, match="must be int or Fraction"):
             CyclotomicNumber(4, {1: bad})
 
 

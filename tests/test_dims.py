@@ -29,6 +29,21 @@ def test_kohnen_plus_space_dimensions():
         assert (rep.dim_M, rep.dim_S) == (m, s), k
 
 
+def _level_one_dim(k):
+    """dim M_k(SL2(Z)) for even k >= 4."""
+    return k // 12 + (k % 12 != 2)
+
+
+def test_jacobi_forms_of_index_m_match_the_eichler_zagier_count():
+    # J_{k,m} is M_{k-1/2} for the negated discriminant form of [[2m]], and
+    # Eichler-Zagier count it as sum_{j=0}^{m} (dim M_{k+2j} - ceil(j^2/4m))
+    for m in range(1, 61):
+        a = fqm.negate(fqm.fqm_from_gram([[2 * m]]))
+        for k in range(4, 23, 2):
+            want = sum(_level_one_dim(k + 2 * j) - -(-j * j // (4 * m)) for j in range(m + 1))
+            assert dims.dim_M(a, k - F(1, 2)).dim_M == want, (m, k)
+
+
 def test_table_rows_from_spec():
     assert dims.dim_S(dims.table_row_module(1), F(5, 2)) == 0
     assert dims.dim_S(dims.table_row_module(5), F(5, 2)) == 2

@@ -68,10 +68,10 @@ def test_construction_bounds():
 
 # (orders, q_values, bilinear, message) for each presentation check of FiniteQuadraticModule
 BAD_PRESENTATIONS = {
-    "zero_order": ((0,), (0,), ((0,),), "generator orders must be positive"),
+    "zero_order": ((0,), (0,), ((0,),), "generator orders must be at least 1, not 0"),
     "short_q_values": ((2,), (), ((F(1, 2),),), "inconsistent presentation sizes"),
     "ragged_bilinear": ((2, 2), (F(1, 4), F(1, 4)), ((F(1, 2),), (0, F(1, 2))),
-                        "bilinear matrix is not square"),
+                        "bilinear matrix must be square"),
     "diagonal_not_2q": ((2,), (F(1, 4),), ((0,),),
                         "diagonal pairing must equal 2*Q on generators"),
     "q_order": ((2,), (F(1, 3),), ((F(2, 3),),), "Q value incompatible with generator order"),

@@ -8,6 +8,7 @@ term-by-term oracle of tests/helpers.py on every text.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -176,6 +177,27 @@ def test_parse_rational_matches_the_fraction_route():
             want = rational_outcome(parse_rational_reference, text)
             assert got == want and type(got) is type(want), text
             assert rational_outcome(pair_value, text) == want, text
+
+
+def test_parse_rational_builds_one_fraction_per_text():
+    """On both routes, the int() pair and Fraction(text) with the exponent bound,
+    parse_rational builds the one Fraction it returns."""
+    built = []
+    new = F.__new__.__code__
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is new:
+            built.append(text)
+
+    for text in ("+1", " 3", "1e2", "0.5", "-2.5e-3", "1_0", "2/4", "-7", "12/8"):
+        sys.setprofile(count)
+        try:
+            got = parse_rational(text)
+        finally:
+            sys.setprofile(None)
+        assert got == F(text) and type(got) is F, text
+        assert built == [text], (text, built)
+        built.clear()
 
 
 @FUZZ

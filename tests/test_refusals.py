@@ -97,18 +97,18 @@ REFUSALS = {
                                "matrix entries must be integers"),
     # a matrix that is not rank x rank is refused before any entry is read as a map
     "aut_short_matrix": (lambda: fqm.Automorphism(_h(6), [[1, 0]]),
-                         "matrix must be 2 x 2, the rank of the module"),
+                         "matrix must be 2 x 2"),
     "aut_ragged_matrix": (lambda: fqm.Automorphism(_h(6), [[1], [0, 1]]),
-                          "matrix must be 2 x 2, the rank of the module"),
+                          "matrix must be 2 x 2"),
     "aut_wide_matrix": (lambda: fqm.Automorphism(_h(6), [[1, 0, 0], [0, 1, 0]]),
-                        "matrix must be 2 x 2, the rank of the module"),
+                        "matrix must be 2 x 2"),
     "aut_entry_text": (lambda: fqm.Automorphism(_h(6), [["x", 0], [0, 1]]),
                        "matrix entries must be integers"),
     # a bare int is not a matrix; iterating it raised TypeError
     "aut_bare_int": (lambda: fqm.Automorphism(_h(3), 5),
-                     "matrix must be 2 x 2, the rank of the module"),
+                     "matrix must be 2 x 2"),
     "aut_bare_int_row": (lambda: fqm.Automorphism(_h(3), [[1, 0], 5]),
-                         "matrix must be 2 x 2, the rank of the module"),
+                         "matrix must be 2 x 2"),
     "elements_of_two_modules": (lambda: _h(2).zero() + _h(3).zero(),
                                 "elements belong to different modules"),
     "subgroups_of_two_modules": (lambda: _line(_h(2), (1, 0)) + _line(_h(3), (1, 0)),
@@ -121,7 +121,7 @@ REFUSALS = {
     "element_length": (lambda: _h(2).element((0,)), "coordinate length mismatch"),
     # every row length is checked before the symmetry check reads across rows
     "bilinear_short_last_row": (lambda: fqm.FiniteQuadraticModule((1, 1), (0, 0), ((0, 0), ())),
-                                "bilinear matrix is not square"),
+                                "bilinear matrix must be square"),
     "to_coords_outside_dual": (lambda: fqm.fqm_from_gram_with_maps([[2]])[1]([F(1, 3)]),
                                "vector is not in the dual lattice"),
     "isotropic_order_not_dividing": (lambda: fqm.isotropic_subgroups(_h(2), 3),
@@ -156,21 +156,25 @@ REFUSALS = {
                               "element does not belong to the module"),
     # non-positive orders are refused before they divide anything
     "cyclic_subgroup_order_zero": (lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), 0),
-                                   "d must be a positive integer"),
+                                   "values of d must be at least 1, not 0"),
     "cyclic_subgroup_order_negative": (
         lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), -2),
-        "d must be a positive integer"),
+        "values of d must be at least 1, not -2"),
     "isotropic_order_zero": (lambda: fqm.isotropic_subgroups(_h(6), 0),
-                             "order must be a positive integer"),
+                             "subgroup orders must be at least 1, not 0"),
     "isotropic_order_negative": (lambda: fqm.isotropic_subgroups(_h(6), -2),
-                                 "order must be a positive integer"),
+                                 "subgroup orders must be at least 1, not -2"),
+    # an integral float is read as its int (see test_integral_floats_are_read_as_ints)
     "cyclic_subgroup_order_float": (
-        lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), 2.0),
-        "d must be a positive integer"),
+        lambda: fqm.cyclic_subgroup_id(_h(6), _h(6).element((0, 1)), 2.5),
+        "values of d must be integers"),
     # a text or None multiplier raised TypeError from gcd(r, n)
     "phi_r_multiplier_text": (lambda: fqm.phi_r(_h(3), "x"), "multipliers must be integers"),
     "phi_r_multiplier_none": (lambda: fqm.phi_r(_h(3), None), "multipliers must be integers"),
     "phi_r_multiplier_float": (lambda: fqm.phi_r(_h(3), 2.5), "multipliers must be integers"),
+    # an index past the rank raised IndexError from the orders
+    "phi_r_pair_past_rank": (lambda: fqm.phi_r(_h(3), 2, pair=(0, 2)),
+                             "generator indices must be below the rank 2"),
     "phi_r_orders": (
         lambda: fqm.phi_r(fqm.direct_sum(_a1(), fqm.cyclic_module(4, F(1, 8))), 1, pair=(0, 1)),
         "selected generators have different orders"),
@@ -178,12 +182,12 @@ REFUSALS = {
                             "element does not belong to the split module"),
     # order 0 is refused before the pairing 1/n is built
     "hyperbolic_order_zero": (lambda: fqm.hyperbolic_module(0),
-                              "generator orders must be positive"),
+                              "generator orders must be at least 1, not 0"),
     "matrix_model_order_zero": (lambda: fqm.matrix_model_module(0),
-                                "generator orders must be positive"),
-    "picard_rank_zero": (lambda: dims.picard_rank(0), "generator orders must be positive"),
+                                "generator orders must be at least 1, not 0"),
+    "picard_rank_zero": (lambda: dims.picard_rank(0), "generator orders must be at least 1, not 0"),
     "lift_module_order_zero": (lambda: lifts.lift_module(0, 2),
-                               "generator orders must be positive"),
+                               "generator orders must be at least 1, not 0"),
     # a non-integral order is refused, not truncated to int
     "cyclic_order_not_integral": (lambda: fqm.cyclic_module(2.5, F(1, 4)),
                                   "generator orders must be integers"),
@@ -208,9 +212,9 @@ REFUSALS = {
                             "root of unity exponents must be integers"),
     "root_order_text": (lambda: cyclo.root_of_unity(1, "3"), "root of unity orders must be integers"),
     "root_order_zero": (lambda: cyclo.root_of_unity(1, 0),
-                        "root of unity order must be positive, not 0"),
+                        "root of unity orders must be at least 1, not 0"),
     "root_order_negative": (lambda: cyclo.root_of_unity(1, -4),
-                            "root of unity order must be positive, not -4"),
+                            "root of unity orders must be at least 1, not -4"),
     # dims: the weight and the table's nmax raised TypeError or ValueError
     "dim_M_weight_none": (lambda: dims.dim_M(_h(3), None),
                           "weight must be a rational number, not None"),
@@ -233,9 +237,9 @@ REFUSALS = {
                          "ell entries must be integers"),
     # a bare int is not a vector; iterating it raised TypeError
     "ell_bare_int": (lambda: lattice.split_UN(lattice.EvenLattice([[0, 1], [1, 0]]), 5),
-                     "ell must be a list of integers"),
+                     "ell must be a list of length 2"),
     "k0_ell_bare_int": (lambda: lattice.sublattice_K0(lattice.EvenLattice([[0, 1], [1, 0]]), 5),
-                        "ell must be a list of integers"),
+                        "ell must be a list of length 2"),
     "k0_ell_not_integral": (
         lambda: lattice.sublattice_K0(lattice.EvenLattice([[0, 1], [1, 0]]), [1.5, 0]),
         "ell entries must be integers"),
@@ -251,20 +255,23 @@ REFUSALS = {
     "scalar_past_truncation": (lambda: _scalar(11, [(4, 1)]),
                                "exponent exceeds the truncation bound"),
     "eta_argument": (lambda: lifts.eta_quotient({0: 1}, 3),
-                     "eta arguments must be positive integers"),
+                     "eta arguments must be at least 1, not 0"),
     "u_p_zero": (lambda: lifts.u_p(lifts.eta_quotient({1: 24}, 3), 0),
-                 "p must be a positive integer"),
+                 "values of p must be at least 1, not 0"),
     "u_p_negative": (lambda: lifts.u_p(lifts.eta_quotient({1: 24}, 3), -2),
-                     "p must be a positive integer"),
+                     "values of p must be at least 1, not -2"),
     # a float p gave float exponents
     "u_p_float": (lambda: lifts.u_p(lifts.eta_quotient({1: 24}, 3), 1.5),
-                  "p must be a positive integer"),
+                  "values of p must be integers"),
     "u_p_fractional": (lambda: lifts.u_p(lifts.eta_quotient({1: 1}, 3), 2),
                        "U_p is implemented for integral exponents"),
     "newform_eps": (lambda: lifts.NewformData(_scalar(11, [(1, 1)]), 2, 2, 11),
                     "eigenvalue must be +1 or -1"),
     "newform_weight": (lambda: lifts.NewformData(_scalar(11, [(1, 1)]), 1, 3, 11),
                        "weight must be a positive even integer"),
+    # weights 0 and -2 passed the parity test
+    "newform_weight_zero": (lambda: lifts.NewformData(_scalar(11, [(1, 1)]), 1, 0, 11),
+                            "weight must be a positive even integer"),
     "newform_zero": (lambda: lifts.NewformData(_scalar(11, []), 1, 2, 11),
                      "the zero series is not a newform"),
     "newform_exponents": (lambda: lifts.NewformData(lifts.eta_quotient({1: 1}, 3), 1, 2, 11),
@@ -318,7 +325,7 @@ REFUSALS = {
         "reference element does not belong to the module"),
     "oldform_depth_negative": (
         lambda: qseries.oldform_decompose(_series(_h(6)), _h(6).element((0, 1)), -1),
-        "depth must be a non-negative integer"),
+        "depths must be at least 0, not -1"),
     "oldform_depth_zero_other_module": (
         lambda: qseries.oldform_decompose(_series(_h(6)), _h(4).element((0, 1)), 0),
         "reference element does not belong to the module"),
@@ -388,9 +395,9 @@ REFUSALS = {
     "metaplectic_not_a_matrix": (lambda: weil.MetaplecticElement(None), "matrix must be 2 x 2"),
     "rho_of_short_matrix": (lambda: weil.rho_of(_h(3), [[1, 0]]), "matrix must be 2 x 2"),
     "metaplectic_float_bit": (lambda: weil.MetaplecticElement(((1, 0), (0, 1)), 0.5),
-                              "the branch bit must be the int 0 or 1"),
+                              "the branch bit must be 0 or 1"),
     "metaplectic_bit_two": (lambda: weil.MetaplecticElement(((1, 0), (0, 1)), 2),
-                            "the branch bit must be the int 0 or 1"),
+                            "the branch bit must be 0 or 1"),
     # a float, text or None power raised TypeError from n & 1 or n >= 0
     "metaplectic_power_float": (lambda: weil.gen_T() ** 1.5, "metaplectic powers must be integers"),
     "metaplectic_power_text": (lambda: weil.gen_T() ** "2", "metaplectic powers must be integers"),
@@ -432,8 +439,18 @@ def test_cached_reduction_refuses_a_subgroup_of_another_module():
 
 
 def test_integral_floats_are_read_as_ints():
-    # the refusals above read r, q, a and m through _intmat; an integral float is its int
+    # the refusals above read their integers through _intmat; an integral float is its int
     assert fqm.phi_r(_h(3), 2.0).matrix == fqm.phi_r(_h(3), 2).matrix
     assert fqm.cyclic_module(4, 0.125) == fqm.cyclic_module(4, F(1, 8))
     assert fqm.cyclic_module(4, "1/8") == fqm.cyclic_module(4, F(1, 8))
     assert cyclo.root_of_unity(2.0, 6.0) == cyclo.root_of_unity(2, 6) == cyclo.e_frac(F(1, 3))
+    a, e = _h(6), _h(6).element((0, 1))
+    assert fqm.cyclic_subgroup_id(a, e, 2.0) == fqm.cyclic_subgroup_id(a, e, F(2))
+    assert fqm.isotropic_subgroups(a, 6.0) == fqm.isotropic_subgroups(a, 6)
+    assert fqm.hyperbolic_module(F(4)) == fqm.hyperbolic_module(4.0) == _h(4)
+    f = lifts.eta_quotient({1: 24}, 3)
+    assert lifts.u_p(f, 2.0) == lifts.u_p(f, 2)
+    g = _series(a, coeffs=[((0, 1), 1, 1)])
+    assert qseries.oldform_decompose(g, e, 0.0) == qseries.oldform_decompose(g, e, 0)
+    assert weil.MetaplecticElement(((1.0, F(1)), (0, 1)), 1.0) == weil.MetaplecticElement(
+        ((1, 1), (0, 1)), 1)
