@@ -147,6 +147,9 @@ class FiniteQuadraticModule:
         self._q_values = {}
         # isotropic_subgroups by order, built on first use
         self._isotropic = {}
+        # the fields of series records on this module, by text, coords and
+        # exponent (qseries._mu_entry), built on first use
+        self._vocabulary = {}
         # the index tables of the Weil layer (weil._tables), built on first use
         self._weil_tables = None
         # the structure kind the invariants are read from, and negate's result
@@ -223,6 +226,16 @@ class FiniteQuadraticModule:
         return FqmElement(self, (0,) * self.rank)
 
     def element(self, coords):
+        """The element with these coordinates, read as ints and reduced mod the orders."""
+        # a tuple of ints, as the library passes, is taken as it is
+        ints = type(coords) is tuple
+        if ints:
+            for c in coords:
+                if type(c) is not int:
+                    ints = False
+                    break
+        if not ints:
+            coords = shape(coords, "coordinates", lambda c: integer(c, "coordinates"), None)
         if len(coords) != self.rank:
             raise PreconditionError("coordinate length mismatch")
         return FqmElement(self, coords)
@@ -243,8 +256,14 @@ class FiniteQuadraticModule:
         own = x.module is self
         if own and x._nq is not None:
             return x._nq
+        v = self._nq_of(x.coords)
+        if own:
+            x._nq = v
+        return v
+
+    def _nq_of(self, c):
+        """The integer N*Q(x) mod N, with N = level(), of the x with coordinates c."""
         nq, nb = self._nq, self._nb
-        c = x.coords
         v = 0
         for i, ci in enumerate(c):
             if ci:
@@ -253,10 +272,7 @@ class FiniteQuadraticModule:
                 for j in range(i + 1, len(c)):
                     if c[j]:
                         v += ci * c[j] * row[j]
-        v %= self._level
-        if own:
-            x._nq = v
-        return v
+        return v % self._level
 
     def q_value(self, x):
         """Q(x) in [0, 1), read from the integer form N*Q with N = level().
@@ -940,7 +956,7 @@ def subquotient(a, h):
     d, u, v = smith_normal_form(t)
     kept = [i for i in range(r) if d[i] > 1]
     uh = mat_mul(u, h.hnf)
-    sections = [a.element([x // d[i] for x in uh[i]]) for i in kept]
+    sections = [a.element(tuple(x // d[i] for x in uh[i])) for i in kept]
     rows = [a._pairing_row(x.coords) for x in sections]
     b = FiniteQuadraticModule._from_forms(
         tuple(d[i] for i in kept), n, tuple(a.nq_value(x) for x in sections),
@@ -958,7 +974,7 @@ def subquotient(a, h):
         return b.element(tuple(sum(map(mul, y, col)) % di for col, di in proj_cols))
 
     def sect(x):
-        return a.element([sum(map(mul, x.coords, col)) for col in sect_cols])
+        return a.element(tuple(sum(map(mul, x.coords, col)) for col in sect_cols))
 
     for x in b.generators():
         if proj(sect(x)) != x:

@@ -8,6 +8,7 @@ within a bound is reported as SearchExhausted, never as nonexistence.
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import fqm
 from ._intmat import (determinant, even_gram, ext_gcd, image_basis, integer, invert_rational,
@@ -34,17 +35,26 @@ class EvenLattice:
     def signature(self):
         return signature_pair([list(r) for r in self.gram])
 
+    def _vector(self, v, what):
+        """v as a tuple of rank ints or Fractions, named by what in a refusal."""
+        return shape(v, what, lambda x: rational(x, "entry of " + what), self.rank)
+
+    def _gram_times(self, v):
+        """G v for a vector v already read: its pairings with the standard basis."""
+        return [sum(map(mul, row, v)) for row in self.gram]
+
     def bilinear(self, v, w):
-        return sum(Fraction(v[i]) * self.gram[i][j] * Fraction(w[j])
-                   for i in range(self.rank) for j in range(self.rank))
+        """(v, w) = v G w, a Fraction."""
+        v, w = self._vector(v, "v"), self._vector(w, "w")
+        return Fraction(sum(map(mul, v, self._gram_times(w))))
 
     def q_value(self, v):
+        """Q(v) = (v, v)/2, a Fraction."""
         return self.bilinear(v, v) / 2
 
     def pairings(self, v):
-        """The vector of pairings with the standard basis, (v, e_i)."""
-        return [sum(self.gram[i][j] * Fraction(v[j]) for j in range(self.rank))
-                for i in range(self.rank)]
+        """The vector of pairings with the standard basis, (v, e_i), as Fractions."""
+        return [Fraction(x) for x in self._gram_times(self._vector(v, "v"))]
 
     def in_dual(self, v):
         return all(x.denominator == 1 for x in self.pairings(v))

@@ -13,15 +13,21 @@ with N = module.level() and the integer k = N*m (exact, since m = Q(mu) mod 1
 lies in (1/N)Z). Only nonzero values are stored and no component is empty. A
 rational value is stored as an int when it is integral and as a Fraction
 otherwise (_stored), so the arrows, sums and comparisons of integral series run
-in int arithmetic; an int equals the Fraction it replaces. read_series reads
-each m and rational coeff text as an integer pair a/b (parse_rational_pair), so
-a file of integral coefficients is read to k = a*N/b and ints, with no Fraction
-per record.
+in int arithmetic; an int equals the Fraction it replaces.
 A component dict is immutable once stored: no code writes into a dict held in
 `components`. So one dict may be shared by several mu and by several series
 (up_arrow stores one dict for a whole fiber, lifts one dict per Q value, copy()
 copies the outer dict only, a sum keeps the untouched components), and set
 stores a new dict for the component it changes.
+
+Files: each module keeps a vocabulary of the mu and m fields of series records
+(module._vocabulary, see _mu_entry), filled on first use. write_series prints
+those fields from it, and read_series resolves them there, so a field spelt as
+write_series spells it is parsed once per module, not once per file, and no
+element is built; down_arrow reads N*Q there too. Any other spelling is parsed
+where it occurs. read_series reads each m and rational coeff text as an integer
+pair a/b (parse_rational_pair), so a file of integral coefficients is read to
+k = a*N/b and ints, with no Fraction per record.
 """
 
 from fractions import Fraction
@@ -124,28 +130,36 @@ class VectorValuedQSeries:
         out.components = dict(self.components)
         return out
 
-    def _exponent(self, mu, k, n):
-        """The stored exponent of m = k/n in mu's component, after the checks of set."""
+    def _exponent(self, coords, nq, k, n):
+        """The stored exponent of m = k/n at the mu with these coords and N*Q(mu) = nq.
+
+        It refuses m as set does: not congruent to Q(mu) mod 1, or past the
+        truncation.
+        """
         level = self.level
         kk, rest = divmod(k * level, n)
-        if rest or (kk - self.module.nq_value(mu)) % level:
-            raise PreconditionError("exponent %s is not congruent to Q(%s) mod 1"
-                                    % (Fraction(k, n), mu))
+        if rest or (kk - nq) % level:
+            raise PreconditionError("exponent %s is not congruent to Q((%s)) mod 1"
+                                    % (Fraction(k, n), ",".join(map(str, coords))))
         if kk > self.k_max:
             raise PreconditionError("exponent exceeds the truncation bound")
         return kk
 
-    def _put(self, mu, comp, n):
-        """Store {k: value} at the exponents k/n as mu's component, with the checks of set."""
+    def _put(self, coords, comp, n):
+        """Store {k: value} at the exponents k/n as the component at coords, checked as by set.
+
+        coords are reduced mod the orders; N*Q is read from the module's vocabulary.
+        """
+        nq = _mu_entry(self.module, coords)[1]
         out = {}
         for k, v in comp.items():
-            k = self._exponent(mu, k, n)
+            k = self._exponent(coords, nq, k, n)
             if not _is_zero_value(v):
                 out[k] = _stored(v)
         if out:
-            self.components[mu.coords] = out
+            self.components[coords] = out
         else:
-            self.components.pop(mu.coords, None)
+            self.components.pop(coords, None)
 
     def set(self, mu, m, value):
         """Set c(m, mu) by storing a new component dict for mu.
@@ -158,15 +172,24 @@ class VectorValuedQSeries:
         fqm._require_of(self.module, mu, "element")
         # the exact types first: isinstance against Fraction is an ABC check
         t = type(value)
-        if (t is not int and t is not Fraction and t is not CyclotomicNumber
-                and not isinstance(value, (Fraction, CyclotomicNumber))):
-            raise PreconditionError("coefficient must be an int, Fraction or CyclotomicNumber")
-        m = rational(m, "exponent")
-        k = self._exponent(mu, m.numerator, m.denominator)
+        if t is Fraction:
+            if value.denominator == 1:
+                value = value.numerator
+        elif t is not int and t is not CyclotomicNumber:
+            if not isinstance(value, (Fraction, CyclotomicNumber)):
+                raise PreconditionError(
+                    "coefficient must be an int, Fraction or CyclotomicNumber")
+            value = _stored(value)
+        if type(m) is not Fraction:
+            m = rational(m, "exponent")
+        nq = self.module.nq_value(mu)
         c = mu.coords
+        level = self.level
+        k, rest = divmod(m.numerator * level, m.denominator)
+        if rest or (k - nq) % level or k > self.k_max:
+            self._exponent(c, nq, m.numerator, m.denominator)  # raises
         comp = dict(self.components.get(c, _EMPTY))
-        value = _stored(value)
-        if _is_zero_value(value):
+        if value.is_zero() if isinstance(value, CyclotomicNumber) else not value:
             comp.pop(k, None)
         else:
             comp[k] = value
@@ -329,7 +352,7 @@ def down_arrow(f, h):
             for k, v in comps.get(mu, _EMPTY).items():
                 sums[k] = sums[k] + v if k in sums else v
         if sums:
-            out._put(b.element(nu), sums, f.level)
+            out._put(nu, sums, f.level)
     return out
 
 
@@ -488,7 +511,7 @@ def oldform_decompose(f, e, t):
             i_d = fqm.cyclic_subgroup_id(a, e, d)
             b, proj, _sect, fibers = reduction(a, i_d)
             e_b = proj(e)
-            new = [(b.element(c), mus[0]) for c, mus in fibers.items()
+            new = [(c, mus[0]) for c, mus in fibers.items()
                    if fqm.content(b, e_b, b.element(c)) == 1]
             if not _translation_invariant_on(cur, [mu for _nu, mu in new], i_d):
                 raise PreconditionError(
@@ -527,15 +550,51 @@ def resum_decomposition(parts, module, e):
 ROOT_ORDER_BOUND = 8 * fqm.LEVEL_BOUND
 
 
+# A module's vocabulary (module._vocabulary) is one dict holding the fields
+# of series records on the module, each built or parsed once per module. A mu
+# field as write_series prints it, "mu=(c_1,...,c_r)" with 0 <= c_i < d_i, and
+# its coords both map to the entry (coords, N*Q(mu), field). An m field as it
+# prints it, "m=a/b" with a/b in lowest terms and k = N*a/b an integer, maps
+# to k, and k maps to the record head " m=a/b coeff=". The four kinds of key
+# (texts starting "mu=" or "m=", coordinate tuples, ints) never collide, and
+# only canonical spellings enter, so the vocabulary holds at most |A|
+# coordinate entries.
+
+
+def _mu_entry(module, coords):
+    """(coords, N*Q(mu), "mu=(c_1,...,c_r)") for the coords of mu, reduced mod the orders."""
+    vocab = module._vocabulary
+    hit = vocab.get(coords)
+    if hit is None:
+        field = "mu=(%s)" % ",".join(map(str, coords))
+        hit = vocab[coords] = vocab[field] = (coords, module._nq_of(coords), field)
+    return hit
+
+
+def _head(module, k):
+    """The record head " m=a/b coeff=" of the exponent m = k/N."""
+    vocab = module._vocabulary
+    hit = vocab.get(k)
+    if hit is None:
+        n = module.level()
+        g = gcd(k, n)
+        field = "m=%d/%d" % (k // g, n // g)
+        vocab[field] = k
+        hit = vocab[k] = " %s coeff=" % field
+    return hit
+
+
 def write_series(f):
     """Serialize to the line-based text format.
 
-    A component dict that several mu share is formatted once.
+    A component dict that several mu share is formatted once; the mu and m
+    texts are read from the module's vocabulary.
     """
     lines = ["module: " + ",".join(str(d) for d in f.module.orders),
              "weight: %d/%d" % (f.weight.numerator, f.weight.denominator),
              "truncation: %d/%d" % (f.truncation.numerator, f.truncation.denominator)]
-    n = f.level
+    module = f.module
+    vocab = module._vocabulary
     # id(comp) is stable: every component stays alive in f.components
     records = {}
     for c in sorted(f.components):
@@ -552,16 +611,20 @@ def write_series(f):
                 else:
                     v = Fraction(v)
                     text = "%d/%d" % (v.numerator, v.denominator)
-                g = gcd(k, n)
-                tails.append(" m=%d/%d coeff=%s" % (k // g, n // g, text))
+                tails.append((vocab.get(k) or _head(module, k)) + text)
         if tails:
-            mu = "mu=(%s)" % ",".join(map(str, c))
+            mu = (vocab.get(c) or _mu_entry(module, c))[2]
             lines.append(mu + ("\n" + mu).join(tails))
     return "\n".join(lines) + "\n"
 
 
 def read_series(text, module):
-    """Parse the line-based format; the module must match the header divisors."""
+    """Parse the line-based format; the module must match the header divisors.
+
+    The mu and m texts are resolved through the module's vocabulary, so a
+    text that an earlier file on the module spelt canonically is not parsed
+    again.
+    """
     if not isinstance(text, str):
         raise PreconditionError("series text must be a str, not %s" % type(text).__name__)
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
@@ -577,33 +640,38 @@ def read_series(text, module):
     except (ValueError, ZeroDivisionError):
         raise PreconditionError("malformed weight or truncation in header %r"
                                 % "; ".join(lines[1:3])) from None
-    # each distinct field text is read once: mu to (the element, its N*Q, its
-    # record dict), m to (k, rest, a, b) with a*N/b = k + rest/b, and coeff to
-    # its value, None for zero
-    level, k_max = out.level, out.k_max
-    mus, ms, values = {}, {}, {}
+    vocab = module._vocabulary
+    level, k_max, orders = out.level, out.k_max, module.orders
+    # each distinct coeff text is read once per call, to its value or None for zero
+    values = {}
     records = {}
     for ln in lines[3:]:
         try:
             parts = ln.split(" ", 2)
             if (len(parts) == 3 and parts[0][:3] == "mu=" and parts[1][:2] == "m="
                     and parts[2][:6] == "coeff="):
-                mu_text, m_text, coeff = parts[0][3:], parts[1][2:], parts[2][6:]
+                mu_field, m_field, coeff = parts[0], parts[1], parts[2][6:]
             else:  # the fields in another order than write_series puts them
                 fields = dict(part.split("=", 1) for part in parts)
-                mu_text, m_text, coeff = fields["mu"], fields["m"], fields["coeff"]
-            slot = mus.get(mu_text)
-            if slot is None:
-                coords = tuple(int(x) for x in mu_text.strip("()").split(",") if x != "")
-            m = ms.get(m_text)
-            if m is None:
-                a, b = parse_rational_pair(m_text)
-                m = ms[m_text] = (*divmod(a * level, b), a, b)
+                mu_field, m_field = "mu=" + fields["mu"], "m=" + fields["m"]
+                coeff = fields["coeff"]
+            mu = vocab.get(mu_field)
+            if mu is None:
+                coords = tuple(int(x) for x in mu_field[3:].strip("()").split(",") if x != "")
+            k = vocab.get(m_field)
+            if k is None:
+                a, b = parse_rational_pair(m_field[2:])
+                k, rest = divmod(a * level, b)
+                if rest:
+                    k = None
+                elif gcd(a, b) == 1 and m_field == "m=%d/%d" % (a, b):
+                    vocab[m_field] = k
         except (KeyError, ValueError, ZeroDivisionError):
             raise PreconditionError("malformed series record %r" % ln) from None
-        if slot is None:
-            mu = module.element(coords)
-            slot = mus[mu_text] = (mu, module.nq_value(mu), records.setdefault(mu.coords, {}))
+        if mu is None:
+            if len(coords) != len(orders):
+                module.element(coords)  # raises the refusal of element
+            mu = _mu_entry(module, tuple([c % d for c, d in zip(coords, orders)]))
         if coeff in values:
             value = values[coeff]
         else:
@@ -611,10 +679,13 @@ def read_series(text, module):
             value = values[coeff] = None if _is_zero_value(value) else value
         # the checks of set, record by record; a later record of the same
         # (mu, m) wins, and each component is stored once at the end
-        mu, nq, comp = slot
-        k, rest, a, b = m
-        if rest or (k - nq) % level or k > k_max:
-            out._exponent(mu, a, b)  # raises the refusal of set
+        coords, nq, _field = mu
+        if k is None or (k - nq) % level or k > k_max:
+            # raises the refusal of set; k is None when N*m is not an integer
+            out._exponent(coords, nq, *((a, b) if k is None else (k, level)))
+        comp = records.get(coords)
+        if comp is None:
+            comp = records[coords] = {}
         comp[k] = value
     for coords, comp in records.items():
         comp = {k: v for k, v in comp.items() if v is not None}

@@ -1,7 +1,8 @@
 """The argument contract of the public API, swept over every public callable.
 
 The public functions and classes of fqm, weil, cyclo, qseries, lattice, lifts
-and dims are found by introspection. A parameter whose valid value (_valid) is
+and dims are found by introspection, and the METHODS that read arguments of
+their own are added, with a valid instance as self. A parameter whose valid value (_valid) is
 a library object (a module, element, subgroup, series, lattice, newform or
 automorphism) always gets that object: a library object in the wrong slot is a
 programming error outside the contract. Every other parameter (a scalar, a
@@ -28,6 +29,9 @@ LIBRARY = (fqm.FiniteQuadraticModule, fqm.FqmElement, fqm.Subgroup, fqm.Automorp
 # FqmElement(module, coords) is the constructor that element arithmetic calls,
 # and checks nothing; code outside fqm makes elements with module.element(coords)
 SKIPPED = {"fqm.FqmElement"}
+# Methods that read vectors or coordinates, by the class that defines them
+METHODS = {(fqm, "FiniteQuadraticModule"): ("element",),
+           (lattice, "EvenLattice"): ("bilinear", "q_value", "pairings", "in_dual")}
 
 
 def _valid():
@@ -38,14 +42,18 @@ def _valid():
     f = qseries.VectorValuedQSeries(a, 6, 2)
     eta = lifts.eta_quotient({1: 6, 3: 6}, 6)  # the newform of level 3 and weight 6
     ident = weil.identity_matrix(a)
+    lat = lattice.EvenLattice([[0, 1], [1, 0]])
     return {
         # library objects
         "a": a, "b": a, "module": a, "e": e, "lam": e, "g": line, "h": line, "f": f,
         "elements": [a.zero()], "subgroups": [line], "subgroup_or_elements": line,
         "parts": {1: f}, "definite_block": fqm.trivial_module(),
-        "lat": lattice.EvenLattice([[0, 1], [1, 0]]), "series": eta,
+        "lat": lat, "series": eta,
         "nf": lifts.NewformData(eta, -1, 6, 3),
         "weil.aut_matrix.h": fqm.identity_automorphism(a),
+        "fqm.FiniteQuadraticModule.element.self": a,
+        "lattice.EvenLattice.bilinear.self": lat, "lattice.EvenLattice.q_value.self": lat,
+        "lattice.EvenLattice.pairings.self": lat, "lattice.EvenLattice.in_dual.self": lat,
         "qseries.pairing_at.g": f,
         "qseries.up_arrow.g": qseries.VectorValuedQSeries(qseries.reduction(a, line)[0], 6, 2),
         "lifts.u_p.f": eta,
@@ -58,6 +66,7 @@ def _valid():
         "bit": 0, "mod": 4, "coeffs": {1: 1}, "witnesses": {},
         "orders": (2,), "q_values": (F(1, 4),), "bilinear": ((F(1, 2),),),
         "gram": [[2]], "matrix": ((1, 0), (0, 1)), "ell": [1, 0], "u": [1, 0], "v": [1, 0],
+        "w": [0, 1], "coords": (0, 1),
         "mu": [0, 0], "search_bound": 2, "basis_rows": [[1, 0], [0, 1]],
         "d_gram": block(*[[[2, 1], [1, 2]]] * 3), "lam0": [1, 0, 1, 0, 1, 0, 1, 0, 0, 1],
         "text": qseries.write_series(f), "scale": ident.scale, "tag": ident.tag,
@@ -68,7 +77,7 @@ def _valid():
 
 
 def _public():
-    """name -> callable for the public functions and classes defined in MODULES.
+    """name -> callable for the public functions and classes defined in MODULES, and METHODS.
 
     A class that is a tuple is a result record, which stores any values.
     """
@@ -82,6 +91,10 @@ def _public():
                     or (inspect.isclass(obj) and issubclass(obj, tuple))):
                 continue
             out[key] = obj
+    for (module, cls), names in METHODS.items():
+        short = module.__name__.rpartition(".")[2]
+        for name in names:
+            out["%s.%s.%s" % (short, cls, name)] = getattr(getattr(module, cls), name)
     return out
 
 

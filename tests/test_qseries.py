@@ -695,6 +695,164 @@ def test_reading_an_integral_file_builds_no_fraction_per_record():
     assert built == ["parse_rational", "parse_rational"]
 
 
+def _coordinate_entries(a):
+    """The coordinate keys of a's series vocabulary."""
+    return [key for key in a._vocabulary if type(key) is tuple]
+
+
+def _elements_built(fn):
+    """(fn(), the number of FqmElements built during the call)."""
+    built = []
+    init = fqm.FqmElement.__init__.__code__
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is init:
+            built.append(1)
+
+    sys.setprofile(count)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, len(built)
+
+
+def _seeded_file(a, rng):
+    """A seeded series on a, rational on half the grid and cyclotomic on a fifth of that."""
+    f = random_series(a, F(3), F(2), rng)
+    for (coords, m), _v in list(f.items())[::5]:
+        f.set(a.element(coords), m, CyclotomicNumber(rng.choice((3, 4, 8)), {
+            rng.randrange(8): F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(2)}))
+    return f, qs.write_series(f)
+
+
+def test_vocabulary_route_matches_the_flat_reader_on_seeded_files():
+    """Seeded files on the benchmark profiles and on H(31), read as the flat
+    reader reads them: on an equal module built afresh, whose vocabulary is
+    cold, then on the writer's module and again on the fresh one, now warm.
+    No read builds an element, and the three series write the same bytes."""
+    rng = random.Random(3531)
+    for a in [profile_module(p) for p in NEWFORM_PROFILES] + [fqm.hyperbolic_module(31)]:
+        for _ in range(2):
+            f, text = _seeded_file(a, rng)
+            fresh = fqm.FiniteQuadraticModule(a.orders, a.q_values, a.bilinear)
+            assert fresh == a and not fresh._vocabulary
+            written = set()
+            for b in (fresh, a, fresh):
+                got, built = _elements_built(lambda: qs.read_series(text, b))
+                want = flat_read_series_reference(text, b)
+                _agree(got, want)
+                assert got == f and built == 0
+                written.add(qs.write_series(got))
+            assert len(written) == 1
+            assert len(_coordinate_entries(a)) <= a.order()
+
+
+# Records on H(31), Q(x, y) = xy/31, that spell mu and m as write_series does
+# not: (32,0) and (-30,31) spell (1,0), (1,32) and (32,-30) spell (1,1), 2/62
+# and +1/31 spell 1/31, 0 and -0/5 spell 0/1. The records of one (mu, m) come
+# in pairs; the later wins, zero included.
+NON_CANONICAL_H31 = """module: 31,31
+weight: 2
+truncation: 2
+mu=(32,0) m=0 coeff=3
+mu=(-30,31) m=-0/5 coeff=4
+mu=(1,0) m=1 coeff=5/2
+mu=(1,1) m=1/31 coeff=6
+mu=(1,32) m=2/62 coeff=0
+mu=(32,-30) m=32/31 coeff=1 * z4^1
+mu=(1,1) m=+32/31 coeff=7
+mu=(0,0) m=0/1 coeff=0
+m=1 coeff=2 mu=(-31,62)
+"""
+
+
+def test_non_canonical_spellings_read_to_the_canonical_entries():
+    a = fqm.hyperbolic_module(31)
+    for _ in range(2):  # a cold vocabulary, then a warm one
+        got, want = _same_call(lambda: qs.read_series(NON_CANONICAL_H31, a),
+                               lambda: flat_read_series_reference(NON_CANONICAL_H31, a))
+        _agree(got, want)
+        x, y = a.element((1, 0)), a.element((1, 1))
+        assert got.component(x) == {0: 4, 1: F(5, 2)}
+        assert got.component(y) == {F(32, 31): 7}  # 1/31 was set to zero by its second record
+        assert got.component(a.zero()) == {1: 2} and got.nonzero_count() == 4
+        assert qs.read_series(qs.write_series(got), a) == got
+    vocab = a._vocabulary
+    assert vocab["mu=(1,0)"] == ((1, 0), 0, "mu=(1,0)") and vocab["m=32/31"] == 32
+    spelt = {key for key in vocab if type(key) is str}
+    assert not spelt & {"mu=(32,0)", "mu=(-30,31)", "mu=(1,32)", "mu=(32,-30)", "mu=(-31,62)",
+                        "m=0", "m=-0/5", "m=1", "m=2/62", "m=+32/31"}
+    for key in spelt:  # each text as write_series spells it
+        if key[:3] == "mu=":
+            coords = vocab[key][0]
+            assert key == "mu=(%s)" % ",".join(map(str, coords)) and vocab[coords] is vocab[key]
+        else:
+            m = F(key[2:])
+            assert key == "m=%d/%d" % (m.numerator, m.denominator) and vocab[key] == 31 * m
+    # on H(4), Q(x, y) = xy/4: 2/8 and +1/4 spell 1/4, and (5,1) spells (1,1)
+    b = fqm.hyperbolic_module(4)
+    text = "module: 4,4\nweight: 2\ntruncation: 1\n"
+    text += "mu=(5,1) m=2/8 coeff=1\nmu=(1,1) m=+1/4 coeff=2\nmu=(1,-3) m=1/4 coeff=3\n"
+    for _ in range(2):
+        got, want = _same_call(lambda: qs.read_series(text, b),
+                               lambda: flat_read_series_reference(text, b))
+        _agree(got, want)
+        assert got.component(b.element((1, 1))) == {F(1, 4): 3}
+    assert "m=2/8" not in b._vocabulary and "m=+1/4" not in b._vocabulary
+    assert b._vocabulary["m=1/4"] == 1 and _coordinate_entries(b) == [(1, 1)]
+
+
+@pytest.mark.parametrize("record", [
+    "mu=(32,0) m=1/31 coeff=1",  # not congruent: Q((1,0)) = 0
+    "mu=(1,1) m=1/62 coeff=1",  # N*m is not an integer
+    "mu=(1,1) m=63/31 coeff=1",  # past the truncation
+    "mu=(1,1,0) m=1/31 coeff=1",
+    "mu=(1,1) m=1/31 coeff=1 * z",
+    "mu=(1,1,0) m=1/62 coeff=1 * z",  # the coordinates are refused first
+    "mu=(1,1) m=1/62 coeff=1 * z",  # the coefficient before the exponent
+])
+def test_refusals_keep_their_messages_on_a_cold_and_a_warm_vocabulary(record):
+    """A bad record refuses as the flat reader does, before or after the
+    records that spell its fields, and ahead of a later bad record."""
+    a = fqm.hyperbolic_module(31)
+    lines = NON_CANONICAL_H31.splitlines()
+    later = "mu=(2,1) m=1/31 coeff=1"  # not congruent: Q((2,1)) = 2/31
+    for at in (3, len(lines), 3, len(lines)):  # cold, then warm
+        for bad in ([record], [record, later]):
+            text = "\n".join(lines[:at] + bad + lines[at:]) + "\n"
+            assert _same_call(lambda: qs.read_series(text, a),
+                              lambda: flat_read_series_reference(text, a)) is None
+
+
+def test_vocabulary_holds_one_entry_per_element_however_files_spell_them():
+    """Files on H(2) and H(31) spelling each element many ways leave at most
+    |A| coordinate entries, and one mu text per entry."""
+    for n, shifts in ((2, range(-3, 4)), (31, (-1, 0, 2))):
+        a = fqm.hyperbolic_module(n)
+        head = "module: %d,%d\nweight: 2\ntruncation: 1\n" % (n, n)
+        for s in shifts:
+            records = ["mu=(%d,%d) m=%d/%d coeff=%d" % (x + s * n, y - s * n, x * y % n, n, x + y)
+                       for x in range(n) for y in range(n)]
+            f = qs.read_series(head + "\n".join(records) + "\n", a)
+            assert f.nonzero_count() == n * n - 1
+        entries = _coordinate_entries(a)
+        assert len(entries) == a.order() == len({key for key in a._vocabulary
+                                                 if type(key) is str and key[:3] == "mu="})
+
+
+def test_down_arrow_builds_no_element_per_fiber():
+    rng = random.Random(35)
+    a, e = u_with_line(12)
+    for d in (2, 3, 4, 6):
+        h = fqm.cyclic_subgroup_id(a, e, d)
+        qs.reduction(a, h)  # the cached reduction builds its elements once
+        f = random_series(a, F(3), F(2), rng)
+        down, built = _elements_built(lambda: qs.down_arrow(f, h))
+        assert built == 0
+        _agree(down, flat_down_arrow_reference(_flat(f), h))
+
+
 def _flat(f):
     """The flat oracle holding the coefficients of f."""
     r = FlatQSeriesReference(f.module, f.weight, f.truncation)

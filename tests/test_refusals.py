@@ -119,6 +119,11 @@ REFUSALS = {
         lambda: fqm.orthogonal_complement(*_same_orders_other_form()[1:]),
         "subgroup does not belong to the module"),
     "element_length": (lambda: _h(2).element((0,)), "coordinate length mismatch"),
+    # a float coordinate was kept as it was, and None raised TypeError from len
+    "element_float_coordinate": (lambda: _h(6).element((1.5, 0)), "coordinates must be integers"),
+    "element_text_coordinate": (lambda: _h(6).element(["1", 0]), "coordinates must be integers"),
+    "element_none": (lambda: _h(6).element(None), "coordinates must be a list"),
+    "element_bare_int": (lambda: _h(6).element(5), "coordinates must be a list"),
     # every row length is checked before the symmetry check reads across rows
     "bilinear_short_last_row": (lambda: fqm.FiniteQuadraticModule((1, 1), (0, 0), ((0, 0), ())),
                                 "bilinear matrix must be square"),
@@ -225,6 +230,22 @@ REFUSALS = {
     "check_table_text": (lambda: dims.check_table("x"), "row numbers must be integers"),
     "check_table_float": (lambda: dims.check_table(2.5), "row numbers must be integers"),
     # lattice
+    # an extra entry was ignored, and None or a bare int raised TypeError
+    "lattice_bilinear_long_vector": (lambda: lattice.EvenLattice([[2]]).bilinear([1, 2], [1]),
+                                     "v must be a list of length 1"),
+    "lattice_bilinear_none": (lambda: lattice.EvenLattice([[2]]).bilinear(None, [1]),
+                              "v must be a list of length 1"),
+    "lattice_bilinear_short_w": (
+        lambda: lattice.EvenLattice([[2, 1], [1, 2]]).bilinear([1, 0], [1]),
+        "w must be a list of length 2"),
+    "lattice_bilinear_text_entry": (lambda: lattice.EvenLattice([[2]]).bilinear([1], ["x"]),
+                                    "entry of w must be a rational number, not 'x'"),
+    "lattice_q_value_bare_int": (lambda: lattice.EvenLattice([[2]]).q_value(3),
+                                 "v must be a list of length 1"),
+    "lattice_pairings_long_vector": (lambda: lattice.EvenLattice([[2]]).pairings([1, 0]),
+                                     "v must be a list of length 1"),
+    "lattice_in_dual_none": (lambda: lattice.EvenLattice([[2]]).in_dual(None),
+                             "v must be a list of length 1"),
     "coset_representative_foreign": (
         lambda: lattice.EvenLattice([[2]]).coset_representative(_h(2).zero()),
         "class does not belong to this discriminant group"),
@@ -454,3 +475,5 @@ def test_integral_floats_are_read_as_ints():
     assert qseries.oldform_decompose(g, e, 0.0) == qseries.oldform_decompose(g, e, 0)
     assert weil.MetaplecticElement(((1.0, F(1)), (0, 1)), 1.0) == weil.MetaplecticElement(
         ((1, 1), (0, 1)), 1)
+    assert a.element((2.0, F(9))) == a.element([2, 3]) == a.element((2, 3))
+    assert lattice.EvenLattice([[2]]).bilinear([1.0], ("1/2",)) == 1 == F(1)
